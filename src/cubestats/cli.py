@@ -18,12 +18,12 @@ import numpy as np
 
 from . import __version__
 from .approx import approx_construct, check_approx, third_layer_check
-from .constructions import best_bounds, build_construction
+from .constructions import ConstructionResult, best_bounds, build_construction
 from .cube import MASK_CAP, VertexSet
 from .errors import CapabilityError, CertificateError, DomainError
 from .exhaustive import exhaustive_lambda
 from .hadamard import hadamard_matrix
-from .johnson import EXPLICIT_VERTEX_CAP, hadamard_to_clique, omega, verify_clique
+from .johnson import hadamard_to_clique, omega, verify_clique
 from .residues import verify_prop31, verify_thm32
 from .stats import distribution, distribution_fast
 
@@ -50,7 +50,6 @@ class RunConfig:
     out: str | None = None
     workers: int = 1
     max_n: int = MASK_CAP
-    max_clique_s: int = EXPLICIT_VERTEX_CAP
     opt_in_n5: bool = False
 
     def to_json(self) -> dict:
@@ -62,7 +61,6 @@ class RunConfig:
             "out": self.out,
             "workers": self.workers,
             "max_n": self.max_n,
-            "max_clique_s": self.max_clique_s,
             "opt_in_n5": self.opt_in_n5,
         }
 
@@ -87,6 +85,21 @@ def _load_json_arg(text: str) -> dict:
     return obj
 
 
+def _construct(config: RunConfig, text: str) -> ConstructionResult:
+    """Build the construction a spec argument names, within ``--max-n``."""
+    spec = _load_json_arg(text)
+    if spec.get("kind") == "bernoulli":
+        spec.setdefault("seed", config.seed)
+    result = build_construction(spec)
+    _check_max_n(config, result.vertex_set)
+    return result
+
+
+def _check_max_n(config: RunConfig, A: VertexSet) -> None:
+    if A.n > config.max_n:
+        raise CapabilityError(f"set lives in n={A.n}, above the cap {config.max_n}")
+
+
 # ---------------------------------------------------------------------------
 # commands: each returns (payload, csv rows, provenance tags, passed flag)
 # ---------------------------------------------------------------------------
@@ -100,15 +113,11 @@ def cmd_dist(config: RunConfig, args: argparse.Namespace):
     if args.set_file is not None:
         with open(args.set_file, "r", encoding="utf-8") as fh:
             A = VertexSet.from_json(json.load(fh))
+        _check_max_n(config, A)
     else:
-        spec = _load_json_arg(args.construct)
-        if spec.get("kind") == "bernoulli":
-            spec.setdefault("seed", config.seed)
-        result = build_construction(spec)
+        result = _construct(config, args.construct)
         payload["construction"] = result.to_json()
         A = result.vertex_set
-    if A.n > config.max_n:
-        raise CapabilityError(f"set lives in n={A.n}, above the cap {config.max_n}")
     dist = distribution_fast(A, args.d)
     payload["distribution"] = dist.to_json()
     rows = [["s", "count"]]
@@ -190,10 +199,7 @@ def cmd_clique(config: RunConfig, args: argparse.Namespace):
 
 
 def cmd_construct(config: RunConfig, args: argparse.Namespace):
-    spec = _load_json_arg(args.spec)
-    if spec.get("kind") == "bernoulli":
-        spec.setdefault("seed", config.seed)
-    result = build_construction(spec)
+    result = _construct(config, args.spec)
     payload = {"construction": result.to_json()}
     rows = [["vertex"]] + [[str(v)] for v in result.vertex_set.vertices()]
     return payload, rows, [], True
@@ -279,10 +285,9 @@ def _suite_clique_certs(config: RunConfig) -> list[dict]:
         if H is None:
             checks.append({"name": f"order {order}", "pass": False})
             continue
-        cert = hadamard_to_clique(H)
         try:
-            verify_clique(cert)
-            ok = cert.size() == order - 1
+            cert = hadamard_to_clique(H)
+            ok = verify_clique(cert) and cert.size() == order - 1
         except CertificateError:
             ok = False
         checks.append({"name": f"order {order} clique of size {order - 1}", "pass": ok})
@@ -298,7 +303,7 @@ def _suite_oracle_equivalence(config: RunConfig) -> list[dict]:
         n = int(rng.integers(1, 8))
         d = int(rng.integers(0, n + 1))
         bits = rng.integers(0, 2, size=1 << n)
-        A = VertexSet.from_vertices(n, [v for v in range(1 << n) if bits[v]])
+        A = VertexSet.from_flags(n, bits)
         fast = distribution_fast(A, d)
         slow = distribution(A, d)
         if fast != slow:

@@ -16,12 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import Subcube, VertexSet
+from .cube import Subcube, VertexSet, check_mask_dimension
 from .errors import CertificateError, DomainError
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
 from .stats import LambdaBounds, LayeredSpec, layered_distribution
-from .turan import turan_density
+from .turan import lambda_d2_closed_form, turan_density
 
 # Flag-algebra upper bounds quoted from the source remark; not
 # reproducible at desk scale, stored verbatim and tagged as such.
@@ -30,12 +30,6 @@ REFERENCE_UPPER = {
     (3, 1): Fraction("0.61005"),
     (4, 1): Fraction("0.60254"),
 }
-
-
-def _mask_from_bools(flags: np.ndarray) -> int:
-    return int.from_bytes(
-        np.packbits(flags.astype(np.uint8), bitorder="little").tobytes(), "little"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +43,13 @@ def syndrome_set(B: GF2Matrix, colors: set[int]) -> VertexSet:
     for c in colors:
         if not 0 <= c < (1 << r):
             raise DomainError(f"color {c} is not an r-bit syndrome (r={r})")
+    check_mask_dimension(n)
     xs = np.arange(1 << n, dtype=np.uint32)
     synd = np.zeros(1 << n, dtype=np.uint32)
     for i, row_mask in enumerate(B.row_masks):
         synd |= (np.bitwise_count(xs & np.uint32(row_mask)).astype(np.uint32) & 1) << i
     member = np.isin(synd, np.fromiter(colors, dtype=np.uint32, count=len(colors)))
-    return VertexSet(n, _mask_from_bools(member))
+    return VertexSet.from_flags(n, member)
 
 
 def spanning_fraction(B: GF2Matrix, d: int) -> Fraction:
@@ -183,20 +178,22 @@ def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
     """
     if d < 0 or d > n:
         raise DomainError(f"d={d} outside [0, n]")
+    check_mask_dimension(n)
     rng = np.random.Generator(np.random.Philox(key=seed))
     total_bits = (1 << n) * d
     raw = np.frombuffer(rng.bytes((total_bits + 7) // 8 + 1), dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="little")[:total_bits]
     keep = ~bits.reshape((1 << n), d).any(axis=1)
-    return VertexSet(n, _mask_from_bools(keep))
+    return VertexSet.from_flags(n, keep)
 
 
 def layered_set(n: int, spec: LayeredSpec) -> VertexSet:
     """All vertices whose Hamming weight lies in the residue set mod k."""
+    check_mask_dimension(n)
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
     residues = np.fromiter(spec.T, dtype=np.int64, count=len(spec.T))
     member = np.isin(weights % spec.k, residues)
-    return VertexSet(n, _mask_from_bools(member))
+    return VertexSet.from_flags(n, member)
 
 
 def parity_set(n: int) -> VertexSet:
@@ -215,8 +212,8 @@ def weight_top_bottom_set(d: int) -> VertexSet:
     if d < 1:
         raise DomainError("d must be >= 1")
     n = d + 2
-    verts = [0] + [v for v in range(1 << n) if v.bit_count() == d + 1]
-    return VertexSet.from_vertices(n, verts)
+    full = (1 << n) - 1
+    return VertexSet.from_vertices(n, [0] + [full ^ (1 << j) for j in range(n)])
 
 
 def turan_extremal_set(d: int, s: int, clique: CliqueCertificate) -> VertexSet:
@@ -243,7 +240,7 @@ def turan_extremal_set(d: int, s: int, clique: CliqueCertificate) -> VertexSet:
             if not (used[j % len(used)] >> r) & 1:
                 v |= 1 << j
         verts.append(v)
-    return VertexSet.from_vertices(n, sorted(set(verts)))
+    return VertexSet.from_vertices(n, verts)
 
 
 def perturb_parity(A: VertexSet, cubes: list[Subcube]) -> VertexSet:
@@ -460,8 +457,7 @@ def best_bounds(d: int, s: int) -> LambdaBounds:
 
     upper_candidates: list[tuple[Fraction, str]] = []
     if s == 1:
-        value = turan_density(d + 2, 3) if d < 6 else Fraction(3, 4)
-        upper_candidates.append((value, "closed-form"))
+        upper_candidates.append((lambda_d2_closed_form(d, 1), "closed-form"))
     else:
         # π(d+2, ω(s)) with the a-priori cap ω(s) <= 4s-1; exact when a
         # Hadamard matrix of order 4s exists, an upper bound regardless.

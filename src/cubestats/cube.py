@@ -3,6 +3,7 @@
 Vertices of Q_n are identified with n-bit integers; coordinate i is bit i.
 A VertexSet stores membership as one big integer (bit v set iff vertex v
 is in the set), so subcube intersections are mask-and-popcount operations.
+Only VertexSet converts that integer to and from 0/1 arrays and vertex lists.
 """
 
 from __future__ import annotations
@@ -11,11 +12,25 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import CapabilityError, DomainError
 
 # Hard cap on materialized membership masks: 2^24 bits = 2 MiB per set.
 # Layered sets beyond this are handled analytically (see stats.layered_distribution).
 MASK_CAP = 24
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_mask_dimension(n: int) -> None:
+    """Raise unless a 2^n-bit mask of Q_n may be built; call before allocating."""
+    if not _is_int(n) or n < 0:
+        raise DomainError(f"dimension must be an integer >= 0, got {n!r}")
+    if n > MASK_CAP:
+        raise CapabilityError(f"n={n} exceeds the materialized-mask cap {MASK_CAP}")
 
 
 def binomial(n: int, k: int) -> int:
@@ -35,12 +50,7 @@ class VertexSet:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DomainError(f"dimension must be >= 0, got {self.n}")
-        if self.n > MASK_CAP:
-            raise CapabilityError(
-                f"n={self.n} exceeds the materialized-mask cap {MASK_CAP}"
-            )
+        check_mask_dimension(self.n)
         if self.bits < 0 or self.bits >> (1 << self.n):
             raise DomainError("membership mask has bits beyond 2^n")
 
@@ -53,13 +63,21 @@ class VertexSet:
         return cls(n, (1 << (1 << n)) - 1)
 
     @classmethod
+    def from_flags(cls, n: int, flags: np.ndarray) -> VertexSet:
+        """The set of vertices v with flags[v] nonzero; len(flags) must be 2^n."""
+        packed = np.packbits(flags, bitorder="little")
+        return cls(n, int.from_bytes(packed.tobytes(), "little"))
+
+    @classmethod
     def from_vertices(cls, n: int, vertices: Iterable[int]) -> VertexSet:
-        bits = 0
+        """The set of the listed vertices, in any order and with repeats."""
+        check_mask_dimension(n)
+        flags = np.zeros(1 << n, dtype=np.uint8)
         for v in vertices:
-            if not 0 <= v < (1 << n):
-                raise DomainError(f"vertex {v} outside Q_{n}")
-            bits |= 1 << v
-        return cls(n, bits)
+            if not _is_int(v) or not 0 <= v < (1 << n):
+                raise DomainError(f"vertex {v!r} is not an integer vertex of Q_{n}")
+            flags[v] = 1
+        return cls.from_flags(n, flags)
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < (1 << self.n) and bool((self.bits >> v) & 1)
@@ -67,9 +85,15 @@ class VertexSet:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
+    def flags(self) -> np.ndarray:
+        """0/1 membership array (uint8) of length 2^n, index = vertex."""
+        size = 1 << self.n
+        raw = np.frombuffer(self.bits.to_bytes((size + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, count=size, bitorder="little")
+
     def vertices(self) -> list[int]:
         """Members in ascending order."""
-        return [v for v in range(1 << self.n) if (self.bits >> v) & 1]
+        return np.flatnonzero(self.flags()).tolist()
 
     def complement(self) -> VertexSet:
         return VertexSet(self.n, self.bits ^ ((1 << (1 << self.n)) - 1))
@@ -89,11 +113,12 @@ class VertexSet:
             vertices = obj["vertices"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed vertex-set object: {exc}") from exc
-        if not isinstance(n, int):
-            raise DomainError("'n' must be an integer")
-        if any(vertices[i] >= vertices[i + 1] for i in range(len(vertices) - 1)):
+        if not isinstance(vertices, list):
+            raise DomainError("'vertices' must be a list")
+        A = cls.from_vertices(n, vertices)
+        if A.vertices() != vertices:
             raise DomainError("'vertices' must be strictly ascending")
-        return cls.from_vertices(n, vertices)
+        return A
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import VertexSet, binomial, enumerate_subcubes, subcube_count
+from .cube import VertexSet, _masks_of_popcount, binomial, enumerate_subcubes
+from .cube import subcube_count
 from .errors import DomainError
 
 
@@ -119,19 +120,6 @@ def distribution(A: VertexSet, d: int) -> SubcubeDistribution:
     return SubcubeDistribution(n, d, tuple(counts), subcube_count(n, d))
 
 
-def indicator_array(A: VertexSet) -> np.ndarray:
-    """0/1 membership array of length 2^n, index = vertex."""
-    size = 1 << A.n
-    raw = A.bits.to_bytes((size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[
-        :size
-    ].astype(np.int32)
-
-
-def _free_masks(n: int, d: int) -> list[int]:
-    return [m for m in range(1 << n) if m.bit_count() == d]
-
-
 def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
     """Same output as ``distribution`` via coordinate folding.
 
@@ -143,9 +131,9 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
     n = A.n
     if d < 0 or d > n:
         raise DomainError(f"subcube dimension {d} outside [0, {n}]")
-    tensor = indicator_array(A).reshape((2,) * n)
+    tensor = A.flags().astype(np.int32).reshape((2,) * n)
     hist = np.zeros((1 << d) + 1, dtype=np.int64)
-    for free in _free_masks(n, d):
+    for free in _masks_of_popcount(n, d):
         folded = tensor
         # Ascending bit p is axis n-1-p; summing the largest axis first
         # keeps the remaining axis numbers valid.

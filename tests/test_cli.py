@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cubestats import __version__
+from cubestats import CertificateError, __version__
 from cubestats.cli import main
 
 PARITY6 = '{"kind": "parity", "n": 6, "d": 3}'
@@ -162,6 +162,25 @@ class TestVerifySuites:
         assert report["pass"] is True
         assert all(c["pass"] for c in report["checks"])
 
+    def test_clique_certs_fails_when_a_certificate_does_not_verify(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("cubestats.cli.verify_clique", lambda cert: False)
+        rc, out, _ = run(capsys, "verify", "clique-certs")
+        assert rc == 1
+        assert json.loads(out)["pass"] is False
+
+    def test_clique_certs_fails_when_a_certificate_cannot_be_built(
+        self, capsys, monkeypatch
+    ):
+        def corrupt(H):
+            raise CertificateError("corrupted certificate")
+
+        monkeypatch.setattr("cubestats.cli.hadamard_to_clique", corrupt)
+        rc, out, _ = run(capsys, "verify", "clique-certs")
+        assert rc == 1
+        assert json.loads(out)["pass"] is False
+
     def test_thm32_suite(self, capsys):
         rc, out, _ = run(capsys, "verify", "thm32", "--workers", "2")
         assert rc == 0
@@ -181,6 +200,26 @@ class TestErrors:
     def test_malformed_construct_json(self, capsys):
         rc, _, err = run(capsys, "construct", "{not json")
         assert rc == 2
+
+    @pytest.mark.parametrize("vertices", ['["a"]', "5", "[1.5]", "[true]"])
+    def test_non_integer_vertices_are_usage_errors(self, capsys, tmp_path, vertices):
+        f = tmp_path / "set.json"
+        f.write_text('{"n": 3, "vertices": %s}' % vertices)
+        rc, _, err = run(capsys, "dist", "--set-file", str(f), "-d", "1")
+        assert rc == 2
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", '{"kind": "mod_weight", "n": 60, "d": 2}'],
+            ["construct", '{"kind": "parity", "n": 12}', "--max-n", "4"],
+        ],
+    )
+    def test_construct_caps_exit_three(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3
+        assert out == "" and "cap" in err
 
     def test_missing_set_file(self, capsys):
         rc, _, err = run(capsys, "dist", "--set-file", "/nonexistent.json", "-d", "1")

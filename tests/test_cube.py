@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,32 @@ class TestVertexSet:
             VertexSet.from_vertices(2, [4])
         with pytest.raises(CapabilityError):
             VertexSet(MASK_CAP + 1, 0)
+        with pytest.raises(CapabilityError):  # raised before allocating 2^60 flags
+            VertexSet.from_vertices(60, [])
+
+    @given(st.integers(0, 8), st.data())
+    def test_conversions_match_shift_loop(self, n, data):
+        A = VertexSet(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+        reference = [v for v in range(1 << n) if (A.bits >> v) & 1]
+        assert A.vertices() == reference
+        assert A.flags().tolist() == [int(v in A) for v in range(1 << n)]
+        assert VertexSet.from_vertices(n, A.vertices()) == A
+        assert VertexSet.from_flags(n, A.flags()) == A
+        assert VertexSet.from_json(A.to_json()) == A
+
+    @given(st.integers(0, 8), st.data())
+    def test_from_vertices_takes_any_order_repeats_and_numpy_ints(self, n, data):
+        verts = data.draw(st.lists(st.integers(0, (1 << n) - 1)))
+        A = VertexSet(n, sum(1 << v for v in set(verts)))
+        assert VertexSet.from_vertices(n, verts) == A
+        assert VertexSet.from_vertices(n, verts[::-1] + verts) == A
+        assert VertexSet.from_vertices(n, np.array(verts, dtype=np.int64)) == A
+        assert VertexSet.from_vertices(n, [np.uint8(v) for v in verts]) == A
+
+    @pytest.mark.parametrize("bad", ["a", 1.5, True, None, 1 << 70, -1])
+    def test_from_vertices_rejects_non_vertices(self, bad):
+        with pytest.raises(DomainError):
+            VertexSet.from_vertices(3, [0, bad])
 
     @given(st.integers(0, 6), st.data())
     def test_complement_partitions(self, n, data):
