@@ -128,8 +128,8 @@ def approx_construct(x: float, eps: float) -> ApproxSpec:
     """
     if not 0.0 < x < 1.0:
         raise DomainError("target density must lie strictly between 0 and 1")
-    if eps <= 0.0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 < eps < math.inf:
+        raise DomainError("tolerance must be positive and finite")
     target = Fraction(x)
     budget = Fraction(eps) * target / 2
     choice = None

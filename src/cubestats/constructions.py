@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import Subcube, VertexSet, check_mask_dimension
+from .cube import Subcube, VertexSet, _is_int, check_mask_dimension
 from .errors import CertificateError, DomainError
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
@@ -178,6 +178,8 @@ def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
     """
     if d < 0 or d > n:
         raise DomainError(f"d={d} outside [0, n]")
+    if not 0 <= seed < 1 << 128:
+        raise DomainError(f"seed {seed} outside [0, 2^128)")
     check_mask_dimension(n)
     rng = np.random.Generator(np.random.Philox(key=seed))
     total_bits = (1 << n) * d
@@ -323,6 +325,28 @@ def _mod_weight_claim(n: int, d: int) -> Fraction:
     return dist.fraction(1)
 
 
+# Spec parameters that several kinds share, by JSON type; the matrix and
+# clique objects are checked by their own ``from_json`` parsers.
+_INT_PARAMS = ("n", "d", "s", "k", "seed")
+_INT_LIST_PARAMS = ("T", "colors")
+
+
+def _check_param_types(kind: str, spec: dict) -> None:
+    for key in _INT_PARAMS:
+        if key in spec and not _is_int(spec[key]):
+            raise DomainError(f"{kind} parameter {key!r} must be an integer")
+    for key in _INT_LIST_PARAMS:
+        value = spec.get(key, [])
+        if not isinstance(value, list) or not all(_is_int(x) for x in value):
+            raise DomainError(f"{kind} parameter {key!r} must be a list of integers")
+    cubes = spec.get("cubes", [])
+    if not isinstance(cubes, list) or not all(
+        isinstance(q, dict) and _is_int(q.get("free")) and _is_int(q.get("base"))
+        for q in cubes
+    ):
+        raise DomainError(f"{kind} parameter 'cubes' must list integer free/base pairs")
+
+
 def build_construction(spec: dict) -> ConstructionResult:
     """Build the vertex set a ConstructionSpec JSON object describes."""
     try:
@@ -331,6 +355,7 @@ def build_construction(spec: dict) -> ConstructionResult:
         raise DomainError("construction spec needs a 'kind'") from exc
     if kind not in CONSTRUCTION_KINDS:
         raise DomainError(f"unknown construction kind: {kind}")
+    _check_param_types(kind, spec)
     try:
         return _BUILDERS[kind](spec)
     except KeyError as exc:
@@ -341,9 +366,11 @@ def _build_syndrome(spec: dict) -> ConstructionResult:
     B = GF2Matrix.from_json(spec["matrix"])
     colors = set(spec["colors"])
     d = spec.get("d", B.rows)
+    if not 0 <= d <= B.cols:
+        raise DomainError(f"syndrome claim needs 0 <= d <= {B.cols}")
     A = syndrome_set(B, colors)
     s = len(colors) << max(d - B.rows, 0)
-    frac = spanning_fraction(B, d) if d <= B.cols else Fraction(0)
+    frac = spanning_fraction(B, d)
     return ConstructionResult("syndrome", A, d, s, frac, "ge")
 
 
@@ -366,14 +393,16 @@ def _build_turan(spec: dict) -> ConstructionResult:
 def _build_parity(spec: dict) -> ConstructionResult:
     n = spec["n"]
     d = spec.get("d", n)
-    if d < 1:
-        raise DomainError("parity claim needs d >= 1")
+    if not 1 <= d <= n:
+        raise DomainError(f"parity claim needs 1 <= d <= n, got d={d}")
     A = parity_set(n)
     return ConstructionResult("parity", A, d, 1 << (d - 1), Fraction(1), "eq")
 
 
 def _build_perturbed(spec: dict) -> ConstructionResult:
     n, d = spec["n"], spec["d"]
+    if not 1 <= d <= n:
+        raise DomainError(f"perturbed parity claim needs 1 <= d <= n, got d={d}")
     cubes = [Subcube(n, q["free"], q["base"]) for q in spec["cubes"]]
     A = perturb_parity(parity_set(n), cubes)
     ok = perturbation_preserves(n, d, cubes)

@@ -4,7 +4,7 @@ Three routes to the same quantity, kept deliberately independent so they
 can cross-check each other:
 
 * ``distribution``       -- direct per-subcube popcounts (the oracle),
-* ``distribution_fast``  -- per free-mask coordinate folding (the fast path),
+* ``distribution_fast``  -- prefix-shared coordinate folding (the fast path),
 * ``layered_distribution`` -- analytic counts for layered sets, valid for n
   far beyond the materialized-mask cap.
 """
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import VertexSet, _masks_of_popcount, binomial, enumerate_subcubes
+from .cube import VertexSet, binomial, enumerate_subcubes
 from .cube import subcube_count
 from .errors import DomainError
 
@@ -121,29 +121,65 @@ def distribution(A: VertexSet, d: int) -> SubcubeDistribution:
 
 
 def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
-    """Same output as ``distribution`` via coordinate folding.
+    """Same output as ``distribution`` via prefix-shared coordinate folding.
 
-    For each free mask, d pairwise-fold passes over the 2^n indicator
-    (ascending free-coordinate order) produce all 2^(n-d) subcube counts
-    of that mask at once; the counts land in a histogram.  Intermediate
-    sums stay below 2^d, well inside int32 for n <= 24.
+    The free-coordinate sets are built one coordinate per level, in
+    ascending order, so each partial fold is computed once and reused by
+    every free set that extends it (see ``_leaf_blocks``).  Sums stay in
+    the smallest unsigned dtype that holds 2^d, so counts are exact.
     """
     n = A.n
     if d < 0 or d > n:
         raise DomainError(f"subcube dimension {d} outside [0, {n}]")
-    tensor = A.flags().astype(np.int32).reshape((2,) * n)
+    dtype = np.uint8 if d < 8 else np.uint16 if d < 16 else np.uint32
+    top = A.flags().astype(dtype).reshape(1, 1 << n)
     hist = np.zeros((1 << d) + 1, dtype=np.int64)
-    for free in _masks_of_popcount(n, d):
-        folded = tensor
-        # Ascending bit p is axis n-1-p; summing the largest axis first
-        # keeps the remaining axis numbers valid.
-        for p in [i for i in range(n) if (free >> i) & 1]:
-            folded = folded.sum(axis=n - 1 - p)
-        hist += np.bincount(
-            np.atleast_1d(folded).ravel(), minlength=(1 << d) + 1
-        ).astype(np.int64)
+    for leaves in _leaf_blocks(top, np.array([-1]), 0, n, d):
+        flat = leaves.ravel()
+        # bincount copies its input to intp; slicing keeps that copy small.
+        for i in range(0, flat.size, _BLOCK_ELEMS):
+            hist += np.bincount(flat[i : i + _BLOCK_ELEMS], minlength=(1 << d) + 1)
     counts = tuple(int(c) for c in hist)
     return SubcubeDistribution(n, d, counts, subcube_count(n, d))
+
+
+# Upper bound on the elements of one block of rows in ``_leaf_blocks``
+# (a single row may exceed it); it keeps the kernel's memory flat in n.
+_BLOCK_ELEMS = 1 << 16
+
+
+def _leaf_blocks(rows: np.ndarray, ends: np.ndarray, k: int, n: int, d: int):
+    """Yield blocks of d-fold rows: one row per free set, 2^(n-d) counts each.
+
+    Each row of ``rows`` is the indicator summed over k free coordinates,
+    the largest being the row's entry in ``ends`` (ascending).  Folding in
+    coordinate p > ends extends it; p stops at n-d+k so that d-k-1 larger
+    coordinates remain.  The rows ending below p are a prefix, so one
+    reshape-add folds all of them, and each child block is again sorted.
+    """
+    if k == d:
+        yield rows
+        return
+    width = rows.shape[1] >> 1
+    cap = max(1, _BLOCK_ELEMS // width)
+    out = np.empty((cap, width), dtype=rows.dtype)
+    out_ends = np.empty(cap, dtype=np.int64)
+    filled = 0
+    for p in range(k, n - d + k + 1):
+        low = 1 << (p - k)  # stride of coordinate p once the k folded ones are gone
+        start, stop = 0, int(np.searchsorted(ends, p))
+        while start < stop:
+            take = min(stop - start, cap - filled)
+            pairs = rows[start : start + take].reshape(take, -1, 2, low)
+            dest = out[filled : filled + take].reshape(take, -1, low)
+            np.add(pairs[:, :, 0], pairs[:, :, 1], out=dest)
+            out_ends[filled : filled + take] = p
+            start, filled = start + take, filled + take
+            if filled == cap:
+                yield from _leaf_blocks(out, out_ends, k + 1, n, d)
+                filled = 0
+    if filled:
+        yield from _leaf_blocks(out[:filled], out_ends[:filled], k + 1, n, d)
 
 
 def lambda_of_set(A: VertexSet, d: int, s: int) -> Fraction:

@@ -221,6 +221,31 @@ class TestErrors:
         assert rc == 3
         assert out == "" and "cap" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", '{"kind": "parity", "n": "x"}'],
+            ["construct", '{"kind": "mod_weight", "n": 6, "d": "x"}'],
+            ["construct", '{"kind": "layered", "n": 6, "k": 2, "T": 5}'],
+            ["construct", '{"kind": "bernoulli", "n": 6, "d": 2, "seed": -1}'],
+            ["construct", '{"kind": "parity", "n": 6, "d": 7}'],
+            [
+                "construct",
+                '{"kind": "syndrome", "colors": [0], "d": 4,'
+                ' "matrix": {"rows": 1, "cols": 3, "data": ["111"]}}',
+            ],
+            ["construct", '{"kind": "perturbed_parity", "n": 4, "d": 3, "cubes": [5]}'],
+            ["approx", "0.3", "inf"],
+            ["approx", "0.3", "nan"],
+            ["approx", "inf", "0.1"],
+            ["approx", "nan", "0.1"],
+        ],
+    )
+    def test_invalid_parameters_are_usage_errors(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == "" and "Traceback" not in err and err.count("\n") == 1
+
     def test_missing_set_file(self, capsys):
         rc, _, err = run(capsys, "dist", "--set-file", "/nonexistent.json", "-d", "1")
         assert rc == 2

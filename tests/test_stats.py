@@ -1,5 +1,6 @@
 """Occupancy distributions: reference counter, bit-parallel version, layered."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from cubestats import (
     parity_set,
     subcube_count,
 )
+from cubestats import stats
 
 
 @st.composite
@@ -50,6 +52,12 @@ class TestDistribution:
         dist = distribution_fast(VertexSet.empty(3), 2)
         assert dist.counts[0] == dist.total == subcube_count(3, 2)
 
+    def test_full_set_fills_every_subcube(self):
+        # 2^8 = 256 is the first count that overflows uint8
+        for d in range(9):
+            dist = distribution_fast(VertexSet.full(8), d)
+            assert dist.counts[1 << d] == dist.total == subcube_count(8, d)
+
     def test_fraction_and_lambda_agree(self):
         A = VertexSet.from_vertices(3, [0, 1, 6])
         dist = distribution(A, 2)
@@ -62,11 +70,22 @@ class TestDistribution:
         with pytest.raises(DomainError):
             distribution_fast(VertexSet.empty(2), -1)
 
-    @given(vertex_sets(), st.data())
+    @given(vertex_sets(max_n=8), st.data())
     @settings(max_examples=60, deadline=None)
     def test_fast_matches_reference(self, A, data):
         d = data.draw(st.integers(0, A.n))
         assert distribution_fast(A, d) == distribution(A, d)
+
+    @pytest.mark.parametrize("block", [1, 8, 64])
+    def test_fast_matches_reference_across_block_boundaries(self, monkeypatch, block):
+        # tiny blocks split every level into many blocks, some ending
+        # mid-coordinate, and bincount the leaves in many slices
+        monkeypatch.setattr(stats, "_BLOCK_ELEMS", block)
+        rng = random.Random(block)
+        for n in range(9):
+            for d in range(n + 1):
+                A = VertexSet(n, rng.getrandbits(1 << n))
+                assert distribution_fast(A, d) == distribution(A, d), (n, d)
 
     @given(vertex_sets(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -85,6 +104,18 @@ class TestLayered:
         k = data.draw(st.integers(1, 6))
         T = frozenset(data.draw(st.sets(st.integers(0, k - 1))))
         spec = LayeredSpec(k, T)
+        assert layered_distribution(n, d, spec) == distribution_fast(
+            layered_set(n, spec), d
+        )
+
+    @pytest.mark.parametrize(
+        "n, d, spec",
+        [
+            (18, 3, LayeredSpec(3, frozenset({0, 2}))),  # many blocks per level
+            (16, 9, LayeredSpec(4, frozenset({0, 1, 2}))),  # counts above 255: uint16
+        ],
+    )
+    def test_matches_fast_kernel_at_scale(self, n, d, spec):
         assert layered_distribution(n, d, spec) == distribution_fast(
             layered_set(n, spec), d
         )
