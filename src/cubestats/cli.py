@@ -449,6 +449,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not 0 <= config.seed < 1 << 64:
         print("cubestats: seed must fit in 64 bits", file=sys.stderr)
         return 2
+    if config.max_n < 0:
+        print("cubestats: --max-n must be >= 0", file=sys.stderr)
+        return 2
     try:
         payload, rows, provenance, passed = _COMMANDS[args.command](config, args)
     except (DomainError, CertificateError, json.JSONDecodeError, OSError) as exc:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cube import Subcube, VertexSet, _is_int, check_mask_dimension
-from .errors import CertificateError, DomainError
+from .errors import CapabilityError, CertificateError, DomainError
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
 from .stats import LambdaBounds, LayeredSpec, layered_distribution
@@ -30,6 +30,10 @@ REFERENCE_UPPER = {
     (3, 1): Fraction("0.61005"),
     (4, 1): Fraction("0.60254"),
 }
+
+# Integers up to 2^14284 have at most 4300 decimal digits, the default
+# int-to-str limit of Python, so fractions under it can be reported.
+_MAX_DENOMINATOR_BITS = 14_284
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +473,11 @@ def best_bounds(d: int, s: int) -> LambdaBounds:
             inner.upper_source,
         )
 
+    # The denominators of c_d and c_star divide (2^d - 1)^(d - 1) or
+    # (2^(d-k) - 1)^d; the Bernoulli fraction's is 2^(d(2^d - 1)).
+    bits = d * ((1 << d) - 1 if s == 1 else d - 1)
+    if bits > _MAX_DENOMINATOR_BITS:
+        raise CapabilityError(f"bounds at d={d} need fractions of over 4300 digits")
     lower_candidates: list[tuple[Fraction, str]] = [
         (c_d(d), "syndrome (square matrix, nonzero columns)")
     ]

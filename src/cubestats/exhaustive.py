@@ -23,7 +23,6 @@ PRUNED_MAX_N = 5
 
 _EVAL_CHUNK = 1 << 21
 _ENUM_CHUNK = 1 << 24
-_ORBIT_CAP = 1 << 11
 _WALK_CAP = 1 << 25
 
 
@@ -41,8 +40,21 @@ def _hist_matrix(masks: np.ndarray, cube_masks: list[int], d: int) -> np.ndarray
     return hist
 
 
-def _vertex_tuple(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(v for v in range(1 << n) if (mask >> v) & 1)
+def _lex_least(masks: np.ndarray) -> int:
+    """The mask whose ascending vertex tuple is lexicographically least.
+
+    Keeps the masks with the smallest lowest vertex and strips that vertex,
+    until one mask runs out: it is a prefix of all the others, so it is first.
+    """
+    rest = masks
+    one = rest.dtype.type(1)
+    taken = 0
+    while rest.all():
+        low = rest & (~rest + one)
+        least = low.min()
+        rest = rest[low == least] ^ least
+        taken |= int(least)
+    return taken
 
 
 @lru_cache(maxsize=None)
@@ -52,17 +64,15 @@ def _plain_sweep(n: int, d: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     masks = np.arange(0, 1 << (1 << n), 2, dtype=np.uint32)
     hist = _hist_matrix(masks, cubes, d)
     total = subcube_count(n, d)
-    full = (1 << (1 << n)) - 1
+    full = np.uint32((1 << (1 << n)) - 1)
     top = 1 << d
     table = []
     for s in range(top + 1):
         direct = hist[:, s]
         mirror = hist[:, top - s]
         best = int(max(direct.max(), mirror.max()))
-        cand = [int(m) for m in masks[direct == best]]
-        cand += [full ^ int(m) for m in masks[mirror == best]]
-        witness = min(cand, key=lambda m: _vertex_tuple(m, n))
-        table.append((best, witness))
+        cand = np.concatenate([masks[direct == best], full ^ masks[mirror == best]])
+        table.append((best, _lex_least(cand)))
     return total, tuple(table)
 
 
@@ -142,42 +152,6 @@ def _n5_survivors() -> np.ndarray:
     return _n5_cache
 
 
-@lru_cache(maxsize=None)
-def _group_positions(n: int) -> np.ndarray:
-    """Rows = group elements (perm then translate), columns = image of each vertex."""
-    perms = list(itertools.permutations(range(n)))
-    tbl = np.empty((len(perms) << n, 1 << n), dtype=np.uint8)
-    row = 0
-    for sigma in perms:
-        base = [
-            sum(((v >> i) & 1) << sigma[i] for i in range(n)) for v in range(1 << n)
-        ]
-        for t in range(1 << n):
-            tbl[row] = [b ^ t for b in base]
-            row += 1
-    return tbl
-
-
-def _orbit_min_tuple(mask: int, n: int, complement: bool) -> tuple[int, ...]:
-    """Lex-least vertex tuple over the symmetry orbit of mask (or of its complement)."""
-    if mask == 0 and not complement:
-        return ()
-    tbl = _group_positions(n)
-    imgs = np.zeros(tbl.shape[0], dtype=np.uint64)
-    one = np.uint64(1)
-    for v in range(1 << n):
-        if (mask >> v) & 1:
-            imgs |= one << tbl[:, v].astype(np.uint64)
-    if complement:
-        imgs = np.uint64((1 << (1 << n)) - 1) ^ imgs
-    imgs = np.unique(imgs)
-    if imgs[0] == 0:
-        return ()
-    low = (imgs & (~imgs + one)).min()
-    shortlist = imgs[(imgs & (~imgs + one)) == low]
-    return min(_vertex_tuple(int(m), n) for m in shortlist)
-
-
 def _sjt_swaps(n: int) -> list[tuple[int, int]]:
     """Adjacent-transposition sequence stepping through all n! permutations."""
     if n <= 1:
@@ -227,36 +201,27 @@ def _beats(img: np.ndarray, w: int) -> np.ndarray:
     return (diff != 0) & np.where(has_low, w_up, ~img_up)
 
 
-def _walk_min_tuple(cands: np.ndarray, n: int) -> tuple[int, ...]:
-    """Least vertex tuple over the symmetry orbits of all candidate masks.
+def _walk_least(cands: np.ndarray, n: int) -> int:
+    """Lex-least mask over the symmetry orbits of all candidate masks.
 
     Walks the whole symmetry group, transforming the candidate array by a
-    single generator per step, and keeps the best mask seen.  Linear in
-    group order times candidate count, so it stays usable where expanding
-    a full orbit per candidate would not.
+    single generator per step, and keeps the best mask seen.  ``_beats`` is
+    a single pass per step; only the images it lets through, usually none,
+    go to the multi-pass ``_lex_least``.
     """
-    img = np.unique(cands)
-    champ = min(_orbit_min_tuple(int(m), n, False) for m in img[:64])
-
-    def absorb(arr: np.ndarray) -> None:
-        nonlocal champ
-        w = sum(1 << v for v in champ)
-        hits = arr[_beats(arr, w)]
-        if hits.size:
-            best = min(_vertex_tuple(int(m), n) for m in np.unique(hits))
-            if best < champ:
-                champ = best
-
-    absorb(img)
+    img = cands
+    champ = _lex_least(cands)
     for kind, payload in _walk_steps(n):
-        if champ == ():
+        if champ == 0:
             break
         if kind == "swap":
             i, j = payload
             img = _transposition_image(img, i, j, n)
         else:
             img = _translate_image(img, 1 << payload, n)
-        absorb(img)
+        hits = img[_beats(img, champ)]
+        if hits.size:
+            champ = _lex_least(hits)
     return champ
 
 
@@ -293,15 +258,9 @@ def _pruned_cell(d: int, s: int) -> tuple[int, int]:
         if col_max[top - s] == best:
             parts.append(full ^ chunk[hist[:, top - s] == best])
     cands = np.unique(np.concatenate(parts))
-    if int(cands[0]) == 0:
-        return best, 0
     if cands.size > _WALK_CAP:
         raise CapabilityError("witness tie set exceeds supported size")
-    if cands.size <= _ORBIT_CAP:
-        wit = min(_orbit_min_tuple(int(m), n, False) for m in cands)
-    else:
-        wit = _walk_min_tuple(cands, n)
-    return best, sum(1 << v for v in wit)
+    return best, _walk_least(cands, n)
 
 
 def exhaustive_lambda(

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cube import _is_int
 from .errors import CapabilityError, CertificateError, DomainError
 from .hadamard import HadamardMatrix, hadamard_matrix
 
@@ -43,10 +44,14 @@ class CliqueCertificate:
     def from_json(cls, obj: dict) -> CliqueCertificate:
         try:
             s = obj["s"]
-            members = tuple(sum(1 << e for e in mem) for mem in obj["members"])
+            members = [list(mem) for mem in obj["members"]]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed clique object: {exc}") from exc
-        return cls(s, members)
+        if not _is_int(s):
+            raise DomainError("clique 's' must be an integer")
+        if not all(_is_int(e) and 0 <= e < 4 * s for mem in members for e in mem):
+            raise DomainError(f"clique members must be subsets of range({4 * s})")
+        return cls(s, tuple(sum(1 << e for e in mem) for mem in members))
 
 
 def johnson_adjacent(u: int, v: int, s: int) -> bool:

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from cubestats import CertificateError, __version__
+from cubestats.constructions import c_d
 from cubestats.cli import main
 
 PARITY6 = '{"kind": "parity", "n": 6, "d": 3}'
@@ -239,12 +241,43 @@ class TestErrors:
             ["approx", "0.3", "nan"],
             ["approx", "inf", "0.1"],
             ["approx", "nan", "0.1"],
+            [
+                "construct",
+                '{"kind": "turan_extremal", "d": 2, "s": 1,'
+                ' "clique": {"s": 1, "members": [[-1, 0]]}}',
+            ],
+            [
+                "construct",
+                '{"kind": "syndrome", "colors": [0],'
+                ' "matrix": {"rows": 1, "cols": 2, "data": [11]}}',
+            ],
+            [
+                "construct",
+                '{"kind": "syndrome", "colors": [0],'
+                ' "matrix": {"rows": 1.0, "cols": 2.0, "data": ["11"]}}',
+            ],
+            ["construct", PARITY6, "--max-n", "-1"],
         ],
     )
     def test_invalid_parameters_are_usage_errors(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
         assert out == "" and "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("d, s", [(11, 1), (130, 3), (100, 1)])
+    def test_unprintable_bounds_exit_three(self, capsys, d, s):
+        # (2^d - 1)^(2^d - 1) at d = 100 would never finish; the cap comes first
+        rc, out, err = run(capsys, "bounds", str(d), str(s))
+        assert rc == 3
+        assert out == "" and "Traceback" not in err and err.count("\n") == 1
+
+    def test_bounds_below_the_digit_cap_still_print(self, capsys):
+        rc, out, _ = run(capsys, "bounds", "10", "1")
+        assert rc == 0
+        assert json.loads(out)["bounds"]["lower"] == str(Fraction(1023, 1024) ** 1023)
+        rc, out, _ = run(capsys, "bounds", "64", "3")
+        assert rc == 0
+        assert json.loads(out)["bounds"]["lower"] == str(c_d(64))
 
     def test_missing_set_file(self, capsys):
         rc, _, err = run(capsys, "dist", "--set-file", "/nonexistent.json", "-d", "1")

@@ -1,5 +1,6 @@
 """Exact maxima over all vertex sets, and the symmetry-walk internals."""
 
+import functools
 import itertools
 import math
 import os
@@ -20,11 +21,11 @@ from cubestats import (
 )
 from cubestats.exhaustive import (
     _beats,
+    _lex_least,
     _sjt_swaps,
     _transposition_image,
     _translate_image,
-    _vertex_tuple,
-    _walk_min_tuple,
+    _walk_least,
     _walk_steps,
 )
 
@@ -102,6 +103,11 @@ class TestSmallTables:
 # --- symmetry-walk internals ------------------------------------------------
 
 
+def _vertex_tuple(mask: int, n: int) -> tuple[int, ...]:
+    """Reference witness order: the ascending tuple of member vertices."""
+    return tuple(v for v in range(1 << n) if (mask >> v) & 1)
+
+
 def _apply_group_element(mask: int, perm: tuple[int, ...], t: int, n: int) -> int:
     img = 0
     for v in range(1 << n):
@@ -111,12 +117,22 @@ def _apply_group_element(mask: int, perm: tuple[int, ...], t: int, n: int) -> in
     return img
 
 
-def _full_orbit(mask: int, n: int) -> set[int]:
-    return {
-        _apply_group_element(mask, perm, t, n)
+@functools.lru_cache(maxsize=None)
+def _vertex_maps(n: int) -> tuple[tuple[int, ...], ...]:
+    """Image of every vertex under each symmetry (perm then translate)."""
+    return tuple(
+        tuple(
+            sum(((v >> k) & 1) << perm[k] for k in range(n)) ^ t
+            for v in range(1 << n)
+        )
         for perm in itertools.permutations(range(n))
         for t in range(1 << n)
-    }
+    )
+
+
+def _full_orbit(mask: int, n: int) -> set[int]:
+    verts = _vertex_tuple(mask, n)
+    return {sum(1 << vmap[v] for v in verts) for vmap in _vertex_maps(n)}
 
 
 class TestWalkMachinery:
@@ -189,6 +205,35 @@ class TestWalkMachinery:
                 _vertex_tuple(a, n) < _vertex_tuple(w, n)
             )
 
+    @given(
+        st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=40),
+        st.sampled_from([np.uint32, np.uint64]),
+    )
+    def test_lex_least_matches_tuple_order(self, masks, dtype):
+        got = _lex_least(np.array(masks, dtype=dtype))
+        assert got == min(masks, key=lambda m: _vertex_tuple(m, 5))
+
+    def test_lex_least_prefix_and_empty_edge_cases(self):
+        cases = [
+            ([0b0011, 0b0001], 0b0001),  # (0) is a prefix of (0, 1)
+            ([0b0101, 0b0011], 0b0011),
+            ([0b0110, 0b1001], 0b1001),  # lowest vertex decides first
+            ([1 << 31, (1 << 31) | 1], (1 << 31) | 1),
+            ([1 << 31], 1 << 31),  # stripping the top vertex empties it
+            ([5, 0, 3], 0),  # the empty set precedes everything
+            ([0], 0),
+            ([6, 6, 6], 6),
+        ]
+        for masks, want in cases:
+            assert _lex_least(np.array(masks, dtype=np.uint32)) == want
+
+    @staticmethod
+    def _orbit_least(cands: np.ndarray, n: int) -> int:
+        return min(
+            (m for c in cands for m in _full_orbit(int(c), n)),
+            key=lambda m: _vertex_tuple(m, n),
+        )
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_walk_min_matches_orbit_expansion(self, n):
         rng = np.random.default_rng(n)
@@ -196,12 +241,23 @@ class TestWalkMachinery:
             k = int(rng.integers(1, 6))
             cands = rng.integers(0, 1 << (1 << n), size=k, dtype=np.uint64)
             cands = np.unique(cands.astype(np.uint32))
-            want = min(
-                _vertex_tuple(m, n)
-                for c in cands
-                for m in _full_orbit(int(c), n)
-            )
-            assert _walk_min_tuple(cands, n) == want
+            assert _walk_least(cands, n) == self._orbit_least(cands, n)
+
+    def test_walk_least_on_a_large_tie_set(self):
+        # several hundred vertex-0-avoiding masks of one weight, like the
+        # tie sets of a sweep
+        rng = np.random.default_rng(44)
+        picks = [1 + rng.choice(15, size=6, replace=False) for _ in range(400)]
+        cands = np.unique([sum(1 << int(v) for v in p) for p in picks])
+        cands = cands.astype(np.uint32)
+        assert cands.size > 300
+        assert _walk_least(cands, 4) == self._orbit_least(cands, 4)
+
+    def test_walk_least_at_n5(self):
+        rng = np.random.default_rng(5)
+        for k in (1, 2, 3):
+            cands = rng.integers(0, 1 << 31, size=k, dtype=np.uint32) << np.uint32(1)
+            assert _walk_least(cands, 5) == self._orbit_least(cands, 5)
 
 
 @pytest.mark.skipif(
