@@ -21,7 +21,7 @@ from .errors import CapabilityError, CertificateError, DomainError
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
 from .stats import LambdaBounds, LayeredSpec, layered_distribution
-from .turan import lambda_d2_closed_form, turan_density
+from .turan import lambda_d2_closed_form, occupancy_case, turan_density
 
 # Flag-algebra upper bounds quoted from the source remark; not
 # reproducible at desk scale, stored verbatim and tagged as such.
@@ -455,15 +455,12 @@ def best_bounds(d: int, s: int) -> LambdaBounds:
     """Tightest enclosure of the limit λ(d,s) assembled from all sources."""
     if d < 1:
         raise DomainError("d must be >= 1")
-    top = 1 << d
-    if not 0 <= s <= top:
-        raise DomainError(f"s={s} outside [0, 2^d]")
-    if s in (0, top) or 2 * s == top:
-        witness = {0: "empty set", top: "full cube"}.get(s, "parity set")
-        return LambdaBounds(d, s, Fraction(1), Fraction(1), witness, "closed-form")
-    if 2 * s > top:
+    trivial, low = occupancy_case(d, s)
+    if trivial:
+        return LambdaBounds(d, s, Fraction(1), Fraction(1), trivial, "closed-form")
+    if low != s:
         # λ(d,s) = λ(d, 2^d - s) via complementation
-        inner = best_bounds(d, top - s)
+        inner = best_bounds(d, low)
         return LambdaBounds(
             d,
             s,
@@ -474,8 +471,10 @@ def best_bounds(d: int, s: int) -> LambdaBounds:
         )
 
     # The denominators of c_d and c_star divide (2^d - 1)^(d - 1) or
-    # (2^(d-k) - 1)^d; the Bernoulli fraction's is 2^(d(2^d - 1)).
-    bits = d * ((1 << d) - 1 if s == 1 else d - 1)
+    # (2^(d-k) - 1)^d; the Bernoulli fraction's is 2^(d(2^d - 1)).  Capping
+    # that exponent's d at 16 keeps 2^d small and the test the same, since
+    # 16(2^16 - 1) already passes the cap.
+    bits = d * ((1 << min(d, 16)) - 1 if s == 1 else d - 1)
     if bits > _MAX_DENOMINATOR_BITS:
         raise CapabilityError(f"bounds at d={d} need fractions of over 4300 digits")
     lower_candidates: list[tuple[Fraction, str]] = [

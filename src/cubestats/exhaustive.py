@@ -31,12 +31,12 @@ def _cube_masks(n: int, d: int) -> list[int]:
 
 
 def _hist_matrix(masks: np.ndarray, cube_masks: list[int], d: int) -> np.ndarray:
-    """hist[i, s] = number of d-subcubes meeting mask i in exactly s vertices."""
-    hist = np.zeros((masks.size, (1 << d) + 1), dtype=np.uint8)
-    rows = np.arange(masks.size)
+    """hist[s, i] = number of d-subcubes meeting mask i in exactly s vertices."""
+    hist = np.zeros(((1 << d) + 1, masks.size), dtype=np.uint8)
+    cols = np.arange(masks.size)
     for cm in cube_masks:
         cnt = np.bitwise_count(masks & masks.dtype.type(cm)).astype(np.intp)
-        hist[rows, cnt] += 1
+        hist[cnt, cols] += 1
     return hist
 
 
@@ -55,25 +55,6 @@ def _lex_least(masks: np.ndarray) -> int:
         rest = rest[low == least] ^ least
         taken |= int(least)
     return taken
-
-
-@lru_cache(maxsize=None)
-def _plain_sweep(n: int, d: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Per s: (max subcube count, lex-least witness mask), n <= 4."""
-    cubes = _cube_masks(n, d)
-    masks = np.arange(0, 1 << (1 << n), 2, dtype=np.uint32)
-    hist = _hist_matrix(masks, cubes, d)
-    total = subcube_count(n, d)
-    full = np.uint32((1 << (1 << n)) - 1)
-    top = 1 << d
-    table = []
-    for s in range(top + 1):
-        direct = hist[:, s]
-        mirror = hist[:, top - s]
-        best = int(max(direct.max(), mirror.max()))
-        cand = np.concatenate([masks[direct == best], full ^ masks[mirror == best]])
-        table.append((best, _lex_least(cand)))
-    return total, tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +192,12 @@ def _walk_least(cands: np.ndarray, n: int) -> int:
     """
     img = cands
     champ = _lex_least(cands)
+    # Symmetries keep the popcount, and no mask with at least m vertices
+    # precedes (0, ..., m-1), m the least candidate popcount: reaching that
+    # mask ends the walk.
+    floor = (1 << int(np.bitwise_count(cands).min())) - 1
     for kind, payload in _walk_steps(n):
-        if champ == 0:
+        if champ == floor:
             break
         if kind == "swap":
             i, j = payload
@@ -226,41 +211,48 @@ def _walk_least(cands: np.ndarray, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pruned_colmax(d: int) -> tuple[int, tuple[int, ...]]:
-    """n = 5: total subcube count and per-column maxima over filtered masks."""
-    surv = _n5_survivors()
-    cubes = _cube_masks(5, d)
-    col_max = np.zeros((1 << d) + 1, dtype=np.int64)
-    for lo in range(0, surv.size, _EVAL_CHUNK):
-        hist = _hist_matrix(surv[lo : lo + _EVAL_CHUNK], cubes, d)
-        col_max = np.maximum(col_max, hist.max(axis=0))
-    return subcube_count(5, d), tuple(int(x) for x in col_max)
+def _sweep(n: int, d: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """Per s: the best subcube count over the scanned vertex-0-avoiding masks
+    (all of them for n <= 4, the symmetry survivors for n = 5) and the masks
+    attaining it, from one chunked scan."""
+    cubes = _cube_masks(n, d)
+    if n <= PLAIN_MAX_N:
+        masks = np.arange(0, 1 << (1 << n), 2, dtype=np.uint32)
+    else:
+        masks = _n5_survivors()
+    best = [-1] * ((1 << d) + 1)
+    ties: list[list[np.ndarray]] = [[] for _ in best]
+    for lo in range(0, masks.size, _EVAL_CHUNK):
+        chunk = masks[lo : lo + _EVAL_CHUNK]
+        for s, col in enumerate(_hist_matrix(chunk, cubes, d)):
+            peak = int(col.max())
+            if peak > best[s]:
+                best[s] = peak
+                ties[s] = []
+            if peak == best[s]:
+                ties[s].append(chunk[col == peak])
+    return tuple(best), tuple(np.concatenate(t) for t in ties)
 
 
 @lru_cache(maxsize=None)
-def _pruned_cell(d: int, s: int) -> tuple[int, int]:
-    """n = 5: (best subcube count, lex-least witness mask) for one s."""
-    n = 5
-    total, col_max = _pruned_colmax(d)
-    top = 1 << d
-    best = max(col_max[s], col_max[top - s])
-    surv = _n5_survivors()
-    cubes = _cube_masks(n, d)
-    full = np.uint32(0xFFFFFFFF)
-    parts = []
-    for lo in range(0, surv.size, _EVAL_CHUNK):
-        chunk = surv[lo : lo + _EVAL_CHUNK]
-        hist = _hist_matrix(chunk, cubes, d)
-        # maximizers avoiding vertex 0, plus complements of the masks whose
-        # mirror column attains the same count (counts[s] of the complement)
-        if col_max[s] == best:
-            parts.append(chunk[hist[:, s] == best])
-        if col_max[top - s] == best:
-            parts.append(full ^ chunk[hist[:, top - s] == best])
-    cands = np.unique(np.concatenate(parts))
+def _cell(n: int, d: int, s: int) -> tuple[int, int]:
+    """(best subcube count, lex-least witness mask) for one s."""
+    best, ties = _sweep(n, d)
+    mirror = (1 << d) - s
+    count = max(best[s], best[mirror])
+    # maximizers avoiding vertex 0, plus complements of the masks whose
+    # mirror column attains the same count (counts[s] of the complement)
+    full = np.uint32((1 << (1 << n)) - 1)
+    parts = [ties[s]] if best[s] == count else []
+    if best[mirror] == count:
+        parts.append(full ^ ties[mirror])
+    cands = np.concatenate(parts)
+    if n <= PLAIN_MAX_N:
+        # every mask was scanned, so the maximizers are all present
+        return count, _lex_least(cands)
     if cands.size > _WALK_CAP:
         raise CapabilityError("witness tie set exceeds supported size")
-    return best, _walk_least(cands, n)
+    return count, _walk_least(cands, n)
 
 
 def exhaustive_lambda(
@@ -275,14 +267,9 @@ def exhaustive_lambda(
         raise DomainError(f"invalid dimensions n={n}, d={d}")
     if not 0 <= s <= (1 << d):
         raise DomainError(f"s={s} outside [0, 2^d]")
-    if n <= PLAIN_MAX_N:
-        total, table = _plain_sweep(n, d)
-        count, witness = table[s]
-    elif n == PRUNED_MAX_N and opt_in_n5:
-        total, _ = _pruned_colmax(d)
-        count, witness = _pruned_cell(d, s)
-    elif n == PRUNED_MAX_N:
+    if n == PRUNED_MAX_N and not opt_in_n5:
         raise CapabilityError("n=5 search requires explicit opt-in (orbit pruning)")
-    else:
+    if n > PRUNED_MAX_N:
         raise CapabilityError(f"exhaustive search not supported for n={n}")
-    return Fraction(count, total), VertexSet(n, witness)
+    count, witness = _cell(n, d, s)
+    return Fraction(count, subcube_count(n, d)), VertexSet(n, witness)

@@ -35,6 +35,22 @@ def turan_density(n: int, k: int) -> Fraction:
     return Fraction(turan_edges(n, k), binomial(n, 2))
 
 
+def occupancy_case(d: int, s: int) -> tuple[str | None, int]:
+    """Range check, trivial s and complement mirror of λ(·, d, s).
+
+    Returns the name of the set attaining λ = 1 when s is 0, 2^(d-1) or
+    2^d, else None, and s mirrored to 2^d - s when above 2^(d-1).
+    """
+    # 2^d matters only when s >= 2^(d-1), where it is at most 2s; below,
+    # any stand-in above 2s gives the same answers without building 2^d.
+    top = 1 << d if s.bit_length() >= d else 2 * s + 1
+    if not 0 <= s <= top:
+        raise DomainError(f"s={s} outside [0, 2^d]")
+    if s in (0, top) or 2 * s == top:
+        return {0: "empty set", top: "full cube"}.get(s, "parity set"), s
+    return None, min(s, top - s)
+
+
 def lambda_d2_closed_form(
     d: int, s: int
 ) -> Fraction | tuple[Fraction, Fraction]:
@@ -46,13 +62,9 @@ def lambda_d2_closed_form(
     """
     if d < 0:
         raise DomainError("d must be >= 0")
-    top = 1 << d
-    if not 0 <= s <= top:
-        raise DomainError(f"s={s} outside [0, 2^d]")
-    if s in (0, top) or 2 * s == top:
+    trivial, s = occupancy_case(d, s)
+    if trivial:
         return Fraction(1)
-    if 2 * s > top:
-        return lambda_d2_closed_form(d, top - s)
     if s == 1:
         return turan_density(d + 2, 3) if d < 6 else Fraction(3, 4)
     w: OmegaResult = omega(s)

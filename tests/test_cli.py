@@ -264,9 +264,10 @@ class TestErrors:
         assert rc == 2
         assert out == "" and "Traceback" not in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("d, s", [(11, 1), (130, 3), (100, 1)])
+    @pytest.mark.parametrize("d, s", [(11, 1), (130, 3), (100, 1), (10**11, 1)])
     def test_unprintable_bounds_exit_three(self, capsys, d, s):
-        # (2^d - 1)^(2^d - 1) at d = 100 would never finish; the cap comes first
+        # (2^d - 1)^(2^d - 1) at d = 100 would never finish, and 2^d alone at
+        # d = 10^11 needs 12.5 GB; the cap comes first
         rc, out, err = run(capsys, "bounds", str(d), str(s))
         assert rc == 3
         assert out == "" and "Traceback" not in err and err.count("\n") == 1
@@ -278,6 +279,12 @@ class TestErrors:
         rc, out, _ = run(capsys, "bounds", "64", "3")
         assert rc == 0
         assert json.loads(out)["bounds"]["lower"] == str(c_d(64))
+
+    def test_trivial_bounds_at_huge_d(self, capsys):
+        rc, out, _ = run(capsys, "bounds", str(10**11), "0")
+        assert rc == 0
+        bounds = json.loads(out)["bounds"]
+        assert bounds["lower"] == bounds["upper"] == "1"
 
     def test_missing_set_file(self, capsys):
         rc, _, err = run(capsys, "dist", "--set-file", "/nonexistent.json", "-d", "1")

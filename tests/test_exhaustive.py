@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 from cubestats import (
     CapabilityError,
     DomainError,
+    VertexSet,
     binomial,
+    distribution,
     exhaustive_lambda,
     lambda_of_set,
+    subcube_count,
     turan_density,
 )
+from cubestats import exhaustive
 from cubestats.exhaustive import (
     _beats,
     _lex_least,
@@ -87,6 +91,33 @@ class TestSmallTables:
                 vals = [exhaustive_lambda(n, d, s)[0] for n in range(d, 5)]
                 assert all(x >= y for x, y in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("n", range(4))
+    def test_matches_brute_force_over_all_sets(self, n):
+        # every one of the 2^(2^n) sets, counted by the oracle
+        sets = [VertexSet(n, bits) for bits in range(1 << (1 << n))]
+        for d in range(n + 1):
+            counts = [distribution(A, d).counts for A in sets]
+            for s in range((1 << d) + 1):
+                best = max(c[s] for c in counts)
+                tied = [A.bits for A, c in zip(sets, counts) if c[s] == best]
+                val, wit = exhaustive_lambda(n, d, s)
+                assert val == Fraction(best, subcube_count(n, d)), (n, d, s)
+                assert wit.bits == min(tied, key=lambda m: _vertex_tuple(m, n))
+
+    # witness masks of every n = 4 cell, by d, for s = 0 .. 2^d
+    Q4_WITNESSES = {
+        0: [0x0, 0xFFFF],
+        1: [0x0, 0x9669, 0xFFFF],
+        2: [0x0, 0x6009, 0x3CC3, 0xF69F, 0xFFFF],
+        3: [0x0, 0x8001, 0xC003, 0xE007, 0xF00F, 0xF81F, 0xFC3F, 0xFE7F, 0xFFFF],
+        4: [(1 << s) - 1 for s in range(17)],
+    }
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_q4_witness_table(self, d):
+        got = [exhaustive_lambda(4, d, s)[1].bits for s in range((1 << d) + 1)]
+        assert got == self.Q4_WITNESSES[d]
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             exhaustive_lambda(3, 4, 1)
@@ -133,6 +164,14 @@ def _vertex_maps(n: int) -> tuple[tuple[int, ...], ...]:
 def _full_orbit(mask: int, n: int) -> set[int]:
     verts = _vertex_tuple(mask, n)
     return {sum(1 << vmap[v] for v in verts) for vmap in _vertex_maps(n)}
+
+
+def _orbit_least(cands, n: int) -> int:
+    """Reference: tuple-least mask over the expanded orbits of cands."""
+    return min(
+        (m for c in cands for m in _full_orbit(int(c), n)),
+        key=lambda m: _vertex_tuple(m, n),
+    )
 
 
 class TestWalkMachinery:
@@ -227,13 +266,6 @@ class TestWalkMachinery:
         for masks, want in cases:
             assert _lex_least(np.array(masks, dtype=np.uint32)) == want
 
-    @staticmethod
-    def _orbit_least(cands: np.ndarray, n: int) -> int:
-        return min(
-            (m for c in cands for m in _full_orbit(int(c), n)),
-            key=lambda m: _vertex_tuple(m, n),
-        )
-
     @pytest.mark.parametrize("n", [3, 4])
     def test_walk_min_matches_orbit_expansion(self, n):
         rng = np.random.default_rng(n)
@@ -241,7 +273,7 @@ class TestWalkMachinery:
             k = int(rng.integers(1, 6))
             cands = rng.integers(0, 1 << (1 << n), size=k, dtype=np.uint64)
             cands = np.unique(cands.astype(np.uint32))
-            assert _walk_least(cands, n) == self._orbit_least(cands, n)
+            assert _walk_least(cands, n) == _orbit_least(cands, n)
 
     def test_walk_least_on_a_large_tie_set(self):
         # several hundred vertex-0-avoiding masks of one weight, like the
@@ -251,13 +283,67 @@ class TestWalkMachinery:
         cands = np.unique([sum(1 << int(v) for v in p) for p in picks])
         cands = cands.astype(np.uint32)
         assert cands.size > 300
-        assert _walk_least(cands, 4) == self._orbit_least(cands, 4)
+        assert _walk_least(cands, 4) == _orbit_least(cands, 4)
 
     def test_walk_least_at_n5(self):
         rng = np.random.default_rng(5)
         for k in (1, 2, 3):
             cands = rng.integers(0, 1 << 31, size=k, dtype=np.uint32) << np.uint32(1)
-            assert _walk_least(cands, 5) == self._orbit_least(cands, 5)
+            assert _walk_least(cands, 5) == _orbit_least(cands, 5)
+
+    def test_walk_stops_at_the_popcount_floor(self, monkeypatch):
+        # all 4,495 vertex-0-avoiding 3-sets of Q_5; {1, 2, 3} translated by
+        # 3 is {0, 1, 2}, which no 3-set precedes, so the walk ends there
+        masks = [sum(1 << v for v in c) for c in itertools.combinations(range(1, 32), 3)]
+        cands = np.array(masks, dtype=np.uint32)
+        assert cands.size == 4495
+        steps = []
+        translate = exhaustive._translate_image
+
+        def counted(*args):
+            steps.append(args[1])
+            return translate(*args)
+
+        monkeypatch.setattr(exhaustive, "_translate_image", counted)
+        assert _walk_least(cands, 5) == 0b111
+        assert len(steps) < 8
+
+    def test_walk_floor_comes_from_the_least_popcount_candidate(self):
+        # {0, 1, 2} is the first champion, but {1, 3} has the smaller
+        # popcount and reaches {0, 1} under translation by 1
+        cands = np.array([0b111, 0b1010], dtype=np.uint32)
+        assert _lex_least(cands) == 0b111
+        assert _walk_least(cands, 3) == _orbit_least(cands, 3) == 0b11
+
+
+class TestSweepAtNFive:
+    """The n = 5 branch of the sweep, over a small stub survivor set."""
+
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        rng = np.random.default_rng(55)
+        masks = [0b110, 0b1101000, 0b10110, 0b111111110]
+        masks += [2 * int(m) for m in rng.integers(0, 1 << 31, size=4)]
+        masks = np.array(masks, dtype=np.uint32)
+        monkeypatch.setattr(exhaustive, "_n5_survivors", lambda: masks)
+        # chunks of two masks exercise the running best across chunks
+        monkeypatch.setattr(exhaustive, "_EVAL_CHUNK", 2)
+        exhaustive._sweep.cache_clear()
+        exhaustive._cell.cache_clear()
+        yield masks
+        exhaustive._sweep.cache_clear()
+        exhaustive._cell.cache_clear()
+
+    @pytest.mark.parametrize("d", range(3))
+    def test_matches_orbit_reference(self, stub, d):
+        sets = [int(m) for m in stub] + [0xFFFFFFFF ^ int(m) for m in stub]
+        counts = [distribution(VertexSet(5, m), d).counts for m in sets]
+        for s in range((1 << d) + 1):
+            best = max(c[s] for c in counts)
+            tied = [m for m, c in zip(sets, counts) if c[s] == best]
+            val, wit = exhaustive_lambda(5, d, s, opt_in_n5=True)
+            assert val == Fraction(best, subcube_count(5, d)), (d, s)
+            assert wit.bits == _orbit_least(tied, 5), (d, s)
 
 
 @pytest.mark.skipif(

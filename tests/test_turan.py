@@ -104,6 +104,13 @@ class TestTwoCodimensionClosedForm:
         assert lambda_d2_closed_form(3, 6) == lambda_d2_closed_form(3, 2)
         assert lambda_d2_closed_form(2, 3) == Fraction(5, 6)
 
+    def test_huge_d_never_builds_two_to_the_d(self):
+        # 2^(10^11) would need 12.5 GB; small s decides everything without it
+        assert lambda_d2_closed_form(10**11, 1) == Fraction(3, 4)
+        assert lambda_d2_closed_form(10**11, 0) == 1
+        with pytest.raises(DomainError):
+            lambda_d2_closed_form(10**11, -1)
+
     def test_unresolved_clique_number_gives_interval(self):
         out = lambda_d2_closed_form(12, 7)
         assert isinstance(out, tuple)
