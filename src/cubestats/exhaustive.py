@@ -17,6 +17,7 @@ import numpy as np
 
 from .cube import VertexSet, enumerate_subcubes, subcube_count
 from .errors import CapabilityError, DomainError
+from .turan import occupancy_case
 
 PLAIN_MAX_N = 4
 PRUNED_MAX_N = 5
@@ -265,11 +266,13 @@ def exhaustive_lambda(
     """
     if n < 0 or d < 0 or d > n:
         raise DomainError(f"invalid dimensions n={n}, d={d}")
-    if not 0 <= s <= (1 << d):
-        raise DomainError(f"s={s} outside [0, 2^d]")
+    occupancy_case(d, s)  # the range check, without building 2^d
     if n == PRUNED_MAX_N and not opt_in_n5:
         raise CapabilityError("n=5 search requires explicit opt-in (orbit pruning)")
     if n > PRUNED_MAX_N:
         raise CapabilityError(f"exhaustive search not supported for n={n}")
+    if d == n:
+        # the whole cube is the one d-subcube; {0, ..., s-1} is the least s-set
+        return Fraction(1), VertexSet(n, (1 << s) - 1)
     count, witness = _cell(n, d, s)
     return Fraction(count, subcube_count(n, d)), VertexSet(n, witness)

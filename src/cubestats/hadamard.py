@@ -10,6 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
+from .cube import _is_int
 from .errors import DomainError
 
 
@@ -33,24 +36,25 @@ class HadamardMatrix:
 
     def __post_init__(self) -> None:
         n = self.order
+        if not _is_int(n):
+            raise DomainError(f"order must be an integer, got {n!r}")
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise DomainError("entry grid does not match order")
-        if any(e not in (1, -1) for r in self.entries for e in r):
+        try:
+            grid = np.asarray(self.entries)
+        except ValueError as exc:  # entries nested unevenly below the rows
+            raise DomainError("entries must be +1 or -1") from exc
+        # numeric entries compare exactly with ±1, as Python's == does
+        if grid.ndim > 2 or grid.dtype.kind not in "biuf" or (np.abs(grid) != 1).any():
             raise DomainError("entries must be +1 or -1")
-        for i in range(n):
-            for j in range(i, n):
-                dot = sum(a * b for a, b in zip(self.entries[i], self.entries[j]))
-                if dot != (n if i == j else 0):
-                    raise DomainError("rows are not orthogonal: not a Hadamard matrix")
+        grid = grid.reshape(n, n).astype(np.int64)
+        # ±1 entries keep every dot product within n, so int64 is exact
+        if not np.array_equal(grid @ grid.T, n * np.eye(n, dtype=np.int64)):
+            raise DomainError("rows are not orthogonal: not a Hadamard matrix")
 
     def normalized(self) -> HadamardMatrix:
         """Negate rows, then columns, so the first column and row are all +1."""
-        rows = [list(r) if r[0] == 1 else [-e for e in r] for r in self.entries]
-        for c in range(self.order):
-            if rows[0][c] == -1:
-                for r in rows:
-                    r[c] = -r[c]
-        return HadamardMatrix(self.order, tuple(tuple(r) for r in rows))
+        return _from_grid(_normalized_grid(self))
 
     def to_json(self) -> dict:
         return {
@@ -72,42 +76,43 @@ class HadamardMatrix:
         return cls(order, rows)
 
 
+def _from_grid(grid: np.ndarray) -> HadamardMatrix:
+    return HadamardMatrix(len(grid), tuple(map(tuple, grid.tolist())))
+
+
+def _normalized_grid(H: HadamardMatrix) -> np.ndarray:
+    """H's entries with rows, then columns, negated to make row and column 0 all +1."""
+    grid = np.array(H.entries, dtype=np.int64).reshape(H.order, H.order)
+    grid *= grid[:, :1]
+    grid *= grid[:1, :]
+    return grid
+
+
 def hadamard_sylvester(m: int) -> HadamardMatrix:
-    """Order 2^m by repeated doubling."""
+    """Order 2^m by repeated doubling: [[H, H], [H, -H]]."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    rows = [[1]]
-    for _ in range(m):
-        rows = [r + r for r in rows] + [r + [-e for e in r] for r in rows]
-    return HadamardMatrix(1 << m, tuple(tuple(r) for r in rows))
+    idx = np.arange(1 << m)
+    # doubling makes H[i, j] = (-1)^popcount(i & j)
+    return _from_grid(np.where(np.bitwise_count(idx[:, None] & idx) % 2, -1, 1))
 
 
 def hadamard_paley(q: int) -> HadamardMatrix:
     """Order q+1 from quadratic residues mod a prime q ≡ 3 (mod 4)."""
     if not _is_prime(q) or q % 4 != 3:
         raise DomainError("q must be a prime congruent to 3 mod 4")
-    residues = {(x * x) % q for x in range(1, q)}
-    chi = [0] + [1 if x in residues else -1 for x in range(1, q)]
-    n = q + 1
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = 1
-    for j in range(1, n):
-        rows[0][j] = 1
-        rows[j][0] = -1
-    for i in range(1, n):
-        for j in range(1, n):
-            rows[i][j] = 1 if i == j else chi[(i - j) % q]
-    return HadamardMatrix(n, tuple(tuple(r) for r in rows))
+    chi = np.full(q, -1, dtype=np.int64)
+    chi[np.arange(1, q) ** 2 % q] = 1
+    idx = np.arange(q)
+    grid = np.ones((q + 1, q + 1), dtype=np.int64)
+    grid[1:, 0] = -1
+    grid[1:, 1:] = chi[(idx[:, None] - idx) % q]
+    np.fill_diagonal(grid, 1)
+    return _from_grid(grid)
 
 
 def hadamard_tensor(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
-    n, m = a.order, b.order
-    rows = tuple(
-        tuple(a.entries[i][j] * b.entries[k][l] for j in range(n) for l in range(m))
-        for i in range(n)
-        for k in range(m)
-    )
-    return HadamardMatrix(n * m, rows)
+    return _from_grid(np.kron(np.array(a.entries), np.array(b.entries)))
 
 
 @lru_cache(maxsize=None)

@@ -13,13 +13,16 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cube import _is_int
 from .errors import CapabilityError, CertificateError, DomainError
-from .hadamard import HadamardMatrix, hadamard_matrix
+from .hadamard import HadamardMatrix, _normalized_grid, hadamard_matrix
 
 EXPLICIT_VERTEX_CAP = 5
 DENSE_ADJACENCY_CAP = 4
 _GREEDY_SCAN_CAP = 200_000
+_ADJ_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,12 @@ class CliqueCertificate:
         if not all(_is_int(e) and 0 <= e < 4 * s for mem in members for e in mem):
             raise DomainError(f"clique members must be subsets of range({4 * s})")
         return cls(s, tuple(sum(1 << e for e in mem) for mem in members))
+
+
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as the int with bit j set iff column j is."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def johnson_adjacent(u: int, v: int, s: int) -> bool:
@@ -105,20 +114,12 @@ class JohnsonGraph:
             raise CapabilityError(
                 f"dense adjacency capped at s <= {DENSE_ADJACENCY_CAP}"
             )
-        verts = self.vertices
-        n = len(verts)
-        adj = [0] * n
-        for i in range(n):
-            vi = verts[i]
-            row = 0
-            for j in range(i + 1, n):
-                if (vi & verts[j]).bit_count() == self.s:
-                    row |= 1 << j
-            adj[i] |= row
-            # mirror the strictly-upper part
-            for j in range(i + 1, n):
-                if (row >> j) & 1:
-                    adj[j] |= 1 << i
+        verts = np.array(self.vertices, dtype=np.uint64)
+        adj: list[int] = []
+        # a block of rows at a time; a vertex meets itself in 2s != s elements
+        for lo in range(0, verts.size, _ADJ_BLOCK_ROWS):
+            block = verts[lo : lo + _ADJ_BLOCK_ROWS, None] & verts
+            adj += _row_ints(np.bitwise_count(block) == self.s)
         self._adjacency = adj
         return adj
 
@@ -137,11 +138,7 @@ def hadamard_to_clique(H: HadamardMatrix) -> CliqueCertificate:
     if H.order % 4 != 0 or H.order == 0:
         raise DomainError("order must be a positive multiple of 4")
     s = H.order // 4
-    norm = H.normalized()
-    members = tuple(
-        sum(1 << c for c in range(H.order) if norm.entries[r][c] == -1)
-        for r in range(1, H.order)
-    )
+    members = tuple(_row_ints(_normalized_grid(H)[1:] == -1))
     cert = CliqueCertificate(s, members)
     if not verify_clique(cert):
         raise CertificateError("Hadamard rows did not produce a valid clique")

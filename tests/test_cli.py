@@ -286,6 +286,17 @@ class TestErrors:
         bounds = json.loads(out)["bounds"]
         assert bounds["lower"] == bounds["upper"] == "1"
 
+    def test_exhaustive_at_huge_d_hits_the_cap(self, capsys):
+        # the range check must not build 2^d, which at d = 10^11 needs 12.5 GB
+        rc, out, err = run(capsys, "exhaustive", str(10**11), str(10**11), "1")
+        assert rc == 3
+        assert out == "" and "Traceback" not in err and err.count("\n") == 1
+
+    def test_exhaustive_out_of_range_s_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "exhaustive", "4", "2", "5")
+        assert rc == 2
+        assert out == "" and "outside" in err and err.count("\n") == 1
+
     def test_missing_set_file(self, capsys):
         rc, _, err = run(capsys, "dist", "--set-file", "/nonexistent.json", "-d", "1")
         assert rc == 2

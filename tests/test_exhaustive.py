@@ -124,6 +124,17 @@ class TestSmallTables:
         with pytest.raises(DomainError):
             exhaustive_lambda(3, 2, 5)
 
+    def test_full_dimension_is_closed_form(self, monkeypatch):
+        # λ(n, n, s) = 1 with witness {0, ..., s-1}, decided without a scan
+        def no_scan(*args):
+            raise AssertionError("d = n must not reach the scan")
+
+        monkeypatch.setattr(exhaustive, "_cell", no_scan)
+        for n in range(6):
+            for s in range((1 << n) + 1):
+                val, wit = exhaustive_lambda(n, n, s, opt_in_n5=True)
+                assert val == 1 and wit.n == n and wit.bits == (1 << s) - 1
+
     def test_capability_gates(self):
         with pytest.raises(CapabilityError):
             exhaustive_lambda(5, 2, 1)

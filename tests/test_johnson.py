@@ -9,6 +9,7 @@ from cubestats import (
     CertificateError,
     CliqueCertificate,
     DomainError,
+    HadamardMatrix,
     binomial,
     hadamard_matrix,
     hadamard_to_clique,
@@ -42,6 +43,16 @@ class TestAdjacency:
                 assert ((adj[i] >> j) & 1) == g.adjacent(
                     g.vertices[i], g.vertices[j]
                 )
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_adjacency_bitsets_match_pairwise_reference(self, s):
+        # s = 3 has 924 vertices, more than one block of rows
+        g = johnson_graph(s)
+        want = [
+            sum(1 << j for j, v in enumerate(g.vertices) if johnson_adjacent(u, v, s))
+            for u in g.vertices
+        ]
+        assert g.adjacency_bitsets() == want
 
     def test_capability_caps(self):
         with pytest.raises(CapabilityError):
@@ -91,6 +102,49 @@ class TestHadamard:
         for a, b in itertools.combinations(H.entries, 2):
             assert sum(x * y for x, y in zip(a, b)) == 0
 
+    def test_order_12_rows_pinned(self):
+        assert hadamard_matrix(12).to_json()["rows"] == [
+            "++++++++++++", "-+-+---+++-+", "-++-+---+++-", "--++-+---+++",
+            "-+-++-+---++", "-++-++-+---+", "-+++-++-+---", "--+++-++-+--",
+            "---+++-++-+-", "----+++-++-+", "-+---+++-++-", "--+---+++-++",
+        ]
+
+    def test_json_roundtrip(self):
+        H = hadamard_matrix(12)
+        assert HadamardMatrix.from_json(H.to_json()) == H
+
+    @pytest.mark.parametrize(
+        "order, entries",
+        [
+            (2, ((1, 1), (1, -1), (1, 1))),  # three rows
+            (2, ((1, 1), (1,))),  # short row
+            (2, ((1, 1), (0, -1))),
+            (2, ((1, 2), (1, -1))),
+            (1, ((1.5,),)),
+            (1, (("+",),)),
+            (1, (((1,),),)),  # an entry that is itself a sequence
+            (2, ((1, (1, 1)), (1, -1))),  # ... of another length
+        ],
+    )
+    def test_rejects_malformed_grids(self, order, entries):
+        with pytest.raises(DomainError):
+            HadamardMatrix(order, entries)
+
+    @pytest.mark.parametrize("cell", [(0, 0), (5, 7), (11, 11)])
+    def test_rejects_one_flipped_entry(self, cell):
+        # the diagonal of H Hᵀ stays 12, so only the off-diagonal check sees it
+        rows = [list(r) for r in hadamard_matrix(12).entries]
+        i, j = cell
+        rows[i][j] = -rows[i][j]
+        with pytest.raises(DomainError, match="orthogonal"):
+            HadamardMatrix(12, tuple(map(tuple, rows)))
+
+    @pytest.mark.parametrize("order", [4.0, True, "4", None])
+    def test_from_json_requires_integer_order(self, order):
+        obj = {"order": order, "rows": hadamard_matrix(4).to_json()["rows"]}
+        with pytest.raises(DomainError):
+            HadamardMatrix.from_json(obj)
+
     def test_non_multiple_of_four_unreachable(self):
         assert hadamard_matrix(6) is None
         assert hadamard_matrix(0) is None
@@ -129,6 +183,11 @@ class TestOmega:
     def test_search_proves_optimality(self):
         w = omega(3, policy="search")
         assert w.exact and w.source == "search"
+
+    def test_search_at_s4_is_exact(self):
+        w = omega(4, policy="search")
+        assert w.exact and w.lower == 15 and w.source == "search"
+        assert w.certificate.size() == 15 and verify_clique(w.certificate)
 
     def test_unresolved_order_gives_enclosure(self):
         w = omega(7)
