@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -53,16 +53,7 @@ class RunConfig:
     opt_in_n5: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": dict(sorted(self.parameters.items())),
-            "seed": self.seed,
-            "format": self.format,
-            "out": self.out,
-            "workers": self.workers,
-            "max_n": self.max_n,
-            "opt_in_n5": self.opt_in_n5,
-        }
+        return asdict(self)
 
 
 def _envelope(config: RunConfig, payload: dict, provenance: Sequence[str] = ()) -> dict:
@@ -101,7 +92,7 @@ def _check_max_n(config: RunConfig, A: VertexSet) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns (payload, csv rows, provenance tags, passed flag)
+# commands: each returns (payload, provenance tags, passed flag)
 # ---------------------------------------------------------------------------
 
 
@@ -120,13 +111,9 @@ def cmd_dist(config: RunConfig, args: argparse.Namespace):
         A = result.vertex_set
     dist = distribution_fast(A, args.d)
     payload["distribution"] = dist.to_json()
-    rows = [["s", "count"]]
-    rows += [[str(s), str(c)] for s, c in enumerate(dist.counts) if c]
     if args.s is not None:
-        value = dist.fraction(args.s)
-        payload["lambda"] = {"s": args.s, "value": str(value)}
-        rows.append(["lambda(s=%d)" % args.s, str(value)])
-    return payload, rows, provenance, True
+        payload["lambda"] = {"s": args.s, "value": str(dist.fraction(args.s))}
+    return payload, provenance, True
 
 
 def cmd_exhaustive(config: RunConfig, args: argparse.Namespace):
@@ -140,17 +127,7 @@ def cmd_exhaustive(config: RunConfig, args: argparse.Namespace):
         "lambda": str(value),
         "witness": witness.to_json(),
     }
-    rows = [
-        ["n", "d", "s", "lambda", "witness_vertices"],
-        [
-            str(args.n),
-            str(args.d),
-            str(args.s),
-            str(value),
-            " ".join(str(v) for v in witness.vertices()),
-        ],
-    ]
-    return payload, rows, [], True
+    return payload, [], True
 
 
 def cmd_bounds(config: RunConfig, args: argparse.Namespace):
@@ -158,51 +135,23 @@ def cmd_bounds(config: RunConfig, args: argparse.Namespace):
     provenance = []
     if bounds.upper_source == "reference-constant":
         provenance.append(f"reference-constant:upper({args.d},{args.s})")
-    payload = {"bounds": bounds.to_json()}
-    rows = [
-        ["d", "s", "lower", "upper", "lower_witness", "upper_source"],
-        [
-            str(args.d),
-            str(args.s),
-            str(bounds.lower),
-            str(bounds.upper),
-            bounds.lower_witness,
-            bounds.upper_source,
-        ],
-    ]
-    return payload, rows, provenance, True
+    return {"bounds": bounds.to_json()}, provenance, True
 
 
 def cmd_omega(config: RunConfig, args: argparse.Namespace):
     result = omega(args.s, policy=args.policy, time_budget=args.time_budget)
-    payload = {"omega": result.to_json()}
-    rows = [
-        ["s", "lower", "upper", "exact", "source"],
-        [
-            str(result.s),
-            str(result.lower),
-            str(result.upper),
-            str(result.exact).lower(),
-            result.source,
-        ],
-    ]
-    return payload, rows, [], True
+    return {"omega": result.to_json()}, [], True
 
 
 def cmd_clique(config: RunConfig, args: argparse.Namespace):
     result = omega(args.s, policy=args.policy, time_budget=args.time_budget)
     cert = result.certificate
-    payload = {"certificate": cert.to_json(), "size": cert.size()}
-    rows = [["member"]]
-    rows += [[" ".join(str(e) for e in sorted(member))] for member in cert.to_json()["members"]]
-    return payload, rows, [], True
+    return {"certificate": cert.to_json(), "size": cert.size()}, [], True
 
 
 def cmd_construct(config: RunConfig, args: argparse.Namespace):
     result = _construct(config, args.spec)
-    payload = {"construction": result.to_json()}
-    rows = [["vertex"]] + [[str(v)] for v in result.vertex_set.vertices()]
-    return payload, rows, [], True
+    return {"construction": result.to_json()}, [], True
 
 
 def cmd_approx(config: RunConfig, args: argparse.Namespace):
@@ -214,22 +163,7 @@ def cmd_approx(config: RunConfig, args: argparse.Namespace):
     check = check_approx(spec, check_d) if check_d is not None else None
     if check is not None:
         payload["check"] = {"d": check_d, **check.to_json()}
-    rows = [
-        ["x", "q", "p", "P", "d_min", "tol", "check_d", "max_error", "bound_ok"],
-        [
-            str(spec.x),
-            str(spec.q),
-            str(spec.p),
-            " ".join(str(r) for r in spec.P),
-            str(spec.d_min),
-            str(spec.tol),
-            "" if check_d is None else str(check_d),
-            "" if check is None else str(check.max_error),
-            "" if check is None else str(check.bound_ok).lower(),
-        ],
-    ]
-    passed = check is None or check.bound_ok
-    return payload, rows, [], passed
+    return payload, [], check is None or check.bound_ok
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +263,7 @@ _SUITES = {
 def cmd_verify(config: RunConfig, args: argparse.Namespace):
     checks = _SUITES[args.suite](config)
     passed = all(c["pass"] for c in checks)
-    payload = {"suite": args.suite, "pass": passed, "checks": checks}
-    rows = [["check", "pass"]]
-    rows += [[c["name"], str(c["pass"]).lower()] for c in checks]
-    return payload, rows, [], passed
+    return {"suite": args.suite, "pass": passed, "checks": checks}, [], passed
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +341,29 @@ _COMMANDS = {
     "approx": cmd_approx,
 }
 
-_CONFIG_FIELDS = ("seed", "format", "out", "workers", "max_n", "opt_in_n5")
+# the shared flags fill every RunConfig field but these two
+_CONFIG_FIELDS = tuple(
+    f.name for f in fields(RunConfig) if f.name not in ("command", "parameters")
+)
 
 
-def _render_csv(rows: list[list[str]]) -> str:
+def _leaves(node, path: str = ""):
+    """Yield (dotted path, value) for each scalar and empty container in node."""
+    if isinstance(node, (dict, list)) and node:
+        items = sorted(node.items()) if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, f"{path}.{key}" if path else str(key))
+    else:
+        yield path, node
+
+
+def _render_csv(report: dict) -> str:
+    """One key,value row per leaf of the report, in the JSON key order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerow(["key", "value"])
+    for path, value in _leaves(report):
+        writer.writerow([path, value if isinstance(value, str) else json.dumps(value)])
     return buf.getvalue()
 
 
@@ -439,12 +386,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     config = RunConfig(
         command=args.command,
         parameters=parameters,
-        seed=args.seed,
-        format=args.format,
-        out=args.out,
-        workers=args.workers,
-        max_n=args.max_n,
-        opt_in_n5=args.opt_in_n5,
+        **{name: getattr(args, name) for name in _CONFIG_FIELDS},
     )
     if not 0 <= config.seed < 1 << 64:
         print("cubestats: seed must fit in 64 bits", file=sys.stderr)
@@ -452,20 +394,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     if config.max_n < 0:
         print("cubestats: --max-n must be >= 0", file=sys.stderr)
         return 2
+    if config.workers < 1:
+        print("cubestats: --workers must be >= 1", file=sys.stderr)
+        return 2
     try:
-        payload, rows, provenance, passed = _COMMANDS[args.command](config, args)
+        payload, provenance, passed = _COMMANDS[args.command](config, args)
+        report = _envelope(config, payload, provenance)
+        if config.format == "csv":
+            text = _render_csv(report)
+        else:
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        _emit(config, text)
     except (DomainError, CertificateError, json.JSONDecodeError, OSError) as exc:
         print(f"cubestats: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:
         print(f"cubestats: {exc}", file=sys.stderr)
         return 3
-    if config.format == "csv":
-        text = _render_csv(rows)
-    else:
-        report = _envelope(config, payload, provenance)
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    _emit(config, text)
     return 0 if passed else 1
 
 

@@ -98,11 +98,6 @@ class VertexSet:
     def complement(self) -> VertexSet:
         return VertexSet(self.n, self.bits ^ ((1 << (1 << self.n)) - 1))
 
-    def symmetric_difference(self, other: VertexSet) -> VertexSet:
-        if self.n != other.n:
-            raise DomainError("ambient dimensions differ")
-        return VertexSet(self.n, self.bits ^ other.bits)
-
     def to_json(self) -> dict:
         return {"n": self.n, "vertices": self.vertices()}
 

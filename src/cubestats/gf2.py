@@ -55,11 +55,6 @@ class GF2Matrix:
         """Column c as an integer with bit r = entry(r, c)."""
         return sum(((m >> c) & 1) << r for r, m in enumerate(self.row_masks))
 
-    def transpose(self) -> GF2Matrix:
-        return GF2Matrix(
-            self.cols, self.rows, tuple(self.column(c) for c in range(self.cols))
-        )
-
     def restrict_columns(self, columns: Sequence[int]) -> GF2Matrix:
         """Submatrix keeping the given columns, renumbered 0..len-1."""
         if any(not 0 <= c < self.cols for c in columns):
@@ -69,13 +64,6 @@ class GF2Matrix:
             for m in self.row_masks
         )
         return GF2Matrix(self.rows, len(columns), masks)
-
-    def apply(self, x: int) -> int:
-        """Syndrome Bx over GF(2); x is an n-bit vector, result an r-bit vector."""
-        out = 0
-        for r, m in enumerate(self.row_masks):
-            out |= ((m & x).bit_count() & 1) << r
-        return out
 
     def to_json(self) -> dict:
         data = [

@@ -100,9 +100,6 @@ class JohnsonGraph:
         )
         self._adjacency: list[int] | None = None
 
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
     def adjacent(self, u: int, v: int) -> bool:
         return johnson_adjacent(u, v, self.s)
 

@@ -9,6 +9,7 @@ of the residue sets that make them equal) back the layered constructions.
 import cmath
 import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Sequence
@@ -151,21 +152,6 @@ class Thm32Report:
             "violations": [case.to_json() for case in self.violations],
         }
 
-    def csv_rows(self) -> list[list[str]]:
-        rows = [["k", "d", "T", "values", "verdict"]]
-        for verdict, cases in (("expected", self.expected), ("violation", self.violations)):
-            for case in cases:
-                rows.append(
-                    [
-                        str(self.k),
-                        str(case.d),
-                        " ".join(str(t) for t in case.subset),
-                        " ".join(str(v) for v in case.values),
-                        verdict,
-                    ]
-                )
-        return rows
-
 
 def _constant_cases(k: int, dims: Sequence[int], masks: Sequence[int]) -> list[Thm32Case]:
     cases = []
@@ -198,6 +184,7 @@ def verify_thm32(k: int, d_range: Iterable[int], workers: int = 1) -> Thm32Repor
     For each T whose k shifted sums are all equal, check that T is the empty
     set, all of Z_k, or (k even) one of the two parity classes, with common
     value 0, 2^d, or 2^(d-1) respectively.  Anything else is a violation.
+    With workers > 1 the scan runs on at most os.cpu_count() processes.
     """
     if not 1 <= k <= 16:
         raise DomainError("subset enumeration supports 1 <= k <= 16")
@@ -212,7 +199,8 @@ def verify_thm32(k: int, d_range: Iterable[int], workers: int = 1) -> Thm32Repor
         step = (len(masks) + workers - 1) // workers
         chunks = [masks[i : i + step] for i in range(0, len(masks), step)]
         scan = partial(_constant_cases, k, dims)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        processes = min(workers, len(chunks), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             cases = [case for chunk in pool.map(scan, chunks) for case in chunk]
     else:
         cases = _constant_cases(k, dims, masks)

@@ -1,5 +1,6 @@
 """Command-line interface: envelopes, determinism, exit codes."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -9,15 +10,40 @@ import pytest
 
 from cubestats import CertificateError, __version__
 from cubestats.constructions import c_d
-from cubestats.cli import main
+from cubestats.cli import VERIFY_SUITES, main
 
 PARITY6 = '{"kind": "parity", "n": 6, "d": 3}'
+
+# one argv per command, and one per verify suite
+EVERY_COMMAND = [
+    ["dist", "--construct", PARITY6, "-d", "3", "-s", "4"],
+    ["exhaustive", "3", "2", "1"],
+    ["bounds", "2", "1"],
+    ["omega", "2"],
+    ["clique", "2"],
+    ["construct", PARITY6],
+    ["approx", "0.25", "0.01"],
+] + [["verify", suite] for suite in VERIFY_SUITES]
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def count_leaves(node) -> int:
+    """Scalars and empty containers in a parsed JSON value."""
+    if isinstance(node, (dict, list)) and node:
+        children = node.values() if isinstance(node, dict) else node
+        return sum(count_leaves(child) for child in children)
+    return 1
+
+
+def lookup(node, path: str):
+    for part in path.split("."):
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    return node
 
 
 class TestEnvelope:
@@ -138,11 +164,21 @@ class TestCommands:
         assert report["check"]["bound_ok"] is True
 
     def test_csv_output(self, capsys):
-        rc, out, _ = run(capsys, "exhaustive", "3", "2", "1", "--format", "csv")
-        lines = out.strip().split("\n")
-        assert rc == 0
-        assert lines[0].startswith("n,")
-        assert len(lines) == 2
+        # the CSV report holds exactly the leaves of the JSON report
+        for argv in EVERY_COMMAND:
+            rc, out, _ = run(capsys, *argv)
+            report = json.loads(out)
+            report["config"]["format"] = "csv"
+            rc_csv, out_csv, _ = run(capsys, *argv, "--format", "csv")
+            rows = list(csv.reader(out_csv.splitlines()))
+            assert rc == rc_csv == 0, argv
+            assert rows[0] == ["key", "value"], argv
+            for path, value in rows[1:]:
+                leaf = lookup(report, path)
+                assert leaf in ([], {}) or not isinstance(leaf, (dict, list)), path
+                assert value == (leaf if isinstance(leaf, str) else json.dumps(leaf)), path
+            paths = [path for path, _ in rows[1:]]
+            assert len(set(paths)) == len(paths) == count_leaves(report), argv
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -296,6 +332,18 @@ class TestErrors:
         rc, out, err = run(capsys, "exhaustive", "4", "2", "5")
         assert rc == 2
         assert out == "" and "outside" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["missing/report.json", "."])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        rc, out, err = run(capsys, "bounds", "2", "1", "--out", str(tmp_path / where))
+        assert rc == 2
+        assert out == "" and "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, capsys, workers):
+        rc, out, err = run(capsys, "verify", "thm32", "--workers", workers)
+        assert rc == 2
+        assert out == "" and "--workers" in err and err.count("\n") == 1
 
     def test_missing_set_file(self, capsys):
         rc, _, err = run(capsys, "dist", "--set-file", "/nonexistent.json", "-d", "1")

@@ -30,8 +30,8 @@ class TestAdjacency:
         assert not johnson_adjacent(0b0011, 0b1100, 1)
 
     def test_graph_vertex_counts(self):
-        assert johnson_graph(1).vertex_count() == binomial(4, 2)
-        assert johnson_graph(2).vertex_count() == binomial(8, 4)
+        assert len(johnson_graph(1).vertices) == binomial(4, 2)
+        assert len(johnson_graph(2).vertices) == binomial(8, 4)
 
     def test_adjacency_bitsets_symmetric(self):
         g = johnson_graph(1)

@@ -13,6 +13,7 @@ from cubestats import (
     q_binsum,
     q_fourier,
     residue_table,
+    residues,
     thm32_q,
     verify_prop31,
     verify_thm32,
@@ -157,9 +158,31 @@ class TestConstantSubsetSearch:
         b = verify_thm32(6, range(6, 10), workers=2)
         assert a == b
 
-    def test_csv_header(self):
-        rows = verify_thm32(2, [4]).csv_rows()
-        assert rows[0] == ["k", "d", "T", "values", "verdict"]
+    @pytest.mark.parametrize(
+        "workers, cpus, started", [(1000, 3, 3), (1000, None, 1), (48, 64, 32), (4, 64, 4)]
+    )
+    def test_pool_size_is_capped(self, monkeypatch, workers, cpus, started):
+        # a serial stand-in for the pool: no process is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(residues.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(residues.os, "cpu_count", lambda: cpus)
+        parallel = verify_thm32(6, range(6, 10), workers=workers)
+        assert sizes == [started]
+        assert parallel == verify_thm32(6, range(6, 10))
 
     def test_modulus_cap(self):
         with pytest.raises(DomainError):
