@@ -36,7 +36,7 @@ VERIFY_SUITES = (
     "oracle-equivalence",
 )
 
-_CHECKED_DIMENSION_CAP = 10_000  # skip the d_min self-check above this
+_CHECKED_DIMENSION_CAP = 10_000  # the largest d the approx check runs at
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class RunConfig:
     out: str | None = None
     workers: int = 1
     max_n: int = MASK_CAP
-    opt_in_n5: bool = False
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -117,9 +116,7 @@ def cmd_dist(config: RunConfig, args: argparse.Namespace):
 
 
 def cmd_exhaustive(config: RunConfig, args: argparse.Namespace):
-    value, witness = exhaustive_lambda(
-        args.n, args.d, args.s, opt_in_n5=config.opt_in_n5
-    )
+    value, witness = exhaustive_lambda(args.n, args.d, args.s)
     payload = {
         "n": args.n,
         "d": args.d,
@@ -158,6 +155,8 @@ def cmd_approx(config: RunConfig, args: argparse.Namespace):
     spec = approx_construct(args.x, args.eps)
     payload = {"spec": spec.to_json()}
     check_d = args.check_d
+    if check_d is not None and check_d > _CHECKED_DIMENSION_CAP:
+        raise CapabilityError(f"--check-d above {_CHECKED_DIMENSION_CAP} is unsupported")
     if check_d is None and spec.d_min <= _CHECKED_DIMENSION_CAP:
         check_d = spec.d_min
     check = check_approx(spec, check_d) if check_d is not None else None
@@ -278,12 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", default=None, help="write the report to this path")
     shared.add_argument("--workers", type=int, default=1)
     shared.add_argument("--max-n", type=int, default=MASK_CAP, dest="max_n")
-    shared.add_argument(
-        "--opt-in-n5",
-        action="store_true",
-        dest="opt_in_n5",
-        help="allow the minutes-long n=5 exhaustive search",
-    )
 
     parser = argparse.ArgumentParser(
         prog="cubestats",

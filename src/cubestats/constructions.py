@@ -44,15 +44,17 @@ _MAX_DENOMINATOR_BITS = 14_284
 def syndrome_set(B: GF2Matrix, colors: set[int]) -> VertexSet:
     """A = {x : Bx in colors}, syndromes over GF(2)."""
     r, n = B.rows, B.cols
+    if r > 64:
+        raise CapabilityError(f"syndromes of r={r} rows exceed 64 bits")
     for c in colors:
         if not 0 <= c < (1 << r):
             raise DomainError(f"color {c} is not an r-bit syndrome (r={r})")
     check_mask_dimension(n)
-    xs = np.arange(1 << n, dtype=np.uint32)
-    synd = np.zeros(1 << n, dtype=np.uint32)
+    xs = np.arange(1 << n, dtype=np.uint64)
+    synd = np.zeros(1 << n, dtype=np.uint64)
     for i, row_mask in enumerate(B.row_masks):
-        synd |= (np.bitwise_count(xs & np.uint32(row_mask)).astype(np.uint32) & 1) << i
-    member = np.isin(synd, np.fromiter(colors, dtype=np.uint32, count=len(colors)))
+        synd |= (np.bitwise_count(xs & np.uint64(row_mask)).astype(np.uint64) & 1) << i
+    member = np.isin(synd, np.fromiter(colors, dtype=np.uint64, count=len(colors)))
     return VertexSet.from_flags(n, member)
 
 
@@ -196,9 +198,8 @@ def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
 def layered_set(n: int, spec: LayeredSpec) -> VertexSet:
     """All vertices whose Hamming weight lies in the residue set mod k."""
     check_mask_dimension(n)
-    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
-    residues = np.fromiter(spec.T, dtype=np.int64, count=len(spec.T))
-    member = np.isin(weights % spec.k, residues)
+    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    member = np.isin(weights, [w for w in range(n + 1) if w % spec.k in spec.T])
     return VertexSet.from_flags(n, member)
 
 
@@ -233,11 +234,12 @@ def turan_extremal_set(d: int, s: int, clique: CliqueCertificate) -> VertexSet:
     """
     if s < 1:
         raise DomainError("s must be >= 1")
+    n = d + 2
+    check_mask_dimension(n)
     if clique.s != s or not clique.members:
         raise CertificateError("clique certificate does not match s or is empty")
     if not verify_clique(clique):
         raise CertificateError("invalid clique certificate")
-    n = d + 2
     used = clique.members[: min(len(clique.members), n)]
     verts = []
     for r in range(4 * s):

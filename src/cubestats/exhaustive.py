@@ -4,7 +4,8 @@ The search space of 2^(2^n) subsets is halved by complement symmetry:
 only sets avoiding vertex 0 are enumerated, and each stands in for its
 complement through counts[s] = counts_complement[2^d - s].  n <= 4 runs
 plain; n = 5 additionally prunes by hypercube symmetries (coordinate
-permutations and translations) and must be requested explicitly.
+permutations and translations), enumerating only masks whose high half
+is least under the permutations of coordinates 0-3.  n >= 6 is refused.
 """
 
 from __future__ import annotations
@@ -108,19 +109,29 @@ def _n5_filters() -> list:
     return filters
 
 
-_n5_cache: np.ndarray | None = None
-
-
+@lru_cache(maxsize=None)
 def _n5_survivors() -> np.ndarray:
-    """Vertex-0-avoiding masks surviving the symmetry filter, as uint32."""
-    global _n5_cache
-    if _n5_cache is not None:
-        return _n5_cache
+    """Vertex-0-avoiding masks surviving the symmetry filter, as uint32.
+
+    Permutations of coordinates 0-3 map the low half (vertices 0-15) and the
+    high half (16-31) of a mask onto themselves and fix vertex 0, so the least
+    vertex-0-avoiding member of every orbit, the mask the filters keep, has a
+    high half least under them: only such halves are enumerated.
+    """
+    halves = np.arange(1 << 16, dtype=np.uint64)
+    img = halves
+    least = np.ones(halves.size, dtype=bool)
+    for i, j in _sjt_swaps(4):
+        img = _transposition_image(img, i, j, 4)
+        least &= halves <= img
+    highs = halves[least, None] << np.uint64(16)
+    lows = np.arange(0, 1 << 16, 2, dtype=np.uint64)
     filters = _n5_filters()
     one = np.uint64(1)
     parts = []
-    for start in range(0, 1 << 32, 2 * _ENUM_CHUNK):
-        m = np.arange(start, start + 2 * _ENUM_CHUNK, 2, dtype=np.uint64)
+    step = _ENUM_CHUNK // lows.size
+    for start in range(0, highs.size, step):
+        m = (highs[start : start + step] | lows).ravel()
         for f in filters:
             img = f(m)
             # Images hitting vertex 0 leave the enumerated half-space and
@@ -130,8 +141,7 @@ def _n5_survivors() -> np.ndarray:
                 break
         if m.size:
             parts.append(m.astype(np.uint32))
-    _n5_cache = np.concatenate(parts) if parts else np.empty(0, np.uint32)
-    return _n5_cache
+    return np.concatenate(parts)  # the empty mask always survives
 
 
 def _sjt_swaps(n: int) -> list[tuple[int, int]]:
@@ -256,19 +266,11 @@ def _cell(n: int, d: int, s: int) -> tuple[int, int]:
     return count, _walk_least(cands, n)
 
 
-def exhaustive_lambda(
-    n: int, d: int, s: int, *, opt_in_n5: bool = False
-) -> tuple[Fraction, VertexSet]:
-    """Exact λ(n,d,s) with a lex-least maximizing witness.
-
-    n <= 4 always works.  n = 5 requires opt_in_n5=True and takes minutes
-    on first use (the survivor table is cached afterwards).
-    """
+def exhaustive_lambda(n: int, d: int, s: int) -> tuple[Fraction, VertexSet]:
+    """Exact λ(n,d,s) with a lex-least maximizing witness, for n <= 5."""
     if n < 0 or d < 0 or d > n:
         raise DomainError(f"invalid dimensions n={n}, d={d}")
     occupancy_case(d, s)  # the range check, without building 2^d
-    if n == PRUNED_MAX_N and not opt_in_n5:
-        raise CapabilityError("n=5 search requires explicit opt-in (orbit pruning)")
     if n > PRUNED_MAX_N:
         raise CapabilityError(f"exhaustive search not supported for n={n}")
     if d == n:

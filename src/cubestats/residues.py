@@ -8,7 +8,6 @@ of the residue sets that make them equal) back the layered constructions.
 
 import cmath
 import concurrent.futures
-import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -36,8 +35,10 @@ def _binsum_row(k: int, d: int) -> tuple[int, ...]:
     if d < 0:
         raise DomainError("dimension must be nonnegative")
     values = [0] * k
+    c = 1  # C(d, i), stepped by C(d, i+1) = C(d, i) (d-i) / (i+1)
     for i in range(d + 1):
-        values[i % k] += math.comb(d, i)
+        values[i % k] += c
+        c = c * (d - i) // (i + 1)
     return tuple(values)
 
 

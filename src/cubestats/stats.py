@@ -105,7 +105,7 @@ class LayeredSpec:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError("modulus k must be >= 1")
-        if not self.T <= frozenset(range(self.k)):
+        if not all(0 <= t < self.k for t in self.T):
             raise DomainError("T must be a subset of Z_k")
 
 

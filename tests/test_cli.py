@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,10 +133,17 @@ class TestCommands:
         assert report["lambda"] == "5/6"
         assert report["witness"]["vertices"] == [0, 3, 13, 14]
 
-    def test_exhaustive_needs_opt_in_for_n5(self, capsys):
-        rc, _, err = run(capsys, "exhaustive", "5", "2", "1")
+    def test_exhaustive_at_n5(self, capsys):
+        rc, out, _ = run(capsys, "exhaustive", "5", "2", "1")
+        report = json.loads(out)
+        assert rc == 0
+        assert report["lambda"] == "4/5"
+        assert report["witness"]["vertices"] == [0, 3, 12, 15, 21, 22, 25, 26]
+
+    def test_exhaustive_refuses_n6(self, capsys):
+        rc, out, err = run(capsys, "exhaustive", "6", "2", "1")
         assert rc == 3
-        assert "opt-in" in err
+        assert out == "" and "n=6" in err
 
     def test_omega(self, capsys):
         rc, out, _ = run(capsys, "omega", "2")
@@ -293,12 +301,45 @@ class TestErrors:
                 ' "matrix": {"rows": 1.0, "cols": 2.0, "data": ["11"]}}',
             ],
             ["construct", PARITY6, "--max-n", "-1"],
+            ["construct", '{"kind": "mod_weight", "n": 4, "d": 1000000000000}'],
         ],
     )
     def test_invalid_parameters_are_usage_errors(self, capsys, argv):
+        start = time.perf_counter()
         rc, out, err = run(capsys, *argv)
         assert rc == 2
         assert out == "" and "Traceback" not in err and err.count("\n") == 1
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "0.5", "0.1", "--check-d", "10001"],
+            ["approx", "0.5", "0.1", "--check-d", "100000000000"],
+            [
+                "construct",
+                json.dumps(
+                    {
+                        "kind": "syndrome",
+                        "matrix": {"rows": 65, "cols": 2, "data": ["11"] * 65},
+                        "colors": [1 << 64],
+                        "d": 2,
+                    }
+                ),
+            ],
+            [
+                "construct",
+                '{"kind": "turan_extremal", "d": 1000000000, "s": 1,'
+                ' "clique": {"s": 1, "members": [[1, 3], [2, 3], [1, 2]]}}',
+            ],
+        ],
+    )
+    def test_oversized_inputs_exit_three(self, capsys, argv):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3
+        assert out == "" and "Traceback" not in err and err.count("\n") == 1
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("d, s", [(11, 1), (130, 3), (100, 1), (10**11, 1)])
     def test_unprintable_bounds_exit_three(self, capsys, d, s):

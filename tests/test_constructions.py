@@ -60,6 +60,20 @@ class TestSyndrome:
         with pytest.raises(DomainError):
             syndrome_set(GF2Matrix.identity(2), {4})
 
+    @pytest.mark.parametrize("rows", [33, 40, 64])
+    def test_rows_past_32_match_brute_force(self, rows):
+        # rows 0-31 are zero, so only the syndrome bits from 32 up tell x apart
+        rng = np.random.default_rng(rows)
+        high = ["".join(map(str, r)) for r in rng.integers(0, 2, size=(rows - 32, 6))]
+        B = GF2Matrix.from_json({"rows": rows, "cols": 6, "data": ["0" * 6] * 32 + high})
+
+        def syndrome(x):
+            return sum(((m & x).bit_count() & 1) << i for i, m in enumerate(B.row_masks))
+
+        colors = {syndrome(x) for x in (0, 7, 40)} | {1 << (rows - 1)}
+        expected = [x for x in range(64) if syndrome(x) in colors]
+        assert syndrome_set(B, colors).vertices() == expected
+
     def test_spanning_fraction_counts_full_rank_subsets(self):
         B = GF2Matrix.from_rows([[1, 0, 1], [0, 1, 0]])
         assert spanning_fraction(B, 2) == Fraction(2, 3)
@@ -143,6 +157,13 @@ class TestConcreteSets:
         A = layered_set(4, LayeredSpec(3, frozenset({0})))
         assert A.vertices() == [0, 7, 11, 13, 14]
         assert parity_set(3).vertices() == [0, 3, 5, 6]
+
+    @pytest.mark.parametrize("k", [10**12, 2**70])
+    def test_layered_modulus_above_n(self, k):
+        # past k = n + 1 every weight is its own residue; neither Z_k nor an
+        # int64 cast of k may be built
+        A = layered_set(4, LayeredSpec(k, frozenset({0, 3, k - 1})))
+        assert A == layered_set(4, LayeredSpec(5, frozenset({0, 3})))
 
     def test_mod_weight_values(self):
         A = mod_weight_set(4, 2)

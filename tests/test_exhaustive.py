@@ -3,7 +3,6 @@
 import functools
 import itertools
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -132,14 +131,12 @@ class TestSmallTables:
         monkeypatch.setattr(exhaustive, "_cell", no_scan)
         for n in range(6):
             for s in range((1 << n) + 1):
-                val, wit = exhaustive_lambda(n, n, s, opt_in_n5=True)
+                val, wit = exhaustive_lambda(n, n, s)
                 assert val == 1 and wit.n == n and wit.bits == (1 << s) - 1
 
     def test_capability_gates(self):
         with pytest.raises(CapabilityError):
-            exhaustive_lambda(5, 2, 1)
-        with pytest.raises(CapabilityError):
-            exhaustive_lambda(6, 2, 1, opt_in_n5=True)
+            exhaustive_lambda(6, 2, 1)
 
 
 # --- symmetry-walk internals ------------------------------------------------
@@ -352,29 +349,39 @@ class TestSweepAtNFive:
         for s in range((1 << d) + 1):
             best = max(c[s] for c in counts)
             tied = [m for m, c in zip(sets, counts) if c[s] == best]
-            val, wit = exhaustive_lambda(5, d, s, opt_in_n5=True)
+            val, wit = exhaustive_lambda(5, d, s)
             assert val == Fraction(best, subcube_count(5, d)), (d, s)
             assert wit.bits == _orbit_least(tied, 5), (d, s)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("CUBESTATS_N5"),
-    reason="n=5 survivor table takes minutes to build; set CUBESTATS_N5=1",
-)
 class TestAmbientFive:
+    """The real n = 5 survivor table, built once and shared by these tests."""
+
+    def test_survivor_high_halves_are_least_under_s4(self):
+        surv = exhaustive._n5_survivors()
+        assert surv.size == 5_009_398
+        assert np.all(surv[1:] > surv[:-1]) and not np.any(surv & 1)
+        halves = np.unique(surv >> np.uint32(16))
+        for perm in itertools.permutations(range(4)):
+            img = np.zeros_like(halves)
+            for u in range(16):
+                pu = sum(((u >> b) & 1) << perm[b] for b in range(4))
+                img |= ((halves >> np.uint32(u)) & np.uint32(1)) << np.uint32(pu)
+            assert np.all(halves <= img), perm
+
     def test_q5_squares_single_point(self):
-        val, wit = exhaustive_lambda(5, 2, 1, opt_in_n5=True)
+        val, wit = exhaustive_lambda(5, 2, 1)
         assert val == Fraction(4, 5)
         assert wit.vertices() == [0, 3, 12, 15, 21, 22, 25, 26]
         assert lambda_of_set(wit, 2, 1) == val
 
     def test_q5_cubes_single_point(self):
-        val, wit = exhaustive_lambda(5, 3, 1, opt_in_n5=True)
+        val, wit = exhaustive_lambda(5, 3, 1)
         assert val == Fraction(4, 5)
         assert lambda_of_set(wit, 3, 1) == val
 
     def test_q5_codimension_one_all_perfect(self):
         for s in range(17):
-            val, wit = exhaustive_lambda(5, 4, s, opt_in_n5=True)
+            val, wit = exhaustive_lambda(5, 4, s)
             assert val == 1
             assert len(wit) == 2 * s

@@ -51,6 +51,14 @@ class TestBinsum:
             (a - 1) % k, k, d - 1
         )
 
+    def test_row_matches_comb_reference(self):
+        for k in range(1, 9):
+            for d in range(65):
+                ref = [0] * k
+                for i in range(d + 1):
+                    ref[i % k] += math.comb(d, i)
+                assert residues._binsum_row(k, d) == tuple(ref), (k, d)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             q_binsum(3, 3, 4)

@@ -143,6 +143,11 @@ class TestLayered:
             LayeredSpec(0, frozenset())
         with pytest.raises(DomainError):
             LayeredSpec(3, frozenset({3}))
+        with pytest.raises(DomainError):
+            LayeredSpec(2**70, frozenset({2**70}))
+        with pytest.raises(DomainError):
+            LayeredSpec(2**70, frozenset({-1}))
+        assert LayeredSpec(2**70, frozenset({0, 2**70 - 1})).k == 2**70
 
 
 class TestContainers:
