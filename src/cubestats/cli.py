@@ -64,21 +64,21 @@ def _envelope(config: RunConfig, payload: dict, provenance: Sequence[str] = ()) 
     }
 
 
-def _load_json_arg(text: str) -> dict:
-    """Parse an inline JSON object, or @path to read it from a file."""
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise DomainError("expected a JSON object")
-    return obj
+def _load_json_arg(text: str):
+    """Parse inline JSON, or @path to read it from a file."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except ValueError as exc:  # not UTF-8, malformed, or past the int digit limit
+        raise DomainError(f"bad JSON: {exc}") from exc
 
 
 def _construct(config: RunConfig, text: str) -> ConstructionResult:
     """Build the construction a spec argument names, within ``--max-n``."""
     spec = _load_json_arg(text)
-    if spec.get("kind") == "bernoulli":
+    if isinstance(spec, dict) and spec.get("kind") == "bernoulli":
         spec.setdefault("seed", config.seed)
     result = build_construction(spec)
     _check_max_n(config, result.vertex_set)
@@ -101,8 +101,7 @@ def cmd_dist(config: RunConfig, args: argparse.Namespace):
     if (args.set_file is None) == (args.construct is None):
         raise DomainError("give exactly one of --set-file and --construct")
     if args.set_file is not None:
-        with open(args.set_file, "r", encoding="utf-8") as fh:
-            A = VertexSet.from_json(json.load(fh))
+        A = VertexSet.from_json(_load_json_arg("@" + args.set_file))
         _check_max_n(config, A)
     else:
         result = _construct(config, args.construct)
@@ -381,16 +380,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         parameters=parameters,
         **{name: getattr(args, name) for name in _CONFIG_FIELDS},
     )
-    if not 0 <= config.seed < 1 << 64:
-        print("cubestats: seed must fit in 64 bits", file=sys.stderr)
-        return 2
-    if config.max_n < 0:
-        print("cubestats: --max-n must be >= 0", file=sys.stderr)
-        return 2
-    if config.workers < 1:
-        print("cubestats: --workers must be >= 1", file=sys.stderr)
-        return 2
     try:
+        if not 0 <= config.seed < 1 << 64:
+            raise DomainError("seed must fit in 64 bits")
+        if config.max_n < 0:
+            raise DomainError("--max-n must be >= 0")
+        if config.workers < 1:
+            raise DomainError("--workers must be >= 1")
         payload, provenance, passed = _COMMANDS[args.command](config, args)
         report = _envelope(config, payload, provenance)
         if config.format == "csv":
@@ -398,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         _emit(config, text)
-    except (DomainError, CertificateError, json.JSONDecodeError, OSError) as exc:
+    except (DomainError, CertificateError, OSError) as exc:
         print(f"cubestats: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

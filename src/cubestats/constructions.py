@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import Subcube, VertexSet, _is_int, check_mask_dimension
-from .errors import CapabilityError, CertificateError, DomainError
+from .cube import Subcube, VertexSet, binomial, check_mask_dimension
+from .errors import CapabilityError, CertificateError, DomainError, fields
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
 from .stats import LambdaBounds, LayeredSpec, layered_distribution
@@ -34,6 +34,9 @@ REFERENCE_UPPER = {
 # Integers up to 2^14284 have at most 4300 decimal digits, the default
 # int-to-str limit of Python, so fractions under it can be reported.
 _MAX_DENOMINATOR_BITS = 14_284
+
+# Column subsets spanning_fraction ranks, at about 40 µs each in pure Python.
+_SPANNING_SUBSET_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,12 @@ def spanning_fraction(B: GF2Matrix, d: int) -> Fraction:
     """
     if d < 0 or d > B.cols:
         raise DomainError(f"d={d} outside [0, {B.cols}]")
+    if binomial(B.cols, d) > _SPANNING_SUBSET_CAP:
+        raise CapabilityError(
+            f"C({B.cols}, {d}) column subsets exceed the cap {_SPANNING_SUBSET_CAP}"
+        )
+    if B.rows > d:
+        return Fraction(0)  # d columns have rank at most d < rows
     hits = 0
     total = 0
     for cols in itertools.combinations(range(B.cols), d):
@@ -219,6 +228,7 @@ def weight_top_bottom_set(d: int) -> VertexSet:
     if d < 1:
         raise DomainError("d must be >= 1")
     n = d + 2
+    check_mask_dimension(n)
     full = (1 << n) - 1
     return VertexSet.from_vertices(n, [0] + [full ^ (1 << j) for j in range(n)])
 
@@ -280,18 +290,6 @@ def perturbation_preserves(n: int, d: int, cubes: list[Subcube]) -> bool:
 # construction dispatch
 # ---------------------------------------------------------------------------
 
-CONSTRUCTION_KINDS = (
-    "syndrome",
-    "layered",
-    "turan_extremal",
-    "parity",
-    "perturbed_parity",
-    "weight_top_bottom",
-    "mod_weight",
-    "bernoulli",
-)
-
-
 @dataclass(frozen=True)
 class ConstructionResult:
     """A built set together with the claim its construction certifies.
@@ -331,64 +329,41 @@ def _mod_weight_claim(n: int, d: int) -> Fraction:
     return dist.fraction(1)
 
 
-# Spec parameters that several kinds share, by JSON type; the matrix and
-# clique objects are checked by their own ``from_json`` parsers.
-_INT_PARAMS = ("n", "d", "s", "k", "seed")
-_INT_LIST_PARAMS = ("T", "colors")
-
-
-def _check_param_types(kind: str, spec: dict) -> None:
-    for key in _INT_PARAMS:
-        if key in spec and not _is_int(spec[key]):
-            raise DomainError(f"{kind} parameter {key!r} must be an integer")
-    for key in _INT_LIST_PARAMS:
-        value = spec.get(key, [])
-        if not isinstance(value, list) or not all(_is_int(x) for x in value):
-            raise DomainError(f"{kind} parameter {key!r} must be a list of integers")
-    cubes = spec.get("cubes", [])
-    if not isinstance(cubes, list) or not all(
-        isinstance(q, dict) and _is_int(q.get("free")) and _is_int(q.get("base"))
-        for q in cubes
-    ):
-        raise DomainError(f"{kind} parameter 'cubes' must list integer free/base pairs")
-
-
 def build_construction(spec: dict) -> ConstructionResult:
     """Build the vertex set a ConstructionSpec JSON object describes."""
-    try:
-        kind = spec["kind"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError("construction spec needs a 'kind'") from exc
-    if kind not in CONSTRUCTION_KINDS:
-        raise DomainError(f"unknown construction kind: {kind}")
-    _check_param_types(kind, spec)
-    try:
-        return _BUILDERS[kind](spec)
-    except KeyError as exc:
-        raise DomainError(f"missing parameter for {kind}: {exc}") from exc
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise DomainError("construction spec must be an object with a string 'kind'")
+    params = dict(spec)
+    kind = params.pop("kind")
+    if kind not in _BUILDERS:
+        raise DomainError(f"unknown construction kind: {kind!r}")
+    return _BUILDERS[kind](params)
 
 
 def _build_syndrome(spec: dict) -> ConstructionResult:
-    B = GF2Matrix.from_json(spec["matrix"])
-    colors = set(spec["colors"])
-    d = spec.get("d", B.rows)
+    matrix, colors, d = fields(
+        spec, "syndrome spec", matrix="dict", colors="ints", d="int?"
+    )
+    B = GF2Matrix.from_json(matrix)
+    d = B.rows if d is None else d
     if not 0 <= d <= B.cols:
         raise DomainError(f"syndrome claim needs 0 <= d <= {B.cols}")
+    frac = spanning_fraction(B, d)  # its cap comes before the 2^cols allocation
+    colors = set(colors)
     A = syndrome_set(B, colors)
     s = len(colors) << max(d - B.rows, 0)
-    frac = spanning_fraction(B, d)
     return ConstructionResult("syndrome", A, d, s, frac, "ge")
 
 
 def _build_layered(spec: dict) -> ConstructionResult:
-    lspec = LayeredSpec(spec["k"], frozenset(spec["T"]))
-    A = layered_set(spec["n"], lspec)
+    n, k, T = fields(spec, "layered spec", n="int", k="int", T="ints")
+    A = layered_set(n, LayeredSpec(k, frozenset(T)))
     return ConstructionResult("layered", A, None, None, None, "eq")
 
 
 def _build_turan(spec: dict) -> ConstructionResult:
-    d, s = spec["d"], spec["s"]
-    clique = CliqueCertificate.from_json(spec["clique"])
+    d, s, clique = fields(spec, "turan_extremal spec", d="int", s="int", clique="dict")
+    clique = CliqueCertificate.from_json(clique)
     A = turan_extremal_set(d, s, clique)
     used = min(len(clique.members), d + 2)
     return ConstructionResult(
@@ -397,8 +372,8 @@ def _build_turan(spec: dict) -> ConstructionResult:
 
 
 def _build_parity(spec: dict) -> ConstructionResult:
-    n = spec["n"]
-    d = spec.get("d", n)
+    n, d = fields(spec, "parity spec", n="int", d="int?")
+    d = n if d is None else d
     if not 1 <= d <= n:
         raise DomainError(f"parity claim needs 1 <= d <= n, got d={d}")
     A = parity_set(n)
@@ -406,10 +381,10 @@ def _build_parity(spec: dict) -> ConstructionResult:
 
 
 def _build_perturbed(spec: dict) -> ConstructionResult:
-    n, d = spec["n"], spec["d"]
+    n, d, cubes = fields(spec, "perturbed_parity spec", n="int", d="int", cubes="list")
     if not 1 <= d <= n:
         raise DomainError(f"perturbed parity claim needs 1 <= d <= n, got d={d}")
-    cubes = [Subcube(n, q["free"], q["base"]) for q in spec["cubes"]]
+    cubes = [Subcube(n, *fields(q, "cube", free="int", base="int")) for q in cubes]
     A = perturb_parity(parity_set(n), cubes)
     ok = perturbation_preserves(n, d, cubes)
     return ConstructionResult(
@@ -418,21 +393,21 @@ def _build_perturbed(spec: dict) -> ConstructionResult:
 
 
 def _build_wtb(spec: dict) -> ConstructionResult:
-    d = spec["d"]
+    (d,) = fields(spec, "weight_top_bottom spec", d="int")
     A = weight_top_bottom_set(d)
     claim = Fraction(3, 4) if d >= 6 else None
     return ConstructionResult("weight_top_bottom", A, d, 1, claim, "eq")
 
 
 def _build_mod_weight(spec: dict) -> ConstructionResult:
-    n, d = spec["n"], spec["d"]
+    n, d = fields(spec, "mod_weight spec", n="int", d="int")
     A = mod_weight_set(n, d)
     return ConstructionResult("mod_weight", A, d, 1, _mod_weight_claim(n, d), "eq")
 
 
 def _build_bernoulli(spec: dict) -> ConstructionResult:
-    n, d = spec["n"], spec["d"]
-    A = bernoulli_set(n, d, spec.get("seed", 0))
+    n, d, seed = fields(spec, "bernoulli spec", n="int", d="int", seed="int?")
+    A = bernoulli_set(n, d, 0 if seed is None else seed)
     return ConstructionResult("bernoulli", A, d, 1, None, "eq")
 
 

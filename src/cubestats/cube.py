@@ -14,20 +14,16 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, fields, is_int
 
 # Hard cap on materialized membership masks: 2^24 bits = 2 MiB per set.
 # Layered sets beyond this are handled analytically (see stats.layered_distribution).
 MASK_CAP = 24
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def check_mask_dimension(n: int) -> None:
     """Raise unless a 2^n-bit mask of Q_n may be built; call before allocating."""
-    if not _is_int(n) or n < 0:
+    if not is_int(n) or n < 0:
         raise DomainError(f"dimension must be an integer >= 0, got {n!r}")
     if n > MASK_CAP:
         raise CapabilityError(f"n={n} exceeds the materialized-mask cap {MASK_CAP}")
@@ -74,7 +70,7 @@ class VertexSet:
         check_mask_dimension(n)
         flags = np.zeros(1 << n, dtype=np.uint8)
         for v in vertices:
-            if not _is_int(v) or not 0 <= v < (1 << n):
+            if not is_int(v) or not 0 <= v < (1 << n):
                 raise DomainError(f"vertex {v!r} is not an integer vertex of Q_{n}")
             flags[v] = 1
         return cls.from_flags(n, flags)
@@ -103,13 +99,7 @@ class VertexSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> VertexSet:
-        try:
-            n = obj["n"]
-            vertices = obj["vertices"]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed vertex-set object: {exc}") from exc
-        if not isinstance(vertices, list):
-            raise DomainError("'vertices' must be a list")
+        n, vertices = fields(obj, "vertex set", n="int", vertices="ints")
         A = cls.from_vertices(n, vertices)
         if A.vertices() != vertices:
             raise DomainError("'vertices' must be strictly ascending")
@@ -132,8 +122,8 @@ class Subcube:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise DomainError(f"dimension must be >= 0, got {self.n}")
-        full = (1 << self.n) - 1
-        if not 0 <= self.free <= full or not 0 <= self.base <= full:
+        # no n-bit mask is built, so a huge n is cheap to reject later
+        if self.free < 0 or self.base < 0 or (self.free | self.base) >> self.n:
             raise DomainError("free/base masks outside Q_n")
         if self.base & self.free:
             raise DomainError("non-canonical subcube: base overlaps free mask")

@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cube import _is_int
-from .errors import DomainError
+from .errors import DomainError, fields
 
 
 @dataclass(frozen=True)
@@ -74,17 +73,12 @@ class GF2Matrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> GF2Matrix:
-        try:
-            rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed matrix object: {exc}") from exc
-        if not (_is_int(rows) and _is_int(cols) and isinstance(data, list)):
-            raise DomainError("matrix needs integer 'rows', 'cols' and a 'data' list")
+        rows, cols, data = fields(obj, "matrix", rows="int", cols="int", data="strs")
         if len(data) != rows:
             raise DomainError("'data' length does not match 'rows'")
         masks = []
         for s in data:
-            if not isinstance(s, str) or len(s) != cols or set(s) - {"0", "1"}:
+            if len(s) != cols or set(s) - {"0", "1"}:
                 raise DomainError(f"bad row string {s!r}")
             masks.append(sum((s[c] == "1") << c for c in range(cols)))
         return cls(rows, cols, tuple(masks))

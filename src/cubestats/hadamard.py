@@ -12,8 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cube import _is_int
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 
 def _is_prime(q: int) -> bool:
@@ -36,7 +35,7 @@ class HadamardMatrix:
 
     def __post_init__(self) -> None:
         n = self.order
-        if not _is_int(n):
+        if not is_int(n):
             raise DomainError(f"order must be an integer, got {n!r}")
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise DomainError("entry grid does not match order")
@@ -52,28 +51,11 @@ class HadamardMatrix:
         if not np.array_equal(grid @ grid.T, n * np.eye(n, dtype=np.int64)):
             raise DomainError("rows are not orthogonal: not a Hadamard matrix")
 
-    def normalized(self) -> HadamardMatrix:
-        """Negate rows, then columns, so the first column and row are all +1."""
-        return _from_grid(_normalized_grid(self))
-
     def to_json(self) -> dict:
         return {
             "order": self.order,
             "rows": ["".join("+" if e == 1 else "-" for e in r) for r in self.entries],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> HadamardMatrix:
-        try:
-            order = obj["order"]
-            rows = tuple(
-                tuple(1 if ch == "+" else -1 for ch in row) for row in obj["rows"]
-            )
-            if any(set(row) - {"+", "-"} for row in obj["rows"]):
-                raise DomainError("row strings must contain only + and -")
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed Hadamard object: {exc}") from exc
-        return cls(order, rows)
 
 
 def _from_grid(grid: np.ndarray) -> HadamardMatrix:

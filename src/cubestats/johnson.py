@@ -15,12 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cube import _is_int
-from .errors import CapabilityError, CertificateError, DomainError
+from .errors import CapabilityError, CertificateError, DomainError, fields, is_int
 from .hadamard import HadamardMatrix, _normalized_grid, hadamard_matrix
 
 EXPLICIT_VERTEX_CAP = 5
 DENSE_ADJACENCY_CAP = 4
+OMEGA_CAP = 100  # largest s for omega: Hadamard orders 4s up to 400
 _GREEDY_SCAN_CAP = 200_000
 _ADJ_BLOCK_ROWS = 64
 
@@ -45,15 +45,17 @@ class CliqueCertificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> CliqueCertificate:
-        try:
-            s = obj["s"]
-            members = [list(mem) for mem in obj["members"]]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed clique object: {exc}") from exc
-        if not _is_int(s):
-            raise DomainError("clique 's' must be an integer")
-        if not all(_is_int(e) and 0 <= e < 4 * s for mem in members for e in mem):
-            raise DomainError(f"clique members must be subsets of range({4 * s})")
+        s, members = fields(obj, "clique", s="int", members="list")
+        for mem in members:
+            # 2s distinct elements below 4s keep each mask within the input's size
+            if not (
+                isinstance(mem, list)
+                and all(is_int(e) and 0 <= e < 4 * s for e in mem)
+                and len(mem) == 2 * s == len(set(mem))
+            ):
+                raise DomainError(
+                    f"clique members must list 2s distinct elements of range({4 * s})"
+                )
         return cls(s, tuple(sum(1 << e for e in mem) for mem in members))
 
 
@@ -258,6 +260,8 @@ def omega(
         raise DomainError("s must be >= 1")
     if policy not in ("auto", "hadamard", "search"):
         raise DomainError(f"unknown omega policy: {policy}")
+    if s > OMEGA_CAP:
+        raise CapabilityError(f"omega is capped at s <= {OMEGA_CAP}")
     cap = 4 * s - 1
     if policy in ("auto", "hadamard"):
         H = hadamard_matrix(4 * s)

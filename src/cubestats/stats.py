@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import VertexSet, binomial, enumerate_subcubes
+from .cube import VertexSet, binomial, check_mask_dimension, enumerate_subcubes
 from .cube import subcube_count
-from .errors import DomainError
+from .errors import DomainError, fields
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,29 @@ class SubcubeDistribution:
 
     @classmethod
     def from_json(cls, obj: dict) -> SubcubeDistribution:
-        try:
-            n, d, total = obj["n"], obj["d"], int(obj["total"])
-            raw = {int(s): int(c) for s, c in obj["counts"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed distribution object: {exc}") from exc
+        n, d, total, raw = fields(
+            obj, "distribution", n="int", d="int", total="str", counts="dict"
+        )
+        if not 0 <= d <= n:
+            raise DomainError(f"distribution d={d} outside [0, n]")
+        check_mask_dimension(d)
         counts = [0] * ((1 << d) + 1)
         for s, c in raw.items():
-            if not 0 <= s <= (1 << d):
+            s = _count(s)
+            if s > 1 << d:
                 raise DomainError(f"count index {s} outside [0, 2^d]")
-            counts[s] = c
-        return cls(n, d, tuple(counts), total)
+            counts[s] = _count(c)
+        return cls(n, d, tuple(counts), _count(total))
+
+
+def _count(text) -> int:
+    """A count as ``to_json`` writes it: a string of decimal digits."""
+    if isinstance(text, str) and text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than Python converts to an int
+            pass
+    raise DomainError(f"count {text!r} is not a string of decimal digits")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,19 @@
 """Command-line interface: envelopes, determinism, exit codes."""
 
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubestats import CertificateError, __version__
 from cubestats.constructions import c_d
@@ -302,6 +308,20 @@ class TestErrors:
             ],
             ["construct", PARITY6, "--max-n", "-1"],
             ["construct", '{"kind": "mod_weight", "n": 4, "d": 1000000000000}'],
+            [
+                "construct",
+                '{"kind": "turan_extremal", "d": 2, "s": 1,'
+                ' "clique": {"s": 1, "members": [[0, 1], [0, 2], [0, 0, 0, 0, 1]]}}',
+            ],
+            [
+                "construct",
+                '{"kind": "turan_extremal", "d": 2, "s": 1,'
+                ' "clique": {"s": 100000000000000000000,'
+                ' "members": [[10000000000000000000]]}}',
+            ],
+            ["construct", '{"kind": "parity", "n": 6, "D": 3}'],
+            ["construct", '{"kind": "bernoulli", "n": 6, "d": 2, "sed": 5}'],
+            ["construct", '{"kind": "parity", "n": %s}' % ("1" * 5000)],
         ],
     )
     def test_invalid_parameters_are_usage_errors(self, capsys, argv):
@@ -332,6 +352,20 @@ class TestErrors:
                 '{"kind": "turan_extremal", "d": 1000000000, "s": 1,'
                 ' "clique": {"s": 1, "members": [[1, 3], [2, 3], [1, 2]]}}',
             ],
+            ["construct", '{"kind": "weight_top_bottom", "d": 1000000000000}'],
+            [
+                "construct",
+                '{"kind": "perturbed_parity", "n": 1000000000000, "d": 2,'
+                ' "cubes": [{"free": 3, "base": 0}]}',
+            ],
+            [
+                "construct",
+                '{"kind": "syndrome", "colors": [0], "d": 10,'
+                ' "matrix": {"rows": 1, "cols": 20, "data": ["%s"]}}' % ("1" * 20),
+            ],
+            ["omega", "101"],
+            ["clique", "1000000"],
+            ["omega", "100000", "--policy", "search"],
         ],
     )
     def test_oversized_inputs_exit_three(self, capsys, argv):
@@ -386,6 +420,17 @@ class TestErrors:
         assert rc == 2
         assert out == "" and "--workers" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"n": 2, "vertices": [0, 3], "extra": 0}', b"[0, 3]", b"\xff"],
+    )
+    def test_malformed_set_files_are_usage_errors(self, capsys, tmp_path, content):
+        f = tmp_path / "set.json"
+        f.write_bytes(content)
+        rc, out, err = run(capsys, "dist", "--set-file", str(f), "-d", "1")
+        assert rc == 2
+        assert out == "" and "Traceback" not in err and err.count("\n") == 1
+
     def test_missing_set_file(self, capsys):
         rc, _, err = run(capsys, "dist", "--set-file", "/nonexistent.json", "-d", "1")
         assert rc == 2
@@ -408,3 +453,126 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+# Fuzzing: every input below must end in exit 0, 2 or 3, with one stderr line
+# exactly when the exit is nonzero.  The strategies keep valid sets small
+# (n <= 8, exhaustive n <= 4) so that each call takes milliseconds.
+SMALL = st.integers(-2, 8)
+HUGE = st.sampled_from([10**12, 2**64, -(2**70)])
+INT = st.integers(0, 3).flatmap(lambda roll: SMALL if roll else HUGE)
+INTS = st.lists(INT, max_size=4)
+ANY_JSON = st.one_of(
+    INT,
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.text(max_size=3),
+    INTS,
+    st.dictionaries(st.text(max_size=2), SMALL, max_size=2),
+)
+
+
+@st.composite
+def json_object(draw, **members):
+    """Objects whose members are mostly well formed, sometimes absent or of
+    any JSON kind, with now and then a stray or typo'd member."""
+    obj = {}
+    for name, good in members.items():
+        roll = draw(st.integers(0, 9))
+        if roll:
+            obj[name] = draw(good if roll > 1 else ANY_JSON)
+    if draw(st.integers(0, 4)) == 0:
+        obj[draw(st.sampled_from(["D", "sed", "N", "kind "]))] = draw(ANY_JSON)
+    return obj
+
+
+SPEC_MEMBERS = {
+    "syndrome": dict(
+        matrix=json_object(
+            rows=SMALL, cols=SMALL, data=st.lists(st.text("01", max_size=6), max_size=4)
+        ),
+        colors=INTS,
+        d=INT,
+    ),
+    "layered": dict(n=INT, k=INT, T=INTS),
+    "turan_extremal": dict(
+        d=INT,
+        s=INT,
+        clique=st.one_of(
+            json_object(s=INT, members=st.lists(INTS, max_size=4)),
+            st.just({"s": 1, "members": [[0, 1], [0, 2], [0, 3]]}),  # a triangle
+        ),
+    ),
+    "parity": dict(n=INT, d=INT),
+    "perturbed_parity": dict(
+        n=INT, d=INT, cubes=st.lists(json_object(free=INT, base=INT), max_size=3)
+    ),
+    "weight_top_bottom": dict(d=INT),
+    "mod_weight": dict(n=INT, d=INT),
+    "bernoulli": dict(n=INT, d=INT, seed=INT),
+}
+SPECS = st.sampled_from(sorted(SPEC_MEMBERS)).flatmap(
+    lambda kind: json_object(kind=st.just(kind), **SPEC_MEMBERS[kind])
+)
+
+
+def run_fuzzed(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    err = err.getvalue()
+    assert rc in (0, 2, 3), (argv, rc, err)
+    assert "Traceback" not in err and err.count("\n") == (rc != 0), (argv, err)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(SPECS, INT, st.one_of(st.none(), INT))
+    def test_construction_specs(self, spec, d, s):
+        text = json.dumps(spec)
+        run_fuzzed(["construct", text])
+        argv = ["dist", "--construct", text, "-d", str(d)]
+        run_fuzzed(argv if s is None else argv + ["-s", str(s)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        json_object(
+            n=INT,
+            vertices=st.one_of(
+                st.lists(st.integers(0, 7), unique=True).map(sorted), INTS
+            ),
+        ),
+        INT,
+    )
+    def test_set_files(self, obj, d):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "set.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            run_fuzzed(["dist", "--set-file", path, "-d", str(d)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_numeric_commands(self, data):
+        commands = ["exhaustive", "bounds", "omega", "clique", "approx"]
+        command = data.draw(st.sampled_from(commands))
+        options = []
+        if command == "exhaustive":  # n <= 4: the n = 5 build takes about 19 s
+            n = data.draw(st.one_of(st.integers(-1, 4), HUGE))
+            args = [n, data.draw(st.integers(-1, 4)), data.draw(INT)]
+        elif command == "bounds":
+            args = [data.draw(INT), data.draw(INT)]
+        elif command in ("omega", "clique"):
+            policy = data.draw(st.sampled_from(["auto", "hadamard", "search"]))
+            options = ["--policy", policy]
+            s = st.one_of(st.integers(-2, 3), st.sampled_from([101, 10**6]), HUGE)
+            args = [data.draw(s)]
+        else:
+            floats = st.one_of(st.floats(0, 1), st.floats())
+            args = [data.draw(floats), data.draw(floats)]
+            check_d = data.draw(st.one_of(st.none(), st.integers(-2, 64), HUGE))
+            if check_d is not None:
+                options = ["--check-d", str(check_d)]
+        # "--" keeps argparse from reading a negative number as an option
+        run_fuzzed([command, *options, "--", *map(str, args)])

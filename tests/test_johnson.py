@@ -84,6 +84,22 @@ class TestCertificates:
         cert = CliqueCertificate(1, (0b0011, 0b0101))
         assert CliqueCertificate.from_json(cert.to_json()) == cert
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"s": 1, "members": [[0, 1], [0, 2], [0, 0, 0, 0, 1]]},  # sums to {1, 2}
+            {"s": 1, "members": [[0, 1], [1, 1]]},
+            {"s": 1, "members": [[0, 1, 2]]},
+            {"s": 10**20, "members": [[10**19]]},  # a 10^19-bit mask
+            {"s": 1, "members": [[0, 1]], "size": 1},
+            {"s": 1, "members": [[0, [1]]]},
+            {"s": 1, "members": [5]},
+        ],
+    )
+    def test_from_json_rejects_malformed_members(self, obj):
+        with pytest.raises(DomainError):
+            CliqueCertificate.from_json(obj)
+
 
 class TestHadamard:
     @pytest.mark.parametrize("order", HADAMARD_ORDERS)
@@ -108,10 +124,6 @@ class TestHadamard:
             "-+-++-+---++", "-++-++-+---+", "-+++-++-+---", "--+++-++-+--",
             "---+++-++-+-", "----+++-++-+", "-+---+++-++-", "--+---+++-++",
         ]
-
-    def test_json_roundtrip(self):
-        H = hadamard_matrix(12)
-        assert HadamardMatrix.from_json(H.to_json()) == H
 
     @pytest.mark.parametrize(
         "order, entries",
@@ -141,9 +153,9 @@ class TestHadamard:
 
     @pytest.mark.parametrize("order", [4.0, True, "4", None])
     def test_from_json_requires_integer_order(self, order):
-        obj = {"order": order, "rows": hadamard_matrix(4).to_json()["rows"]}
+        # the constructor owns the check; no JSON reader for Hadamard matrices exists
         with pytest.raises(DomainError):
-            HadamardMatrix.from_json(obj)
+            HadamardMatrix(order, hadamard_matrix(4).entries)
 
     def test_non_multiple_of_four_unreachable(self):
         assert hadamard_matrix(6) is None

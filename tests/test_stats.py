@@ -1,6 +1,7 @@
 """Occupancy distributions: reference counter, bit-parallel version, layered."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,21 @@ class TestContainers:
             SubcubeDistribution(2, 1, (1, 1), 2)  # wrong counts length
         with pytest.raises(DomainError):
             SubcubeDistribution(2, 1, (1, 1, 1), 4)  # bad total
+        good = {"n": 2, "d": 1, "total": "4", "counts": {"1": "4"}}
+        for bad in (
+            {"d": "2"},
+            {"counts": []},
+            {"d": 10**12},  # 2^d + 1 counts would never fit in memory
+            {"d": 3},
+            {"total": "4.0"},
+            {"counts": {"1": 4}},
+            {"counts": {"3": "4"}},
+            {"counts": {"1": "4"}, "extra": 0},
+        ):
+            start = time.perf_counter()
+            with pytest.raises(DomainError):
+                SubcubeDistribution.from_json({**good, **bad})
+            assert time.perf_counter() - start < 1
 
     def test_bounds_ordering_enforced(self):
         with pytest.raises(DomainError):
