@@ -35,7 +35,7 @@ REFERENCE_UPPER = {
 # int-to-str limit of Python, so fractions under it can be reported.
 _MAX_DENOMINATOR_BITS = 14_284
 
-# Column subsets spanning_fraction ranks, at about 40 µs each in pure Python.
+# Most column subsets spanning_fraction ranks; each takes about 40 µs in Python.
 _SPANNING_SUBSET_CAP = 1 << 16
 
 
