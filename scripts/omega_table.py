@@ -17,14 +17,13 @@ from cubestats import omega
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-s", type=int, default=8)
-    ap.add_argument("--policy", choices=("auto", "hadamard", "search"), default="auto")
-    ap.add_argument("--time-budget", type=float, default=None)
+    ap.add_argument("--policy", choices=("auto", "search"), default="auto")
     args = ap.parse_args()
 
     print(f"{'s':>3} {'4s':>4} {'lower':>6} {'upper':>6} {'exact':>6} {'source':>15} {'secs':>7}")
     for s in range(1, args.max_s + 1):
         t0 = time.monotonic()
-        w = omega(s, policy=args.policy, time_budget=args.time_budget)
+        w = omega(s, policy=args.policy)
         dt = time.monotonic() - t0
         print(
             f"{s:>3} {4 * s:>4} {w.lower:>6} {w.upper:>6}"

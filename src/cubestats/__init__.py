@@ -50,7 +50,6 @@ from .johnson import (
     OmegaResult,
     hadamard_to_clique,
     johnson_adjacent,
-    johnson_graph,
     max_clique,
     omega,
     verify_clique,
@@ -115,7 +114,6 @@ __all__ = [
     "hadamard_sylvester",
     "hadamard_to_clique",
     "johnson_adjacent",
-    "johnson_graph",
     "lambda_d2_closed_form",
     "lambda_of_set",
     "layered_distribution",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import CapabilityError, DomainError
-from .residues import q_binsum
+from .residues import q_binsum, residue_table
 
 __all__ = [
     "MAX_MODULUS",
@@ -58,11 +58,8 @@ class ApproxSpec:
             raise DomainError("tolerance must be positive")
         if self.d_min < 1:
             raise DomainError("dimension threshold must be at least 1")
-        residues = tuple(sorted(set(self.P)))
-        if residues != self.P:
-            raise DomainError("P must be sorted and duplicate free")
-        if residues and not (0 <= residues[0] and residues[-1] < self.q):
-            raise DomainError("P must be a subset of the residues mod q")
+        if self.P != tuple(range(len(self.P))) or len(self.P) > self.q:
+            raise DomainError("P must be the residues 0, ..., p-1 mod q")
 
     @property
     def p(self) -> int:
@@ -181,12 +178,16 @@ def check_approx(spec: ApproxSpec, d: int) -> ApproxCheck:
     """
     if d < 1:
         raise DomainError("dimension must be at least 1")
-    q = spec.q
-    ideal = Fraction(spec.p, q) * (1 << d)
-    max_error = Fraction(0)
-    for a in range(q):
-        count = sum(q_binsum((a + y) % q, q, d) for y in spec.P)
-        max_error = max(max_error, abs(count - ideal))
+    q, p = spec.q, spec.p
+    row = residue_table(q, d).values
+    # count(a) sums row over the window a, ..., a+p-1 (mod q); slide it along
+    count = sum(row[:p])
+    lo = hi = count
+    for a in range(q - 1):
+        count += row[(a + p) % q] - row[a]
+        lo, hi = min(lo, count), max(hi, count)
+    ideal = p << d  # q times (p/q) 2^d
+    max_error = Fraction(max(q * hi - ideal, ideal - q * lo), q)
     ok, borderline = _bound_ok(max_error, q, d)
     return ApproxCheck(max_error=max_error, bound_ok=ok, borderline=borderline)
 

@@ -27,15 +27,6 @@ from .johnson import hadamard_to_clique, omega, verify_clique
 from .residues import verify_prop31, verify_thm32
 from .stats import distribution, distribution_fast
 
-VERIFY_SUITES = (
-    "prop31",
-    "thm32",
-    "approx",
-    "third-layer",
-    "clique-certs",
-    "oracle-equivalence",
-)
-
 _CHECKED_DIMENSION_CAP = 10_000  # the largest d the approx check runs at
 
 
@@ -135,14 +126,8 @@ def cmd_bounds(config: RunConfig, args: argparse.Namespace):
 
 
 def cmd_omega(config: RunConfig, args: argparse.Namespace):
-    result = omega(args.s, policy=args.policy, time_budget=args.time_budget)
+    result = omega(args.s, policy=args.policy)
     return {"omega": result.to_json()}, [], True
-
-
-def cmd_clique(config: RunConfig, args: argparse.Namespace):
-    result = omega(args.s, policy=args.policy, time_budget=args.time_budget)
-    cert = result.certificate
-    return {"certificate": cert.to_json(), "size": cert.size()}, [], True
 
 
 def cmd_construct(config: RunConfig, args: argparse.Namespace):
@@ -256,6 +241,7 @@ _SUITES = {
     "clique-certs": _suite_clique_certs,
     "oracle-equivalence": _suite_oracle_equivalence,
 }
+VERIFY_SUITES = tuple(_SUITES)
 
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace):
@@ -299,14 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.add_argument("s", type=int)
 
-    for name, help_text in (
-        ("omega", "clique number of the intersection graph"),
-        ("clique", "emit a maximum clique certificate"),
-    ):
-        p = sub.add_parser(name, parents=[shared], help=help_text)
-        p.add_argument("s", type=int)
-        p.add_argument("--policy", choices=("auto", "hadamard", "search"), default="auto")
-        p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
+    p = sub.add_parser("omega", parents=[shared], help="clique number with a certificate")
+    p.add_argument("s", type=int)
+    p.add_argument("--policy", choices=("auto", "search"), default="auto")
 
     p = sub.add_parser("construct", parents=[shared], help="materialize a construction")
     p.add_argument("spec", help="construction spec JSON (or @file)")
@@ -327,7 +308,6 @@ _COMMANDS = {
     "exhaustive": cmd_exhaustive,
     "bounds": cmd_bounds,
     "omega": cmd_omega,
-    "clique": cmd_clique,
     "construct": cmd_construct,
     "verify": cmd_verify,
     "approx": cmd_approx,

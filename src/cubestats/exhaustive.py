@@ -25,7 +25,6 @@ PRUNED_MAX_N = 5
 
 _EVAL_CHUNK = 1 << 21
 _ENUM_CHUNK = 1 << 24
-_WALK_CAP = 1 << 25
 
 
 def _cube_masks(n: int, d: int) -> list[int]:
@@ -261,8 +260,6 @@ def _cell(n: int, d: int, s: int) -> tuple[int, int]:
     if n <= PLAIN_MAX_N:
         # every mask was scanned, so the maximizers are all present
         return count, _lex_least(cands)
-    if cands.size > _WALK_CAP:
-        raise CapabilityError("witness tie set exceeds supported size")
     return count, _walk_least(cands, n)
 
 

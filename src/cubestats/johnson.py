@@ -18,7 +18,6 @@ import numpy as np
 from .errors import CapabilityError, CertificateError, DomainError, fields, is_int
 from .hadamard import HadamardMatrix, _normalized_grid, hadamard_matrix
 
-EXPLICIT_VERTEX_CAP = 5
 DENSE_ADJACENCY_CAP = 4
 OMEGA_CAP = 100  # largest s for omega: Hadamard orders 4s up to 400
 _GREEDY_SCAN_CAP = 200_000
@@ -90,9 +89,9 @@ class JohnsonGraph:
     def __init__(self, s: int):
         if s < 1:
             raise DomainError("s must be >= 1")
-        if s > EXPLICIT_VERTEX_CAP:
+        if s > DENSE_ADJACENCY_CAP:
             raise CapabilityError(
-                f"explicit vertex list capped at s <= {EXPLICIT_VERTEX_CAP}; "
+                f"explicit graph capped at s <= {DENSE_ADJACENCY_CAP}; "
                 "use johnson_adjacent for implicit adjacency"
             )
         self.s = s
@@ -102,17 +101,10 @@ class JohnsonGraph:
         )
         self._adjacency: list[int] | None = None
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return johnson_adjacent(u, v, self.s)
-
     def adjacency_bitsets(self) -> list[int]:
         """adj[i] has bit j set iff vertices i and j are adjacent."""
         if self._adjacency is not None:
             return self._adjacency
-        if self.s > DENSE_ADJACENCY_CAP:
-            raise CapabilityError(
-                f"dense adjacency capped at s <= {DENSE_ADJACENCY_CAP}"
-            )
         verts = np.array(self.vertices, dtype=np.uint64)
         adj: list[int] = []
         # a block of rows at a time; a vertex meets itself in 2s != s elements
@@ -121,10 +113,6 @@ class JohnsonGraph:
             adj += _row_ints(np.bitwise_count(block) == self.s)
         self._adjacency = adj
         return adj
-
-
-def johnson_graph(s: int) -> JohnsonGraph:
-    return JohnsonGraph(s)
 
 
 def hadamard_to_clique(H: HadamardMatrix) -> CliqueCertificate:
@@ -251,28 +239,27 @@ class OmegaResult:
 
 
 @lru_cache(maxsize=None)
-def omega(
-    s: int, policy: str = "auto", time_budget: float | None = None
-) -> OmegaResult:
-    """Clique number of J(4s,2s,s): exact 4s-1 when a Hadamard matrix of
-    order 4s is constructible, otherwise the best enclosure available."""
+def omega(s: int, policy: str = "auto") -> OmegaResult:
+    """Clique number of J(4s,2s,s).
+
+    ``auto`` certifies the exact 4s-1 when a Hadamard matrix of order 4s
+    is constructible; ``search`` proves the value by clique search for
+    s <= DENSE_ADJACENCY_CAP.  Otherwise the greedy clique and the 4s-1
+    cap enclose it.
+    """
     if s < 1:
         raise DomainError("s must be >= 1")
-    if policy not in ("auto", "hadamard", "search"):
+    if policy not in ("auto", "search"):
         raise DomainError(f"unknown omega policy: {policy}")
     if s > OMEGA_CAP:
         raise CapabilityError(f"omega is capped at s <= {OMEGA_CAP}")
     cap = 4 * s - 1
-    if policy in ("auto", "hadamard"):
+    if policy == "auto":
         H = hadamard_matrix(4 * s)
         if H is not None:
             return OmegaResult(s, cap, cap, hadamard_to_clique(H), "hadamard")
-        if policy == "hadamard":
-            cert = _greedy_clique(s)
-            return OmegaResult(s, cert.size(), cap, cert, "greedy")
-    if s <= DENSE_ADJACENCY_CAP:
-        cert, optimal = max_clique(johnson_graph(s), time_budget)
-        upper = cert.size() if optimal else cap
-        return OmegaResult(s, cert.size(), upper, cert, "search" if optimal else "search-partial")
+    if policy == "search" and s <= DENSE_ADJACENCY_CAP:
+        cert, _ = max_clique(JohnsonGraph(s))
+        return OmegaResult(s, cert.size(), cert.size(), cert, "search")
     cert = _greedy_clique(s)
     return OmegaResult(s, cert.size(), cap, cert, "greedy")

@@ -117,8 +117,9 @@ def test_c05_clique_numbers_proven_and_certified():
         by_search = omega(s, policy="search")
         assert by_search.exact and by_search.lower == want
         assert by_search.source == "search"
-        by_matrix = omega(s, policy="hadamard")
+        by_matrix = omega(s)
         assert by_matrix.exact and by_matrix.lower == want
+        assert by_matrix.source == "hadamard"
         assert verify_clique(by_search.certificate)
     for order in (4, 8, 12, 16, 20, 24, 32):
         cert = hadamard_to_clique(hadamard_matrix(order))

@@ -53,6 +53,8 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             ApproxSpec(Fraction(1, 3), 3, (3,), 5, Fraction(1, 10))
         with pytest.raises(DomainError):
+            ApproxSpec(Fraction(1, 3), 3, (1,), 5, Fraction(1, 10))
+        with pytest.raises(DomainError):
             ApproxSpec(Fraction(1, 3), 3, (0,), 0, Fraction(1, 10))
 
     def test_json_uses_strings_for_rationals(self):
@@ -61,7 +63,24 @@ class TestSpecValidation:
         assert obj["x"] == "1/3" and obj["q"] == 3
 
 
+def reference_check(spec: ApproxSpec, d: int) -> Fraction:
+    """Worst deviation over the base residue a, one q_binsum call per term."""
+    ideal = Fraction(spec.p, spec.q) * (1 << d)
+    return max(
+        abs(sum(q_binsum((a + y) % spec.q, spec.q, d) for y in spec.P) - ideal)
+        for a in range(spec.q)
+    )
+
+
 class TestCheck:
+    def test_sliding_window_matches_reference(self):
+        for q in range(1, 14):
+            for p in range(q + 1):
+                spec = ApproxSpec(0.5, q, tuple(range(p)), 1, 1.0)
+                # d = 1100 takes the log-space branch of the bound check
+                for d in (*range(1, 24), 70, 200, 1100):
+                    assert check_approx(spec, d).max_error == reference_check(spec, d), (q, p, d)
+
     def test_deviation_matches_direct_sum(self):
         spec = ApproxSpec(Fraction(1, 3), 3, (0,), 1, Fraction(1))
         d = 10

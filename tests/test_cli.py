@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubestats import CertificateError, __version__
+from cubestats import ApproxCheck, CertificateError, __version__, distribution_fast
 from cubestats.constructions import c_d
 from cubestats.cli import VERIFY_SUITES, main
+from cubestats.residues import Thm32Case, Thm32Report
 
 PARITY6 = '{"kind": "parity", "n": 6, "d": 3}'
 
@@ -27,7 +28,6 @@ EVERY_COMMAND = [
     ["exhaustive", "3", "2", "1"],
     ["bounds", "2", "1"],
     ["omega", "2"],
-    ["clique", "2"],
     ["construct", PARITY6],
     ["approx", "0.25", "0.01"],
 ] + [["verify", suite] for suite in VERIFY_SUITES]
@@ -158,10 +158,10 @@ class TestCommands:
         assert report["omega"]["source"] == "hadamard"
 
     def test_clique_certificate_verifies(self, capsys):
-        rc, out, _ = run(capsys, "clique", "3")
+        rc, out, _ = run(capsys, "omega", "3")
         report = json.loads(out)
-        members = report["certificate"]["members"]
-        assert len(members) == 11
+        members = report["omega"]["certificate"]["members"]
+        assert len(members) == report["omega"]["lower"] == 11
         assert all(len(m) == 6 for m in members)
 
     def test_construct(self, capsys):
@@ -176,6 +176,22 @@ class TestCommands:
         assert rc == 0
         assert report["spec"]["q"] == 4
         assert report["check"]["bound_ok"] is True
+
+    @pytest.mark.parametrize(
+        "x, eps, check_d, max_error",
+        [
+            # q = 10,000 and q = 10^6: one q_binsum call per residue and
+            # window member would take seconds and hours
+            ("0.3333", "1e-9", "10", "426688/625"),
+            ("0.333333", "1e-12", "1", "666667/500000"),
+        ],
+    )
+    def test_approx_check_at_large_modulus(self, capsys, x, eps, check_d, max_error):
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, "approx", x, eps, "--check-d", check_d)
+        assert time.perf_counter() - start < 5
+        assert rc == 0
+        assert json.loads(out)["check"]["max_error"] == max_error
 
     def test_csv_output(self, capsys):
         # the CSV report holds exactly the leaves of the JSON report
@@ -230,6 +246,38 @@ class TestVerifySuites:
 
         monkeypatch.setattr("cubestats.cli.hadamard_to_clique", corrupt)
         rc, out, _ = run(capsys, "verify", "clique-certs")
+        assert rc == 1
+        assert json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize(
+        "suite, name, wrong",
+        [
+            ("prop31", "verify_prop31", lambda k, d: False),
+            (
+                "thm32",
+                "verify_thm32",
+                lambda k, dims, workers: Thm32Report(
+                    k, tuple(dims), (), (Thm32Case(1, (0,), (1,) * k),)
+                ),
+            ),
+            (
+                "approx",
+                "check_approx",
+                lambda spec, d: ApproxCheck(Fraction(1 << d), False, False),
+            ),
+            ("third-layer", "third_layer_check", lambda d_max: False),
+            (
+                "oracle-equivalence",
+                "distribution_fast",
+                lambda A, d: distribution_fast(A.complement(), d),
+            ),
+        ],
+    )
+    def test_suite_fails_when_its_check_is_wrong(
+        self, capsys, monkeypatch, suite, name, wrong
+    ):
+        monkeypatch.setattr(f"cubestats.cli.{name}", wrong)
+        rc, out, _ = run(capsys, "verify", suite)
         assert rc == 1
         assert json.loads(out)["pass"] is False
 
@@ -364,7 +412,7 @@ class TestErrors:
                 ' "matrix": {"rows": 1, "cols": 20, "data": ["%s"]}}' % ("1" * 20),
             ],
             ["omega", "101"],
-            ["clique", "1000000"],
+            ["omega", "1000000"],
             ["omega", "100000", "--policy", "search"],
         ],
     )
@@ -430,6 +478,20 @@ class TestErrors:
         rc, out, err = run(capsys, "dist", "--set-file", str(f), "-d", "1")
         assert rc == 2
         assert out == "" and "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clique", "2"],
+            ["omega", "2", "--time-budget", "1"],
+            ["omega", "2", "--policy", "hadamard"],
+        ],
+    )
+    def test_removed_omega_options_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_set_file(self, capsys):
         rc, _, err = run(capsys, "dist", "--set-file", "/nonexistent.json", "-d", "1")
@@ -555,7 +617,7 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_numeric_commands(self, data):
-        commands = ["exhaustive", "bounds", "omega", "clique", "approx"]
+        commands = ["exhaustive", "bounds", "omega", "approx"]
         command = data.draw(st.sampled_from(commands))
         options = []
         if command == "exhaustive":  # n <= 4: the n = 5 build takes about 19 s
@@ -563,8 +625,8 @@ class TestFuzz:
             args = [n, data.draw(st.integers(-1, 4)), data.draw(INT)]
         elif command == "bounds":
             args = [data.draw(INT), data.draw(INT)]
-        elif command in ("omega", "clique"):
-            policy = data.draw(st.sampled_from(["auto", "hadamard", "search"]))
+        elif command == "omega":
+            policy = data.draw(st.sampled_from(["auto", "search"]))
             options = ["--policy", policy]
             s = st.one_of(st.integers(-2, 3), st.sampled_from([101, 10**6]), HUGE)
             args = [data.draw(s)]

@@ -10,11 +10,11 @@ from cubestats import (
     CliqueCertificate,
     DomainError,
     HadamardMatrix,
+    JohnsonGraph,
     binomial,
     hadamard_matrix,
     hadamard_to_clique,
     johnson_adjacent,
-    johnson_graph,
     max_clique,
     omega,
     verify_clique,
@@ -30,24 +30,24 @@ class TestAdjacency:
         assert not johnson_adjacent(0b0011, 0b1100, 1)
 
     def test_graph_vertex_counts(self):
-        assert len(johnson_graph(1).vertices) == binomial(4, 2)
-        assert len(johnson_graph(2).vertices) == binomial(8, 4)
+        assert len(JohnsonGraph(1).vertices) == binomial(4, 2)
+        assert len(JohnsonGraph(2).vertices) == binomial(8, 4)
 
     def test_adjacency_bitsets_symmetric(self):
-        g = johnson_graph(1)
+        g = JohnsonGraph(1)
         adj = g.adjacency_bitsets()
         for i in range(len(adj)):
             assert not (adj[i] >> i) & 1
             for j in range(len(adj)):
                 assert ((adj[i] >> j) & 1) == ((adj[j] >> i) & 1)
-                assert ((adj[i] >> j) & 1) == g.adjacent(
-                    g.vertices[i], g.vertices[j]
+                assert ((adj[i] >> j) & 1) == johnson_adjacent(
+                    g.vertices[i], g.vertices[j], g.s
                 )
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_adjacency_bitsets_match_pairwise_reference(self, s):
         # s = 3 has 924 vertices, more than one block of rows
-        g = johnson_graph(s)
+        g = JohnsonGraph(s)
         want = [
             sum(1 << j for j, v in enumerate(g.vertices) if johnson_adjacent(u, v, s))
             for u in g.vertices
@@ -55,15 +55,13 @@ class TestAdjacency:
         assert g.adjacency_bitsets() == want
 
     def test_capability_caps(self):
+        # refused before listing the 184,756 vertices of J(20,10,5)
         with pytest.raises(CapabilityError):
-            johnson_graph(6)
-        g = johnson_graph(5)  # vertices fine, dense adjacency is not
-        with pytest.raises(CapabilityError):
-            g.adjacency_bitsets()
+            JohnsonGraph(5)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            johnson_graph(0)
+            JohnsonGraph(0)
 
 
 class TestCertificates:
@@ -165,16 +163,16 @@ class TestHadamard:
 
 class TestMaxClique:
     def test_triangle_in_smallest_graph(self):
-        cert, optimal = max_clique(johnson_graph(1))
+        cert, optimal = max_clique(JohnsonGraph(1))
         assert optimal and cert.size() == 3
         assert verify_clique(cert)
 
     def test_seven_clique_at_s2(self):
-        cert, optimal = max_clique(johnson_graph(2))
+        cert, optimal = max_clique(JohnsonGraph(2))
         assert optimal and cert.size() == 7
 
     def test_timeout_reports_partial(self):
-        g = johnson_graph(3)
+        g = JohnsonGraph(3)
         g.adjacency_bitsets()  # prebuild so the budget hits the search
         cert, optimal = max_clique(g, time_budget=0.0)
         assert not optimal
@@ -190,7 +188,8 @@ class TestOmega:
 
     def test_search_policy_agrees_with_hadamard(self):
         for s in (1, 2, 3):
-            assert omega(s, policy="search").lower == omega(s, policy="hadamard").lower
+            assert omega(s).source == "hadamard"
+            assert omega(s, policy="search").lower == omega(s).lower
 
     def test_search_proves_optimality(self):
         w = omega(3, policy="search")
@@ -214,7 +213,8 @@ class TestOmega:
         assert len(obj["certificate"]["members"]) == 7
 
     def test_policy_validation(self):
-        with pytest.raises(DomainError):
-            omega(2, policy="guess")
+        for policy in ("guess", "hadamard"):
+            with pytest.raises(DomainError):
+                omega(2, policy=policy)
         with pytest.raises(DomainError):
             omega(0)
