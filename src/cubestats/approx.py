@@ -106,13 +106,16 @@ def _convergents(x: Fraction) -> Iterator[tuple[int, int]]:
         num, den = den, rem
 
 
-def _least_safe_dimension(q: int, budget: float) -> int:
-    # least d with q e^(-d/(10 q^2)) <= budget
+def _least_safe_dimension(q: int, budget: Fraction) -> int:
+    # least d with q e^(-d/(10 q^2)) <= budget, compared in logarithms so a
+    # budget below the float range neither overflows q/budget nor rounds to 0
     scale = 10.0 * q * q
-    d = max(1, math.ceil(scale * math.log(q / budget)))
-    while q * math.exp(-d / scale) > budget:
+    log_q = math.log(q)
+    log_budget = math.log(budget.numerator) - math.log(budget.denominator)
+    d = max(1, math.ceil(scale * (log_q - log_budget)))
+    while log_q - d / scale > log_budget:
         d += 1
-    while d > 1 and q * math.exp(-(d - 1) / scale) <= budget:
+    while d > 1 and log_q - (d - 1) / scale <= log_budget:
         d -= 1
     return d
 
@@ -142,7 +145,7 @@ def approx_construct(x: float, eps: float) -> ApproxSpec:
             f"{x!r} to within a relative error of {eps}/2"
         )
     p, q = choice
-    d_min = _least_safe_dimension(q, float(budget))
+    d_min = _least_safe_dimension(q, budget)
     return ApproxSpec(x=x, q=q, P=tuple(range(p)), d_min=d_min, tol=eps)
 
 

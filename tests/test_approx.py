@@ -34,6 +34,12 @@ class TestConstruct:
         assert (spec.p, spec.q) == (62, 149)
         assert abs(x - Fraction(spec.p, spec.q)) <= eps / 2 * x
 
+    def test_tolerance_below_float_range(self):
+        # q / budget overflows a float here, and the budget rounds to 0.0 at 5e-324
+        for eps, d_min in ((8.015643185966075e-308, 113693), (5e-324, 119665)):
+            spec = approx_construct(0.25, eps)
+            assert (spec.q, spec.p, spec.d_min) == (4, 1, d_min)
+
     def test_modulus_cap(self):
         with pytest.raises(CapabilityError):
             approx_construct(Fraction(1, 10**6 + 7), Fraction(1, 1000))
