@@ -163,13 +163,22 @@ def _suite_prop31(config: RunConfig) -> list[dict]:
 
 
 def _suite_thm32(config: RunConfig) -> list[dict]:
+    # k passes when the constant cases are exactly the admissible families
+    # at every d (the empty set, Z_k and, for even k, both parity classes),
+    # so a scan that misses a case fails like one that finds a violation
     checks = []
+    dims = range(1, 17)
     for k in range(1, 9):
-        report = verify_thm32(k, range(1, 17), workers=config.workers)
+        report = verify_thm32(k, dims, workers=config.workers)
+        families = [(), tuple(range(k))]
+        if k % 2 == 0:
+            families += [tuple(range(0, k, 2)), tuple(range(1, k, 2))]
+        found = sorted((case.d, case.subset) for case in report.expected)
+        admissible = sorted((d, T) for d in dims for T in families)
         checks.append(
             {
                 "name": f"thm32 k={k} d<=16",
-                "pass": report.ok,
+                "pass": report.ok and found == admissible,
                 "violations": [case.to_json() for case in report.violations],
             }
         )
@@ -339,6 +348,36 @@ def _render_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _render_json(node, pad: str = "") -> str:
+    """``json.dumps(node, sort_keys=True, indent=2)``, with the same bytes.
+
+    With ``indent`` set, json falls back to its pure-Python encoder.  Here
+    a container whose members are all plain str, int, float, bool or None
+    is one call of the C encoder, whose item separator carries the newline
+    and the indentation; only the other containers are walked in Python.
+    ``pad`` is the indentation of the line ``node`` starts on, and so of
+    its closing bracket.  Dict keys must be strings.
+    """
+    if not isinstance(node, (dict, list, tuple)) or not node:
+        return json.dumps(node)
+    inner = pad + "  "
+    children = node.values() if isinstance(node, dict) else node
+    if _SCALAR_TYPES.issuperset(map(type, children)):
+        body = json.dumps(node, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
+    elif isinstance(node, dict):
+        body = (",\n" + inner).join(
+            f"{json.dumps(key)}: {_render_json(child, inner)}"
+            for key, child in sorted(node.items())
+        )
+    else:
+        body = (",\n" + inner).join(_render_json(child, inner) for child in node)
+    opening, closing = ("{", "}") if isinstance(node, dict) else ("[", "]")
+    return f"{opening}\n{inner}{body}\n{pad}{closing}"
+
+
 def _emit(config: RunConfig, text: str) -> None:
     if config.out is None:
         sys.stdout.write(text)
@@ -372,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if config.format == "csv":
             text = _render_csv(report)
         else:
-            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            text = _render_json(report) + "\n"
         _emit(config, text)
     except (DomainError, CertificateError, OSError) as exc:
         print(f"cubestats: {exc}", file=sys.stderr)

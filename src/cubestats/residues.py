@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, is_int
 
 __all__ = [
     "ResidueSumTable",
@@ -155,14 +157,27 @@ class Thm32Report:
 
 
 def _constant_cases(k: int, dims: Sequence[int], masks: Sequence[int]) -> list[Thm32Case]:
-    cases = []
-    for mask in masks:
-        subset = frozenset(i for i in range(k) if (mask >> i) & 1)
-        for d in dims:
-            values = tuple(thm32_q(a, k, d, subset) for a in range(k))
-            if len(set(values)) == 1:
-                cases.append(Thm32Case(d, tuple(sorted(subset)), values))
-    return cases
+    """The constant cases among the residue sets ``masks``, by mask and then by d.
+
+    Row i of ``member`` holds the bits of masks[i], and column a of the
+    circulant ``row[(t - a) % k]`` picks out the shift by a, so one
+    integer product per d gives all k shifted sums of every mask.  Each
+    sum is at most 2^d: int64 holds it while d <= 62, Python ints beyond.
+    """
+    member = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1
+    shift = (np.arange(k)[:, None] - np.arange(k)) % k
+    hits = []
+    for j, d in enumerate(dims):
+        dtype = np.int64 if d <= 62 else object
+        circulant = np.array(_binsum_row(k, d), dtype=dtype)[shift]
+        vals = member.astype(dtype, copy=False) @ circulant
+        for i in np.flatnonzero((vals == vals[:, :1]).all(axis=1)).tolist():
+            hits.append((i, j, (int(vals[i, 0]),) * k))
+    hits.sort(key=lambda hit: hit[:2])
+    return [
+        Thm32Case(dims[j], tuple(t for t in range(k) if masks[i] >> t & 1), values)
+        for i, j, values in hits
+    ]
 
 
 def _classify(k: int, case: Thm32Case) -> bool:
@@ -189,6 +204,9 @@ def verify_thm32(k: int, d_range: Iterable[int], workers: int = 1) -> Thm32Repor
     """
     if not 1 <= k <= 16:
         raise DomainError("subset enumeration supports 1 <= k <= 16")
+    d_range = list(d_range)
+    if not all(map(is_int, d_range)):
+        raise DomainError("dimensions must be integers")
     dims = tuple(sorted({int(d) for d in d_range}))
     if not dims:
         raise DomainError("need at least one dimension")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubestats import ApproxCheck, CertificateError, __version__, distribution_fast
+from cubestats import ApproxCheck, CertificateError, __version__, cli, distribution_fast
 from cubestats.constructions import c_d
 from cubestats.cli import VERIFY_SUITES, main
 from cubestats.residues import Thm32Case, Thm32Report
@@ -218,6 +218,50 @@ class TestCommands:
         assert json.loads(target.read_text())["bounds"]["lower"] == "8/9"
 
 
+_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\n\t\x7f", "é ☃ 𝔸", "\ud800", '"]},\n  ']
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(1 << 64, 1 << 200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e308, -1e308, 5e-324])
+    | _TEXT
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestRenderJson:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_indented_dumps(self, value):
+        want = json.dumps(value, sort_keys=True, indent=2) + "\n"
+        assert cli._render_json(value) + "\n" == want
+
+    def test_main_writes_indented_dumps_bytes(self, capsys, monkeypatch):
+        # the report each run renders, recorded where main builds it
+        reports = []
+        build = cli._envelope
+
+        def envelope(*args):
+            reports.append(build(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "_envelope", envelope)
+        for argv in EVERY_COMMAND:
+            rc, out, _ = run(capsys, *argv)
+            assert rc == 0, argv
+            assert out == json.dumps(reports[-1], sort_keys=True, indent=2) + "\n", argv
+
+
 class TestVerifySuites:
     @pytest.mark.parametrize(
         "suite",
@@ -278,6 +322,16 @@ class TestVerifySuites:
     ):
         monkeypatch.setattr(f"cubestats.cli.{name}", wrong)
         rc, out, _ = run(capsys, "verify", suite)
+        assert rc == 1
+        assert json.loads(out)["pass"] is False
+
+    def test_thm32_fails_when_the_scan_misses_a_case(self, capsys, monkeypatch):
+        # no violations, but none of the admissible families found either
+        monkeypatch.setattr(
+            "cubestats.cli.verify_thm32",
+            lambda k, dims, workers: Thm32Report(k, tuple(dims), (), ()),
+        )
+        rc, out, _ = run(capsys, "verify", "thm32")
         assert rc == 1
         assert json.loads(out)["pass"] is False
 

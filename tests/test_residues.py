@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,18 @@ from cubestats import (
 
 def _direct(a: int, k: int, d: int) -> int:
     return sum(binomial(d, i) for i in range(d + 1) if i % k == a)
+
+
+def _reference_cases(k: int, dims, masks) -> list:
+    """The constant cases by the thm32_q loop, one call per mask, d and shift."""
+    cases = []
+    for mask in masks:
+        subset = tuple(t for t in range(k) if (mask >> t) & 1)
+        for d in dims:
+            values = tuple(thm32_q(a, k, d, subset) for a in range(k))
+            if len(set(values)) == 1:
+                cases.append(residues.Thm32Case(d, subset, values))
+    return cases
 
 
 class TestBinsum:
@@ -195,3 +208,35 @@ class TestConstantSubsetSearch:
     def test_modulus_cap(self):
         with pytest.raises(DomainError):
             verify_thm32(17, [17])
+
+    @pytest.mark.parametrize("dims", [[2.5], [True], [np.float64(3.9)]])
+    def test_non_integer_dimensions_rejected(self, dims):
+        # each was truncated by int() and scanned as a different dimension
+        with pytest.raises(DomainError):
+            verify_thm32(3, dims)
+
+
+class TestConstantCaseKernel:
+    """The one-product-per-d scan against the thm32_q loop it replaced."""
+
+    @staticmethod
+    def check_against_reference(k: int, dims) -> None:
+        ref = _reference_cases(k, sorted(dims), range(1 << k))
+        report = verify_thm32(k, dims)
+        assert report.expected == tuple(c for c in ref if residues._classify(k, c)), k
+        assert report.violations == tuple(c for c in ref if not residues._classify(k, c)), k
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_matches_loop_up_to_d16(self, k):
+        self.check_against_reference(k, range(1, 17))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_loop_past_int64(self, k):
+        # sums reach 2^d: int64 holds d <= 62, Python ints take over at 63
+        self.check_against_reference(k, [61, 62, 63, 64, 100])
+
+    def test_non_contiguous_chunk(self):
+        # a chunk as the pool hands it out, here with every third mask
+        dims = (*range(1, 17), 63)
+        masks = list(range(1 << 8))[5::3]
+        assert residues._constant_cases(8, dims, masks) == _reference_cases(8, dims, masks)
