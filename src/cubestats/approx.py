@@ -3,7 +3,7 @@
 Given a target density x and a relative tolerance eps, pick a continued
 fraction convergent p/q of x with |x - p/q| <= (eps/2) x and take the set
 of vertices whose weight mod q lies in {0, ..., p-1}.  Every d-subcube
-then contains sum_{y in P} q_binsum((a+y) mod q, q, d) set vertices, where
+then contains sum_{0 <= y < p} q_binsum((a+y) mod q, q, d) set vertices, where
 a is the subcube's base weight mod q, and that count deviates from
 (p/q) 2^d by at most q 2^d e^(-d/(10 q^2)).  The d_min recorded in the
 spec is the first dimension where this deviation also fits inside the
@@ -41,11 +41,14 @@ _ULP_SLACK = Fraction(4503599627370497, 4503599627370496) - 1  # 2^-52
 
 @dataclass(frozen=True)
 class ApproxSpec:
-    """A rational density target p/q with its certified dimension threshold."""
+    """A rational density target p/q with its certified dimension threshold.
+
+    The set it describes keeps the vertices whose weight mod q is below p.
+    """
 
     x: float
     q: int
-    P: tuple[int, ...]
+    p: int
     d_min: int
     tol: float
 
@@ -58,18 +61,14 @@ class ApproxSpec:
             raise DomainError("tolerance must be positive")
         if self.d_min < 1:
             raise DomainError("dimension threshold must be at least 1")
-        if self.P != tuple(range(len(self.P))) or len(self.P) > self.q:
-            raise DomainError("P must be the residues 0, ..., p-1 mod q")
-
-    @property
-    def p(self) -> int:
-        return len(self.P)
+        if not 0 <= self.p <= self.q:
+            raise DomainError("p must lie in [0, q]")
 
     def to_json(self) -> dict:
         return {
             "x": str(self.x),
             "q": self.q,
-            "P": list(self.P),
+            "p": self.p,
             "d_min": self.d_min,
             "tol": str(self.tol),
         }
@@ -146,7 +145,7 @@ def approx_construct(x: float, eps: float) -> ApproxSpec:
         )
     p, q = choice
     d_min = _least_safe_dimension(q, budget)
-    return ApproxSpec(x=x, q=q, P=tuple(range(p)), d_min=d_min, tol=eps)
+    return ApproxSpec(x=x, q=q, p=p, d_min=d_min, tol=eps)
 
 
 def _bound_ok(max_error: Fraction, q: int, d: int) -> tuple[bool, bool]:

@@ -7,10 +7,8 @@ of the residue sets that make them equal) back the layered constructions.
 """
 
 import cmath
-import concurrent.futures
-import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -133,6 +131,18 @@ class Thm32Case:
         }
 
 
+def _admissible(k: int, d: int) -> dict[tuple[int, ...], int]:
+    """The residue sets T mod k that Theorem 3.2 allows at d, with their common sum.
+
+    These are the empty set (sum 0), all of Z_k (2^d) and, for even k and
+    d >= 1, the two parity classes (2^(d-1) each).
+    """
+    allowed = {(): 0, tuple(range(k)): 1 << d}
+    if k % 2 == 0 and d >= 1:
+        allowed[tuple(range(0, k, 2))] = allowed[tuple(range(1, k, 2))] = 1 << (d - 1)
+    return allowed
+
+
 @dataclass(frozen=True)
 class Thm32Report:
     """Classification of the constant-sum residue sets found by verify_thm32."""
@@ -144,27 +154,21 @@ class Thm32Report:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "dims": list(self.dims),
-            "ok": self.ok,
-            "expected": [case.to_json() for case in self.expected],
-            "violations": [case.to_json() for case in self.violations],
-        }
+        """No violation, and every admissible (d, T) was found constant."""
+        found = {(case.d, case.subset) for case in self.expected}
+        allowed = {(d, T) for d in self.dims for T in _admissible(self.k, d)}
+        return not self.violations and found == allowed
 
 
-def _constant_cases(k: int, dims: Sequence[int], masks: Sequence[int]) -> list[Thm32Case]:
-    """The constant cases among the residue sets ``masks``, by mask and then by d.
+def _constant_cases(k: int, dims: Sequence[int]) -> list[Thm32Case]:
+    """The constant cases among all 2^k residue sets, by set mask and then by d.
 
-    Row i of ``member`` holds the bits of masks[i], and column a of the
+    Row i of ``member`` holds the bits of mask i, and column a of the
     circulant ``row[(t - a) % k]`` picks out the shift by a, so one
-    integer product per d gives all k shifted sums of every mask.  Each
+    integer product per d gives all k shifted sums of every set.  Each
     sum is at most 2^d: int64 holds it while d <= 62, Python ints beyond.
     """
-    member = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1
+    member = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
     shift = (np.arange(k)[:, None] - np.arange(k)) % k
     hits = []
     for j, d in enumerate(dims):
@@ -175,32 +179,17 @@ def _constant_cases(k: int, dims: Sequence[int], masks: Sequence[int]) -> list[T
             hits.append((i, j, (int(vals[i, 0]),) * k))
     hits.sort(key=lambda hit: hit[:2])
     return [
-        Thm32Case(dims[j], tuple(t for t in range(k) if masks[i] >> t & 1), values)
+        Thm32Case(dims[j], tuple(t for t in range(k) if i >> t & 1), values)
         for i, j, values in hits
     ]
 
 
-def _classify(k: int, case: Thm32Case) -> bool:
-    """True when the constant case is one of the four admissible families."""
-    subset = set(case.subset)
-    common = case.values[0]
-    if not subset:
-        return common == 0
-    if subset == set(range(k)):
-        return common == 1 << case.d
-    if k % 2 == 0 and case.d >= 1:
-        if subset == set(range(0, k, 2)) or subset == set(range(1, k, 2)):
-            return common == 1 << (case.d - 1)
-    return False
-
-
-def verify_thm32(k: int, d_range: Iterable[int], workers: int = 1) -> Thm32Report:
+def verify_thm32(k: int, d_range: Iterable[int]) -> Thm32Report:
     """Scan every residue set T mod k over the given dimensions.
 
     For each T whose k shifted sums are all equal, check that T is the empty
     set, all of Z_k, or (k even) one of the two parity classes, with common
     value 0, 2^d, or 2^(d-1) respectively.  Anything else is a violation.
-    With workers > 1 the scan runs on at most os.cpu_count() processes.
     """
     if not 1 <= k <= 16:
         raise DomainError("subset enumeration supports 1 <= k <= 16")
@@ -213,17 +202,9 @@ def verify_thm32(k: int, d_range: Iterable[int], workers: int = 1) -> Thm32Repor
     if dims[0] < 0:
         raise DomainError("dimensions must be nonnegative")
 
-    masks = list(range(1 << k))
-    if workers > 1 and len(masks) >= 64:
-        step = (len(masks) + workers - 1) // workers
-        chunks = [masks[i : i + step] for i in range(0, len(masks), step)]
-        scan = partial(_constant_cases, k, dims)
-        processes = min(workers, len(chunks), os.cpu_count() or 1)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            cases = [case for chunk in pool.map(scan, chunks) for case in chunk]
-    else:
-        cases = _constant_cases(k, dims, masks)
-
-    expected = tuple(c for c in cases if _classify(k, c))
-    violations = tuple(c for c in cases if not _classify(k, c))
-    return Thm32Report(k=k, dims=dims, expected=expected, violations=violations)
+    allowed = {d: _admissible(k, d) for d in dims}
+    expected, violations = [], []
+    for case in _constant_cases(k, dims):
+        admissible = allowed[case.d].get(case.subset) == case.values[0]
+        (expected if admissible else violations).append(case)
+    return Thm32Report(k, dims, tuple(expected), tuple(violations))

@@ -19,6 +19,7 @@ import numpy as np
 from .cube import VertexSet, binomial, check_mask_dimension, enumerate_subcubes
 from .cube import subcube_count
 from .errors import DomainError, fields
+from .residues import thm32_q
 
 
 @dataclass(frozen=True)
@@ -205,15 +206,17 @@ def layered_distribution(n: int, d: int, spec: LayeredSpec) -> SubcubeDistributi
     """Distribution for the layered set selected by ``spec``, analytically.
 
     A subcube whose base has Hamming weight w meets the layered set in
-    sum(C(d, i) for i with (w+i) mod k in T) vertices, and there are
-    C(n,d)*C(n-d,w) such subcubes.  Exact for any n; no mask is built.
+    thm32_q(w mod k, k, d, T) = sum(C(d, i) for i with (w+i) mod k in T)
+    vertices, and there are C(n,d)*C(n-d,w) such subcubes.  Exact for any
+    n; no mask is built.
     """
     if d < 0 or d > n:
         raise DomainError(f"subcube dimension {d} outside [0, {n}]")
     k, T = spec.k, spec.T
     counts = [0] * ((1 << d) + 1)
     choose_free = binomial(n, d)
+    # the count depends on w only through w mod k
+    hits = [thm32_q(a, k, d, T) for a in range(min(k, n - d + 1))]
     for w in range(n - d + 1):
-        s_w = sum(binomial(d, i) for i in range(d + 1) if (w + i) % k in T)
-        counts[s_w] += choose_free * binomial(n - d, w)
+        counts[hits[w % k]] += choose_free * binomial(n - d, w)
     return SubcubeDistribution(n, d, tuple(counts), subcube_count(n, d))

@@ -153,7 +153,7 @@ def test_c07_layer_balance_and_approximation_bound():
     assert third_layer_check(30)
     for q in range(2, 13):
         for p in range(1, q):
-            spec = ApproxSpec(Fraction(p, q), q, tuple(range(p)), 1, Fraction(1))
+            spec = ApproxSpec(Fraction(p, q), q, p, 1, Fraction(1))
             for d in range(1, 65):
                 assert check_approx(spec, d).bound_ok, (p, q, d)
     _finish(7, "third-layer balance to d=30; deviation bound on full grid", start, 60)

@@ -20,12 +20,12 @@ from cubestats import (
 class TestConstruct:
     def test_exact_rational_target(self):
         spec = approx_construct(Fraction(1, 3), Fraction(1, 100))
-        assert (spec.q, spec.P, spec.p) == (3, (0,), 1)
+        assert (spec.q, spec.p) == (3, 1)
         assert spec.tol == Fraction(1, 100)
 
     def test_two_sevenths(self):
         spec = approx_construct(Fraction(2, 7), Fraction(1, 100))
-        assert (spec.q, spec.P, spec.p) == (7, (0, 1), 2)
+        assert (spec.q, spec.p) == (7, 2)
         assert spec.d_min == 4164
 
     def test_convergent_respects_tolerance(self):
@@ -53,27 +53,26 @@ class TestConstruct:
 
 class TestSpecValidation:
     def test_initial_segment_enforced(self):
-        ApproxSpec(Fraction(1, 3), 3, (0,), 5, Fraction(1, 10))
+        # the residues 0, ..., p-1 fit in Z_q exactly when 0 <= p <= q
+        for p in (0, 1, 3):
+            ApproxSpec(Fraction(1, 3), 3, p, 5, Fraction(1, 10))
+        for p in (-1, 4):
+            with pytest.raises(DomainError):
+                ApproxSpec(Fraction(1, 3), 3, p, 5, Fraction(1, 10))
         with pytest.raises(DomainError):
-            ApproxSpec(Fraction(1, 3), 3, (1, 0), 5, Fraction(1, 10))
-        with pytest.raises(DomainError):
-            ApproxSpec(Fraction(1, 3), 3, (3,), 5, Fraction(1, 10))
-        with pytest.raises(DomainError):
-            ApproxSpec(Fraction(1, 3), 3, (1,), 5, Fraction(1, 10))
-        with pytest.raises(DomainError):
-            ApproxSpec(Fraction(1, 3), 3, (0,), 0, Fraction(1, 10))
+            ApproxSpec(Fraction(1, 3), 3, 1, 0, Fraction(1, 10))
 
     def test_json_uses_strings_for_rationals(self):
-        spec = ApproxSpec(Fraction(1, 3), 3, (0,), 5, Fraction(1, 10))
+        spec = ApproxSpec(Fraction(1, 3), 3, 1, 5, Fraction(1, 10))
         obj = spec.to_json()
-        assert obj["x"] == "1/3" and obj["q"] == 3
+        assert obj["x"] == "1/3" and obj["q"] == 3 and obj["p"] == 1
 
 
 def reference_check(spec: ApproxSpec, d: int) -> Fraction:
     """Worst deviation over the base residue a, one q_binsum call per term."""
     ideal = Fraction(spec.p, spec.q) * (1 << d)
     return max(
-        abs(sum(q_binsum((a + y) % spec.q, spec.q, d) for y in spec.P) - ideal)
+        abs(sum(q_binsum((a + y) % spec.q, spec.q, d) for y in range(spec.p)) - ideal)
         for a in range(spec.q)
     )
 
@@ -82,13 +81,13 @@ class TestCheck:
     def test_sliding_window_matches_reference(self):
         for q in range(1, 14):
             for p in range(q + 1):
-                spec = ApproxSpec(0.5, q, tuple(range(p)), 1, 1.0)
+                spec = ApproxSpec(0.5, q, p, 1, 1.0)
                 # d = 1100 takes the log-space branch of the bound check
                 for d in (*range(1, 24), 70, 200, 1100):
                     assert check_approx(spec, d).max_error == reference_check(spec, d), (q, p, d)
 
     def test_deviation_matches_direct_sum(self):
-        spec = ApproxSpec(Fraction(1, 3), 3, (0,), 1, Fraction(1))
+        spec = ApproxSpec(Fraction(1, 3), 3, 1, 1, Fraction(1))
         d = 10
         out = check_approx(spec, d)
         want = max(
@@ -106,12 +105,12 @@ class TestCheck:
         assert out.bound_ok and not out.borderline
 
     def test_log_space_path_past_float_range(self):
-        spec = ApproxSpec(Fraction(1, 3), 3, (0,), 1, Fraction(1))
+        spec = ApproxSpec(Fraction(1, 3), 3, 1, 1, Fraction(1))
         out = check_approx(spec, 1100)  # 2^1100 overflows float64
         assert out.bound_ok
 
     def test_bound_holds_across_dimension_slice(self):
-        spec = ApproxSpec(Fraction(2, 5), 5, (0, 1), 1, Fraction(1))
+        spec = ApproxSpec(Fraction(2, 5), 5, 2, 1, Fraction(1))
         for d in range(1, 65, 7):
             out = check_approx(spec, d)
             assert out.bound_ok, d

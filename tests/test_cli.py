@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubestats import ApproxCheck, CertificateError, __version__, cli, distribution_fast
+from cubestats import (
+    ApproxCheck,
+    CertificateError,
+    __version__,
+    cli,
+    distribution_fast,
+    residues,
+)
 from cubestats.constructions import c_d
 from cubestats.cli import VERIFY_SUITES, main
 from cubestats.residues import Thm32Case, Thm32Report
@@ -174,7 +181,7 @@ class TestCommands:
         rc, out, _ = run(capsys, "approx", "0.25", "0.01")
         report = json.loads(out)
         assert rc == 0
-        assert report["spec"]["q"] == 4
+        assert (report["spec"]["q"], report["spec"]["p"]) == (4, 1)
         assert report["check"]["bound_ok"] is True
 
     @pytest.mark.parametrize(
@@ -300,7 +307,7 @@ class TestVerifySuites:
             (
                 "thm32",
                 "verify_thm32",
-                lambda k, dims, workers: Thm32Report(
+                lambda k, dims: Thm32Report(
                     k, tuple(dims), (), (Thm32Case(1, (0,), (1,) * k),)
                 ),
             ),
@@ -329,11 +336,25 @@ class TestVerifySuites:
         # no violations, but none of the admissible families found either
         monkeypatch.setattr(
             "cubestats.cli.verify_thm32",
-            lambda k, dims, workers: Thm32Report(k, tuple(dims), (), ()),
+            lambda k, dims: Thm32Report(k, tuple(dims), (), ()),
         )
         rc, out, _ = run(capsys, "verify", "thm32")
         assert rc == 1
         assert json.loads(out)["pass"] is False
+
+    def test_thm32_fails_when_the_kernel_drops_a_case(self, capsys, monkeypatch):
+        # negative control below the report: the true scan, less T = {} at d = 1
+        scan = residues._constant_cases
+        monkeypatch.setattr(
+            residues,
+            "_constant_cases",
+            lambda k, dims: [c for c in scan(k, dims) if (c.d, c.subset) != (1, ())],
+        )
+        rc, out, _ = run(capsys, "verify", "thm32")
+        assert rc == 1
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert not any(check["pass"] or check["violations"] for check in report["checks"])
 
     def test_thm32_suite(self, capsys):
         rc, out, _ = run(capsys, "verify", "thm32", "--workers", "2")

@@ -25,10 +25,10 @@ def _direct(a: int, k: int, d: int) -> int:
     return sum(binomial(d, i) for i in range(d + 1) if i % k == a)
 
 
-def _reference_cases(k: int, dims, masks) -> list:
+def _reference_cases(k: int, dims) -> list:
     """The constant cases by the thm32_q loop, one call per mask, d and shift."""
     cases = []
-    for mask in masks:
+    for mask in range(1 << k):
         subset = tuple(t for t in range(k) if (mask >> t) & 1)
         for d in dims:
             values = tuple(thm32_q(a, k, d, subset) for a in range(k))
@@ -174,37 +174,6 @@ class TestConstantSubsetSearch:
                 assert len(set(c.values)) == 1
                 assert c.values[0] in (0, 1 << (c.d - 1), 1 << c.d)
 
-    def test_parallel_matches_serial(self):
-        a = verify_thm32(6, range(6, 10), workers=1)
-        b = verify_thm32(6, range(6, 10), workers=2)
-        assert a == b
-
-    @pytest.mark.parametrize(
-        "workers, cpus, started", [(1000, 3, 3), (1000, None, 1), (48, 64, 32), (4, 64, 4)]
-    )
-    def test_pool_size_is_capped(self, monkeypatch, workers, cpus, started):
-        # a serial stand-in for the pool: no process is started
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(residues.concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(residues.os, "cpu_count", lambda: cpus)
-        parallel = verify_thm32(6, range(6, 10), workers=workers)
-        assert sizes == [started]
-        assert parallel == verify_thm32(6, range(6, 10))
-
     def test_modulus_cap(self):
         with pytest.raises(DomainError):
             verify_thm32(17, [17])
@@ -221,22 +190,46 @@ class TestConstantCaseKernel:
 
     @staticmethod
     def check_against_reference(k: int, dims) -> None:
-        ref = _reference_cases(k, sorted(dims), range(1 << k))
+        ref = _reference_cases(k, sorted(dims))
         report = verify_thm32(k, dims)
-        assert report.expected == tuple(c for c in ref if residues._classify(k, c)), k
-        assert report.violations == tuple(c for c in ref if not residues._classify(k, c)), k
+
+        def admissible(case):
+            return residues._admissible(k, case.d).get(case.subset) == case.values[0]
+
+        assert report.expected == tuple(c for c in ref if admissible(c)), k
+        assert report.violations == tuple(c for c in ref if not admissible(c)), k
+        assert report.ok, k
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_matches_loop_up_to_d16(self, k):
         self.check_against_reference(k, range(1, 17))
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_loop_past_int64(self, k):
         # sums reach 2^d: int64 holds d <= 62, Python ints take over at 63
         self.check_against_reference(k, [61, 62, 63, 64, 100])
 
-    def test_non_contiguous_chunk(self):
-        # a chunk as the pool hands it out, here with every third mask
-        dims = (*range(1, 17), 63)
-        masks = list(range(1 << 8))[5::3]
-        assert residues._constant_cases(8, dims, masks) == _reference_cases(8, dims, masks)
+
+class TestAdmissibleFamilies:
+    def test_families(self):
+        assert residues._admissible(1, 3) == {(): 0, (0,): 8}
+        assert residues._admissible(3, 0) == {(): 0, (0, 1, 2): 1}
+        assert residues._admissible(4, 0) == {(): 0, (0, 1, 2, 3): 1}
+        assert residues._admissible(4, 3) == {
+            (): 0,
+            (0, 1, 2, 3): 8,
+            (0, 2): 4,
+            (1, 3): 4,
+        }
+
+    def test_scan_missing_a_case_fails(self, monkeypatch):
+        # negative control: drop one admissible case from an otherwise true scan
+        scan = residues._constant_cases
+
+        def drop_parity_class(k, dims):
+            return [c for c in scan(k, dims) if (c.d, c.subset) != (2, (1, 3))]
+
+        assert verify_thm32(4, range(1, 5)).ok
+        monkeypatch.setattr(residues, "_constant_cases", drop_parity_class)
+        report = verify_thm32(4, range(1, 5))
+        assert not report.violations and not report.ok
