@@ -1,9 +1,10 @@
 """Clique numbers of the intersection graphs J(4s, 2s, s), with timing.
 
 Shows the enclosure for each s, the certificate source, and how long it
-took. Exact entries come from explicit Hadamard matrices or from the
-branch-and-bound search; past the dense-search range only the greedy
-lower bound and the 4s-1 cap remain.
+took. Every upper bound is the a-priori cap 4s-1, and an entry is exact
+when its clique reaches that cap: a clique from an explicit Hadamard
+matrix, or from the greedy-colouring descent in the explicit graph
+(s <= 4). Otherwise only the lex-greedy lower bound remains.
 
 Usage: python3 scripts/omega_table.py --max-s 8 [--policy search]
 """

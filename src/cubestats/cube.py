@@ -155,8 +155,6 @@ class Subcube:
 
 def subcube_vertices(q: Subcube) -> list[int]:
     """All 2^d vertices of the subcube, ascending."""
-    if q.base & q.free:
-        raise DomainError("non-canonical subcube")
     positions = [i for i in range(q.n) if (q.free >> i) & 1]
     d = len(positions)
     out = []

@@ -1,4 +1,4 @@
-"""Generalized Johnson graph J(4s,2s,s), exact clique search, and ω(s).
+"""Generalized Johnson graph J(4s,2s,s), a clique descent in it, and ω(s).
 
 Vertices are the 2s-element subsets of a 4s-element ground set, encoded
 as bit masks; two vertices are adjacent when the subsets intersect in
@@ -9,7 +9,6 @@ exactly s elements.  ω(s) = 4s-1 exactly when a Hadamard matrix of order
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,19 +98,15 @@ class JohnsonGraph:
             sum(1 << e for e in combo)
             for combo in itertools.combinations(range(4 * s), 2 * s)
         )
-        self._adjacency: list[int] | None = None
 
     def adjacency_bitsets(self) -> list[int]:
         """adj[i] has bit j set iff vertices i and j are adjacent."""
-        if self._adjacency is not None:
-            return self._adjacency
         verts = np.array(self.vertices, dtype=np.uint64)
         adj: list[int] = []
         # a block of rows at a time; a vertex meets itself in 2s != s elements
         for lo in range(0, verts.size, _ADJ_BLOCK_ROWS):
             block = verts[lo : lo + _ADJ_BLOCK_ROWS, None] & verts
             adj += _row_ints(np.bitwise_count(block) == self.s)
-        self._adjacency = adj
         return adj
 
 
@@ -132,75 +127,35 @@ def hadamard_to_clique(H: HadamardMatrix) -> CliqueCertificate:
     return cert
 
 
-class _SearchTimeout(Exception):
-    pass
-
-
-class _CapReached(Exception):
-    pass
-
-
-def _color_order(cand: int, adj: list[int]) -> list[tuple[int, int]]:
-    """Greedy color classes of the candidate set; returns (vertex, color) ascending."""
-    out = []
-    color = 0
+def _last_colored(cand: int, adj: list[int]) -> int:
+    """The vertex a greedy colouring of the candidate set colours last."""
     rest = cand
     while rest:
-        color += 1
         avail = rest
         while avail:
             v = (avail & -avail).bit_length() - 1
-            out.append((v, color))
-            avail &= ~adj[v]
-            avail &= ~(1 << v)
+            avail &= ~adj[v] & ~(1 << v)
             rest &= ~(1 << v)
-    return out
+    return v
 
 
-def max_clique(
-    graph: JohnsonGraph, time_budget: float | None = None
-) -> tuple[CliqueCertificate, bool]:
-    """Deterministic branch-and-bound maximum clique.
+def max_clique(graph: JohnsonGraph) -> tuple[CliqueCertificate, bool]:
+    """Deterministic greedy-colouring descent to a maximal clique.
 
-    The bound at each node is min(greedy coloring count, 4s-1); reaching
-    the a-priori cap 4s-1 ends the search immediately.  Returns the best
-    clique found and whether optimality was proven within the budget.
+    Each step adds the candidate that a greedy colouring of the remaining
+    candidates colours last and keeps only its neighbours.  Returns the
+    clique and whether it reached the a-priori cap 4s-1, which proves it
+    maximum; for every s <= 4 it does.
     """
-    s = graph.s
-    cap = 4 * s - 1
-    verts = graph.vertices
     adj = graph.adjacency_bitsets()
-    n = len(verts)
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    best: list[int] = []
-
-    def expand(clique: list[int], cand: int) -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise _SearchTimeout
-        for v, color in reversed(_color_order(cand, adj)):
-            if len(clique) + color <= len(best):
-                return
-            clique.append(v)
-            sub = cand & adj[v]
-            if not sub:
-                if len(clique) > len(best):
-                    best[:] = clique
-                    if len(best) >= cap:
-                        raise _CapReached
-            else:
-                expand(clique, sub)
-            clique.pop()
-            cand &= ~(1 << v)
-
-    optimal = True
-    try:
-        expand([], (1 << n) - 1)
-    except _SearchTimeout:
-        optimal = False
-    except _CapReached:
-        optimal = True
-    cert = CliqueCertificate(s, tuple(verts[i] for i in best))
-    return cert, optimal
+    clique: list[int] = []
+    cand = (1 << len(graph.vertices)) - 1
+    while cand:
+        v = _last_colored(cand, adj)
+        clique.append(graph.vertices[v])
+        cand &= adj[v]
+    cert = CliqueCertificate(graph.s, tuple(clique))
+    return cert, cert.size() == 4 * graph.s - 1
 
 
 def _greedy_clique(s: int) -> CliqueCertificate:
@@ -242,10 +197,11 @@ class OmegaResult:
 def omega(s: int, policy: str = "auto") -> OmegaResult:
     """Clique number of J(4s,2s,s).
 
-    ``auto`` certifies the exact 4s-1 when a Hadamard matrix of order 4s
-    is constructible; ``search`` proves the value by clique search for
-    s <= DENSE_ADJACENCY_CAP.  Otherwise the greedy clique and the 4s-1
-    cap enclose it.
+    A clique and the a-priori cap 4s-1 enclose it, and the value is exact
+    when the clique reaches the cap.  ``auto`` takes the clique from a
+    Hadamard matrix of order 4s when one is constructible; ``search``
+    takes it from the ``max_clique`` descent for s <= DENSE_ADJACENCY_CAP.
+    Otherwise a lex-greedy clique is the lower bound.
     """
     if s < 1:
         raise DomainError("s must be >= 1")
@@ -260,6 +216,7 @@ def omega(s: int, policy: str = "auto") -> OmegaResult:
             return OmegaResult(s, cap, cap, hadamard_to_clique(H), "hadamard")
     if policy == "search" and s <= DENSE_ADJACENCY_CAP:
         cert, _ = max_clique(JohnsonGraph(s))
-        return OmegaResult(s, cert.size(), cert.size(), cert, "search")
-    cert = _greedy_clique(s)
-    return OmegaResult(s, cert.size(), cap, cert, "greedy")
+        source = "search"
+    else:
+        cert, source = _greedy_clique(s), "greedy"
+    return OmegaResult(s, cert.size(), cap, cert, source)

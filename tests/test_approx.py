@@ -1,5 +1,6 @@
 """Rational approximation of a target density by residue-class unions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from cubestats import (
     q_binsum,
     third_layer_check,
 )
+from cubestats.approx import _bound_ok
 
 
 class TestConstruct:
@@ -77,6 +79,11 @@ def reference_check(spec: ApproxSpec, d: int) -> Fraction:
     )
 
 
+def float_bound(q: int, d: int) -> Fraction:
+    """The bound q 2^d e^(-d/(10 q^2)) as the check evaluates it in float64."""
+    return Fraction(q * math.exp(d * math.log(2.0) - d / (10.0 * q * q)))
+
+
 class TestCheck:
     def test_sliding_window_matches_reference(self):
         for q in range(1, 14):
@@ -103,6 +110,18 @@ class TestCheck:
         spec = approx_construct(Fraction(2, 7), Fraction(1, 100))
         out = check_approx(spec, spec.d_min)
         assert out.bound_ok and not out.borderline
+
+    @pytest.mark.parametrize(
+        "d, error, want",
+        [
+            (10, lambda: float_bound(3, 10), (True, False)),
+            (10, lambda: float_bound(3, 10) * (1 + Fraction(1, 1 << 52)), (True, True)),
+            (10, lambda: 2 * float_bound(3, 10), (False, False)),
+            (1100, lambda: Fraction(1 << 1101), (False, False)),  # log-space branch
+        ],
+    )
+    def test_bound_ok_borderline_and_failing(self, d, error, want):
+        assert _bound_ok(error(), 3, d) == want
 
     def test_log_space_path_past_float_range(self):
         spec = ApproxSpec(Fraction(1, 3), 3, 1, 1, Fraction(1))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from cubestats import (
     ApproxCheck,
     CertificateError,
+    VertexSet,
     __version__,
     cli,
     distribution_fast,
@@ -322,6 +323,8 @@ class TestVerifySuites:
                 "distribution_fast",
                 lambda A, d: distribution_fast(A.complement(), d),
             ),
+            ("clique-certs", "verify_clique", lambda cert: False),
+            ("clique-certs", "hadamard_matrix", lambda order: None),
         ],
     )
     def test_suite_fails_when_its_check_is_wrong(
@@ -331,6 +334,14 @@ class TestVerifySuites:
         rc, out, _ = run(capsys, "verify", suite)
         assert rc == 1
         assert json.loads(out)["pass"] is False
+
+    def test_oracle_equivalence_fails_when_the_complement_does_not_mirror(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(VertexSet, "complement", lambda self: self)
+        rc, out, _ = run(capsys, "verify", "oracle-equivalence")
+        assert rc == 1
+        assert [c["pass"] for c in json.loads(out)["checks"]] == [True, False]
 
     def test_thm32_fails_when_the_scan_misses_a_case(self, capsys, monkeypatch):
         # no violations, but none of the admissible families found either

@@ -1,9 +1,12 @@
 """Intersection-graph cliques and Hadamard certificates."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
+import cubestats.johnson
 from cubestats import (
     CapabilityError,
     CertificateError,
@@ -20,7 +23,8 @@ from cubestats import (
     verify_clique,
 )
 
-HADAMARD_ORDERS = (4, 8, 12, 16, 20, 24, 32)
+# 40 and 96 are neither Sylvester nor Paley orders, so they go through hadamard_tensor
+HADAMARD_ORDERS = (4, 8, 12, 16, 20, 24, 32, 40, 96)
 
 
 class TestAdjacency:
@@ -171,12 +175,23 @@ class TestMaxClique:
         cert, optimal = max_clique(JohnsonGraph(2))
         assert optimal and cert.size() == 7
 
-    def test_timeout_reports_partial(self):
-        g = JohnsonGraph(3)
-        g.adjacency_bitsets()  # prebuild so the budget hits the search
-        cert, optimal = max_clique(g, time_budget=0.0)
-        assert not optimal
-        assert verify_clique(cert)
+    @pytest.mark.parametrize(
+        "s, members",
+        [
+            (1, (6, 10, 12)),
+            (2, (142, 102, 90, 178, 60, 212, 232)),
+            (3, "6c359925eda25589346a7c1d0bd1390945139046f154a4d9e796631ba9cd44ce"),
+            (4, "6e7024aeed9a5714f252bd7356b6eb22732cc5a9fd44bded01d78deb81220f71"),
+        ],
+    )
+    def test_descent_reaches_the_cap_with_pinned_members(self, s, members):
+        cert, optimal = max_clique(JohnsonGraph(s))
+        assert optimal and cert.size() == 4 * s - 1
+        if isinstance(members, tuple):
+            assert cert.members == members
+        else:
+            listed = json.dumps(cert.to_json()["members"]).encode()
+            assert hashlib.sha256(listed).hexdigest() == members
 
 
 class TestOmega:
@@ -194,6 +209,17 @@ class TestOmega:
     def test_search_proves_optimality(self):
         w = omega(3, policy="search")
         assert w.exact and w.source == "search"
+
+    def test_search_below_the_cap_is_not_exact(self, monkeypatch):
+        # the upper bound is the cap 4s-1, not the size of the clique found
+        short = CliqueCertificate(2, (15, 51))
+        monkeypatch.setattr(cubestats.johnson, "max_clique", lambda g: (short, False))
+        omega.cache_clear()
+        try:
+            w = omega(2, policy="search")
+        finally:
+            omega.cache_clear()
+        assert (w.lower, w.upper, w.exact) == (2, 7, False)
 
     def test_search_at_s4_is_exact(self):
         w = omega(4, policy="search")
