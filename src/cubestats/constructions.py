@@ -200,8 +200,10 @@ def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
     total_bits = (1 << n) * d
     raw = np.frombuffer(rng.bytes((total_bits + 7) // 8 + 1), dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="little")[:total_bits]
-    keep = ~bits.reshape((1 << n), d).any(axis=1)
-    return VertexSet.from_flags(n, keep)
+    hit = np.zeros(1 << n, dtype=np.uint8)
+    for j in range(d):  # OR the d bit columns: far cheaper than .any(axis=1)
+        hit |= bits[j::d]
+    return VertexSet.from_flags(n, hit == 0)
 
 
 def layered_set(n: int, spec: LayeredSpec) -> VertexSet:

@@ -4,7 +4,8 @@ Three routes to the same quantity, kept deliberately independent so they
 can cross-check each other:
 
 * ``distribution``       -- direct per-subcube popcounts (the oracle),
-* ``distribution_fast``  -- prefix-shared coordinate folding (the fast path),
+* ``distribution_fast``  -- prefix-shared coordinate folding replayed from
+  a cached per-block plan (the fast path),
 * ``layered_distribution`` -- analytic counts for layered sets, valid for n
   far beyond the materialized-mask cap.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,8 +140,8 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
 
     The free-coordinate sets are built one coordinate per level, in
     ascending order, so each partial fold is computed once and reused by
-    every free set that extends it (see ``_leaf_blocks``).  Sums stay in
-    the smallest unsigned dtype that holds 2^d, so counts are exact.
+    every free set that extends it; ``_block_plan`` caches that traversal.
+    Sums stay in the smallest unsigned dtype that holds 2^d: counts are exact.
     """
     n = A.n
     if d < 0 or d > n:
@@ -147,52 +149,58 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
     dtype = np.uint8 if d < 8 else np.uint16 if d < 16 else np.uint32
     top = A.flags().astype(dtype).reshape(1, 1 << n)
     hist = np.zeros((1 << d) + 1, dtype=np.int64)
-    for leaves in _leaf_blocks(top, np.array([-1]), 0, n, d):
-        flat = leaves.ravel()
-        # bincount copies its input to intp; slicing keeps that copy small.
-        for i in range(0, flat.size, _BLOCK_ELEMS):
-            hist += np.bincount(flat[i : i + _BLOCK_ELEMS], minlength=(1 << d) + 1)
-    counts = tuple(int(c) for c in hist)
-    return SubcubeDistribution(n, d, counts, subcube_count(n, d))
+    _replay(_block_plan(n, d, 0, ((-1, 1),), _BLOCK_ELEMS), top, hist)
+    return SubcubeDistribution(n, d, tuple(hist.tolist()), subcube_count(n, d))
 
 
-# Upper bound on the elements of one block of rows in ``_leaf_blocks``
-# (a single row may exceed it); it keeps the kernel's memory flat in n.
+# Most elements in one block of rows (one row may exceed it): memory stays flat in n.
 _BLOCK_ELEMS = 1 << 16
 
 
-def _leaf_blocks(rows: np.ndarray, ends: np.ndarray, k: int, n: int, d: int):
-    """Yield blocks of d-fold rows: one row per free set, 2^(n-d) counts each.
+@lru_cache(maxsize=None)
+def _block_plan(n: int, d: int, k: int, runs: tuple, block: int) -> tuple | None:
+    """The steps that fold one block of level-k rows; ``None`` once k == d.
 
-    Each row of ``rows`` is the indicator summed over k free coordinates,
-    the largest being the row's entry in ``ends`` (ascending).  Folding in
-    coordinate p > ends extends it; p stops at n-d+k so that d-k-1 larger
-    coordinates remain.  The rows ending below p are a prefix, so one
-    reshape-add folds all of them, and each child block is again sorted.
+    A row sums the indicator over k free coordinates, the largest its end;
+    ``runs`` is ((end, count), ...), ends ascending.  The rows ending below
+    coordinate p <= n-d+k are a prefix: (a, b, low, c) folds rows a..b at
+    stride low into rows c.. of the next level's buffer, and (child, rows)
+    replays ``child`` on that buffer when full and at the end.
     """
     if k == d:
-        yield rows
-        return
-    width = rows.shape[1] >> 1
-    cap = max(1, _BLOCK_ELEMS // width)
-    out = np.empty((cap, width), dtype=rows.dtype)
-    out_ends = np.empty(cap, dtype=np.int64)
-    filled = 0
-    for p in range(k, n - d + k + 1):
-        low = 1 << (p - k)  # stride of coordinate p once the k folded ones are gone
-        start, stop = 0, int(np.searchsorted(ends, p))
+        return None
+    cap, last = max(1, block >> (n - k - 1)), n - d + k
+    steps, child, filled = [], [], 0
+    for p in range(k, last + 1):
+        start, stop = 0, sum(c for end, c in runs if end < p)
         while start < stop:
             take = min(stop - start, cap - filled)
-            pairs = rows[start : start + take].reshape(take, -1, 2, low)
-            dest = out[filled : filled + take].reshape(take, -1, low)
-            np.add(pairs[:, :, 0], pairs[:, :, 1], out=dest)
-            out_ends[filled : filled + take] = p
+            steps.append((start, start + take, 1 << (p - k), filled))
+            child.append((p, take))  # p recurs only after a flush
             start, filled = start + take, filled + take
-            if filled == cap:
-                yield from _leaf_blocks(out, out_ends, k + 1, n, d)
-                filled = 0
-    if filled:
-        yield from _leaf_blocks(out[:filled], out_ends[:filled], k + 1, n, d)
+            if filled == cap or start == stop and p == last:
+                steps.append((_block_plan(n, d, k + 1, tuple(child), block), filled))
+                child, filled = [], 0
+    return tuple(steps)
+
+
+def _replay(plan: tuple | None, rows: np.ndarray, hist: np.ndarray) -> None:
+    """Run ``plan`` on ``rows``, bincounting its leaves into ``hist``."""
+    if plan is None:
+        flat = rows.ravel()  # bincount copies to intp; slicing keeps that small
+        for i in range(0, flat.size, _BLOCK_ELEMS):
+            hist += np.bincount(flat[i : i + _BLOCK_ELEMS], minlength=hist.size)
+        return
+    width = rows.shape[1] >> 1
+    out = np.empty((max(1, _BLOCK_ELEMS // width), width), dtype=rows.dtype)
+    for step in plan:
+        if len(step) == 2:
+            _replay(step[0], out[: step[1]], hist)
+        else:
+            a, b, low, c = step
+            pairs = rows[a:b].reshape(b - a, -1, 2, low)
+            dest = out[c : c + b - a].reshape(b - a, -1, low)
+            np.add(pairs[:, :, 0], pairs[:, :, 1], out=dest)
 
 
 def lambda_of_set(A: VertexSet, d: int, s: int) -> Fraction:

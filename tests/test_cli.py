@@ -282,14 +282,6 @@ class TestVerifySuites:
         assert report["pass"] is True
         assert all(c["pass"] for c in report["checks"])
 
-    def test_clique_certs_fails_when_a_certificate_does_not_verify(
-        self, capsys, monkeypatch
-    ):
-        monkeypatch.setattr("cubestats.cli.verify_clique", lambda cert: False)
-        rc, out, _ = run(capsys, "verify", "clique-certs")
-        assert rc == 1
-        assert json.loads(out)["pass"] is False
-
     def test_clique_certs_fails_when_a_certificate_cannot_be_built(
         self, capsys, monkeypatch
     ):

@@ -1,5 +1,6 @@
 """Lower-bound constructions: syndrome sets, layers, cliques, perturbations."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +147,42 @@ class TestConcreteSets:
 
     def test_bernoulli_zero_cost_keeps_everything(self):
         assert bernoulli_set(4, 0, seed=1) == VertexSet.full(4)
+
+    @pytest.mark.parametrize(
+        "n, d, seed, digest",
+        [
+            (
+                10,
+                3,
+                0,
+                "8f6a627567cf199597e494d1c6b495e1b89642de30c6015757cb142e64082baa",
+            ),
+            (
+                9,
+                0,
+                1,
+                "8667e718294e9e0df1d30600ba3eeb201f764aad2dad72748643e4a285e1d1f7",
+            ),
+            (
+                11,
+                5,
+                2**63 - 1,
+                "c6c12afa298965ea03d6be996be8713460281bcc313250be1e759b9b81d97a13",
+            ),
+            (
+                8,
+                8,
+                2**128 - 1,
+                "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+            ),
+        ],
+    )
+    def test_bernoulli_membership_is_pinned(self, n, d, seed, digest):
+        # sha256 of the little-endian membership mask, pinned so that a
+        # faster kernel cannot change which vertices a seed keeps
+        bits = bernoulli_set(n, d, seed).bits
+        mask = bits.to_bytes(1 << (n - 3), "little")
+        assert hashlib.sha256(mask).hexdigest() == digest
 
     def test_bernoulli_density_near_target(self):
         n, d, reps = 6, 2, 200

@@ -14,6 +14,8 @@ from cubestats import (
     LayeredSpec,
     SubcubeDistribution,
     VertexSet,
+    bernoulli_set,
+    binomial,
     distribution,
     distribution_fast,
     lambda_of_set,
@@ -87,6 +89,41 @@ class TestDistribution:
             for d in range(n + 1):
                 A = VertexSet(n, rng.getrandbits(1 << n))
                 assert distribution_fast(A, d) == distribution(A, d), (n, d)
+
+    def test_plan_honours_a_patched_block_size(self, monkeypatch):
+        # a plan cached without its block size would replay the default
+        # plan warmed here, which folds all five top rows into one block
+        A = VertexSet(8, random.Random(8).getrandbits(1 << 8))
+        distribution_fast(A, 4)
+        monkeypatch.setattr(stats, "_BLOCK_ELEMS", 8)
+        widths = []
+        replay = stats._replay
+
+        def spy(plan, rows, hist):
+            widths.append(rows.shape[1])
+            replay(plan, rows, hist)
+
+        monkeypatch.setattr(stats, "_replay", spy)
+        assert distribution_fast(A, 4) == distribution(A, 4)
+        assert widths.count(1 << 7) > 1  # level-1 blocks: the top plan's flushes
+
+    @pytest.mark.parametrize("block", [1, 8, 64, 1 << 16])
+    def test_plan_emits_every_free_set_once(self, block):
+        def leaf_rows(plan, rows):
+            if plan is None:
+                return rows
+            return sum(leaf_rows(*step) for step in plan if len(step) == 2)
+
+        for n in range(13):
+            for d in range(n + 1):
+                top = stats._block_plan(n, d, 0, ((-1, 1),), block)
+                assert leaf_rows(top, 1) == binomial(n, d), (n, d)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fast_matches_reference_on_bernoulli_sets(self, seed):
+        # the shape of the Monte Carlo sweeps: many small sets in Q_10, d = 3
+        A = bernoulli_set(10, 3, seed)
+        assert distribution_fast(A, 3) == distribution(A, 3)
 
     @given(vertex_sets(), st.data())
     @settings(max_examples=60, deadline=None)
