@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cube import Subcube, VertexSet, binomial, check_mask_dimension
+from .cube import check_subcube_dimension
 from .errors import CapabilityError, CertificateError, DomainError, fields
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
@@ -68,8 +69,7 @@ def spanning_fraction(B: GF2Matrix, d: int) -> Fraction:
     with m colors in exactly m·2^(d-r) vertices, so this fraction is a
     certified lower bound on the corresponding λ.
     """
-    if d < 0 or d > B.cols:
-        raise DomainError(f"d={d} outside [0, {B.cols}]")
+    check_subcube_dimension(B.cols, d)  # column subsets are free sets of Q_cols
     if binomial(B.cols, d) > _SPANNING_SUBSET_CAP:
         raise CapabilityError(
             f"C({B.cols}, {d}) column subsets exceed the cap {_SPANNING_SUBSET_CAP}"
@@ -191,8 +191,7 @@ def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
     stream (little-endian bit order within bytes) and is kept when all
     d bits are zero, so membership is reproducible per seed.
     """
-    if d < 0 or d > n:
-        raise DomainError(f"d={d} outside [0, n]")
+    check_subcube_dimension(n, d)
     if not 0 <= seed < 1 << 128:
         raise DomainError(f"seed {seed} outside [0, 2^128)")
     check_mask_dimension(n)
@@ -240,9 +239,11 @@ def turan_extremal_set(d: int, s: int, clique: CliqueCertificate) -> VertexSet:
 
     Columns are assigned to clique members round-robin in certificate
     order; the column for member Z is zero exactly on the rows in Z.
-    Row r becomes a vertex of Q_{d+2}.  With w distinct members used,
-    the set meets a π(d+2, w) fraction of d-subcubes in exactly s
-    vertices (equality for honest cliques; duplicate rows collapse).
+    Row r becomes a vertex of Q_{d+2}.  With w distinct members used and
+    the 4s rows distinct, the set meets exactly a π(d+2, w) fraction of
+    d-subcubes in s vertices.  Equal rows collapse into one vertex, which
+    happens when d+2 columns are too few to tell the 4s rows apart, and
+    then the set is smaller than 4s and that fraction need not hold.
     """
     if s < 1:
         raise DomainError("s must be >= 1")
@@ -348,13 +349,12 @@ def _build_syndrome(spec: dict) -> ConstructionResult:
     )
     B = GF2Matrix.from_json(matrix)
     d = B.rows if d is None else d
-    if not 0 <= d <= B.cols:
-        raise DomainError(f"syndrome claim needs 0 <= d <= {B.cols}")
     frac = spanning_fraction(B, d)  # its cap comes before the 2^cols allocation
     colors = set(colors)
     A = syndrome_set(B, colors)
-    s = len(colors) << max(d - B.rows, 0)
-    return ConstructionResult("syndrome", A, d, s, frac, "ge")
+    if d < B.rows:  # no d columns reach full row rank, so nothing is certified
+        return ConstructionResult("syndrome", A, None, None, None, "ge")
+    return ConstructionResult("syndrome", A, d, len(colors) << (d - B.rows), frac, "ge")
 
 
 def _build_layered(spec: dict) -> ConstructionResult:
@@ -368,8 +368,10 @@ def _build_turan(spec: dict) -> ConstructionResult:
     clique = CliqueCertificate.from_json(clique)
     A = turan_extremal_set(d, s, clique)
     used = min(len(clique.members), d + 2)
+    # π(d+2, used) is certain only when the 4s rows are distinct vertices
+    claim = turan_density(d + 2, used)
     return ConstructionResult(
-        "turan_extremal", A, d, s, turan_density(d + 2, used), "eq"
+        "turan_extremal", A, d, s, claim, "eq", warning=len(A) < 4 * s
     )
 
 

@@ -29,6 +29,12 @@ def check_mask_dimension(n: int) -> None:
         raise CapabilityError(f"n={n} exceeds the materialized-mask cap {MASK_CAP}")
 
 
+def check_subcube_dimension(n: int, d: int) -> None:
+    """Raise unless 0 <= d <= n, so that Q_n has d-subcubes."""
+    if not 0 <= d <= n:
+        raise DomainError(f"subcube dimension {d} outside [0, {n}]")
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k < 0 or k > n."""
     if n < 0:
@@ -153,19 +159,19 @@ class Subcube:
         return mask
 
 
+def _submasks(m: int) -> Iterator[int]:
+    """Every submask of m, ascending: (sub - m) & m is the next one."""
+    sub = 0
+    while True:
+        yield sub
+        sub = (sub - m) & m
+        if not sub:
+            return
+
+
 def subcube_vertices(q: Subcube) -> list[int]:
     """All 2^d vertices of the subcube, ascending."""
-    positions = [i for i in range(q.n) if (q.free >> i) & 1]
-    d = len(positions)
-    out = []
-    for assign in range(1 << d):
-        v = q.base
-        for j, p in enumerate(positions):
-            if (assign >> j) & 1:
-                v |= 1 << p
-        out.append(v)
-    out.sort()
-    return out
+    return [q.base | sub for sub in _submasks(q.free)]
 
 
 def _masks_of_popcount(n: int, d: int) -> Iterator[int]:
@@ -187,22 +193,14 @@ def enumerate_subcubes(n: int, d: int) -> Iterator[Subcube]:
 
     Order: free masks ascending as integers, then bases ascending.
     """
-    if d < 0 or n < 0:
-        raise DomainError("dimensions must be >= 0")
-    if d > n:
-        raise DomainError(f"subcube dimension {d} exceeds ambient dimension {n}")
+    check_subcube_dimension(n, d)
+    full = (1 << n) - 1
     for free in _masks_of_popcount(n, d):
-        fixed = [i for i in range(n) if not (free >> i) & 1]
-        for assign in range(1 << (n - d)):
-            base = 0
-            for j, p in enumerate(fixed):
-                if (assign >> j) & 1:
-                    base |= 1 << p
+        for base in _submasks(full ^ free):
             yield Subcube(n, free, base)
 
 
 def subcube_count(n: int, d: int) -> int:
     """C(n,d) * 2^(n-d), the number of d-subcubes of Q_n."""
-    if d > n:
-        raise DomainError(f"subcube dimension {d} exceeds ambient dimension {n}")
+    check_subcube_dimension(n, d)
     return binomial(n, d) << (n - d)

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cube import VertexSet, enumerate_subcubes, subcube_count
-from .errors import CapabilityError, DomainError
+from .cube import VertexSet, check_subcube_dimension, enumerate_subcubes, subcube_count
+from .errors import CapabilityError
 from .turan import occupancy_case
 
 PLAIN_MAX_N = 4
@@ -265,8 +265,7 @@ def _cell(n: int, d: int, s: int) -> tuple[int, int]:
 
 def exhaustive_lambda(n: int, d: int, s: int) -> tuple[Fraction, VertexSet]:
     """Exact λ(n,d,s) with a lex-least maximizing witness, for n <= 5."""
-    if n < 0 or d < 0 or d > n:
-        raise DomainError(f"invalid dimensions n={n}, d={d}")
+    check_subcube_dimension(n, d)
     occupancy_case(d, s)  # the range check, without building 2^d
     if n > PRUNED_MAX_N:
         raise CapabilityError(f"exhaustive search not supported for n={n}")

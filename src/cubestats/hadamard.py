@@ -28,46 +28,43 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardMatrix:
+    """An order × order grid of ±1 entries with H Hᵀ = order·I.
+
+    The constructor accepts any ±1 grid (nested sequences or an array),
+    validates it once and stores it in ``entries`` as a read-only int8
+    array.  Widen the entries (``astype(np.int64)``) before a matrix
+    product: its sums reach ``order``, which int8 cannot hold.
+    """
+
     order: int
-    entries: tuple[tuple[int, ...], ...]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.order
         if not is_int(n):
             raise DomainError(f"order must be an integer, got {n!r}")
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise DomainError("entry grid does not match order")
         try:
             grid = np.asarray(self.entries)
-        except ValueError as exc:  # entries nested unevenly below the rows
-            raise DomainError("entries must be +1 or -1") from exc
+        except ValueError as exc:  # rows or entries of uneven lengths
+            raise DomainError("entry grid does not match order") from exc
+        if grid.shape != (n, n):
+            raise DomainError("entry grid does not match order")
         # numeric entries compare exactly with ±1, as Python's == does
-        if grid.ndim > 2 or grid.dtype.kind not in "biuf" or (np.abs(grid) != 1).any():
+        if grid.dtype.kind not in "biuf" or (np.abs(grid) != 1).any():
             raise DomainError("entries must be +1 or -1")
-        grid = grid.reshape(n, n).astype(np.int64)
+        wide = grid.astype(np.int64)
         # ±1 entries keep every dot product within n, so int64 is exact
-        if not np.array_equal(grid @ grid.T, n * np.eye(n, dtype=np.int64)):
+        if not np.array_equal(wide @ wide.T, n * np.eye(n, dtype=np.int64)):
             raise DomainError("rows are not orthogonal: not a Hadamard matrix")
+        grid = grid.astype(np.int8)
+        grid.flags.writeable = False
+        object.__setattr__(self, "entries", grid)
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "rows": ["".join("+" if e == 1 else "-" for e in r) for r in self.entries],
-        }
-
-
-def _from_grid(grid: np.ndarray) -> HadamardMatrix:
-    return HadamardMatrix(len(grid), tuple(map(tuple, grid.tolist())))
-
-
-def _normalized_grid(H: HadamardMatrix) -> np.ndarray:
-    """H's entries with rows, then columns, negated to make row and column 0 all +1."""
-    grid = np.array(H.entries, dtype=np.int64).reshape(H.order, H.order)
-    grid *= grid[:, :1]
-    grid *= grid[:1, :]
-    return grid
+        signs = np.where(self.entries == 1, "+", "-").tolist()
+        return {"order": self.order, "rows": ["".join(r) for r in signs]}
 
 
 def hadamard_sylvester(m: int) -> HadamardMatrix:
@@ -76,25 +73,26 @@ def hadamard_sylvester(m: int) -> HadamardMatrix:
         raise DomainError("m must be >= 0")
     idx = np.arange(1 << m)
     # doubling makes H[i, j] = (-1)^popcount(i & j)
-    return _from_grid(np.where(np.bitwise_count(idx[:, None] & idx) % 2, -1, 1))
+    grid = np.where(np.bitwise_count(idx[:, None] & idx) % 2, -1, 1)
+    return HadamardMatrix(1 << m, grid)
 
 
 def hadamard_paley(q: int) -> HadamardMatrix:
     """Order q+1 from quadratic residues mod a prime q ≡ 3 (mod 4)."""
     if not _is_prime(q) or q % 4 != 3:
         raise DomainError("q must be a prime congruent to 3 mod 4")
-    chi = np.full(q, -1, dtype=np.int64)
+    chi = np.full(q, -1, dtype=np.int8)
     chi[np.arange(1, q) ** 2 % q] = 1
     idx = np.arange(q)
-    grid = np.ones((q + 1, q + 1), dtype=np.int64)
+    grid = np.ones((q + 1, q + 1), dtype=np.int8)
     grid[1:, 0] = -1
     grid[1:, 1:] = chi[(idx[:, None] - idx) % q]
     np.fill_diagonal(grid, 1)
-    return _from_grid(grid)
+    return HadamardMatrix(q + 1, grid)
 
 
 def hadamard_tensor(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
-    return _from_grid(np.kron(np.array(a.entries), np.array(b.entries)))
+    return HadamardMatrix(a.order * b.order, np.kron(a.entries, b.entries))
 
 
 @lru_cache(maxsize=None)
@@ -104,14 +102,12 @@ def hadamard_matrix(order: int) -> HadamardMatrix | None:
     Tries Sylvester (powers of two), Paley I (order-1 a prime ≡ 3 mod 4),
     then tensor products of reachable factors.
     """
-    if order == 1:
-        return hadamard_sylvester(0)
-    if order == 2:
-        return hadamard_sylvester(1)
-    if order <= 0 or order % 4 != 0:
+    if order <= 0:
         return None
     if order & (order - 1) == 0:
         return hadamard_sylvester(order.bit_length() - 1)
+    if order % 4 != 0:
+        return None
     if _is_prime(order - 1) and (order - 1) % 4 == 3:
         return hadamard_paley(order - 1)
     a = 2

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, CertificateError, DomainError, fields, is_int
-from .hadamard import HadamardMatrix, _normalized_grid, hadamard_matrix
+from .hadamard import HadamardMatrix, hadamard_matrix
 
 DENSE_ADJACENCY_CAP = 4
 OMEGA_CAP = 100  # largest s for omega: Hadamard orders 4s up to 400
@@ -120,7 +120,9 @@ def hadamard_to_clique(H: HadamardMatrix) -> CliqueCertificate:
     if H.order % 4 != 0 or H.order == 0:
         raise DomainError("order must be a positive multiple of 4")
     s = H.order // 4
-    members = tuple(_row_ints(_normalized_grid(H)[1:] == -1))
+    grid = H.entries * H.entries[:, :1]  # negate rows to make column 0 all +1
+    grid *= grid[:1]  # then columns to make row 0 all +1
+    members = tuple(_row_ints(grid[1:] == -1))
     cert = CliqueCertificate(s, members)
     if not verify_clique(cert):
         raise CertificateError("Hadamard rows did not produce a valid clique")

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cube import VertexSet, binomial, check_mask_dimension, enumerate_subcubes
-from .cube import subcube_count
+from .cube import VertexSet, binomial, check_mask_dimension, check_subcube_dimension
+from .cube import enumerate_subcubes, subcube_count
 from .errors import DomainError, fields
 from .residues import thm32_q
 
@@ -58,8 +58,7 @@ class SubcubeDistribution:
         n, d, total, raw = fields(
             obj, "distribution", n="int", d="int", total="str", counts="dict"
         )
-        if not 0 <= d <= n:
-            raise DomainError(f"distribution d={d} outside [0, n]")
+        check_subcube_dimension(n, d)
         check_mask_dimension(d)
         counts = [0] * ((1 << d) + 1)
         for s, c in raw.items():
@@ -127,8 +126,7 @@ class LayeredSpec:
 def distribution(A: VertexSet, d: int) -> SubcubeDistribution:
     """Exact distribution by direct enumeration over all d-subcubes."""
     n = A.n
-    if d < 0 or d > n:
-        raise DomainError(f"subcube dimension {d} outside [0, {n}]")
+    check_subcube_dimension(n, d)
     counts = [0] * ((1 << d) + 1)
     for q in enumerate_subcubes(n, d):
         counts[(A.bits & q.vertex_mask()).bit_count()] += 1
@@ -144,8 +142,7 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
     Sums stay in the smallest unsigned dtype that holds 2^d: counts are exact.
     """
     n = A.n
-    if d < 0 or d > n:
-        raise DomainError(f"subcube dimension {d} outside [0, {n}]")
+    check_subcube_dimension(n, d)
     dtype = np.uint8 if d < 8 else np.uint16 if d < 16 else np.uint32
     top = A.flags().astype(dtype).reshape(1, 1 << n)
     hist = np.zeros((1 << d) + 1, dtype=np.int64)
@@ -205,8 +202,6 @@ def _replay(plan: tuple | None, rows: np.ndarray, hist: np.ndarray) -> None:
 
 def lambda_of_set(A: VertexSet, d: int, s: int) -> Fraction:
     """λ(n, d, s, A): fraction of d-subcubes meeting A in exactly s vertices."""
-    if not 0 <= s <= (1 << d):
-        raise DomainError(f"s={s} outside [0, 2^d]")
     return distribution_fast(A, d).fraction(s)
 
 
@@ -218,8 +213,7 @@ def layered_distribution(n: int, d: int, spec: LayeredSpec) -> SubcubeDistributi
     vertices, and there are C(n,d)*C(n-d,w) such subcubes.  Exact for any
     n; no mask is built.
     """
-    if d < 0 or d > n:
-        raise DomainError(f"subcube dimension {d} outside [0, {n}]")
+    check_subcube_dimension(n, d)
     k, T = spec.k, spec.T
     counts = [0] * ((1 << d) + 1)
     choose_free = binomial(n, d)

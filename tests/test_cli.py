@@ -577,20 +577,22 @@ class TestErrors:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    def test_module_invocation(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "cubestats.cli", "--version"],
             capture_output=True,
             text=True,
+            env=src_env,
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
 
-    def test_unknown_suite_exits_two(self):
+    def test_unknown_suite_exits_two(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "cubestats.cli", "verify", "mystery"],
             capture_output=True,
             text=True,
+            env=src_env,
         )
         assert proc.returncode == 2
 

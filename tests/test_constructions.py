@@ -23,6 +23,7 @@ from cubestats import (
     c_dk,
     c_star,
     c_star_enumerated,
+    distribution,
     distribution_fast,
     expected_single_fraction,
     hadamard_matrix,
@@ -223,6 +224,11 @@ class TestConcreteSets:
             weight_top_bottom_set(0)
 
 
+def _turan_claim(d, s):
+    clique = omega(s).certificate.to_json()
+    return build_construction({"kind": "turan_extremal", "d": d, "s": s, "clique": clique})
+
+
 class TestTuranExtremal:
     def test_triangle_clique_attains_turan_density(self):
         A = turan_extremal_set(2, 1, omega(1).certificate)
@@ -241,6 +247,24 @@ class TestTuranExtremal:
         A = turan_extremal_set(3, 2, sub)
         assert len(A) == 8
         assert distribution_fast(A, 3).fraction(2) == 1
+
+    @pytest.mark.parametrize("d, s", [(4, 4), (2, 3)])
+    def test_collapsed_rows_warn(self, d, s):
+        res = _turan_claim(d, s)
+        assert len(res.vertex_set) < 4 * s and res.warning
+        assert distribution(res.vertex_set, d).fraction(s) < res.claim_value == 1
+
+    def test_claims_without_a_warning_match_the_oracle(self):
+        checked = 0
+        for s in range(1, 5):
+            for d in range(9):
+                res = _turan_claim(d, s)
+                assert res.warning == (len(res.vertex_set) < 4 * s)
+                if not res.warning:
+                    lam = distribution(res.vertex_set, d).fraction(s)
+                    assert lam == res.claim_value, (d, s)
+                    checked += 1
+        assert checked == 25
 
     def test_invalid_certificate_rejected(self):
         with pytest.raises(CertificateError):
@@ -307,6 +331,14 @@ class TestDispatch:
         )
         assert res.vertex_set == parity_set(4)
         assert not res.warning
+
+    def test_syndrome_claims_nothing_below_the_row_count(self):
+        # d = 2 columns cannot reach rank 3, and s = 6 colours exceed 2^d
+        matrix = {"rows": 3, "cols": 4, "data": ["1000", "0100", "0010"]}
+        spec = {"kind": "syndrome", "matrix": matrix, "colors": list(range(6))}
+        assert build_construction({**spec, "d": 2}).to_json()["claim"] is None
+        claim = build_construction({**spec, "d": 3}).to_json()["claim"]
+        assert (claim["s"], claim["lambda"], claim["relation"]) == (6, "1/4", "ge")
 
     def test_parity_claim_checks_out(self):
         res = build_construction({"kind": "parity", "n": 5, "d": 3})

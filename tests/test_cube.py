@@ -10,14 +10,25 @@ from hypothesis import strategies as st
 from cubestats import (
     CapabilityError,
     DomainError,
+    GF2Matrix,
+    LayeredSpec,
     MASK_CAP,
     Subcube,
+    SubcubeDistribution,
     VertexSet,
+    bernoulli_set,
     binomial,
+    distribution,
+    distribution_fast,
     enumerate_subcubes,
+    exhaustive_lambda,
+    lambda_of_set,
+    layered_distribution,
+    spanning_fraction,
     subcube_count,
     subcube_vertices,
 )
+from cubestats.cube import check_subcube_dimension
 
 
 def test_binomial_matches_math_comb():
@@ -161,3 +172,39 @@ class TestEnumeration:
             subcube_count(3, 4)
         with pytest.raises(DomainError):
             list(enumerate_subcubes(2, -1))
+
+    def test_order_is_free_then_base_ascending(self):
+        for n in range(7):
+            for d in range(n + 1):
+                cubes = list(enumerate_subcubes(n, d))
+                pairs = [(q.free, q.base) for q in cubes]
+                assert pairs == sorted(pairs)
+                for q in cubes:
+                    assert subcube_vertices(q) == [v for v in range(1 << n) if v in q]
+
+
+# every entry point that takes a subcube dimension d of Q_3
+DIMENSION_ENTRY_POINTS = {
+    "check_subcube_dimension": lambda d: check_subcube_dimension(3, d),
+    "subcube_count": lambda d: subcube_count(3, d),
+    "enumerate_subcubes": lambda d: list(enumerate_subcubes(3, d)),
+    "distribution": lambda d: distribution(VertexSet.empty(3), d),
+    "distribution_fast": lambda d: distribution_fast(VertexSet.empty(3), d),
+    "lambda_of_set": lambda d: lambda_of_set(VertexSet.empty(3), d, 0),
+    "layered_distribution": lambda d: layered_distribution(
+        3, d, LayeredSpec(2, frozenset({0}))
+    ),
+    "SubcubeDistribution.from_json": lambda d: SubcubeDistribution.from_json(
+        {"n": 3, "d": d, "total": "1", "counts": {}}
+    ),
+    "exhaustive_lambda": lambda d: exhaustive_lambda(3, d, 0),
+    "bernoulli_set": lambda d: bernoulli_set(3, d, 0),
+    "spanning_fraction": lambda d: spanning_fraction(GF2Matrix.identity(3), d),
+}
+
+
+@pytest.mark.parametrize("d", [-1, 4])
+@pytest.mark.parametrize("name", sorted(DIMENSION_ENTRY_POINTS))
+def test_subcube_dimension_outside_zero_to_n_is_refused(name, d):
+    with pytest.raises(DomainError, match=f"subcube dimension {d} outside"):
+        DIMENSION_ENTRY_POINTS[name](d)

@@ -1,9 +1,11 @@
 """Intersection-graph cliques and Hadamard certificates."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 import cubestats.johnson
@@ -126,6 +128,28 @@ class TestHadamard:
             "-+-++-+---++", "-++-++-+---+", "-+++-++-+---", "--+++-++-+--",
             "---+++-++-+-", "----+++-++-+", "-+---+++-++-", "--+---+++-++",
         ]
+
+    def test_every_grid_up_to_order_400_pinned(self):
+        rows = [
+            None if (H := hadamard_matrix(order)) is None else H.to_json()["rows"]
+            for order in range(401)
+        ]
+        assert sum(r is not None for r in rows) == 63
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "50ce66141ab774a56b7c57a1a4695f5479bd8be313d4f061026457b6e0fd1b24"
+        )
+
+    def test_entries_are_a_read_only_int8_copy(self):
+        H = hadamard_matrix(12)
+        assert H.entries.dtype == np.int8 and H.entries.shape == (12, 12)
+        with pytest.raises(ValueError):
+            H.entries[0, 0] = -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            H.entries = H.entries.copy()
+        grid = H.entries.astype(np.int64)
+        K = HadamardMatrix(12, grid)
+        grid[0, 0] = -1  # the caller's array stays its own
+        assert grid.flags.writeable and K.entries[0, 0] == 1
 
     @pytest.mark.parametrize(
         "order, entries",

@@ -29,12 +29,13 @@ ROOT = Path(__file__).resolve().parent.parent
         ),
     ],
 )
-def test_script_runs(script, args, header):
+def test_script_runs(script, args, header, src_env):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
         timeout=60,
+        env=src_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].split() == header
