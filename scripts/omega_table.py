@@ -3,8 +3,9 @@
 Shows the enclosure for each s, the certificate source, and how long it
 took. Every upper bound is the a-priori cap 4s-1, and an entry is exact
 when its clique reaches that cap: a clique from an explicit Hadamard
-matrix, or from the greedy-colouring descent in the explicit graph
-(s <= 4). Otherwise only the lex-greedy lower bound remains.
+matrix of order 4s, or from the greedy-colouring descent in the explicit
+graph (s <= 4). Otherwise the lower bound is the clique that two Hadamard
+blocks of orders 4a and 4(s-a) give side by side (source hadamard-concat).
 
 Usage: python3 scripts/omega_table.py --max-s 8 [--policy search]
 """

@@ -368,8 +368,9 @@ def _build_turan(spec: dict) -> ConstructionResult:
     clique = CliqueCertificate.from_json(clique)
     A = turan_extremal_set(d, s, clique)
     used = min(len(clique.members), d + 2)
-    # π(d+2, used) is certain only when the 4s rows are distinct vertices
-    claim = turan_density(d + 2, used)
+    # π(d+2, used) is certain only when the 4s rows are distinct vertices,
+    # and no d-subcube holds s > 2^d vertices, so nothing is claimed there
+    claim = None if s > 2**d else turan_density(d + 2, used)
     return ConstructionResult(
         "turan_extremal", A, d, s, claim, "eq", warning=len(A) < 4 * s
     )

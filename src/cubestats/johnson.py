@@ -18,8 +18,7 @@ from .errors import CapabilityError, CertificateError, DomainError, fields, is_i
 from .hadamard import HadamardMatrix, hadamard_matrix
 
 DENSE_ADJACENCY_CAP = 4
-OMEGA_CAP = 100  # largest s for omega: Hadamard orders 4s up to 400
-_GREEDY_SCAN_CAP = 200_000
+OMEGA_CAP = 100  # largest s for omega; each s up to it has Hadamard blocks
 _ADJ_BLOCK_ROWS = 64
 
 
@@ -110,20 +109,25 @@ class JohnsonGraph:
         return adj
 
 
-def hadamard_to_clique(H: HadamardMatrix) -> CliqueCertificate:
-    """Maximum clique of size 4s-1 from a Hadamard matrix of order 4s.
+def hadamard_to_clique(H: HadamardMatrix, *more: HadamardMatrix) -> CliqueCertificate:
+    """Clique in J(4s,2s,s) from Hadamard blocks whose orders sum to 4s.
 
-    After normalization every row but the first has 2s entries of each
-    sign, the -1 entries avoid column 0, and two distinct rows carry -1
-    in exactly s common columns; those -1 supports are the members.
+    The rows [H_i | more_i ...] for i below the least block order k are
+    pairwise orthogonal ±1 rows of length 4s.  After normalization every
+    row but the first has 2s entries of each sign, the -1 entries avoid
+    column 0, and two distinct rows carry -1 in exactly s common columns;
+    those k-1 supports are the members.  One block of order 4s gives a
+    maximum clique, of size 4s-1.
     """
-    if H.order % 4 != 0 or H.order == 0:
-        raise DomainError("order must be a positive multiple of 4")
-    s = H.order // 4
-    grid = H.entries * H.entries[:, :1]  # negate rows to make column 0 all +1
+    blocks = (H, *more)
+    k = min(b.order for b in blocks)
+    width = sum(b.order for b in blocks)
+    if width % 4 != 0 or k == 0:
+        raise DomainError("block orders must sum to a positive multiple of 4")
+    grid = np.hstack([b.entries[:k] for b in blocks])
+    grid *= grid[:, :1]  # negate rows to make column 0 all +1
     grid *= grid[:1]  # then columns to make row 0 all +1
-    members = tuple(_row_ints(grid[1:] == -1))
-    cert = CliqueCertificate(s, members)
+    cert = CliqueCertificate(width // 4, tuple(_row_ints(grid[1:] == -1)))
     if not verify_clique(cert):
         raise CertificateError("Hadamard rows did not produce a valid clique")
     return cert
@@ -160,18 +164,6 @@ def max_clique(graph: JohnsonGraph) -> tuple[CliqueCertificate, bool]:
     return cert, cert.size() == 4 * graph.s - 1
 
 
-def _greedy_clique(s: int) -> CliqueCertificate:
-    """Lex-greedy clique via implicit adjacency; scan capped, any s."""
-    members: list[int] = []
-    for count, combo in enumerate(itertools.combinations(range(4 * s), 2 * s)):
-        if count >= _GREEDY_SCAN_CAP:
-            break
-        m = sum(1 << e for e in combo)
-        if all(johnson_adjacent(m, other, s) for other in members):
-            members.append(m)
-    return CliqueCertificate(s, tuple(members))
-
-
 @dataclass(frozen=True)
 class OmegaResult:
     s: int
@@ -200,10 +192,12 @@ def omega(s: int, policy: str = "auto") -> OmegaResult:
     """Clique number of J(4s,2s,s).
 
     A clique and the a-priori cap 4s-1 enclose it, and the value is exact
-    when the clique reaches the cap.  ``auto`` takes the clique from a
-    Hadamard matrix of order 4s when one is constructible; ``search``
-    takes it from the ``max_clique`` descent for s <= DENSE_ADJACENCY_CAP.
-    Otherwise a lex-greedy clique is the lower bound.
+    when the clique reaches the cap.  ``search`` takes the clique from the
+    ``max_clique`` descent for s <= DENSE_ADJACENCY_CAP.  Every other case
+    takes it from Hadamard rows: a matrix of order 4s gives 4s-1 members
+    ("hadamard"); otherwise blocks of orders 4a and 4(s-a) side by side,
+    with the largest a <= s/2 for which both exist, give 4a-1
+    ("hadamard-concat").
     """
     if s < 1:
         raise DomainError("s must be >= 1")
@@ -212,13 +206,15 @@ def omega(s: int, policy: str = "auto") -> OmegaResult:
     if s > OMEGA_CAP:
         raise CapabilityError(f"omega is capped at s <= {OMEGA_CAP}")
     cap = 4 * s - 1
-    if policy == "auto":
-        H = hadamard_matrix(4 * s)
-        if H is not None:
-            return OmegaResult(s, cap, cap, hadamard_to_clique(H), "hadamard")
     if policy == "search" and s <= DENSE_ADJACENCY_CAP:
         cert, _ = max_clique(JohnsonGraph(s))
-        source = "search"
-    else:
-        cert, source = _greedy_clique(s), "greedy"
-    return OmegaResult(s, cert.size(), cap, cert, source)
+        return OmegaResult(s, cert.size(), cap, cert, "search")
+    H = hadamard_matrix(4 * s)
+    if H is not None:
+        return OmegaResult(s, cap, cap, hadamard_to_clique(H), "hadamard")
+    for a in range(s // 2, 0, -1):
+        A, B = hadamard_matrix(4 * a), hadamard_matrix(4 * (s - a))
+        if A is not None and B is not None:
+            cert = hadamard_to_clique(A, B)
+            return OmegaResult(s, cert.size(), cap, cert, "hadamard-concat")
+    raise CapabilityError(f"no two constructible Hadamard orders sum to {4 * s}")

@@ -23,7 +23,9 @@ def turan_parts(n: int, k: int) -> list[int]:
 
 
 def turan_edges(n: int, k: int) -> int:
-    return binomial(n, 2) - sum(binomial(p, 2) for p in turan_parts(n, k))
+    # past n parts the rest are empty, so T(n,k) = T(n,n); one part at n = 0
+    parts = turan_parts(n, min(k, max(n, 1)))
+    return binomial(n, 2) - sum(binomial(p, 2) for p in parts)
 
 
 def turan_density(n: int, k: int) -> Fraction:

@@ -523,6 +523,12 @@ class TestErrors:
         bounds = json.loads(out)["bounds"]
         assert bounds["lower"] == bounds["upper"] == "1"
 
+    def test_bounds_at_huge_s_builds_no_turan_parts(self, capsys):
+        # the Turán upper bound has 4s - 1 ≈ 4.4·10^12 parts, all but 62 empty
+        rc, out, err = run(capsys, "bounds", "60", "1099511627777")
+        assert rc == 0 and err == ""
+        assert json.loads(out)["bounds"]["upper"] == "1"
+
     def test_exhaustive_at_huge_d_hits_the_cap(self, capsys):
         # the range check must not build 2^d, which at d = 10^11 needs 12.5 GB
         rc, out, err = run(capsys, "exhaustive", str(10**11), str(10**11), "1")

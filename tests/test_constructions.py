@@ -254,6 +254,11 @@ class TestTuranExtremal:
         assert len(res.vertex_set) < 4 * s and res.warning
         assert distribution(res.vertex_set, d).fraction(s) < res.claim_value == 1
 
+    def test_no_claim_above_two_to_the_d(self):
+        # no 1-subcube holds 3 vertices, so λ(3, 1, 3) is not a quantity
+        assert _turan_claim(1, 3).to_json()["claim"] is None
+        assert _turan_claim(1, 2).to_json()["claim"] is not None
+
     def test_claims_without_a_warning_match_the_oracle(self):
         checked = 0
         for s in range(1, 5):

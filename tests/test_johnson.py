@@ -114,6 +114,22 @@ class TestHadamard:
         assert cert.size() == order - 1
         assert verify_clique(cert)
 
+    def test_side_by_side_blocks_give_a_clique(self):
+        cert = hadamard_to_clique(hadamard_matrix(4), hadamard_matrix(8))
+        assert cert.s == 3 and cert.size() == 3
+        assert verify_clique(cert)
+
+    def test_three_blocks_keep_the_least_order_of_rows(self):
+        H = hadamard_matrix(12)
+        cert = hadamard_to_clique(H, H, H)
+        assert cert.s == 9 and cert.size() == 11
+        assert verify_clique(cert)
+
+    @pytest.mark.parametrize("orders", [(4, 2), (2,), (1,), (8, 1)])
+    def test_block_orders_off_a_multiple_of_four_are_refused(self, orders):
+        with pytest.raises(DomainError):
+            hadamard_to_clique(*map(hadamard_matrix, orders))
+
     def test_order_28_not_constructible_here(self):
         assert hadamard_matrix(28) is None
 
@@ -251,10 +267,25 @@ class TestOmega:
         assert w.certificate.size() == 15 and verify_clique(w.certificate)
 
     def test_unresolved_order_gives_enclosure(self):
+        # no order 28 here; blocks of orders 12 and 16 give 11 members
         w = omega(7)
-        assert not w.exact
-        assert w.lower <= w.upper == 27
+        assert not w.exact and w.source == "hadamard-concat"
+        assert w.lower == 11 and w.upper == 27
         assert verify_clique(w.certificate)
+
+    def test_every_s_up_to_the_cap_is_hadamard_certified(self):
+        # at least the 3 members a capped lex-greedy scan once found at s = 7
+        for s in range(1, cubestats.johnson.OMEGA_CAP + 1):
+            w = omega(s)
+            exact = hadamard_matrix(4 * s) is not None
+            assert w.source == ("hadamard" if exact else "hadamard-concat"), s
+            assert w.exact == exact and w.upper == 4 * s - 1
+            assert w.lower == w.certificate.size() >= 3 and w.certificate.s == s
+            assert verify_clique(w.certificate), s
+
+    def test_search_above_the_dense_cap_takes_the_hadamard_route(self):
+        assert omega(5, policy="search") == omega(5)
+        assert omega(7, policy="search") == omega(7)
 
     def test_json_fields(self):
         obj = omega(2).to_json()

@@ -1,6 +1,7 @@
 """Balanced multipartite edge counts and the two-codimension closed form."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,16 @@ class TestTuranNumbers:
         assert turan_density(8, 7) == Fraction(27, 28)
         assert turan_density(1, 3) == 1
 
+    def test_parts_past_n_are_never_built(self):
+        # 4·2^40 + 3 parts would not fit in memory; at most 62 are nonempty
+        start = time.perf_counter()
+        assert turan_density(62, 4 * 2**40 + 3) == 1
+        assert time.perf_counter() - start < 1
+        for n in range(6):
+            for k in range(1, 9):
+                spread = sum(binomial(p, 2) for p in turan_parts(n, k))
+                assert turan_edges(n, k) == binomial(n, 2) - spread, (n, k)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             turan_edges(4, 0)
@@ -116,6 +127,12 @@ class TestTwoCodimensionClosedForm:
         assert isinstance(out, tuple)
         lo, hi = out
         assert 0 < lo <= hi <= 1
+
+    def test_concatenated_blocks_tighten_the_interval(self):
+        # ω(7) >= 11 from blocks of orders 12 and 16, where a scan found 3
+        lo, hi = lambda_d2_closed_form(12, 7)
+        assert lo == turan_density(14, 11) > turan_density(14, 3)
+        assert hi == turan_density(14, 27)
 
     def test_domain(self):
         with pytest.raises(DomainError):
