@@ -34,9 +34,9 @@ MAX_MODULUS = 10**6
 _LN2 = math.log(2.0)
 _LOG2E = 1.0 / _LN2
 # float-roundoff slack when the bound itself is evaluated in floating
-# point: deviations exceeding the bound by at most this relative margin
+# point: deviations exceeding the bound by at most a relative 2^-51
 # (about 2 ulps) are flagged as borderline instead of failed
-_ULP_SLACK = Fraction(4503599627370497, 4503599627370496) - 1  # 2^-52
+_SLACK_BITS = 51
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def _bound_ok(max_error: Fraction, q: int, d: int) -> tuple[bool, bool]:
     if max_error == 0:
         return True, False
     try:
-        bound = Fraction(q * math.exp(d * _LN2 - d / (10.0 * q * q)))
+        top, bottom = (q * math.exp(d * _LN2 - d / (10.0 * q * q))).as_integer_ratio()
     except OverflowError:
         # 2^d overflows float64: compare base-2 logarithms instead, with
         # the same relative slack folded into an additive log-space margin
@@ -164,9 +164,12 @@ def _bound_ok(max_error: Fraction, q: int, d: int) -> tuple[bool, bool]:
         if err_log2 <= bound_log2 + slack:
             return True, True
         return False, False
-    if max_error <= bound:
+    # max_error <= top/bottom, and then with the slack, cross-multiplied
+    err = max_error.numerator * bottom
+    room = top * max_error.denominator
+    if err <= room:
         return True, False
-    if max_error <= bound * (1 + 2 * _ULP_SLACK):
+    if err << _SLACK_BITS <= room * ((1 << _SLACK_BITS) + 1):
         return True, True
     return False, False
 

@@ -23,7 +23,7 @@ from .cube import MASK_CAP, VertexSet
 from .errors import CapabilityError, CertificateError, DomainError
 from .exhaustive import exhaustive_lambda
 from .hadamard import hadamard_matrix
-from .johnson import hadamard_to_clique, omega, verify_clique
+from .johnson import CliqueCertificate, hadamard_to_clique, omega, verify_clique
 from .residues import verify_prop31, verify_thm32
 from .stats import distribution, distribution_fast
 
@@ -197,6 +197,7 @@ def _suite_third_layer(config: RunConfig) -> list[dict]:
 
 def _suite_clique_certs(config: RunConfig) -> list[dict]:
     checks = []
+    cert = None
     for order in (4, 8, 12, 16, 20, 24, 32):
         H = hadamard_matrix(order)
         if H is None:
@@ -208,6 +209,16 @@ def _suite_clique_certs(config: RunConfig) -> list[dict]:
         except CertificateError:
             ok = False
         checks.append({"name": f"order {order} clique of size {order - 1}", "pass": ok})
+    # negative control: the last certificate with one member changed (its
+    # lowest element moved to the lowest one it lacks) must fail verify_clique
+    refused = False
+    if cert is not None:
+        m, *rest = cert.members
+        refused = not verify_clique(
+            CliqueCertificate(cert.s, (m ^ (m & -m) ^ (~m & (m + 1)), *rest))
+        )
+    name = "control: a clique with one member changed fails verify_clique"
+    checks.append({"name": name, "pass": refused, "control": True})
     return checks
 
 

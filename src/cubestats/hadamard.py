@@ -1,18 +1,51 @@
 """Hadamard matrices: Sylvester and Paley I constructions plus tensor products.
 
-Every constructor returns a validated matrix (H Hᵀ = order·I checked in
-exact integer arithmetic), and ``hadamard_matrix`` resolves an order to
-whichever construction reaches it.
+Every constructor returns a validated matrix, and ``hadamard_matrix``
+resolves an order to whichever construction reaches it.  H Hᵀ = order·I
+is checked exactly by ``pair_counts``, the pairwise popcount kernel that
+the Johnson graph and its clique certificates share: rows i != j of ±1
+entries are orthogonal exactly when they differ in order/2 places.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError, is_int
+
+_COUNT_BLOCK_ELEMS = 1 << 16  # counts per block that pair_counts yields
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows as little-endian uint64 words: bit j of row i is column j."""
+    rows, width = bits.shape
+    packed = np.zeros((rows, max(1, -(-width // 64)) * 8), dtype=np.uint8)
+    packed[:, : -(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def pair_counts(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, counts) with counts[i, j] = popcount(words[lo + i] & words[j]).
+
+    Row i of ``words`` is one or more little-endian uint64 words holding
+    bit j of a boolean row in bit j % 64 of word j // 64, as ``_pack_rows``
+    lays them out.  Blocks of consecutive rows cover every row once, each
+    with at most ``_COUNT_BLOCK_ELEMS`` counts unless one row alone has
+    more.  Counts are exact int64.
+    """
+    rows, width = words.shape
+    step = max(1, _COUNT_BLOCK_ELEMS // max(rows, 1))
+    for lo in range(0, rows, step):
+        block = words[lo : lo + step]
+        # one word's popcounts fit uint8; their sum over the words is int64
+        counts = np.bitwise_count(block[:, 0, None] & words[:, 0]).astype(np.int64)
+        for w in range(1, width):
+            counts += np.bitwise_count(block[:, w, None] & words[:, w])
+        yield lo, counts
 
 
 def _is_prime(q: int) -> bool:
@@ -54,9 +87,7 @@ class HadamardMatrix:
         # numeric entries compare exactly with ±1, as Python's == does
         if grid.dtype.kind not in "biuf" or (np.abs(grid) != 1).any():
             raise DomainError("entries must be +1 or -1")
-        wide = grid.astype(np.int64)
-        # ±1 entries keep every dot product within n, so int64 is exact
-        if not np.array_equal(wide @ wide.T, n * np.eye(n, dtype=np.int64)):
+        if not _orthogonal(grid < 0):
             raise DomainError("rows are not orthogonal: not a Hadamard matrix")
         grid = grid.astype(np.int8)
         grid.flags.writeable = False
@@ -65,6 +96,26 @@ class HadamardMatrix:
     def to_json(self) -> dict:
         signs = np.where(self.entries == 1, "+", "-").tolist()
         return {"order": self.order, "rows": ["".join(r) for r in signs]}
+
+
+def _orthogonal(neg: np.ndarray) -> bool:
+    """Whether ±1 rows with -1 exactly where ``neg`` is set are orthogonal.
+
+    Rows i and j differ in w_i + w_j - 2 c_ij places, where w counts a
+    row's -1 entries and c_ij the -1 entries they share; they are
+    orthogonal when that is n/2, which an odd n > 1 never reaches.
+    """
+    n = len(neg)
+    if n % 2 and n > 1:
+        return False
+    w = neg.sum(axis=1)
+    for lo, counts in pair_counts(_pack_rows(neg)):
+        rows = np.arange(len(counts))
+        apart = w[lo : lo + len(counts), None] + w - 2 * counts
+        apart[rows, lo + rows] += n // 2  # a row differs from itself nowhere
+        if (apart != n // 2).any():
+            return False
+    return True
 
 
 def hadamard_sylvester(m: int) -> HadamardMatrix:

@@ -15,11 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, CertificateError, DomainError, fields, is_int
-from .hadamard import HadamardMatrix, hadamard_matrix
+from .hadamard import HadamardMatrix, hadamard_matrix, pair_counts
 
 DENSE_ADJACENCY_CAP = 4
 OMEGA_CAP = 100  # largest s for omega; each s up to it has Hadamard blocks
-_ADJ_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -33,12 +32,11 @@ class CliqueCertificate:
         return len(self.members)
 
     def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "members": [
-                [e for e in range(4 * self.s) if (m >> e) & 1] for m in self.members
-            ],
-        }
+        # each member lists its set bits below 4s in ascending order
+        ground = (1 << (4 * self.s)) - 1
+        words = _int_words(m & ground for m in self.members)
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        return {"s": self.s, "members": [row.nonzero()[0].tolist() for row in bits]}
 
     @classmethod
     def from_json(cls, obj: dict) -> CliqueCertificate:
@@ -56,6 +54,14 @@ class CliqueCertificate:
         return cls(s, tuple(sum(1 << e for e in mem) for mem in members))
 
 
+def _int_words(ints) -> np.ndarray:
+    """Non-negative ints as rows of little-endian uint64 words, one row each."""
+    ints = tuple(ints)
+    width = max(1, -(-max((m.bit_length() for m in ints), default=0) // 64))
+    raw = b"".join(m.to_bytes(8 * width, "little") for m in ints)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(ints), width)
+
+
 def _row_ints(bits: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as the int with bit j set iff column j is."""
     packed = np.packbits(bits, axis=1, bitorder="little")
@@ -67,18 +73,20 @@ def johnson_adjacent(u: int, v: int, s: int) -> bool:
 
 
 def verify_clique(cert: CliqueCertificate) -> bool:
-    s = cert.s
-    ground = (1 << (4 * s)) - 1
-    mem = cert.members
-    if len(set(mem)) != len(mem):
+    """Whether the members are distinct 2s-subsets of range(4s) meeting in s."""
+    s, mem = cert.s, cert.members
+    if s < 0 or len(set(mem)) != len(mem):
         return False
-    if any(m & ~ground or m.bit_count() != 2 * s for m in mem):
+    if any(m < 0 or m >> (4 * s) or m.bit_count() != 2 * s for m in mem):
         return False
-    return all(
-        johnson_adjacent(mem[i], mem[j], s)
-        for i in range(len(mem))
-        for j in range(i + 1, len(mem))
-    )
+    for lo, counts in pair_counts(_int_words(mem)):
+        rows = np.arange(len(counts))
+        # a member meets itself in 2s elements and every other one in s
+        wrong = counts != s
+        wrong[rows, lo + rows] = counts[rows, lo + rows] != 2 * s
+        if wrong.any():
+            return False
+    return True
 
 
 class JohnsonGraph:
@@ -100,13 +108,18 @@ class JohnsonGraph:
 
     def adjacency_bitsets(self) -> list[int]:
         """adj[i] has bit j set iff vertices i and j are adjacent."""
-        verts = np.array(self.vertices, dtype=np.uint64)
+        # Lexicographic order puts the complement of vertex i at V-1-i, and a
+        # complement meets each vertex in 2s minus what i meets it in.  So
+        # row V-1-i equals row i, and the columns of the second half mirror
+        # those of the first: the first half's own counts give every row.
+        half = len(self.vertices) // 2
+        words = np.array(self.vertices[:half], dtype="<u8")[:, None]  # 4s <= 16 bits: one word
         adj: list[int] = []
-        # a block of rows at a time; a vertex meets itself in 2s != s elements
-        for lo in range(0, verts.size, _ADJ_BLOCK_ROWS):
-            block = verts[lo : lo + _ADJ_BLOCK_ROWS, None] & verts
-            adj += _row_ints(np.bitwise_count(block) == self.s)
-        return adj
+        # a vertex meets itself in 2s != s elements, so no self loops
+        for _, counts in pair_counts(words):
+            hits = counts == self.s
+            adj += _row_ints(np.hstack([hits, hits[:, ::-1]]))
+        return adj + adj[::-1]
 
 
 def hadamard_to_clique(H: HadamardMatrix, *more: HadamardMatrix) -> CliqueCertificate:

@@ -1,6 +1,7 @@
 """Rational approximation of a target density by residue-class unions."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,26 @@ def reference_check(spec: ApproxSpec, d: int) -> Fraction:
     )
 
 
+def reference_bound_ok(max_error: Fraction, q: int, d: int) -> tuple[bool, bool]:
+    """The bound check in Fractions built from the float bound, slack 2^-51."""
+    if max_error == 0:
+        return True, False
+    try:
+        bound = Fraction(q * math.exp(d * math.log(2.0) - d / (10.0 * q * q)))
+    except OverflowError:
+        err_log2 = math.log2(max_error.numerator) - math.log2(max_error.denominator)
+        bound_log2 = math.log2(q) + d - (d / (10.0 * q * q)) / math.log(2.0)
+        slack = 8 * sys.float_info.epsilon * max(1.0, abs(bound_log2))
+        if err_log2 <= bound_log2:
+            return True, False
+        return (True, True) if err_log2 <= bound_log2 + slack else (False, False)
+    if max_error <= bound:
+        return True, False
+    if max_error <= bound * (1 + Fraction(1, 1 << 51)):
+        return True, True
+    return False, False
+
+
 def float_bound(q: int, d: int) -> Fraction:
     """The bound q 2^d e^(-d/(10 q^2)) as the check evaluates it in float64."""
     return Fraction(q * math.exp(d * math.log(2.0) - d / (10.0 * q * q)))
@@ -121,7 +142,31 @@ class TestCheck:
         ],
     )
     def test_bound_ok_borderline_and_failing(self, d, error, want):
-        assert _bound_ok(error(), 3, d) == want
+        assert _bound_ok(error(), 3, d) == want == reference_bound_ok(error(), 3, d)
+
+    def test_bound_ok_matches_the_fraction_reference_on_every_suite_cell(self):
+        for q in range(2, 13):
+            for p in range(1, q):
+                spec = ApproxSpec(x=p / q, q=q, p=p, d_min=1, tol=1.0)
+                for d in (*range(1, 65), 1100):
+                    err = check_approx(spec, d).max_error
+                    assert _bound_ok(err, q, d) == reference_bound_ok(err, q, d), (q, p, d)
+
+    @pytest.mark.parametrize("q, d", [(3, 10), (7, 40), (12, 64), (2, 1)])
+    def test_bound_ok_matches_the_fraction_reference_at_the_edges(self, q, d):
+        bound = float_bound(q, d)
+        slack = 1 + Fraction(1, 1 << 51)
+        tiny = Fraction(1, 1 << 200)
+        errors = [
+            bound - tiny, bound, bound + tiny,
+            bound * slack - tiny, bound * slack, bound * slack + tiny,
+            2 * bound, Fraction(0), Fraction(1, 3),
+        ]
+        for err in errors:
+            assert _bound_ok(err, q, d) == reference_bound_ok(err, q, d), err
+        assert [_bound_ok(e, q, d) for e in errors[3:6]] == [(True, True)] * 2 + [
+            (False, False)
+        ]
 
     def test_log_space_path_past_float_range(self):
         spec = ApproxSpec(Fraction(1, 3), 3, 1, 1, Fraction(1))

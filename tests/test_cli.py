@@ -282,6 +282,23 @@ class TestVerifySuites:
         assert report["pass"] is True
         assert all(c["pass"] for c in report["checks"])
 
+    def test_clique_certs_reports_its_negative_control(self, capsys):
+        rc, out, _ = run(capsys, "verify", "clique-certs")
+        controls = [c for c in json.loads(out)["checks"] if c.get("control")]
+        assert rc == 0
+        assert [c["pass"] for c in controls] == [True]
+        assert controls[0]["name"].startswith("control: ")
+
+    def test_clique_certs_fails_when_verify_clique_accepts_anything(
+        self, capsys, monkeypatch
+    ):
+        # every certificate check passes; only the negative control fails
+        monkeypatch.setattr("cubestats.cli.verify_clique", lambda cert: True)
+        rc, out, _ = run(capsys, "verify", "clique-certs")
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert rc == 1
+        assert len(failed) == 1 and failed[0].startswith("control: ")
+
     def test_clique_certs_fails_when_a_certificate_cannot_be_built(
         self, capsys, monkeypatch
     ):

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+import cubestats.hadamard
 import cubestats.johnson
 from cubestats import (
     CapabilityError,
@@ -24,6 +25,7 @@ from cubestats import (
     omega,
     verify_clique,
 )
+from cubestats.hadamard import _pack_rows, pair_counts
 
 # 40 and 96 are neither Sylvester nor Paley orders, so they go through hadamard_tensor
 HADAMARD_ORDERS = (4, 8, 12, 16, 20, 24, 32, 40, 96)
@@ -70,6 +72,38 @@ class TestAdjacency:
             JohnsonGraph(0)
 
 
+class TestPairCounts:
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 255, 256, 257, 400])
+    def test_counts_match_pairwise_reference(self, monkeypatch, width, block):
+        if block is not None:
+            monkeypatch.setattr(cubestats.hadamard, "_COUNT_BLOCK_ELEMS", block)
+        rng = np.random.default_rng(width)
+        bits = rng.integers(0, 2, size=(23, width)).astype(bool)
+        bits[3] = bits[5]  # equal rows are no neighbours
+        ints = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in bits]
+        blocks = list(pair_counts(_pack_rows(bits)))
+        assert [lo for lo, _ in blocks] == list(
+            range(0, 23, max(1, cubestats.hadamard._COUNT_BLOCK_ELEMS // 23))
+        )
+        counts = np.vstack([c for _, c in blocks])
+        assert counts.dtype == np.int64 and counts.shape == (23, 23)
+        for i, u in enumerate(ints):
+            for j, v in enumerate(ints):
+                assert counts[i, j] == (u & v).bit_count()
+                for s in {counts[i, j], counts[i, j] + 1}:
+                    assert johnson_adjacent(u, v, s) == (i != j and u != v and counts[i, j] == s)
+
+    def test_blocks_stay_within_the_element_budget(self):
+        words = _pack_rows(np.ones((1000, 70), dtype=bool))
+        sizes = [c.size for _, c in pair_counts(words)]
+        assert sum(sizes) == 1000 * 1000
+        assert max(sizes) <= cubestats.hadamard._COUNT_BLOCK_ELEMS
+
+    def test_no_rows_give_no_blocks(self):
+        assert list(pair_counts(_pack_rows(np.zeros((0, 5), dtype=bool)))) == []
+
+
 class TestCertificates:
     def test_verify_accepts_honest_clique(self):
         cert = CliqueCertificate(1, (0b0011, 0b0101, 0b1001))
@@ -83,6 +117,58 @@ class TestCertificates:
 
     def test_verify_rejects_wrong_overlap(self):
         assert not verify_clique(CliqueCertificate(1, (0b0011, 0b1100)))
+
+    @pytest.mark.parametrize(
+        "s, members, want",
+        [
+            (1, (), True),
+            (3, (), True),
+            (0, (), True),
+            (0, (0,), True),
+            (0, (0, 0), False),
+            (0, (1,), False),
+            (1, (-4,), False),
+            (1, (-3,), False),
+            (1, (0b0011, -0b0110), False),
+            (1, (0b10001,), False),  # two elements, one of them at 4s
+            (1, (0b0011, 0b10001), False),
+            (2, (0b10000111,), True),
+            (1, (0b0011, 0b0011), False),
+            (1, (0b0011, 0b0101, 0b0011), False),
+            (10**20, (), True),
+            (10**20, (0b0011,), False),
+            (-1, (), False),  # no s below 0 has 2s-subsets
+            (-1, (0b0011,), False),
+        ],
+    )
+    def test_verify_edge_cases(self, s, members, want):
+        assert verify_clique(CliqueCertificate(s, members)) is want
+
+    def test_one_changed_member_is_refused(self):
+        cert = hadamard_to_clique(hadamard_matrix(32))
+        for i, m in enumerate(cert.members):
+            # move the lowest element to the lowest one the member lacks
+            changed = m ^ (m & -m) ^ (~m & (m + 1))
+            members = cert.members[:i] + (changed,) + cert.members[i + 1 :]
+            assert not verify_clique(CliqueCertificate(cert.s, members)), i
+
+    def test_json_lists_each_members_bits_below_4s(self):
+        # reference: each member's set bits below 4s, one bit at a time, also
+        # for members that are negative or reach past 4s
+        for cert in (
+            CliqueCertificate(1, (-4, 0b110001, 0b0011)),
+            CliqueCertificate(0, (0, 5)),
+            CliqueCertificate(2, ()),
+            omega(97).certificate,
+        ):
+            want = [[e for e in range(4 * cert.s) if (m >> e) & 1] for m in cert.members]
+            assert cert.to_json() == {"s": cert.s, "members": want}
+
+    def test_json_of_every_omega_certificate_pinned(self):
+        listed = json.dumps([omega(s).to_json() for s in range(1, 101)]).encode()
+        assert hashlib.sha256(listed).hexdigest() == (
+            "3c59c3c910995d992b4f06bd00b6f0fa8df21ebb1f322172e4c5242ff8ed78d1"
+        )
 
     def test_json_roundtrip(self):
         cert = CliqueCertificate(1, (0b0011, 0b0101))
@@ -183,6 +269,41 @@ class TestHadamard:
     def test_rejects_malformed_grids(self, order, entries):
         with pytest.raises(DomainError):
             HadamardMatrix(order, entries)
+
+    def test_order_512_validates_and_gives_a_clique(self):
+        # a row holds 256 entries -1 and a member 256 elements: past uint8
+        H = hadamard_matrix(512)
+        assert H is not None and H.order == 512
+        cert = hadamard_to_clique(H)
+        assert cert.size() == 511 and verify_clique(cert)
+
+    def test_order_512_clique_verifies_on_its_own(self):
+        # Sylvester rows (-1)^popcount(i & j) come normalized; their -1
+        # supports are the members, built here without HadamardMatrix
+        idx = np.arange(512)
+        minus = np.bitwise_count(idx[:, None] & idx) % 2 == 1
+        members = tuple(
+            sum(1 << int(j) for j in np.flatnonzero(row)) for row in minus[1:]
+        )
+        assert verify_clique(CliqueCertificate(128, members))
+        assert not verify_clique(CliqueCertificate(128, members[:-1] + (members[0] ^ 3,)))
+
+    @pytest.mark.parametrize("order", HADAMARD_ORDERS)
+    def test_every_order_refuses_one_flipped_entry(self, order):
+        grid = hadamard_matrix(order).entries.copy()
+        grid[order // 3, order // 2] *= -1
+        with pytest.raises(DomainError, match="orthogonal"):
+            HadamardMatrix(order, grid)
+
+    @pytest.mark.parametrize("order", [3, 5, 7])
+    def test_odd_orders_are_refused(self, order):
+        # -1 on the diagonal: at order 5 every two rows differ in 2 = 5 // 2 places
+        with pytest.raises(DomainError, match="orthogonal"):
+            HadamardMatrix(order, 1 - 2 * np.eye(order, dtype=np.int8))
+
+    def test_order_one_and_two_validate(self):
+        assert HadamardMatrix(1, [[-1]]).order == 1
+        assert HadamardMatrix(2, [[1, -1], [1, 1]]).order == 2
 
     @pytest.mark.parametrize("cell", [(0, 0), (5, 7), (11, 11)])
     def test_rejects_one_flipped_entry(self, cell):
