@@ -12,19 +12,20 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .approx import approx_construct, check_approx, third_layer_check
+from .approx import _bound_ok, approx_construct, check_approx, third_layer_check
 from .constructions import ConstructionResult, best_bounds, build_construction
 from .cube import MASK_CAP, VertexSet
 from .errors import CapabilityError, CertificateError, DomainError
 from .exhaustive import exhaustive_lambda
 from .hadamard import hadamard_matrix
 from .johnson import CliqueCertificate, hadamard_to_clique, omega, verify_clique
-from .residues import verify_prop31, verify_thm32
+from .residues import Thm32Case, thm32_admissible, verify_prop31, verify_thm32
 from .stats import distribution, distribution_fast
 
 _CHECKED_DIMENSION_CAP = 10_000  # the largest d the approx check runs at
@@ -173,6 +174,11 @@ def _suite_thm32(config: RunConfig) -> list[dict]:
                 "violations": [case.to_json() for case in report.violations],
             }
         )
+    # negative control: half of Z_8, not a parity class, with the parity
+    # classes' common value 2^15 at d = 16 must be a violation
+    planted = Thm32Case(16, (0, 1, 2, 3), (1 << 15,) * 8)
+    name = "control: a non-admissible residue set is classified as a violation"
+    checks.append({"name": name, "pass": not thm32_admissible(8, planted), "control": True})
     return checks
 
 
@@ -188,6 +194,11 @@ def _suite_approx(config: RunConfig) -> list[dict]:
                 if not check_approx(spec, d).bound_ok:
                     worst_ok = False
         checks.append({"name": f"bound holds q={q}, p<q, d<=64", "pass": worst_ok})
+    # negative control: at q = 12, d = 64 a deviation of q 2^d exceeds the
+    # bound q 2^d e^(-d/(10 q^2)) by 4.5%, so the bound check must fail it
+    ok, _ = _bound_ok(Fraction(12 << 64), 12, 64)
+    name = "control: a deviation above the bound fails the bound check"
+    checks.append({"name": name, "pass": not ok, "control": True})
     return checks
 
 
@@ -237,11 +248,21 @@ def _suite_oracle_equivalence(config: RunConfig) -> list[dict]:
         if fast != slow:
             ok = False
         comp = distribution_fast(A.complement(), d)
-        if fast.counts != comp.counts[::-1]:
+        if not _mirrors(fast.counts, comp.counts):
             sym_ok = False
     checks.append({"name": "distribution_fast == distribution (25 seeded sets)", "pass": ok})
     checks.append({"name": "complement mirrors counts", "pass": sym_ok})
+    # negative control: {0} in Q_3 has edge counts (9, 3, 0); its complement's
+    # are (0, 3, 9), so its own counts must not pass for its complement's
+    counts = distribution_fast(VertexSet(3, 1), 1).counts
+    name = "control: an asymmetric set's complement has different counts"
+    checks.append({"name": name, "pass": not _mirrors(counts, counts), "control": True})
     return checks
+
+
+def _mirrors(counts: tuple[int, ...], comp_counts: tuple[int, ...]) -> bool:
+    """Are comp_counts the counts reversed, as a complement's must be?"""
+    return counts == comp_counts[::-1]
 
 
 _SUITES = {

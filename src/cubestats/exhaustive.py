@@ -1,11 +1,16 @@
 """Brute-force oracle for λ(n,d,s) = max over all A of λ(n,d,s,A).
 
-The search space of 2^(2^n) subsets is halved by complement symmetry:
-only sets avoiding vertex 0 are enumerated, and each stands in for its
-complement through counts[s] = counts_complement[2^d - s].  n <= 4 runs
-plain; n = 5 additionally prunes by hypercube symmetries (coordinate
-permutations and translations), enumerating only masks whose high half
-is least under the permutations of coordinates 0-3.  n >= 6 is refused.
+Three cases need no search: d = 0 (only ∅ and Q_n are perfect), d = n - 1
+(s antipodal pairs put s points in every facet) and d = n (the cube is the
+one subcube).  The rest, 1 <= d <= n - 2, is a sweep.  The search space of
+2^(2^n) subsets is halved by complement symmetry: only sets avoiding
+vertex 0 are enumerated, and each stands in for its complement through
+counts[s] = counts_complement[2^d - s].  Each mask's subcube histogram is
+packed into one uint64 word, 2^d + 1 lanes wide.  n <= 4 runs plain; n = 5
+additionally prunes by hypercube symmetries (coordinate permutations and
+translations), enumerating only masks whose high half is least under the
+permutations of coordinates 0-3 and whose low half holds the vertices that
+high half forces.  n >= 6 is refused.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -23,8 +29,8 @@ from .turan import occupancy_case
 PLAIN_MAX_N = 4
 PRUNED_MAX_N = 5
 
-_EVAL_CHUNK = 1 << 21
-_ENUM_CHUNK = 1 << 24
+_EVAL_CHUNK = 1 << 16
+_ENUM_CHUNK = 1 << 16
 
 
 def _cube_masks(n: int, d: int) -> list[int]:
@@ -32,12 +38,32 @@ def _cube_masks(n: int, d: int) -> list[int]:
 
 
 def _hist_matrix(masks: np.ndarray, cube_masks: list[int], d: int) -> np.ndarray:
-    """hist[s, i] = number of d-subcubes meeting mask i in exactly s vertices."""
-    hist = np.zeros(((1 << d) + 1, masks.size), dtype=np.uint8)
-    cols = np.arange(masks.size)
+    """hist[s, i] = number of d-subcubes meeting mask i in exactly s vertices.
+
+    Mask i's histogram accumulates in one uint64 word of 2^d + 1 lanes, w
+    bits each, w the bit length of the subcube count so that no lane
+    overflows: a subcube meeting the mask in c vertices adds 1 << (w c).
+    Every swept (n, d) needs (2^d + 1) w <= 64 bits.  The lanes are
+    unpacked once, after the last subcube.
+    """
+    w = len(cube_masks).bit_length()
+    acc = np.zeros(masks.size, dtype=np.uint64)
+    term = np.empty_like(acc)
+    meet = np.empty_like(masks)
+    shift = np.empty(masks.size, dtype=np.uint8)
+    one = np.uint64(1)
     for cm in cube_masks:
-        cnt = np.bitwise_count(masks & masks.dtype.type(cm)).astype(np.intp)
-        hist[cnt, cols] += 1
+        np.bitwise_and(masks, masks.dtype.type(cm), out=meet)
+        np.bitwise_count(meet, out=shift)
+        np.multiply(shift, np.uint8(w), out=shift)
+        np.left_shift(one, shift, out=term)
+        acc += term
+    hist = np.empty(((1 << d) + 1, masks.size), dtype=np.uint8)
+    lane = np.uint64((1 << w) - 1)
+    for s, row in enumerate(hist):
+        np.right_shift(acc, np.uint64(w * s), out=term)
+        np.bitwise_and(term, lane, out=term)
+        row[:] = term
     return hist
 
 
@@ -108,38 +134,70 @@ def _n5_filters() -> list:
     return filters
 
 
-@lru_cache(maxsize=None)
-def _n5_survivors() -> np.ndarray:
-    """Vertex-0-avoiding masks surviving the symmetry filter, as uint32.
-
-    Permutations of coordinates 0-3 map the low half (vertices 0-15) and the
-    high half (16-31) of a mask onto themselves and fix vertex 0, so the least
-    vertex-0-avoiding member of every orbit, the mask the filters keep, has a
-    high half least under them: only such halves are enumerated.
-    """
+def _canonical_highs() -> np.ndarray:
+    """The 16-bit halves least under the permutations of coordinates 0-3."""
     halves = np.arange(1 << 16, dtype=np.uint64)
     img = halves
     least = np.ones(halves.size, dtype=bool)
     for i, j in _sjt_swaps(4):
         img = _transposition_image(img, i, j, 4)
         least &= halves <= img
-    highs = halves[least, None] << np.uint64(16)
-    lows = np.arange(0, 1 << 16, 2, dtype=np.uint64)
-    filters = _n5_filters()
+    return halves[least]
+
+
+def _n5_candidates(highs: np.ndarray) -> Iterator[np.ndarray]:
+    """Chunks of the masks h 2^16 + low, ascending, that the build tests.
+
+    low runs over the even halves holding forced(h), the vertices t of
+    coordinates 0-3 whose translation τ_t makes the high half smaller: a
+    mask whose low half lacks t has a τ_t image that avoids vertex 0 and
+    is smaller, so the filters would drop it.
+    """
+    forced = np.zeros_like(highs)
+    for t in range(1, 16):
+        smaller = _translate_image(highs, t, 4) < highs
+        forced |= smaller.astype(np.uint64) << np.uint64(t)
+    evens = np.arange(0, 1 << 16, 2, dtype=np.uint64)
+    lows_of: dict[int, np.ndarray] = {}
+    batch, size = [], 0
+    for h, f in zip(highs.tolist(), forced.tolist()):
+        if f not in lows_of:
+            lows_of[f] = evens[(evens & np.uint64(f)) == f]
+        batch.append(np.uint64(h << 16) | lows_of[f])
+        size += batch[-1].size
+        if size >= _ENUM_CHUNK:
+            chunk = np.concatenate(batch)
+            batch, size = [], 0
+            yield chunk
+    if batch:
+        yield np.concatenate(batch)
+
+
+def _n5_keep(masks: np.ndarray) -> np.ndarray:
+    """The masks that no filtered symmetry maps to a smaller one avoiding vertex 0."""
     one = np.uint64(1)
-    parts = []
-    step = _ENUM_CHUNK // lows.size
-    for start in range(0, highs.size, step):
-        m = (highs[start : start + step] | lows).ravel()
-        for f in filters:
-            img = f(m)
-            # Images hitting vertex 0 leave the enumerated half-space and
-            # cannot disqualify m.
-            m = m[((img & one) != 0) | (m <= img)]
-            if m.size == 0:
-                break
-        if m.size:
-            parts.append(m.astype(np.uint32))
+    for f in _n5_filters():
+        img = f(masks)
+        # Images hitting vertex 0 leave the enumerated half-space and
+        # cannot disqualify a mask.
+        masks = masks[((img & one) != 0) | (masks <= img)]
+        if masks.size == 0:
+            break
+    return masks
+
+
+@lru_cache(maxsize=None)
+def _n5_survivors() -> np.ndarray:
+    """Vertex-0-avoiding masks surviving the symmetry filter, as ascending uint32.
+
+    Permutations of coordinates 0-3 map the low half (vertices 0-15) and the
+    high half (16-31) of a mask onto themselves and fix vertex 0, so the least
+    vertex-0-avoiding member of every orbit, the mask the filters keep, has a
+    high half least under them: only such halves are enumerated.  Each such
+    high half h also forces vertices into the low half (``_n5_candidates``),
+    which leaves 35,772,925 of the 130.5M masks to test.
+    """
+    parts = [_n5_keep(m).astype(np.uint32) for m in _n5_candidates(_canonical_highs())]
     return np.concatenate(parts)  # the empty mask always survives
 
 
@@ -224,7 +282,8 @@ def _walk_least(cands: np.ndarray, n: int) -> int:
 def _sweep(n: int, d: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
     """Per s: the best subcube count over the scanned vertex-0-avoiding masks
     (all of them for n <= 4, the symmetry survivors for n = 5) and the masks
-    attaining it, from one chunked scan."""
+    attaining it, from one chunked scan.  ``exhaustive_lambda`` sweeps only
+    1 <= d <= n - 2, where ``_hist_matrix``'s lanes fit one word."""
     cubes = _cube_masks(n, d)
     if n <= PLAIN_MAX_N:
         masks = np.arange(0, 1 << (1 << n), 2, dtype=np.uint32)
@@ -272,5 +331,13 @@ def exhaustive_lambda(n: int, d: int, s: int) -> tuple[Fraction, VertexSet]:
     if d == n:
         # the whole cube is the one d-subcube; {0, ..., s-1} is the least s-set
         return Fraction(1), VertexSet(n, (1 << s) - 1)
+    if d == 0:
+        # every vertex is a 0-subcube, met by ∅ (s = 0) or by all of Q_n (s = 1)
+        return Fraction(1), VertexSet(n, (1 << (s << n)) - 1)
+    if d == n - 1:
+        # s antipodal pairs {x, ~x} meet every facet in s points; the least
+        # such set pairs {0, ..., s-1} with {2^n - s, ..., 2^n - 1}
+        low = (1 << s) - 1
+        return Fraction(1), VertexSet(n, low | low << ((1 << n) - s))
     count, witness = _cell(n, d, s)
     return Fraction(count, subcube_count(n, d)), VertexSet(n, witness)

@@ -22,6 +22,7 @@ __all__ = [
     "q_binsum",
     "q_fourier",
     "residue_table",
+    "thm32_admissible",
     "thm32_q",
     "verify_prop31",
     "verify_thm32",
@@ -143,6 +144,11 @@ def _admissible(k: int, d: int) -> dict[tuple[int, ...], int]:
     return allowed
 
 
+def thm32_admissible(k: int, case: Thm32Case) -> bool:
+    """Is the constant case one that Theorem 3.2 allows, with its common value?"""
+    return _admissible(k, case.d).get(case.subset) == case.values[0]
+
+
 @dataclass(frozen=True)
 class Thm32Report:
     """Classification of the constant-sum residue sets found by verify_thm32."""
@@ -202,9 +208,7 @@ def verify_thm32(k: int, d_range: Iterable[int]) -> Thm32Report:
     if dims[0] < 0:
         raise DomainError("dimensions must be nonnegative")
 
-    allowed = {d: _admissible(k, d) for d in dims}
     expected, violations = [], []
     for case in _constant_cases(k, dims):
-        admissible = allowed[case.d].get(case.subset) == case.values[0]
-        (expected if admissible else violations).append(case)
+        (expected if thm32_admissible(k, case) else violations).append(case)
     return Thm32Report(k, dims, tuple(expected), tuple(violations))

@@ -20,6 +20,7 @@ from cubestats import (
     CertificateError,
     VertexSet,
     __version__,
+    approx,
     cli,
     distribution_fast,
     residues,
@@ -299,6 +300,36 @@ class TestVerifySuites:
         assert rc == 1
         assert len(failed) == 1 and failed[0].startswith("control: ")
 
+    @pytest.mark.parametrize("suite", ["thm32", "approx", "oracle-equivalence"])
+    def test_suite_reports_its_negative_control(self, capsys, suite):
+        rc, out, _ = run(capsys, "verify", suite)
+        checks = json.loads(out)["checks"]
+        assert rc == 0
+        assert [c.get("control", False) for c in checks][-1:] == [True]
+        assert sum(c.get("control", False) for c in checks) == 1
+        assert checks[-1]["pass"] is True and checks[-1]["name"].startswith("control: ")
+
+    @pytest.mark.parametrize(
+        "suite, targets",
+        [
+            ("thm32", [(residues, "thm32_admissible"), (cli, "thm32_admissible")]),
+            ("approx", [(approx, "_bound_ok"), (cli, "_bound_ok")]),
+            ("oracle-equivalence", [(cli, "_mirrors")]),
+        ],
+        ids=["thm32", "approx", "oracle-equivalence"],
+    )
+    def test_suite_fails_when_its_check_accepts_anything(
+        self, capsys, monkeypatch, suite, targets
+    ):
+        # every regular check passes; only the negative control fails
+        accepts = {"thm32_admissible": True, "_bound_ok": (True, False), "_mirrors": True}
+        for module, name in targets:
+            monkeypatch.setattr(module, name, lambda *args, v=accepts[name]: v)
+        rc, out, _ = run(capsys, "verify", suite)
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert rc == 1
+        assert len(failed) == 1 and failed[0].startswith("control: ")
+
     def test_clique_certs_fails_when_a_certificate_cannot_be_built(
         self, capsys, monkeypatch
     ):
@@ -350,7 +381,7 @@ class TestVerifySuites:
         monkeypatch.setattr(VertexSet, "complement", lambda self: self)
         rc, out, _ = run(capsys, "verify", "oracle-equivalence")
         assert rc == 1
-        assert [c["pass"] for c in json.loads(out)["checks"]] == [True, False]
+        assert [c["pass"] for c in json.loads(out)["checks"]] == [True, False, True]
 
     def test_thm32_fails_when_the_scan_misses_a_case(self, capsys, monkeypatch):
         # no violations, but none of the admissible families found either
@@ -374,7 +405,9 @@ class TestVerifySuites:
         assert rc == 1
         report = json.loads(out)
         assert report["pass"] is False
-        assert not any(check["pass"] or check["violations"] for check in report["checks"])
+        *scans, control = report["checks"]
+        assert not any(check["pass"] or check["violations"] for check in scans)
+        assert control["control"] and control["pass"]
 
     def test_thm32_suite(self, capsys):
         rc, out, _ = run(capsys, "verify", "thm32", "--workers", "2")

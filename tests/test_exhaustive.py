@@ -24,7 +24,13 @@ from cubestats import (
 from cubestats import exhaustive
 from cubestats.exhaustive import (
     _beats,
+    _canonical_highs,
+    _cell,
+    _cube_masks,
+    _hist_matrix,
     _lex_least,
+    _n5_candidates,
+    _n5_keep,
     _sjt_swaps,
     _transposition_image,
     _translate_image,
@@ -134,9 +140,91 @@ class TestSmallTables:
                 val, wit = exhaustive_lambda(n, n, s)
                 assert val == 1 and wit.n == n and wit.bits == (1 << s) - 1
 
+    @pytest.mark.parametrize("d_of_n", [lambda n: 0, lambda n: n - 1], ids=["d0", "codim1"])
+    def test_closed_forms_match_the_sweep(self, monkeypatch, d_of_n):
+        # λ = 1 at d = 0 and d = n - 1, with the witness the sweep finds
+        cells = {
+            (n, s): _cell(n, d_of_n(n), s)
+            for n in range(1, 5)
+            for s in range((1 << d_of_n(n)) + 1)
+        }
+
+        def no_scan(*args):
+            raise AssertionError("d = 0 and d = n - 1 must not reach the scan")
+
+        monkeypatch.setattr(exhaustive, "_cell", no_scan)
+        for (n, s), (count, bits) in cells.items():
+            val, wit = exhaustive_lambda(n, d_of_n(n), s)
+            assert val == Fraction(count, subcube_count(n, d_of_n(n))) == 1, (n, s)
+            assert wit.n == n and wit.bits == bits, (n, s)
+        for n in range(1, 6):
+            for s in range((1 << d_of_n(n)) + 1):
+                val, wit = exhaustive_lambda(n, d_of_n(n), s)
+                assert val == 1 and lambda_of_set(wit, d_of_n(n), s) == 1, (n, s)
+
     def test_capability_gates(self):
         with pytest.raises(CapabilityError):
             exhaustive_lambda(6, 2, 1)
+
+
+# --- lane-packed histogram ----------------------------------------------------
+
+
+def scatter_hist_matrix(masks: np.ndarray, cube_masks: list[int], d: int) -> np.ndarray:
+    """Reference: one scatter-add per subcube into hist[count, mask]."""
+    hist = np.zeros(((1 << d) + 1, masks.size), dtype=np.uint8)
+    cols = np.arange(masks.size)
+    for cm in cube_masks:
+        cnt = np.bitwise_count(masks & masks.dtype.type(cm)).astype(np.intp)
+        hist[cnt, cols] += 1
+    return hist
+
+
+def scatter_sweep(n: int, d: int, masks: np.ndarray):
+    """Reference best count and tie set per s, from one scatter histogram."""
+    hist = scatter_hist_matrix(masks, _cube_masks(n, d), d)
+    best = tuple(int(col.max()) for col in hist)
+    return best, tuple(masks[col == peak] for col, peak in zip(hist, best))
+
+
+class TestLaneHistogram:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_scatter_on_every_even_n4_mask(self, d):
+        masks = np.arange(0, 1 << 16, 2, dtype=np.uint32)
+        cubes = _cube_masks(4, d)
+        assert np.array_equal(
+            _hist_matrix(masks, cubes, d), scatter_hist_matrix(masks, cubes, d)
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_scatter_on_a_seeded_n5_chunk(self, d):
+        rng = np.random.default_rng(50 + d)
+        masks = rng.integers(0, 1 << 31, size=1 << 14, dtype=np.uint32) << np.uint32(1)
+        # the extremes: no vertex, and every vertex but 0
+        masks[:2] = 0, 0xFFFFFFFE
+        cubes = _cube_masks(5, d)
+        got = _hist_matrix(masks, cubes, d)
+        assert np.array_equal(got, scatter_hist_matrix(masks, cubes, d))
+        # full lanes: every subcube misses the empty mask, and all but the
+        # C(5, d) through vertex 0 lie inside the other one
+        assert got[0, 0] == len(cubes)
+        assert got[1 << d, 1] == len(cubes) - math.comb(5, d)
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    def test_sweep_across_chunk_boundaries(self, monkeypatch, chunk):
+        # 64 masks in chunks of 2, or 3 with a last chunk of one
+        monkeypatch.setattr(exhaustive, "_EVAL_CHUNK", chunk)
+        sweep = functools.lru_cache(exhaustive._sweep.__wrapped__)
+        best, ties = sweep(3, 1)
+        want_best, want_ties = scatter_sweep(3, 1, np.arange(0, 256, 2, dtype=np.uint32))
+        assert best == want_best
+        assert all(np.array_equal(a, b) for a, b in zip(ties, want_ties, strict=True))
+
+    def test_lanes_fit_one_word_at_every_swept_shape(self):
+        for n in range(3, 6):
+            for d in range(1, n - 1):
+                w = len(_cube_masks(n, d)).bit_length()
+                assert ((1 << d) + 1) * w <= 64, (n, d)
 
 
 # --- symmetry-walk internals ------------------------------------------------
@@ -336,22 +424,26 @@ class TestSweepAtNFive:
         monkeypatch.setattr(exhaustive, "_n5_survivors", lambda: masks)
         # chunks of two masks exercise the running best across chunks
         monkeypatch.setattr(exhaustive, "_EVAL_CHUNK", 2)
-        exhaustive._sweep.cache_clear()
-        exhaustive._cell.cache_clear()
-        yield masks
-        exhaustive._sweep.cache_clear()
-        exhaustive._cell.cache_clear()
+        # fresh caches, so the real table's sweeps stay cached for other tests
+        for name in ("_sweep", "_cell"):
+            fresh = functools.lru_cache(getattr(exhaustive, name).__wrapped__)
+            monkeypatch.setattr(exhaustive, name, fresh)
+        return masks
 
     @pytest.mark.parametrize("d", range(3))
     def test_matches_orbit_reference(self, stub, d):
+        # through _cell: exhaustive_lambda answers d = 0 without a sweep
         sets = [int(m) for m in stub] + [0xFFFFFFFF ^ int(m) for m in stub]
         counts = [distribution(VertexSet(5, m), d).counts for m in sets]
         for s in range((1 << d) + 1):
             best = max(c[s] for c in counts)
             tied = [m for m, c in zip(sets, counts) if c[s] == best]
-            val, wit = exhaustive_lambda(5, d, s)
-            assert val == Fraction(best, subcube_count(5, d)), (d, s)
-            assert wit.bits == _orbit_least(tied, 5), (d, s)
+            count, wit = exhaustive._cell(5, d, s)
+            assert count == best, (d, s)
+            assert wit == _orbit_least(tied, 5), (d, s)
+            if d:
+                val, w = exhaustive_lambda(5, d, s)
+                assert (val, w.bits) == (Fraction(best, subcube_count(5, d)), wit)
 
 
 class TestAmbientFive:
@@ -385,3 +477,20 @@ class TestAmbientFive:
             val, wit = exhaustive_lambda(5, 4, s)
             assert val == 1
             assert len(wit) == 2 * s
+            # {0, ..., s-1} and their antipodes {31 - s + 1, ..., 31}
+            assert wit.bits == ((1 << s) - 1) * (1 | 1 << (32 - s))
+
+    def test_forced_low_bits_keep_the_same_survivors(self):
+        highs = _canonical_highs()
+        assert highs.size == 3984
+        every_low = np.arange(0, 1 << 16, 2, dtype=np.uint64)
+        rng = np.random.default_rng(16)
+        sizes = []
+        for h in rng.choice(highs, size=16, replace=False):
+            forced = np.concatenate(list(_n5_candidates(np.array([h]))))
+            unforced = (h << np.uint64(16)) | every_low
+            assert np.isin(forced, unforced).all()
+            assert np.array_equal(_n5_keep(forced), _n5_keep(unforced)), int(h)
+            sizes.append(forced.size)
+        assert min(sizes) < every_low.size
+        assert sum(c.size for c in _n5_candidates(highs)) == 35_772_925
