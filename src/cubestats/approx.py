@@ -15,10 +15,10 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapabilityError, DomainError
-from .residues import q_binsum, residue_table
+from .residues import residue_table
 
 __all__ = [
     "MAX_MODULUS",
@@ -201,10 +201,12 @@ def third_layer_check(d_max: int) -> bool:
     """Each residue class mod 3 collects floor(2^d/3) or ceil(2^d/3) weights."""
     if d_max < 1:
         raise DomainError("d_max must be at least 1")
-    for d in range(1, d_max + 1):
-        lo = (1 << d) // 3
-        hi = -((1 << d) // -3)
-        for a in range(3):
-            if q_binsum(a, 3, d) not in (lo, hi):
-                return False
-    return True
+    return all(
+        _splits_evenly(residue_table(3, d).values, d) for d in range(1, d_max + 1)
+    )
+
+
+def _splits_evenly(values: Sequence[int], d: int) -> bool:
+    """Is each of the k values floor(2^d/k) or ceil(2^d/k)?"""
+    k = len(values)
+    return all(v in ((1 << d) // k, -((1 << d) // -k)) for v in values)

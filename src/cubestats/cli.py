@@ -18,14 +18,28 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .approx import _bound_ok, approx_construct, check_approx, third_layer_check
+from .approx import (
+    ApproxSpec,
+    _bound_ok,
+    _splits_evenly,
+    approx_construct,
+    check_approx,
+    third_layer_check,
+)
 from .constructions import ConstructionResult, best_bounds, build_construction
 from .cube import MASK_CAP, VertexSet
 from .errors import CapabilityError, CertificateError, DomainError
 from .exhaustive import exhaustive_lambda
 from .hadamard import hadamard_matrix
 from .johnson import CliqueCertificate, hadamard_to_clique, omega, verify_clique
-from .residues import Thm32Case, thm32_admissible, verify_prop31, verify_thm32
+from .residues import (
+    Thm32Case,
+    prop31_holds,
+    residue_table,
+    thm32_admissible,
+    verify_prop31,
+    verify_thm32,
+)
 from .stats import distribution, distribution_fast
 
 _CHECKED_DIMENSION_CAP = 10_000  # the largest d the approx check runs at
@@ -160,6 +174,11 @@ def _suite_prop31(config: RunConfig) -> list[dict]:
     for d in range(3, 17):
         ok = all(verify_prop31(k, d) for k in range(3, d + 1))
         checks.append({"name": f"prop31 d={d} (all 2<k<=d)", "pass": ok})
+    # negative control: at k = 2 both residue sums of row 16 are 2^15, so
+    # the row must be reported constant
+    ok = prop31_holds(residue_table(2, 16).values)
+    name = "control: a row with equal residue sums is reported constant"
+    checks.append({"name": name, "pass": not ok, "control": True})
     return checks
 
 
@@ -183,8 +202,6 @@ def _suite_thm32(config: RunConfig) -> list[dict]:
 
 
 def _suite_approx(config: RunConfig) -> list[dict]:
-    from .approx import ApproxSpec
-
     checks = []
     for q in range(2, 13):
         worst_ok = True
@@ -203,7 +220,13 @@ def _suite_approx(config: RunConfig) -> list[dict]:
 
 
 def _suite_third_layer(config: RunConfig) -> list[dict]:
-    return [{"name": "third layer floor/ceil d<=30", "pass": third_layer_check(30)}]
+    checks = [{"name": "third layer floor/ceil d<=30", "pass": third_layer_check(30)}]
+    # negative control: the residue sums mod 5 of row 30 lie up to 744,200
+    # from floor(2^30/5), so they must fail the floor/ceil test
+    ok = _splits_evenly(residue_table(5, 30).values, 30)
+    name = "control: the residue sums mod 5 at d=30 fail the floor/ceil test"
+    checks.append({"name": name, "pass": not ok, "control": True})
+    return checks
 
 
 def _suite_clique_certs(config: RunConfig) -> list[dict]:

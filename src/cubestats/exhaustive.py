@@ -10,7 +10,8 @@ packed into one uint64 word, 2^d + 1 lanes wide.  n <= 4 runs plain; n = 5
 additionally prunes by hypercube symmetries (coordinate permutations and
 translations), enumerating only masks whose high half is least under the
 permutations of coordinates 0-3 and whose low half holds the vertices that
-high half forces.  n >= 6 is refused.
+high half forces; its witness is the least image of the maximizers under
+one table of all 3840 symmetries.  n >= 6 is refused.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .turan import occupancy_case
 PLAIN_MAX_N = 4
 PRUNED_MAX_N = 5
 
-_EVAL_CHUNK = 1 << 16
-_ENUM_CHUNK = 1 << 16
+_CHUNK = 1 << 16
 
 
 def _cube_masks(n: int, d: int) -> list[int]:
@@ -92,8 +92,32 @@ def _lex_least(masks: np.ndarray) -> int:
 # is kept only if it is no larger than each tested image that still
 # avoids vertex 0; the smallest vertex-0-avoiding member of every orbit
 # passes all such tests, so the surviving set is a superset of one
-# representative per orbit and the maximum over it is exact.
+# representative per orbit and the maximum over it is exact.  The witness
+# is the least image of the maximizers under every symmetry, read from one
+# table of vertex images (``_symmetries``).
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _symmetries(n: int) -> np.ndarray:
+    """vmap[g, v], the image of vertex v under each of the 2^n n! symmetries.
+
+    Row p 2^n + t moves bit k of v to bit perm[k], perm the p-th of
+    ``itertools.permutations(range(n))``, then translates by t.
+    """
+    v = np.arange(1 << n)
+    perms = np.array(list(itertools.permutations(range(n))))
+    moved = (((v[:, None] >> np.arange(n)) & 1) << perms[:, None, :]).sum(axis=2)
+    return (moved[:, None, :] ^ v[:, None]).reshape(-1, 1 << n).astype(np.uint8)
+
+
+def _images(masks: np.ndarray, vmaps: np.ndarray) -> np.ndarray:
+    """images[i, g], mask i under vertex map g: the product of its member
+    bits with 1 << vmap[g].  The masks' dtype holds the images, which are
+    as wide as the masks."""
+    one = masks.dtype.type(1)
+    member = (masks[:, None] >> np.arange(vmaps.shape[1], dtype=masks.dtype)) & one
+    return member @ (one << vmaps.astype(masks.dtype)).T
 
 
 def _coord_zero_mask(n: int, b: int) -> int:
@@ -137,10 +161,13 @@ def _n5_filters() -> list:
 def _canonical_highs() -> np.ndarray:
     """The 16-bit halves least under the permutations of coordinates 0-3."""
     halves = np.arange(1 << 16, dtype=np.uint64)
-    img = halves
     least = np.ones(halves.size, dtype=bool)
-    for i, j in _sjt_swaps(4):
-        img = _transposition_image(img, i, j, 4)
+    # the rows of _symmetries(4) that translate by 0, bit by bit: the
+    # 65,536 x 16 member bits of ``_images`` would raise the build's peak RSS
+    for vmap in _symmetries(4)[:: 1 << 4]:
+        img = np.zeros_like(halves)
+        for u, pu in enumerate(vmap.tolist()):
+            img |= ((halves >> np.uint64(u)) & np.uint64(1)) << np.uint64(pu)
         least &= halves <= img
     return halves[least]
 
@@ -165,7 +192,7 @@ def _n5_candidates(highs: np.ndarray) -> Iterator[np.ndarray]:
             lows_of[f] = evens[(evens & np.uint64(f)) == f]
         batch.append(np.uint64(h << 16) | lows_of[f])
         size += batch[-1].size
-        if size >= _ENUM_CHUNK:
+        if size >= _CHUNK:
             chunk = np.concatenate(batch)
             batch, size = [], 0
             yield chunk
@@ -201,81 +228,18 @@ def _n5_survivors() -> np.ndarray:
     return np.concatenate(parts)  # the empty mask always survives
 
 
-def _sjt_swaps(n: int) -> list[tuple[int, int]]:
-    """Adjacent-transposition sequence stepping through all n! permutations."""
-    if n <= 1:
-        return []
-    inner = _sjt_swaps(n - 1)
-    desc = [(i, i + 1) for i in range(n - 2, -1, -1)]
-    asc = [(i, i + 1) for i in range(n - 1)]
-    seq = list(desc)
-    at_front = True
-    for a, b in inner:
-        if at_front:
-            seq.append((a + 1, b + 1))
-            seq.extend(asc)
-        else:
-            seq.append((a, b))
-            seq.extend(desc)
-        at_front = not at_front
-    return seq
+def _least_image(cands: np.ndarray, n: int) -> int:
+    """Lex-least image of the candidate masks under all 2^n n! symmetries.
 
-
-def _walk_steps(n: int) -> list[tuple[str, tuple[int, int] | int]]:
-    """Generator sequence whose running products visit all 2^n n! symmetries.
-
-    Between consecutive coordinate swaps, a Gray-code sweep of single-bit
-    translations covers the whole translation coset, so every symmetry is
-    reached exactly once by composing one more generator per step.
-    """
-    steps: list[tuple[str, tuple[int, int] | int]] = []
-    for swap in [None] + list(_sjt_swaps(n)):
-        if swap is not None:
-            steps.append(("swap", swap))
-        for j in range(1, 1 << n):
-            steps.append(("xlate", (j & -j).bit_length() - 1))
-    return steps
-
-
-def _beats(img: np.ndarray, w: int) -> np.ndarray:
-    """Elementwise: does the mask's vertex tuple precede champion w's?"""
-    wv = img.dtype.type(w)
-    one = img.dtype.type(1)
-    diff = img ^ wv
-    low = diff & (~diff + one)
-    above = ~((low << one) - one)
-    has_low = (img & low) != 0
-    w_up = (wv & above) != 0
-    img_up = (img & above) != 0
-    return (diff != 0) & np.where(has_low, w_up, ~img_up)
-
-
-def _walk_least(cands: np.ndarray, n: int) -> int:
-    """Lex-least mask over the symmetry orbits of all candidate masks.
-
-    Walks the whole symmetry group, transforming the candidate array by a
-    single generator per step, and keeps the best mask seen.  ``_beats`` is
-    a single pass per step; only the images it lets through, usually none,
-    go to the multi-pass ``_lex_least``.
-    """
-    img = cands
-    champ = _lex_least(cands)
-    # Symmetries keep the popcount, and no mask with at least m vertices
-    # precedes (0, ..., m-1), m the least candidate popcount: reaching that
-    # mask ends the walk.
-    floor = (1 << int(np.bitwise_count(cands).min())) - 1
-    for kind, payload in _walk_steps(n):
-        if champ == floor:
-            break
-        if kind == "swap":
-            i, j = payload
-            img = _transposition_image(img, i, j, n)
-        else:
-            img = _translate_image(img, 1 << payload, n)
-        hits = img[_beats(img, champ)]
-        if hits.size:
-            champ = _lex_least(hits)
-    return champ
+    ``_images`` maps a block of ``_CHUNK // (2^n n!)`` candidates at a time;
+    the blocks' least images go to a final ``_lex_least``."""
+    vmaps = _symmetries(n)
+    step = max(1, _CHUNK // len(vmaps))
+    least = [
+        _lex_least(_images(cands[lo : lo + step], vmaps).ravel())
+        for lo in range(0, cands.size, step)
+    ]
+    return _lex_least(np.array(least, dtype=cands.dtype))
 
 
 @lru_cache(maxsize=None)
@@ -291,8 +255,8 @@ def _sweep(n: int, d: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
         masks = _n5_survivors()
     best = [-1] * ((1 << d) + 1)
     ties: list[list[np.ndarray]] = [[] for _ in best]
-    for lo in range(0, masks.size, _EVAL_CHUNK):
-        chunk = masks[lo : lo + _EVAL_CHUNK]
+    for lo in range(0, masks.size, _CHUNK):
+        chunk = masks[lo : lo + _CHUNK]
         for s, col in enumerate(_hist_matrix(chunk, cubes, d)):
             peak = int(col.max())
             if peak > best[s]:
@@ -319,7 +283,7 @@ def _cell(n: int, d: int, s: int) -> tuple[int, int]:
     if n <= PLAIN_MAX_N:
         # every mask was scanned, so the maximizers are all present
         return count, _lex_least(cands)
-    return count, _walk_least(cands, n)
+    return count, _least_image(cands, n)
 
 
 def exhaustive_lambda(n: int, d: int, s: int) -> tuple[Fraction, VertexSet]:

@@ -19,6 +19,7 @@ __all__ = [
     "ResidueSumTable",
     "Thm32Case",
     "Thm32Report",
+    "prop31_holds",
     "q_binsum",
     "q_fourier",
     "residue_table",
@@ -113,7 +114,12 @@ def verify_prop31(k: int, d: int) -> bool:
     """
     if not 2 < k <= d:
         raise DomainError("requires 2 < k <= d")
-    return len(set(_binsum_row(k, d))) > 1
+    return prop31_holds(_binsum_row(k, d))
+
+
+def prop31_holds(values: Sequence[int]) -> bool:
+    """Are the residue sums of a row not all equal, as Proposition 3.1 claims?"""
+    return len(set(values)) > 1
 
 
 @dataclass(frozen=True)

@@ -300,7 +300,9 @@ class TestVerifySuites:
         assert rc == 1
         assert len(failed) == 1 and failed[0].startswith("control: ")
 
-    @pytest.mark.parametrize("suite", ["thm32", "approx", "oracle-equivalence"])
+    @pytest.mark.parametrize(
+        "suite", ["prop31", "thm32", "approx", "third-layer", "oracle-equivalence"]
+    )
     def test_suite_reports_its_negative_control(self, capsys, suite):
         rc, out, _ = run(capsys, "verify", suite)
         checks = json.loads(out)["checks"]
@@ -312,19 +314,21 @@ class TestVerifySuites:
     @pytest.mark.parametrize(
         "suite, targets",
         [
+            ("prop31", [(residues, "prop31_holds"), (cli, "prop31_holds")]),
             ("thm32", [(residues, "thm32_admissible"), (cli, "thm32_admissible")]),
             ("approx", [(approx, "_bound_ok"), (cli, "_bound_ok")]),
+            ("third-layer", [(approx, "_splits_evenly"), (cli, "_splits_evenly")]),
             ("oracle-equivalence", [(cli, "_mirrors")]),
         ],
-        ids=["thm32", "approx", "oracle-equivalence"],
+        ids=["prop31", "thm32", "approx", "third-layer", "oracle-equivalence"],
     )
     def test_suite_fails_when_its_check_accepts_anything(
         self, capsys, monkeypatch, suite, targets
     ):
         # every regular check passes; only the negative control fails
-        accepts = {"thm32_admissible": True, "_bound_ok": (True, False), "_mirrors": True}
+        accepts = {"_bound_ok": (True, False)}
         for module, name in targets:
-            monkeypatch.setattr(module, name, lambda *args, v=accepts[name]: v)
+            monkeypatch.setattr(module, name, lambda *args, v=accepts.get(name, True): v)
         rc, out, _ = run(capsys, "verify", suite)
         failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
         assert rc == 1

@@ -1,4 +1,4 @@
-"""Exact maxima over all vertex sets, and the symmetry-walk internals."""
+"""Exact maxima over all vertex sets, and the symmetry-table internals."""
 
 import functools
 import itertools
@@ -23,19 +23,18 @@ from cubestats import (
 )
 from cubestats import exhaustive
 from cubestats.exhaustive import (
-    _beats,
     _canonical_highs,
     _cell,
     _cube_masks,
     _hist_matrix,
+    _images,
+    _least_image,
     _lex_least,
     _n5_candidates,
     _n5_keep,
-    _sjt_swaps,
+    _symmetries,
     _transposition_image,
     _translate_image,
-    _walk_least,
-    _walk_steps,
 )
 
 
@@ -213,7 +212,7 @@ class TestLaneHistogram:
     @pytest.mark.parametrize("chunk", [2, 3])
     def test_sweep_across_chunk_boundaries(self, monkeypatch, chunk):
         # 64 masks in chunks of 2, or 3 with a last chunk of one
-        monkeypatch.setattr(exhaustive, "_EVAL_CHUNK", chunk)
+        monkeypatch.setattr(exhaustive, "_CHUNK", chunk)
         sweep = functools.lru_cache(exhaustive._sweep.__wrapped__)
         best, ties = sweep(3, 1)
         want_best, want_ties = scatter_sweep(3, 1, np.arange(0, 256, 2, dtype=np.uint32))
@@ -227,7 +226,7 @@ class TestLaneHistogram:
                 assert ((1 << d) + 1) * w <= 64, (n, d)
 
 
-# --- symmetry-walk internals ------------------------------------------------
+# --- symmetry-table internals ------------------------------------------------
 
 
 def _vertex_tuple(mask: int, n: int) -> tuple[int, ...]:
@@ -270,39 +269,35 @@ def _orbit_least(cands, n: int) -> int:
     )
 
 
-class TestWalkMachinery:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_sjt_visits_every_permutation_once(self, n):
-        swaps = _sjt_swaps(n)
-        assert all(j == i + 1 for i, j in swaps)
-        assert len(swaps) == math.factorial(n) - 1
-        perm = list(range(n))
-        seen = {tuple(perm)}
-        for i, j in swaps:
-            perm[i], perm[j] = perm[j], perm[i]
-            seen.add(tuple(perm))
-        assert len(seen) == math.factorial(n)
+class TestSymmetryTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_match_the_reference_maps(self, n):
+        table = _symmetries(n)
+        assert table.shape == ((1 << n) * math.factorial(n), 1 << n)
+        assert table.tolist() == [list(vmap) for vmap in _vertex_maps(n)]
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_walk_covers_group_uniformly(self, n):
-        # push one seed mask through the walk; the images must cover its
-        # orbit with uniform multiplicity group_order / orbit_size
-        seed = 0b1011  # vertices {0, 1, 3}
-        steps = _walk_steps(n)
-        assert len(steps) == (1 << n) * math.factorial(n) - 1
-        arr = np.array([seed], dtype=np.uint32)
-        images = [seed]
-        for kind, payload in steps:
-            if kind == "swap":
-                arr = _transposition_image(arr, payload[0], payload[1], n)
-            else:
-                arr = _translate_image(arr, 1 << payload, n)
-            images.append(int(arr[0]))
-        orbit = _full_orbit(seed, n)
-        assert set(images) == orbit
-        group = (1 << n) * math.factorial(n)
-        mult = group // len(orbit)
-        assert all(images.count(m) == mult for m in orbit)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_translating_by_zero_are_the_coordinate_permutations(self, n):
+        table = _symmetries(n).astype(int)
+        v = np.arange(1 << n)
+        for p, perm in enumerate(itertools.permutations(range(n))):
+            row = table[p << n]
+            # a linear map of GF(2)^n sending unit vector k to unit vector perm[k]
+            assert [row[1 << k] for k in range(n)] == [1 << j for j in perm]
+            assert np.array_equal(row[v[:, None] ^ v], row[:, None] ^ row)
+            # the other rows of the block translate it
+            for t in range(1 << n):
+                assert np.array_equal(table[(p << n) + t], row ^ t)
+
+    @pytest.mark.parametrize("n, dtype", [(3, np.uint8), (4, np.uint16), (5, np.uint32)])
+    def test_images_match_pointwise_action(self, n, dtype):
+        rng = np.random.default_rng(n)
+        masks = rng.integers(0, 1 << (1 << n), size=3, dtype=np.uint64).astype(dtype)
+        got = _images(masks, _symmetries(n))
+        assert got.dtype == dtype
+        group = list(itertools.product(itertools.permutations(range(n)), range(1 << n)))
+        for m, row in zip(masks.tolist(), got.tolist()):
+            assert row == [_apply_group_element(m, perm, t, n) for perm, t in group]
 
     def test_swizzles_match_pointwise_action(self):
         rng = np.random.default_rng(7)
@@ -316,29 +311,6 @@ class TestWalkMachinery:
         got = _translate_image(masks, 0b101, n)
         want = [_apply_group_element(int(m), ident, 0b101, n) for m in masks]
         assert got.tolist() == want
-
-    @given(st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 32) - 1))
-    def test_beats_matches_tuple_order(self, a, w):
-        arr = np.array([a], dtype=np.uint32)
-        assert bool(_beats(arr, w)[0]) == (
-            _vertex_tuple(a, 5) < _vertex_tuple(w, 5)
-        )
-
-    def test_beats_prefix_edge_cases(self):
-        n = 5
-        cases = [
-            (0b0001, 0b0011),  # (0) vs (0,1): prefix is smaller
-            (0b0011, 0b0001),
-            (1 << 31, (1 << 31) | 1),  # top vertex involved, wraparound path
-            ((1 << 31) | 1, 1 << 31),
-            (0, 1),
-            (1, 0),  # empty tuple precedes everything
-        ]
-        for a, w in cases:
-            arr = np.array([a], dtype=np.uint32)
-            assert bool(_beats(arr, w)[0]) == (
-                _vertex_tuple(a, n) < _vertex_tuple(w, n)
-            )
 
     @given(
         st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=40),
@@ -363,53 +335,47 @@ class TestWalkMachinery:
             assert _lex_least(np.array(masks, dtype=np.uint32)) == want
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_walk_min_matches_orbit_expansion(self, n):
+    def test_least_image_matches_orbit_expansion(self, n):
         rng = np.random.default_rng(n)
         for _ in range(12):
             k = int(rng.integers(1, 6))
             cands = rng.integers(0, 1 << (1 << n), size=k, dtype=np.uint64)
             cands = np.unique(cands.astype(np.uint32))
-            assert _walk_least(cands, n) == _orbit_least(cands, n)
+            assert _least_image(cands, n) == _orbit_least(cands, n)
 
-    def test_walk_least_on_a_large_tie_set(self):
+    def test_least_image_on_a_large_tie_set(self):
         # several hundred vertex-0-avoiding masks of one weight, like the
-        # tie sets of a sweep
+        # tie sets of a sweep, in blocks of 170
         rng = np.random.default_rng(44)
         picks = [1 + rng.choice(15, size=6, replace=False) for _ in range(400)]
         cands = np.unique([sum(1 << int(v) for v in p) for p in picks])
         cands = cands.astype(np.uint32)
         assert cands.size > 300
-        assert _walk_least(cands, 4) == _orbit_least(cands, 4)
+        assert _least_image(cands, 4) == _orbit_least(cands, 4)
 
-    def test_walk_least_at_n5(self):
+    def test_least_image_at_n5(self):
         rng = np.random.default_rng(5)
         for k in (1, 2, 3):
             cands = rng.integers(0, 1 << 31, size=k, dtype=np.uint32) << np.uint32(1)
-            assert _walk_least(cands, 5) == _orbit_least(cands, 5)
+            assert _least_image(cands, 5) == _orbit_least(cands, 5)
 
-    def test_walk_stops_at_the_popcount_floor(self, monkeypatch):
-        # all 4,495 vertex-0-avoiding 3-sets of Q_5; {1, 2, 3} translated by
-        # 3 is {0, 1, 2}, which no 3-set precedes, so the walk ends there
-        masks = [sum(1 << v for v in c) for c in itertools.combinations(range(1, 32), 3)]
+    def test_least_image_across_block_boundaries(self, monkeypatch):
+        # the 455 3-sets of vertices 1-15 of Q_5, 7 to a block, reach
+        # {0, 1, 2}; the 2-set {1, 3}, alone in the last block, reaches
+        # {0, 1}, which precedes it
+        monkeypatch.setattr(exhaustive, "_CHUNK", 3840 * 7)
+        masks = [sum(1 << v for v in c) for c in itertools.combinations(range(1, 16), 3)]
         cands = np.array(masks, dtype=np.uint32)
-        assert cands.size == 4495
-        steps = []
-        translate = exhaustive._translate_image
+        assert cands.size == 455 == 65 * 7
+        assert _least_image(cands, 5) == 0b111
+        assert _least_image(np.append(cands, np.uint32(0b1010)), 5) == 0b11
 
-        def counted(*args):
-            steps.append(args[1])
-            return translate(*args)
-
-        monkeypatch.setattr(exhaustive, "_translate_image", counted)
-        assert _walk_least(cands, 5) == 0b111
-        assert len(steps) < 8
-
-    def test_walk_floor_comes_from_the_least_popcount_candidate(self):
-        # {0, 1, 2} is the first champion, but {1, 3} has the smaller
+    def test_least_image_comes_from_the_least_popcount_candidate(self):
+        # {0, 1, 2} is the least candidate, but {1, 3} has the smaller
         # popcount and reaches {0, 1} under translation by 1
         cands = np.array([0b111, 0b1010], dtype=np.uint32)
         assert _lex_least(cands) == 0b111
-        assert _walk_least(cands, 3) == _orbit_least(cands, 3) == 0b11
+        assert _least_image(cands, 3) == _orbit_least(cands, 3) == 0b11
 
 
 class TestSweepAtNFive:
@@ -423,7 +389,7 @@ class TestSweepAtNFive:
         masks = np.array(masks, dtype=np.uint32)
         monkeypatch.setattr(exhaustive, "_n5_survivors", lambda: masks)
         # chunks of two masks exercise the running best across chunks
-        monkeypatch.setattr(exhaustive, "_EVAL_CHUNK", 2)
+        monkeypatch.setattr(exhaustive, "_CHUNK", 2)
         # fresh caches, so the real table's sweeps stay cached for other tests
         for name in ("_sweep", "_cell"):
             fresh = functools.lru_cache(getattr(exhaustive, name).__wrapped__)
@@ -460,6 +426,34 @@ class TestAmbientFive:
                 pu = sum(((u >> b) & 1) << perm[b] for b in range(4))
                 img |= ((halves >> np.uint32(u)) & np.uint32(1)) << np.uint32(pu)
             assert np.all(halves <= img), perm
+
+    # (λ, witness mask) of every swept n = 5 cell, by d, for s = 0 .. 2^d
+    Q5_CELLS = {
+        1: [(1, 0x0), (1, 0x69969669), (1, 0xFFFFFFFF)],
+        2: [
+            (1, 0x0),
+            (Fraction(4, 5), 0x6609009),
+            (1, 0xC33C3CC3),
+            (Fraction(4, 5), 0x6FF6F99F),
+            (1, 0xFFFFFFFF),
+        ],
+        3: [
+            (1, 0x0),
+            (Fraction(4, 5), 0x42000081),
+            (1, 0x6609009),
+            (1, 0x1698A443),
+            (1, 0xFF0F00F),
+            (1, 0x3DDAE697),
+            (1, 0x6FF6F99F),
+            (Fraction(4, 5), 0xFFDBE7FF),
+            (1, 0xFFFFFFFF),
+        ],
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_q5_swept_cells(self, d):
+        got = [exhaustive_lambda(5, d, s) for s in range((1 << d) + 1)]
+        assert [(val, wit.bits) for val, wit in got] == self.Q5_CELLS[d]
 
     def test_q5_squares_single_point(self):
         val, wit = exhaustive_lambda(5, 2, 1)
