@@ -30,7 +30,11 @@ def check_mask_dimension(n: int) -> None:
 
 
 def check_subcube_dimension(n: int, d: int) -> None:
-    """Raise unless 0 <= d <= n, so that Q_n has d-subcubes."""
+    """Raise unless n and d are integers with 0 <= d <= n: Q_n has d-subcubes."""
+    if not is_int(n) or n < 0:
+        raise DomainError(f"dimension must be an integer >= 0, got {n!r}")
+    if not is_int(d):
+        raise DomainError(f"subcube dimension must be an integer, got {d!r}")
     if not 0 <= d <= n:
         raise DomainError(f"subcube dimension {d} outside [0, {n}]")
 

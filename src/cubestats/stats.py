@@ -4,8 +4,9 @@ Three routes to the same quantity, kept deliberately independent so they
 can cross-check each other:
 
 * ``distribution``       -- direct per-subcube popcounts (the oracle),
-* ``distribution_fast``  -- prefix-shared coordinate folding replayed from
-  a cached per-block plan (the fast path),
+* ``distribution_fast``  -- prefix-shared coordinate folding: a cached
+  per-block plan, bound once per shape to reusable level buffers and run
+  as word-wide adds (the fast path),
 * ``layered_distribution`` -- analytic counts for layered sets, valid for n
   far beyond the materialized-mask cap.
 """
@@ -139,19 +140,53 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
     The free-coordinate sets are built one coordinate per level, in
     ascending order, so each partial fold is computed once and reused by
     every free set that extends it; ``_block_plan`` caches that traversal.
-    Sums stay in the smallest unsigned dtype that holds 2^d: counts are exact.
+    A call takes a workspace bound to that plan (``_bind``) from the shape's
+    free list, copies A's indicator into its top buffer and runs its program:
+    only ``np.add`` into fixed views and the leaf bincounts.  Sums stay in
+    the smallest unsigned dtype that holds 2^d, so counts are exact and the
+    word-wide adds of ``_program`` never carry from one count into the next.
     """
     n = A.n
     check_subcube_dimension(n, d)
-    dtype = np.uint8 if d < 8 else np.uint16 if d < 16 else np.uint32
-    top = A.flags().astype(dtype).reshape(1, 1 << n)
+    pool = _pool(n, d, _BLOCK_ELEMS)
+    try:
+        top, program = pool.pop()
+    except IndexError:  # none bound yet, or every one is in use
+        top, program = _bind(n, d, _BLOCK_ELEMS)
+    np.copyto(top, A.flags())
     hist = np.zeros((1 << d) + 1, dtype=np.int64)
-    _replay(_block_plan(n, d, 0, ((-1, 1),), _BLOCK_ELEMS), top, hist)
+    for x, y, out in program:
+        if y is None:
+            hist += np.bincount(x, minlength=hist.size)
+        else:
+            np.add(x, y, out=out, order="C")  # innermost along the last axis
+    pool.append((top, program))
     return SubcubeDistribution(n, d, tuple(hist.tolist()), subcube_count(n, d))
 
 
 # Most elements in one block of rows (one row may exceed it): memory stays flat in n.
 _BLOCK_ELEMS = 1 << 16
+
+# Runs of fewer words than this are added across their pairs: on 8 KiB
+# buffers numpy took 1.4-3x as long with a 2- or 4-word run innermost.
+_SHORT_RUN = 8
+
+# Shapes whose workspaces are kept.  A workspace holds up to a block per
+# level besides its 2^n-element top buffer.  Every caller in this package
+# runs one shape at a time; keeping two shapes doubled the rise in the
+# bigcube benchmark's peak RSS, from 0.29 to 0.58 MiB.
+_POOL_SHAPES = 1
+
+
+@lru_cache(maxsize=_POOL_SHAPES)
+def _pool(n: int, d: int, block: int) -> list:
+    """Free list of (top, program) workspaces for one shape.
+
+    A caller pops one, or binds a fresh one when the list is empty, and
+    appends it back when done: list.pop and list.append are atomic, so
+    concurrent callers never share buffers.
+    """
+    return []
 
 
 @lru_cache(maxsize=None)
@@ -181,23 +216,67 @@ def _block_plan(n: int, d: int, k: int, runs: tuple, block: int) -> tuple | None
     return tuple(steps)
 
 
-def _replay(plan: tuple | None, rows: np.ndarray, hist: np.ndarray) -> None:
-    """Run ``plan`` on ``rows``, bincounting its leaves into ``hist``."""
-    if plan is None:
-        flat = rows.ravel()  # bincount copies to intp; slicing keeps that small
-        for i in range(0, flat.size, _BLOCK_ELEMS):
-            hist += np.bincount(flat[i : i + _BLOCK_ELEMS], minlength=hist.size)
+def _bind(n: int, d: int, block: int) -> tuple[np.ndarray, list]:
+    """A workspace for the plan of (n, d, block): the top buffer and the program.
+
+    Level k has one flat buffer of 2^(n-k)-element rows, as many as the plan
+    ever fills there.  Each program entry is (x, y, out) for ``np.add`` or
+    (leaf, None, None) for a bincount, with every view built here once.
+    """
+    plan = _block_plan(n, d, 0, ((-1, 1),), block)
+    dtype = np.uint8 if d < 8 else np.uint16 if d < 16 else np.uint32
+    rows = [1] + [0] * d
+    _count_rows(plan, 0, rows, set())
+    levels = [np.empty(r << (n - k), dtype) for k, r in enumerate(rows)]
+    return levels[0], _program(plan, 1, 0, levels, block, {})
+
+
+def _count_rows(plan: tuple | None, k: int, rows: list, seen: set) -> None:
+    """Raise rows[k + 1] to the most rows any step of ``plan`` fills."""
+    if plan is None or id(plan) in seen:
         return
-    width = rows.shape[1] >> 1
-    out = np.empty((max(1, _BLOCK_ELEMS // width), width), dtype=rows.dtype)
+    seen.add(id(plan))
     for step in plan:
         if len(step) == 2:
-            _replay(step[0], out[: step[1]], hist)
-        else:
-            a, b, low, c = step
-            pairs = rows[a:b].reshape(b - a, -1, 2, low)
-            dest = out[c : c + b - a].reshape(b - a, -1, low)
-            np.add(pairs[:, :, 0], pairs[:, :, 1], out=dest)
+            rows[k + 1] = max(rows[k + 1], step[1])
+            _count_rows(step[0], k + 1, rows, seen)
+
+
+def _program(
+    plan: tuple | None, rows: int, k: int, levels: list, block: int, memo: dict
+) -> list:
+    """The flat op list replaying ``plan`` on rows of level k, bound to ``levels``.
+
+    A node always reads level k and writes level k+1, so its ops are bound
+    once however many parents share it.  An add reads the two halves of each
+    pair of stride ``low`` as words of up to 8 bytes: every sum it writes is
+    at most 2^(k+1) <= 2^d, below the lane dtype's 2^(8*itemsize), so no lane
+    carries into its neighbour and a word add is the lanewise add.
+    """
+    key = id(plan), rows
+    if key in memo:
+        return memo[key]
+    ops = memo[key] = []
+    src, width = levels[k], levels[0].size >> k
+    if plan is None:
+        flat = src[: rows * width]  # bincount copies to intp; slices keep that small
+        ops.extend((flat[i : i + block], None, None) for i in range(0, flat.size, block))
+        return ops
+    dst = levels[k + 1]
+    for step in plan:
+        if len(step) == 2:
+            ops += _program(*step, k + 1, levels, block, memo)
+            continue
+        a, b, low, c = step
+        size = min(8, low * src.itemsize)
+        word, lanes = f"u{size}", low * src.itemsize // size
+        pairs = src[a * width : b * width].view(word).reshape(-1, 2, lanes)
+        out = dst[c * width // 2 : (c + b - a) * width // 2].view(word).reshape(-1, lanes)
+        x, y = pairs[:, 0], pairs[:, 1]
+        if lanes < _SHORT_RUN:  # put the pairs, not the short runs, innermost
+            x, y, out = x.T, y.T, out.T
+        ops.append((x, y, out))
+    return ops
 
 
 def lambda_of_set(A: VertexSet, d: int, s: int) -> Fraction:

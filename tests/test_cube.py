@@ -208,3 +208,34 @@ DIMENSION_ENTRY_POINTS = {
 def test_subcube_dimension_outside_zero_to_n_is_refused(name, d):
     with pytest.raises(DomainError, match=f"subcube dimension {d} outside"):
         DIMENSION_ENTRY_POINTS[name](d)
+
+
+@pytest.mark.parametrize("d", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", sorted(DIMENSION_ENTRY_POINTS))
+def test_non_integer_subcube_dimension_is_refused(name, d):
+    # 1.0 and True compare equal to 1; refused here, they never reach a cache key
+    with pytest.raises(DomainError, match="must be an integer"):
+        DIMENSION_ENTRY_POINTS[name](d)
+
+
+# every entry point above that takes the ambient dimension n itself, at d = 0
+AMBIENT_ENTRY_POINTS = {
+    "check_subcube_dimension": lambda n: check_subcube_dimension(n, 0),
+    "subcube_count": lambda n: subcube_count(n, 0),
+    "enumerate_subcubes": lambda n: list(enumerate_subcubes(n, 0)),
+    "layered_distribution": lambda n: layered_distribution(
+        n, 0, LayeredSpec(2, frozenset({0}))
+    ),
+    "SubcubeDistribution.from_json": lambda n: SubcubeDistribution.from_json(
+        {"n": n, "d": 0, "total": "1", "counts": {}}
+    ),
+    "exhaustive_lambda": lambda n: exhaustive_lambda(n, 0, 0),
+    "bernoulli_set": lambda n: bernoulli_set(n, 0, 0),
+}
+
+
+@pytest.mark.parametrize("n", [-1, 3.0, True], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("name", sorted(AMBIENT_ENTRY_POINTS))
+def test_bad_ambient_dimension_is_refused(name, n):
+    with pytest.raises(DomainError, match="must be an integer"):
+        AMBIENT_ENTRY_POINTS[name](n)

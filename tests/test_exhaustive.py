@@ -17,7 +17,9 @@ from cubestats import (
     binomial,
     distribution,
     exhaustive_lambda,
+    lambda_d2_closed_form,
     lambda_of_set,
+    omega,
     subcube_count,
     turan_density,
 )
@@ -454,6 +456,20 @@ class TestAmbientFive:
     def test_q5_swept_cells(self, d):
         got = [exhaustive_lambda(5, d, s) for s in range((1 << d) + 1)]
         assert [(val, wit.bits) for val, wit in got] == self.Q5_CELLS[d]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_codimension_two_matches_the_closed_form(self, d):
+        # the paper's λ(d+2, d, s) = π(d+2, ω(s)) against brute force: all
+        # 17 cells with d + 2 <= 5; the n = 5 ones reuse the swept table
+        for s in range((1 << d) + 1):
+            assert exhaustive_lambda(d + 2, d, s)[0] == lambda_d2_closed_form(d, s), s
+
+    def test_codimension_two_control_with_one_part_short(self):
+        # π(4, ω(1) - 1) = 2/3 misses the exhaustive λ(4, 2, 1) = 5/6
+        w = omega(1)
+        assert w.exact and w.lower == 3
+        assert turan_density(4, w.lower - 1) == Fraction(2, 3)
+        assert exhaustive_lambda(4, 2, 1)[0] == Fraction(5, 6)
 
     def test_q5_squares_single_point(self):
         val, wit = exhaustive_lambda(5, 2, 1)

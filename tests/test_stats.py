@@ -1,6 +1,8 @@
 """Occupancy distributions: reference counter, bit-parallel version, layered."""
 
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -91,21 +93,60 @@ class TestDistribution:
                 assert distribution_fast(A, d) == distribution(A, d), (n, d)
 
     def test_plan_honours_a_patched_block_size(self, monkeypatch):
-        # a plan cached without its block size would replay the default
-        # plan warmed here, which folds all five top rows into one block
+        # a workspace kept without its block size would run the default
+        # program warmed here, which folds all five top rows into one block
         A = VertexSet(8, random.Random(8).getrandbits(1 << 8))
         distribution_fast(A, 4)
         monkeypatch.setattr(stats, "_BLOCK_ELEMS", 8)
-        widths = []
-        replay = stats._replay
+        levels = []
+        program = stats._program
 
-        def spy(plan, rows, hist):
-            widths.append(rows.shape[1])
-            replay(plan, rows, hist)
+        def spy(plan, rows, k, *rest):
+            levels.append(k)
+            return program(plan, rows, k, *rest)
 
-        monkeypatch.setattr(stats, "_replay", spy)
+        monkeypatch.setattr(stats, "_program", spy)
         assert distribution_fast(A, 4) == distribution(A, 4)
-        assert widths.count(1 << 7) > 1  # level-1 blocks: the top plan's flushes
+        assert levels.count(1) > 1  # level-1 blocks: the top plan's flushes
+
+    @pytest.mark.parametrize("d", [7, 8, 15, 16])
+    def test_full_lanes_never_carry(self, d):
+        # d = 7 and 15 fill the widest count each of uint8 and uint16 holds,
+        # 8 and 16 are the first d of the next dtype; every word size is used
+        n = d + 1
+        dist = distribution_fast(VertexSet.full(n), d)
+        assert dist.counts[1 << d] == dist.total == subcube_count(n, d)
+        for k, T in [(2, {0}), (3, {0, 2}), (4, {1, 2, 3})]:
+            spec = LayeredSpec(k, frozenset(T))
+            assert distribution_fast(layered_set(n, spec), d) == layered_distribution(
+                n, d, spec
+            )
+
+    @pytest.mark.parametrize("n, d", [(10, 3), (14, 4)])
+    def test_concurrent_callers_never_share_a_workspace(self, n, d):
+        # np.add releases the GIL, so a workspace handed to two callers at
+        # once would mix their sums
+        sets = [VertexSet(n, random.Random(n * 10 + i).getrandbits(1 << n)) for i in range(4)]
+        want = [distribution_fast(A, d) for A in sets]
+        rounds = 40 if n == 10 else 8
+        got = [[] for _ in sets]
+
+        def work(i):
+            for _ in range(rounds):
+                got[i].append(distribution_fast(sets[i], d))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(sets))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * rounds for w in want]
 
     @pytest.mark.parametrize("block", [1, 8, 64, 1 << 16])
     def test_plan_emits_every_free_set_once(self, block):
