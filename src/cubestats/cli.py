@@ -27,7 +27,7 @@ from .approx import (
     third_layer_check,
 )
 from .constructions import ConstructionResult, best_bounds, build_construction
-from .cube import MASK_CAP, VertexSet
+from .cube import MASK_CAP, VertexSet, check_subcube_dimension
 from .errors import CapabilityError, CertificateError, DomainError
 from .exhaustive import exhaustive_lambda
 from .hadamard import hadamard_matrix
@@ -41,6 +41,7 @@ from .residues import (
     verify_thm32,
 )
 from .stats import distribution, distribution_fast
+from .turan import occupancy_case
 
 _CHECKED_DIMENSION_CAP = 10_000  # the largest d the approx check runs at
 
@@ -113,6 +114,9 @@ def cmd_dist(config: RunConfig, args: argparse.Namespace):
         result = _construct(config, args.construct)
         payload["construction"] = result.to_json()
         A = result.vertex_set
+    check_subcube_dimension(A.n, args.d)
+    if args.s is not None:
+        occupancy_case(args.d, args.s)  # the range check, before the fold
     dist = distribution_fast(A, args.d)
     payload["distribution"] = dist.to_json()
     if args.s is not None:

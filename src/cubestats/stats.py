@@ -6,7 +6,8 @@ can cross-check each other:
 * ``distribution``       -- direct per-subcube popcounts (the oracle),
 * ``distribution_fast``  -- prefix-shared coordinate folding: a cached
   per-block plan, bound once per shape to reusable level buffers and run
-  as word-wide adds (the fast path),
+  as word-wide adds, with uint8 leaf counts histogrammed two per bin
+  (the fast path),
 * ``layered_distribution`` -- analytic counts for layered sets, valid for n
   far beyond the materialized-mask cap.
 """
@@ -142,26 +143,36 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
     every free set that extends it; ``_block_plan`` caches that traversal.
     A call takes a workspace bound to that plan (``_bind``) from the shape's
     free list, copies A's indicator into its top buffer and runs its program:
-    only ``np.add`` into fixed views and the leaf bincounts.  Sums stay in
+    only ``np.add`` into fixed views and the leaf histograms.  Sums stay in
     the smallest unsigned dtype that holds 2^d, so counts are exact and the
     word-wide adds of ``_program`` never carry from one count into the next.
+    Below d = 8 the counts are uint8, and the leaves are histogrammed in
+    pairs into a (2^d + 1, 256) grid whose row and column sums are the
+    counts of the odd and even lanes; see ``_program``.
     """
     n = A.n
     check_subcube_dimension(n, d)
     pool = _pool(n, d, _BLOCK_ELEMS)
     try:
-        top, program = pool.pop()
+        top, hist, pairs, program = pool.pop()
     except IndexError:  # none bound yet, or every one is in use
-        top, program = _bind(n, d, _BLOCK_ELEMS)
+        top, hist, pairs, program = _bind(n, d, _BLOCK_ELEMS)
     np.copyto(top, A.flags())
-    hist = np.zeros((1 << d) + 1, dtype=np.int64)
+    hist.fill(0)
+    if pairs is not None:
+        pairs.fill(0)
     for x, y, out in program:
-        if y is None:
-            hist += np.bincount(x, minlength=hist.size)
-        else:
+        if y is not None:
             np.add(x, y, out=out, order="C")  # innermost along the last axis
-    pool.append((top, program))
-    return SubcubeDistribution(n, d, tuple(hist.tolist()), subcube_count(n, d))
+        elif pairs is None:
+            out += np.bincount(x, minlength=out.size)
+        else:
+            np.add.at(out, x, 1)
+    if pairs is not None:  # row c counts the odd lanes holding c, column c the even
+        hist += pairs.sum(axis=1) + pairs.sum(axis=0)
+    counts = tuple(hist.tolist())
+    pool.append((top, hist, pairs, program))
+    return SubcubeDistribution(n, d, counts, subcube_count(n, d))
 
 
 # Most elements in one block of rows (one row may exceed it): memory stays flat in n.
@@ -172,15 +183,16 @@ _BLOCK_ELEMS = 1 << 16
 _SHORT_RUN = 8
 
 # Shapes whose workspaces are kept.  A workspace holds up to a block per
-# level besides its 2^n-element top buffer.  Every caller in this package
-# runs one shape at a time; keeping two shapes doubled the rise in the
-# bigcube benchmark's peak RSS, from 0.29 to 0.58 MiB.
+# level besides its 2^n-element top buffer, and at most 129 x 256 int64
+# pair bins (258 KiB, at d = 7).  Every caller in this package runs one
+# shape at a time; keeping two shapes doubled the rise in the bigcube
+# benchmark's peak RSS, from 0.29 to 0.58 MiB.
 _POOL_SHAPES = 1
 
 
 @lru_cache(maxsize=_POOL_SHAPES)
 def _pool(n: int, d: int, block: int) -> list:
-    """Free list of (top, program) workspaces for one shape.
+    """Free list of (top, hist, pairs, program) workspaces for one shape.
 
     A caller pops one, or binds a fresh one when the list is empty, and
     appends it back when done: list.pop and list.append are atomic, so
@@ -216,19 +228,29 @@ def _block_plan(n: int, d: int, k: int, runs: tuple, block: int) -> tuple | None
     return tuple(steps)
 
 
-def _bind(n: int, d: int, block: int) -> tuple[np.ndarray, list]:
-    """A workspace for the plan of (n, d, block): the top buffer and the program.
+def _bind(n: int, d: int, block: int) -> tuple:
+    """A workspace for the plan of (n, d, block): (top, hist, pairs, program).
 
     Level k has one flat buffer of 2^(n-k)-element rows, as many as the plan
     ever fills there.  Each program entry is (x, y, out) for ``np.add`` or
-    (leaf, None, None) for a bincount, with every view built here once.
+    (leaf, None, out) for a histogram of the leaf counts into ``out``, with
+    every view built here once.  ``hist`` holds the 2^d + 1 counts;
+    ``pairs`` is None for wider dtypes, else the histogram of uint8 leaf
+    pairs: a (2^d + 1, 2^d + 1) view of the (2^d + 1, 256) grid that the
+    program indexes flat, since no count exceeds 2^d.
     """
     plan = _block_plan(n, d, 0, ((-1, 1),), block)
     dtype = np.uint8 if d < 8 else np.uint16 if d < 16 else np.uint32
     rows = [1] + [0] * d
     _count_rows(plan, 0, rows, set())
     levels = [np.empty(r << (n - k), dtype) for k, r in enumerate(rows)]
-    return levels[0], _program(plan, 1, 0, levels, block, {})
+    hist = np.zeros((1 << d) + 1, dtype=np.int64)
+    bins = pairs = None
+    if dtype == np.uint8:
+        bins = np.zeros(256 * hist.size, dtype=np.int64)
+        pairs = bins.reshape(-1, 256)[:, : hist.size]
+    program = _program(plan, 1, 0, levels, (hist, bins), block, {})
+    return levels[0], hist, pairs, program
 
 
 def _count_rows(plan: tuple | None, k: int, rows: list, seen: set) -> None:
@@ -243,7 +265,13 @@ def _count_rows(plan: tuple | None, k: int, rows: list, seen: set) -> None:
 
 
 def _program(
-    plan: tuple | None, rows: int, k: int, levels: list, block: int, memo: dict
+    plan: tuple | None,
+    rows: int,
+    k: int,
+    levels: list,
+    hists: tuple,
+    block: int,
+    memo: dict,
 ) -> list:
     """The flat op list replaying ``plan`` on rows of level k, bound to ``levels``.
 
@@ -252,6 +280,16 @@ def _program(
     pair of stride ``low`` as words of up to 8 bytes: every sum it writes is
     at most 2^(k+1) <= 2^d, below the lane dtype's 2^(8*itemsize), so no lane
     carries into its neighbour and a word add is the lanewise add.
+
+    The leaves are histogrammed a block at a time.  With uint8 counts,
+    ``hists`` = (hist, bins) and a leaf's even-length prefix is read as
+    little-endian uint16 words: word c_even + 256*c_odd indexes ``bins``,
+    and as both counts are at most 2^d <= 128 < 256 they never mix.  These
+    are counted with ``np.add.at`` into the bound bins, since a bincount
+    would allocate and add a fresh 256 * (2^d + 1) bins (258 KiB at d = 7)
+    per leaf.  An odd leaf's last count goes to ``hist`` on its own.  A
+    wider dtype (bins None) keeps the plain bincount into ``hist``, which
+    first copies a leaf to intp; the blocks keep that copy small.
     """
     key = id(plan), rows
     if key in memo:
@@ -259,13 +297,20 @@ def _program(
     ops = memo[key] = []
     src, width = levels[k], levels[0].size >> k
     if plan is None:
-        flat = src[: rows * width]  # bincount copies to intp; slices keep that small
-        ops.extend((flat[i : i + block], None, None) for i in range(0, flat.size, block))
+        hist, bins = hists
+        flat = src[: rows * width]
+        for i in range(0, flat.size, block):
+            leaf = flat[i : i + block]
+            cut = 0 if bins is None else leaf.size & ~1
+            if cut:
+                ops.append((leaf[:cut].view("<u2"), None, bins))
+            if cut < leaf.size:
+                ops.append((leaf[cut:], None, hist))
         return ops
     dst = levels[k + 1]
     for step in plan:
         if len(step) == 2:
-            ops += _program(*step, k + 1, levels, block, memo)
+            ops += _program(*step, k + 1, levels, hists, block, memo)
             continue
         a, b, low, c = step
         size = min(8, low * src.itemsize)

@@ -594,6 +594,18 @@ class TestErrors:
         assert rc == 2
         assert out == "" and "outside" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["-d", "3", "-s", "99"], ["-d", "3", "-s", "-1"], ["-d", "7"]]
+    )
+    def test_dist_refuses_bad_d_or_s_before_the_fold(self, capsys, monkeypatch, argv):
+        def fold(A, d):
+            raise AssertionError("the fold ran on a request it should refuse")
+
+        monkeypatch.setattr(cli, "distribution_fast", fold)
+        rc, out, err = run(capsys, "dist", "--construct", PARITY6, *argv)
+        assert rc == 2
+        assert out == "" and "outside" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("where", ["missing/report.json", "."])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
         rc, out, err = run(capsys, "bounds", "2", "1", "--out", str(tmp_path / where))

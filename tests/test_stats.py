@@ -81,10 +81,11 @@ class TestDistribution:
         d = data.draw(st.integers(0, A.n))
         assert distribution_fast(A, d) == distribution(A, d)
 
-    @pytest.mark.parametrize("block", [1, 8, 64])
+    @pytest.mark.parametrize("block", [1, 3, 8, 64])
     def test_fast_matches_reference_across_block_boundaries(self, monkeypatch, block):
         # tiny blocks split every level into many blocks, some ending
-        # mid-coordinate, and bincount the leaves in many slices
+        # mid-coordinate, and bincount the leaves in many slices; block 1
+        # counts every uint8 leaf alone, 3 mixes pairs with odd last counts
         monkeypatch.setattr(stats, "_BLOCK_ELEMS", block)
         rng = random.Random(block)
         for n in range(9):
@@ -148,7 +149,7 @@ class TestDistribution:
         assert not any(t.is_alive() for t in threads)
         assert got == [[w] * rounds for w in want]
 
-    @pytest.mark.parametrize("block", [1, 8, 64, 1 << 16])
+    @pytest.mark.parametrize("block", [1, 3, 8, 64, 1 << 16])
     def test_plan_emits_every_free_set_once(self, block):
         def leaf_rows(plan, rows):
             if plan is None:
