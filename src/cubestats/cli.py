@@ -8,6 +8,7 @@ report can be reproduced byte for byte from its own header.  Exit codes:
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -29,6 +30,7 @@ from .approx import (
 from .constructions import ConstructionResult, best_bounds, build_construction
 from .cube import MASK_CAP, VertexSet, check_subcube_dimension
 from .errors import CapabilityError, CertificateError, DomainError
+from .errors import fields as json_fields
 from .exhaustive import exhaustive_lambda
 from .hadamard import hadamard_matrix
 from .johnson import CliqueCertificate, hadamard_to_clique, omega, verify_clique
@@ -88,13 +90,13 @@ def _construct(config: RunConfig, text: str) -> ConstructionResult:
     if isinstance(spec, dict) and spec.get("kind") == "bernoulli":
         spec.setdefault("seed", config.seed)
     result = build_construction(spec)
-    _check_max_n(config, result.vertex_set)
+    _check_max_n(config, result.vertex_set.n)
     return result
 
 
-def _check_max_n(config: RunConfig, A: VertexSet) -> None:
-    if A.n > config.max_n:
-        raise CapabilityError(f"set lives in n={A.n}, above the cap {config.max_n}")
+def _check_max_n(config: RunConfig, n: int) -> None:
+    if n > config.max_n:
+        raise CapabilityError(f"set lives in n={n}, above the cap {config.max_n}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +110,10 @@ def cmd_dist(config: RunConfig, args: argparse.Namespace):
     if (args.set_file is None) == (args.construct is None):
         raise DomainError("give exactly one of --set-file and --construct")
     if args.set_file is not None:
-        A = VertexSet.from_json(_load_json_arg("@" + args.set_file))
-        _check_max_n(config, A)
+        obj = _load_json_arg("@" + args.set_file)
+        # the cap, before from_json builds the 2^n membership flags
+        _check_max_n(config, json_fields(obj, "vertex set", n="int", vertices="list")[0])
+        A = VertexSet.from_json(obj)
     else:
         result = _construct(config, args.construct)
         payload["construction"] = result.to_json()
@@ -314,6 +318,7 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
@@ -400,33 +405,74 @@ def _render_csv(report: dict) -> str:
 
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+# 10^1 .. 10^9: the first item of at least w + 1 digits is at searchsorted(10^w)
+_POWERS_OF_TEN = np.array([10**k for k in range(1, 10)], np.uint32)
 
 
 def _render_json(node, pad: str = "") -> str:
     """``json.dumps(node, sort_keys=True, indent=2)``, with the same bytes.
 
     With ``indent`` set, json falls back to its pure-Python encoder.  Here
-    a container whose members are all plain str, int, float, bool or None
-    is one call of the C encoder, whose item separator carries the newline
-    and the indentation; only the other containers are walked in Python.
-    ``pad`` is the indentation of the line ``node`` starts on, and so of
-    its closing bracket.  Dict keys must be strings.
+    a list of nondecreasing ints in [0, 2^32), such as a vertex list, is
+    written by ``_render_ints``; any other container whose members are all
+    plain str, int, float, bool or None is one call of the C encoder, whose
+    item separator carries the newline and the indentation; only the other
+    containers are walked in Python.  ``pad`` is the indentation of the
+    line ``node`` starts on, and so of its closing bracket.  Dict keys must
+    be strings.
     """
     if not isinstance(node, (dict, list, tuple)) or not node:
         return json.dumps(node)
     inner = pad + "  "
+    sep = ",\n" + inner
     children = node.values() if isinstance(node, dict) else node
-    if _SCALAR_TYPES.issuperset(map(type, children)):
-        body = json.dumps(node, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
+    types = set(map(type, children))
+    if _SCALAR_TYPES.issuperset(types):
+        body = _render_ints(node, sep) if types == {int} and isinstance(node, list) else None
+        if body is None:
+            body = json.dumps(node, sort_keys=True, separators=(sep, ": "))[1:-1]
     elif isinstance(node, dict):
-        body = (",\n" + inner).join(
+        body = sep.join(
             f"{json.dumps(key)}: {_render_json(child, inner)}"
             for key, child in sorted(node.items())
         )
     else:
-        body = (",\n" + inner).join(_render_json(child, inner) for child in node)
+        body = sep.join(_render_json(child, inner) for child in node)
     opening, closing = ("{", "}") if isinstance(node, dict) else ("[", "]")
     return f"{opening}\n{inner}{body}\n{pad}{closing}"
+
+
+def _render_ints(items: list[int], sep: str) -> str | None:
+    """The items in decimal, joined by the ASCII ``sep``, as json writes them.
+
+    None unless the items are nondecreasing and in [0, 2^32).  Sorted items
+    fall into runs of equal digit width; each run fills a (rows, width +
+    len(sep)) byte block, the digits by repeated ``// 10`` from the right
+    and the separator in the columns after them.
+    """
+    try:
+        values = np.fromiter(items, np.int64, len(items))
+    except OverflowError:
+        return None
+    if values[0] < 0 or values[-1] >= 1 << 32 or (values[1:] < values[:-1]).any():
+        return None
+    values = values.astype(np.uint32)
+    cuts = [0, *np.searchsorted(values, _POWERS_OF_TEN).tolist(), len(values)]
+    tail = np.frombuffer(sep.encode(), np.uint8)
+    blocks = []
+    for width, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
+        if lo == hi:
+            continue
+        run = values[lo:hi]
+        block = np.empty((hi - lo, width + len(tail)), np.uint8)
+        block[:, width:] = tail
+        for col in range(width - 1, -1, -1):
+            quotient = run // 10
+            # a uint8 digit array first: a uint32 one casts slowly into the column
+            block[:, col] = (run - 10 * quotient).astype(np.uint8) + ord("0")
+            run = quotient
+        blocks.append(block.tobytes())
+    return b"".join(blocks)[: -len(tail)].decode()
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -438,8 +484,7 @@ def _emit(config: RunConfig, text: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     parameters = {
         k: v
         for k, v in vars(args).items()

@@ -78,6 +78,20 @@ class TestEnvelope:
         b = run(capsys, "dist", "--construct", PARITY6, "-d", "3", "--seed", "5")
         assert a == b and a[0] == 0
 
+    def test_parser_is_built_once_and_keeps_no_options(self, capsys):
+        cli._build_parser.cache_clear()
+        argv = ["dist", "--construct", PARITY6, "-d", "3"]
+        first = run(capsys, *argv)
+        assert run(capsys, *argv, "-s", "4")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--construct", PARITY6, "-d", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        again = run(capsys, *argv)
+        assert cli._build_parser() is cli._build_parser()
+        assert again == first and again[0] == 0
+        assert "s" not in json.loads(again[1])["config"]["parameters"]
+
     def test_config_echoes_parameters(self, capsys):
         rc, out, _ = run(capsys, "exhaustive", "4", "2", "1")
         cfg = json.loads(out)["config"]
@@ -132,6 +146,18 @@ class TestDist:
             "10",
         )
         assert rc == 3
+
+    def test_set_file_cap_comes_before_the_set_is_built(self, capsys, tmp_path, monkeypatch):
+        def build(*args):
+            raise AssertionError("the set was built before the --max-n check")
+
+        monkeypatch.setattr(VertexSet, "from_vertices", classmethod(build))
+        monkeypatch.setattr(VertexSet, "from_json", classmethod(build))
+        f = tmp_path / "set.json"
+        f.write_text('{"n": 24, "vertices": [0]}')
+        rc, out, err = run(capsys, "dist", "--set-file", str(f), "-d", "1", "--max-n", "4")
+        assert rc == 3
+        assert out == "" and "above the cap 4" in err and err.count("\n") == 1
 
     def test_bernoulli_inherits_cli_seed(self, capsys):
         spec = '{"kind": "bernoulli", "n": 6, "d": 2}'
@@ -248,12 +274,49 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# the first item of each digit width, and the last of the one before
+_EVERY_WIDTH = [0, *(10**k + j for k in range(1, 10) for j in (-1, 0)), (1 << 32) - 1]
+
+
 class TestRenderJson:
     @settings(max_examples=300, deadline=None)
     @given(_JSON_VALUES)
     def test_matches_indented_dumps(self, value):
         want = json.dumps(value, sort_keys=True, indent=2) + "\n"
         assert cli._render_json(value) + "\n" == want
+
+    @pytest.mark.parametrize(
+        "value, encoded",
+        [
+            (_EVERY_WIDTH, True),
+            (list(range(0, 1 << 32, 4_294_967)), True),
+            ([0], True),
+            ([(1 << 32) - 1], True),
+            ([7, 7, 7, 12, 12], True),
+            ([0, 5, 1 << 32], False),
+            ([1 << 32], False),
+            ([3, 1 << 63], False),
+            ([1 << 70], False),
+            ([2, 1], False),
+            ([-1, 0, 1], False),
+            ([0, True, 2], False),
+            ([0, 1.5, 2], False),
+            ((0, 1, 2), False),
+            ({"set": {"n": 4, "vertices": [1, 10, 100, 1000]}, "a": [[3, 30], [5]]}, True),
+        ],
+    )
+    def test_integer_lists_match_indented_dumps(self, monkeypatch, value, encoded):
+        # lists of nondecreasing ints in [0, 2^32) go through _render_ints
+        bodies = []
+        render = cli._render_ints
+
+        def spy(*args):
+            bodies.append(render(*args))
+            return bodies[-1]
+
+        monkeypatch.setattr(cli, "_render_ints", spy)
+        assert cli._render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert any(body is not None for body in bodies) == encoded
 
     def test_main_writes_indented_dumps_bytes(self, capsys, monkeypatch):
         # the report each run renders, recorded where main builds it
@@ -265,7 +328,9 @@ class TestRenderJson:
             return reports[-1]
 
         monkeypatch.setattr(cli, "_envelope", envelope)
-        for argv in EVERY_COMMAND:
+        # a 16,384-vertex list, long enough for every digit width up to 5
+        big = ["construct", '{"kind": "mod_weight", "n": 16, "d": 3}']
+        for argv in EVERY_COMMAND + [big]:
             rc, out, _ = run(capsys, *argv)
             assert rc == 0, argv
             assert out == json.dumps(reports[-1], sort_keys=True, indent=2) + "\n", argv

@@ -95,6 +95,18 @@ class TestVertexSet:
         with pytest.raises(DomainError):
             VertexSet.from_vertices(3, [0, bad])
 
+    def test_readers_name_the_first_bad_vertex(self):
+        with pytest.raises(DomainError, match=r"^vertex 9 is not an integer vertex of Q_3$"):
+            VertexSet.from_vertices(3, (v for v in [1, 9, -1]))
+        with pytest.raises(DomainError, match=r"^vertex 1.5 is not"):
+            VertexSet.from_vertices(3, [np.int64(2), 1.5])
+        with pytest.raises(DomainError, match=r"^vertex -1 is not"):
+            VertexSet.from_json({"n": 3, "vertices": [0, -1, 1 << 70]})
+        with pytest.raises(DomainError, match="strictly ascending"):
+            VertexSet.from_json({"n": 3, "vertices": [1, 1]})
+        assert VertexSet.from_json({"n": 3, "vertices": []}) == VertexSet.empty(3)
+        assert VertexSet.from_vertices(3, (v for v in [6, 1, 6])) == VertexSet(3, 0b1000010)
+
     @given(st.integers(0, 6), st.data())
     def test_complement_partitions(self, n, data):
         verts = data.draw(st.sets(st.integers(0, (1 << n) - 1)))
