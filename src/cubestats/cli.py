@@ -30,7 +30,6 @@ from .approx import (
 from .constructions import ConstructionResult, best_bounds, build_construction
 from .cube import MASK_CAP, VertexSet, check_subcube_dimension
 from .errors import CapabilityError, CertificateError, DomainError
-from .errors import fields as json_fields
 from .exhaustive import exhaustive_lambda
 from .hadamard import hadamard_matrix
 from .johnson import CliqueCertificate, hadamard_to_clique, omega, verify_clique
@@ -110,10 +109,9 @@ def cmd_dist(config: RunConfig, args: argparse.Namespace):
     if (args.set_file is None) == (args.construct is None):
         raise DomainError("give exactly one of --set-file and --construct")
     if args.set_file is not None:
-        obj = _load_json_arg("@" + args.set_file)
-        # the cap, before from_json builds the 2^n membership flags
-        _check_max_n(config, json_fields(obj, "vertex set", n="int", vertices="list")[0])
-        A = VertexSet.from_json(obj)
+        n, vertices = VertexSet.read_json(_load_json_arg("@" + args.set_file))
+        _check_max_n(config, n)  # before the 2^n membership flags are built
+        A = VertexSet.from_ascending(n, vertices)
     else:
         result = _construct(config, args.construct)
         payload["construction"] = result.to_json()

@@ -8,14 +8,13 @@ Only VertexSet converts that integer to and from 0/1 arrays and vertex lists.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, all_ints, fields, is_int
+from .errors import CapabilityError, DomainError, fields, is_int
 
 # Hard cap on materialized membership masks: 2^24 bits = 2 MiB per set.
 # Layered sets beyond this are handled analytically (see stats.layered_distribution).
@@ -79,12 +78,11 @@ class VertexSet:
     def from_vertices(cls, n: int, vertices: Iterable[int]) -> VertexSet:
         """The set of the listed vertices, in any order and with repeats."""
         check_mask_dimension(n)
-        return cls._from_array(n, _vertex_array(n, vertices))
-
-    @classmethod
-    def _from_array(cls, n: int, vertices: np.ndarray) -> VertexSet:
         flags = np.zeros(1 << n, dtype=np.uint8)
-        flags[vertices] = 1
+        for v in vertices:
+            if not is_int(v) or not 0 <= v < (1 << n):
+                raise DomainError(f"vertex {v!r} is not an integer vertex of Q_{n}")
+            flags[v] = 1
         return cls.from_flags(n, flags)
 
     def __contains__(self, v: int) -> bool:
@@ -109,32 +107,22 @@ class VertexSet:
     def to_json(self) -> dict:
         return {"n": self.n, "vertices": self.vertices()}
 
+    @staticmethod
+    def read_json(obj: dict) -> tuple[int, list[int]]:
+        """The n and vertex list of a JSON vertex set, type-checked; nothing is built."""
+        return fields(obj, "vertex set", n="int", vertices="ints")
+
     @classmethod
     def from_json(cls, obj: dict) -> VertexSet:
-        n, vertices = fields(obj, "vertex set", n="int", vertices="list")
-        check_mask_dimension(n)
-        arr = _vertex_array(n, vertices)
-        if (arr[1:] <= arr[:-1]).any():
+        return cls.from_ascending(*cls.read_json(obj))
+
+    @classmethod
+    def from_ascending(cls, n: int, vertices: list[int]) -> VertexSet:
+        """The set of a strictly ascending vertex list, as read_json returns it."""
+        A = cls.from_vertices(n, vertices)
+        if A.vertices() != vertices:
             raise DomainError("'vertices' must be strictly ascending")
-        return cls._from_array(n, arr)
-
-
-def _vertex_array(n: int, vertices: Iterable[int]) -> np.ndarray:
-    """The listed vertices of Q_n as an int64 array.
-
-    One scan of the item types and one min/max check; only when a check
-    fails does a loop look for the first item that is not a vertex, so that
-    the DomainError names it.
-    """
-    items = vertices if isinstance(vertices, list) else list(vertices)
-    arr = None
-    if all_ints(items):
-        with contextlib.suppress(OverflowError):
-            arr = np.fromiter(items, np.int64, len(items))
-    if arr is None or (arr.size and (arr.min() < 0 or arr.max() >= 1 << n)):
-        bad = next(v for v in items if not is_int(v) or not 0 <= v < 1 << n)
-        raise DomainError(f"vertex {bad!r} is not an integer vertex of Q_{n}")
-    return arr
+        return A
 
 
 @dataclass(frozen=True)

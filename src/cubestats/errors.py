@@ -21,19 +21,13 @@ def is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def all_ints(items) -> bool:
-    """is_int of every item, from one scan of the items' types."""
-    types = set(map(type, items))
-    return all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
-
-
 # kind -> (test, what the error message says the member must be)
 _KINDS = {
     "int": (is_int, "an integer"),
     "str": (lambda x: isinstance(x, str), "a string"),
     "list": (lambda x: isinstance(x, list), "a list"),
     "dict": (lambda x: isinstance(x, dict), "an object"),
-    "ints": (lambda x: isinstance(x, list) and all_ints(x), "a list of integers"),
+    "ints": (lambda x: isinstance(x, list) and all(map(is_int, x)), "a list of integers"),
     "strs": (
         lambda x: isinstance(x, list) and all(isinstance(e, str) for e in x),
         "a list of strings",

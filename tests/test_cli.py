@@ -152,12 +152,15 @@ class TestDist:
             raise AssertionError("the set was built before the --max-n check")
 
         monkeypatch.setattr(VertexSet, "from_vertices", classmethod(build))
-        monkeypatch.setattr(VertexSet, "from_json", classmethod(build))
         f = tmp_path / "set.json"
         f.write_text('{"n": 24, "vertices": [0]}')
         rc, out, err = run(capsys, "dist", "--set-file", str(f), "-d", "1", "--max-n", "4")
         assert rc == 3
         assert out == "" and "above the cap 4" in err and err.count("\n") == 1
+        # a malformed vertex list is still a domain error, whatever n is
+        f.write_text('{"n": 24, "vertices": ["a"]}')
+        rc, _, err = run(capsys, "dist", "--set-file", str(f), "-d", "1", "--max-n", "4")
+        assert rc == 2 and "must be a list of integers" in err
 
     def test_bernoulli_inherits_cli_seed(self, capsys):
         spec = '{"kind": "bernoulli", "n": 6, "d": 2}'
