@@ -4,10 +4,10 @@ Three routes to the same quantity, kept deliberately independent so they
 can cross-check each other:
 
 * ``distribution``       -- direct per-subcube popcounts (the oracle),
-* ``distribution_fast``  -- prefix-shared coordinate folding: a cached
-  per-block plan, bound once per shape to reusable level buffers and run
-  as word-wide adds, with uint8 leaf counts histogrammed two per bin
-  (the fast path),
+* ``distribution_fast``  -- prefix-shared coordinate folding: a program
+  of views into reusable level buffers, compiled once per shape in one
+  pass and run as word-wide adds, with uint8 leaf counts histogrammed two
+  per bin (the fast path),
 * ``layered_distribution`` -- analytic counts for layered sets, valid for n
   far beyond the materialized-mask cap.
 """
@@ -140,10 +140,11 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
 
     The free-coordinate sets are built one coordinate per level, in
     ascending order, so each partial fold is computed once and reused by
-    every free set that extends it; ``_block_plan`` caches that traversal.
-    A call takes a workspace bound to that plan (``_bind``) from the shape's
-    free list, copies A's indicator into its top buffer and runs its program:
-    only ``np.add`` into fixed views and the leaf histograms.  Sums stay in
+    every free set that extends it.  ``_bind`` compiles that traversal once
+    per shape into a workspace: level buffers and a program of views into
+    them.  A call takes a workspace from the shape's free list, copies A's
+    indicator into its top buffer and runs its program: only ``np.add``
+    into fixed views and the leaf histograms.  Sums stay in
     the smallest unsigned dtype that holds 2^d, so counts are exact and the
     word-wide adds of ``_program`` never carry from one count into the next.
     Below d = 8 the counts are uint8, and the leaves are histogrammed in
@@ -201,89 +202,51 @@ def _pool(n: int, d: int, block: int) -> list:
     return []
 
 
-@lru_cache(maxsize=None)
-def _block_plan(n: int, d: int, k: int, runs: tuple, block: int) -> tuple | None:
-    """The steps that fold one block of level-k rows; ``None`` once k == d.
-
-    A row sums the indicator over k free coordinates, the largest its end;
-    ``runs`` is ((end, count), ...), ends ascending.  The rows ending below
-    coordinate p <= n-d+k are a prefix: (a, b, low, c) folds rows a..b at
-    stride low into rows c.. of the next level's buffer, and (child, rows)
-    replays ``child`` on that buffer when full and at the end.
-    """
-    if k == d:
-        return None
-    cap, last = max(1, block >> (n - k - 1)), n - d + k
-    steps, child, filled = [], [], 0
-    for p in range(k, last + 1):
-        start, stop = 0, sum(c for end, c in runs if end < p)
-        while start < stop:
-            take = min(stop - start, cap - filled)
-            steps.append((start, start + take, 1 << (p - k), filled))
-            child.append((p, take))  # p recurs only after a flush
-            start, filled = start + take, filled + take
-            if filled == cap or start == stop and p == last:
-                steps.append((_block_plan(n, d, k + 1, tuple(child), block), filled))
-                child, filled = [], 0
-    return tuple(steps)
-
-
 def _bind(n: int, d: int, block: int) -> tuple:
-    """A workspace for the plan of (n, d, block): (top, hist, pairs, program).
+    """A workspace for (n, d, block): (top, hist, pairs, program).
 
-    Level k has one flat buffer of 2^(n-k)-element rows, as many as the plan
-    ever fills there.  Each program entry is (x, y, out) for ``np.add`` or
+    Level k has one flat buffer of 2^(n-k)-element rows: as many as a block
+    holds (at least one), but no more than the C(n-d+k, k) rows the level
+    has in all.  Each program entry is (x, y, out) for ``np.add`` or
     (leaf, None, out) for a histogram of the leaf counts into ``out``, with
-    every view built here once.  ``hist`` holds the 2^d + 1 counts;
-    ``pairs`` is None for wider dtypes, else the histogram of uint8 leaf
-    pairs: a (2^d + 1, 2^d + 1) view of the (2^d + 1, 256) grid that the
-    program indexes flat, since no count exceeds 2^d.
+    every view built here once, by ``_program``.  ``hist`` holds the 2^d + 1
+    counts; ``pairs`` is None for wider dtypes, else the histogram of uint8
+    leaf pairs: a (2^d + 1, 2^d + 1) view of the (2^d + 1, 256) grid that
+    the program indexes flat, since no count exceeds 2^d.
     """
-    plan = _block_plan(n, d, 0, ((-1, 1),), block)
     dtype = np.uint8 if d < 8 else np.uint16 if d < 16 else np.uint32
-    rows = [1] + [0] * d
-    _count_rows(plan, 0, rows, set())
+    rows = [min(max(1, block >> (n - k)), binomial(n - d + k, k)) for k in range(d + 1)]
     levels = [np.empty(r << (n - k), dtype) for k, r in enumerate(rows)]
     hist = np.zeros((1 << d) + 1, dtype=np.int64)
     bins = pairs = None
     if dtype == np.uint8:
         bins = np.zeros(256 * hist.size, dtype=np.int64)
         pairs = bins.reshape(-1, 256)[:, : hist.size]
-    program = _program(plan, 1, 0, levels, (hist, bins), block, {})
+    program = _program(n, d, 0, ((-1, 1),), levels, (hist, bins), block, {})
     return levels[0], hist, pairs, program
 
 
-def _count_rows(plan: tuple | None, k: int, rows: list, seen: set) -> None:
-    """Raise rows[k + 1] to the most rows any step of ``plan`` fills."""
-    if plan is None or id(plan) in seen:
-        return
-    seen.add(id(plan))
-    for step in plan:
-        if len(step) == 2:
-            rows[k + 1] = max(rows[k + 1], step[1])
-            _count_rows(step[0], k + 1, rows, seen)
-
-
 def _program(
-    plan: tuple | None,
-    rows: int,
-    k: int,
-    levels: list,
-    hists: tuple,
-    block: int,
-    memo: dict,
+    n: int, d: int, k: int, runs: tuple, levels: list, hists: tuple, block: int, memo: dict
 ) -> list:
-    """The flat op list replaying ``plan`` on rows of level k, bound to ``levels``.
+    """The flat op list that folds one block of level-k rows down to the leaves.
 
-    A node always reads level k and writes level k+1, so its ops are bound
-    once however many parents share it.  An add reads the two halves of each
-    pair of stride ``low`` as words of up to 8 bytes: every sum it writes is
-    at most 2^(k+1) <= 2^d, below the lane dtype's 2^(8*itemsize), so no lane
-    carries into its neighbour and a word add is the lanewise add.
+    A row of level k sums the indicator over k free coordinates, the largest
+    its end; ``runs`` is ((end, count), ...), ends ascending, and the rows
+    sit at the start of ``levels[k]``.  The rows ending below coordinate
+    p <= n-d+k are a prefix: folding each at stride 2^(p-k) appends p as a
+    free coordinate, into the next free rows of level k+1.  When a block of
+    those is full, and at the end, their ops follow, memoised on (k, runs)
+    so that a block shared by several parents is bound only once.
 
-    The leaves are histogrammed a block at a time.  With uint8 counts,
-    ``hists`` = (hist, bins) and a leaf's even-length prefix is read as
-    little-endian uint16 words: word c_even + 256*c_odd indexes ``bins``,
+    An add reads the two halves of each pair of stride 2^(p-k) as words of
+    up to 8 bytes: every sum it writes is at most 2^(k+1) <= 2^d, below the
+    lane dtype's 2^(8*itemsize), so no lane carries into its neighbour and a
+    word add is the lanewise add.
+
+    The leaves (k == d) are histogrammed a block at a time.  With uint8
+    counts, ``hists`` = (hist, bins) and a leaf's even-length prefix is read
+    as little-endian uint16 words: word c_even + 256*c_odd indexes ``bins``,
     and as both counts are at most 2^d <= 128 < 256 they never mix.  These
     are counted with ``np.add.at`` into the bound bins, since a bincount
     would allocate and add a fresh 256 * (2^d + 1) bins (258 KiB at d = 7)
@@ -291,14 +254,14 @@ def _program(
     wider dtype (bins None) keeps the plain bincount into ``hist``, which
     first copies a leaf to intp; the blocks keep that copy small.
     """
-    key = id(plan), rows
+    key = k, runs
     if key in memo:
         return memo[key]
     ops = memo[key] = []
-    src, width = levels[k], levels[0].size >> k
-    if plan is None:
+    src, width = levels[k], 1 << (n - k)
+    if k == d:
         hist, bins = hists
-        flat = src[: rows * width]
+        flat = src[: sum(c for _, c in runs) * width]
         for i in range(0, flat.size, block):
             leaf = flat[i : i + block]
             cut = 0 if bins is None else leaf.size & ~1
@@ -307,20 +270,26 @@ def _program(
             if cut < leaf.size:
                 ops.append((leaf[cut:], None, hist))
         return ops
-    dst = levels[k + 1]
-    for step in plan:
-        if len(step) == 2:
-            ops += _program(*step, k + 1, levels, hists, block, memo)
-            continue
-        a, b, low, c = step
-        size = min(8, low * src.itemsize)
-        word, lanes = f"u{size}", low * src.itemsize // size
-        pairs = src[a * width : b * width].view(word).reshape(-1, 2, lanes)
-        out = dst[c * width // 2 : (c + b - a) * width // 2].view(word).reshape(-1, lanes)
-        x, y = pairs[:, 0], pairs[:, 1]
-        if lanes < _SHORT_RUN:  # put the pairs, not the short runs, innermost
-            x, y, out = x.T, y.T, out.T
-        ops.append((x, y, out))
+    dst, half = levels[k + 1], width // 2
+    cap, last = max(1, block >> (n - k - 1)), n - d + k
+    child, filled = [], 0
+    for p in range(k, last + 1):
+        start, stop = 0, sum(c for end, c in runs if end < p)
+        while start < stop:
+            take = min(stop - start, cap - filled)
+            size = min(8, src.itemsize << (p - k))
+            word, lanes = f"u{size}", (src.itemsize << (p - k)) // size
+            pairs = src[start * width : (start + take) * width].view(word).reshape(-1, 2, lanes)
+            out = dst[filled * half : (filled + take) * half].view(word).reshape(-1, lanes)
+            x, y = pairs[:, 0], pairs[:, 1]
+            if lanes < _SHORT_RUN:  # put the pairs, not the short runs, innermost
+                x, y, out = x.T, y.T, out.T
+            ops.append((x, y, out))
+            child.append((p, take))  # p recurs only after a flush
+            start, filled = start + take, filled + take
+            if filled == cap or start == stop and p == last:
+                ops += _program(n, d, k + 1, tuple(child), levels, hists, block, memo)
+                child, filled = [], 0
     return ops
 
 

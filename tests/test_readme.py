@@ -1,5 +1,6 @@
-"""The README's examples still run: the Python quick tour and every CLI line."""
+"""The README holds: its examples run and every name its Layout gives exists."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -38,3 +39,27 @@ def test_cli_example_parses(line):
     argv = shlex.split(line, comments=True)[1:]
     args = cli._build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+LAYOUT = re.findall(
+    r"^- `src/cubestats/(\w+)\.py` - (.*?)(?=^- |^#|\Z)",
+    README.split("\n## Layout\n", 1)[1],
+    flags=re.DOTALL | re.MULTILINE,
+)
+
+
+def test_every_layout_module_is_found():
+    assert len(LAYOUT) >= 12
+
+
+@pytest.mark.parametrize("module, text", LAYOUT, ids=[m for m, _ in LAYOUT])
+def test_layout_names_resolve(module, text):
+    # a name the docs give a module must be an attribute of it, or of a class
+    # defined there; the package name itself is exempt
+    mod = importlib.import_module(f"cubestats.{module}")
+    owners = [mod] + [
+        v for v in vars(mod).values() if isinstance(v, type) and v.__module__ == mod.__name__
+    ]
+    names = set(re.findall(r"`([A-Za-z_]\w*)`", text)) - {"cubestats"}
+    missing = {name for name in names if not any(hasattr(o, name) for o in owners)}
+    assert not missing, f"{module}.py: {sorted(missing)}"

@@ -17,7 +17,6 @@ from cubestats import (
     SubcubeDistribution,
     VertexSet,
     bernoulli_set,
-    binomial,
     distribution,
     distribution_fast,
     lambda_of_set,
@@ -102,9 +101,9 @@ class TestDistribution:
         levels = []
         program = stats._program
 
-        def spy(plan, rows, k, *rest):
+        def spy(n, d, k, *rest):
             levels.append(k)
-            return program(plan, rows, k, *rest)
+            return program(n, d, k, *rest)
 
         monkeypatch.setattr(stats, "_program", spy)
         assert distribution_fast(A, 4) == distribution(A, 4)
@@ -150,16 +149,37 @@ class TestDistribution:
         assert got == [[w] * rounds for w in want]
 
     @pytest.mark.parametrize("block", [1, 3, 8, 64, 1 << 16])
-    def test_plan_emits_every_free_set_once(self, block):
-        def leaf_rows(plan, rows):
-            if plan is None:
-                return rows
-            return sum(leaf_rows(*step) for step in plan if len(step) == 2)
-
+    def test_program_histograms_every_subcube_once(self, block):
+        # replayed blocks count each time; a uint16 word of uint8 leaf
+        # counts (out is the pair bins, not hist) holds two subcubes
         for n in range(13):
             for d in range(n + 1):
-                top = stats._block_plan(n, d, 0, ((-1, 1),), block)
-                assert leaf_rows(top, 1) == binomial(n, d), (n, d)
+                _, hist, _, program = stats._bind(n, d, block)
+                leaves = sum(
+                    x.size * (1 if out is hist else 2) for x, y, out in program if y is None
+                )
+                assert leaves == subcube_count(n, d), (n, d)
+
+    @pytest.mark.parametrize("block", [1, 3, 8, 64, 1 << 16])
+    def test_level_buffers_stay_within_a_block(self, monkeypatch, block):
+        # a level holds at most a block of counts, or one row of 2^(n-k)
+        # where a row is longer, so memory stays flat in n; only the
+        # buffers are checked, so the program is not compiled
+        bound = []
+
+        def spy(n, d, k, runs, levels, *rest):
+            bound.append(levels)
+            return []
+
+        monkeypatch.setattr(stats, "_program", spy)
+        for d in (1, 3, 6, 9):
+            for n in range(d, 21):
+                bound.clear()
+                stats._bind(n, d, block)
+                (levels,) = bound
+                assert len(levels) == d + 1
+                for k, level in enumerate(levels):
+                    assert level.size <= max(block, 1 << (n - k)), (n, d, k)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fast_matches_reference_on_bernoulli_sets(self, seed):
