@@ -15,7 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapabilityError, DomainError
 from .residues import residue_table
@@ -24,6 +25,7 @@ __all__ = [
     "MAX_MODULUS",
     "ApproxCheck",
     "ApproxSpec",
+    "approx_checker",
     "approx_construct",
     "check_approx",
     "third_layer_check",
@@ -148,30 +150,80 @@ def approx_construct(x: float, eps: float) -> ApproxSpec:
     return ApproxSpec(x=x, q=q, p=p, d_min=d_min, tol=eps)
 
 
-def _bound_ok(max_error: Fraction, q: int, d: int) -> tuple[bool, bool]:
-    if max_error == 0:
-        return True, False
+def _bound_test(q: int, d: int) -> Callable[[int, int], tuple[bool, bool]]:
+    """The proven bound q 2^d e^(-d/(10 q^2)) at (q, d), as a test of a deviation.
+
+    The bound is evaluated once, in floating point.  The returned test maps
+    a deviation num/den >= 0 to (ok, borderline): a deviation that exceeds
+    the float bound by at most a relative 2^-51 is borderline, not failed.
+    """
     try:
         top, bottom = (q * math.exp(d * _LN2 - d / (10.0 * q * q))).as_integer_ratio()
     except OverflowError:
         # 2^d overflows float64: compare base-2 logarithms instead, with
         # the same relative slack folded into an additive log-space margin
-        err_log2 = math.log2(max_error.numerator) - math.log2(max_error.denominator)
         bound_log2 = math.log2(q) + d - (d / (10.0 * q * q)) * _LOG2E
-        slack = 8 * sys.float_info.epsilon * max(1.0, abs(bound_log2))
-        if err_log2 <= bound_log2:
+        edge = bound_log2 + 8 * sys.float_info.epsilon * max(1.0, abs(bound_log2))
+
+        def in_logs(num: int, den: int) -> tuple[bool, bool]:
+            if num == 0:
+                return True, False
+            g = math.gcd(num, den)  # the logarithms of the reduced fraction
+            err_log2 = math.log2(num // g) - math.log2(den // g)
+            if err_log2 <= bound_log2:
+                return True, False
+            return (True, True) if err_log2 <= edge else (False, False)
+
+        return in_logs
+
+    def exact(num: int, den: int) -> tuple[bool, bool]:
+        # num/den <= top/bottom, and then with the slack, cross-multiplied
+        err, room = num * bottom, top * den
+        if err <= room:
             return True, False
-        if err_log2 <= bound_log2 + slack:
+        if err << _SLACK_BITS <= room * ((1 << _SLACK_BITS) + 1):
             return True, True
         return False, False
-    # max_error <= top/bottom, and then with the slack, cross-multiplied
-    err = max_error.numerator * bottom
-    room = top * max_error.denominator
-    if err <= room:
-        return True, False
-    if err << _SLACK_BITS <= room * ((1 << _SLACK_BITS) + 1):
-        return True, True
-    return False, False
+
+    return exact
+
+
+def _bound_ok(max_error: Fraction, q: int, d: int) -> tuple[bool, bool]:
+    return _bound_test(q, d)(max_error.numerator, max_error.denominator)
+
+
+def approx_checker(q: int, d: int) -> Callable[[int], tuple[int, bool, bool]]:
+    """Check the layered sets "weight mod q < p" at dimension d, one p per call.
+
+    Row d of the residue sums mod q is read once, as the exact deviations
+    dev[a] = q row[a] - 2^d, and the bound is evaluated once.  A d-subcube
+    of base weight residue a holds (p 2^d + W(a)) / q set vertices, where
+    W(a) sums dev over the window a, ..., a+p-1 (mod q).  A call with
+    0 <= p <= q slides that window once around in O(q) integer steps and
+    returns (E, ok, borderline): E / q is the worst deviation of a count
+    from (p/q) 2^d, and (ok, borderline) is its bound check.
+    """
+    if d < 1:
+        raise DomainError("dimension must be at least 1")
+    full = 1 << d
+    dev = [q * v - full for v in residue_table(q, d).values]
+    ring = dev + dev
+    test = _bound_test(q, d)
+
+    def check(p: int) -> tuple[int, bool, bool]:
+        if not 0 <= p <= q:
+            raise DomainError("p must lie in [0, q]")
+        w = hi = lo = sum(dev[:p])
+        for out, into in zip(dev, islice(ring, p, None)):
+            w += into - out
+            if w > hi:
+                hi = w
+            elif w < lo:
+                lo = w
+        E = max(hi, -lo)
+        return (E, *test(E, q))
+
+    return check
 
 
 def check_approx(spec: ApproxSpec, d: int) -> ApproxCheck:
@@ -181,20 +233,8 @@ def check_approx(spec: ApproxSpec, d: int) -> ApproxCheck:
     bound q 2^d e^(-d/(10 q^2)) is evaluated in floating point and exact
     deviations within 2 ulps of it are flagged borderline, not failed.
     """
-    if d < 1:
-        raise DomainError("dimension must be at least 1")
-    q, p = spec.q, spec.p
-    row = residue_table(q, d).values
-    # count(a) sums row over the window a, ..., a+p-1 (mod q); slide it along
-    count = sum(row[:p])
-    lo = hi = count
-    for a in range(q - 1):
-        count += row[(a + p) % q] - row[a]
-        lo, hi = min(lo, count), max(hi, count)
-    ideal = p << d  # q times (p/q) 2^d
-    max_error = Fraction(max(q * hi - ideal, ideal - q * lo), q)
-    ok, borderline = _bound_ok(max_error, q, d)
-    return ApproxCheck(max_error=max_error, bound_ok=ok, borderline=borderline)
+    E, ok, borderline = approx_checker(spec.q, d)(spec.p)
+    return ApproxCheck(max_error=Fraction(E, spec.q), bound_ok=ok, borderline=borderline)
 
 
 def third_layer_check(d_max: int) -> bool:

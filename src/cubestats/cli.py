@@ -13,16 +13,15 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .approx import (
-    ApproxSpec,
-    _bound_ok,
+    _bound_test,
     _splits_evenly,
+    approx_checker,
     approx_construct,
     check_approx,
     third_layer_check,
@@ -210,16 +209,14 @@ def _suite_thm32(config: RunConfig) -> list[dict]:
 def _suite_approx(config: RunConfig) -> list[dict]:
     checks = []
     for q in range(2, 13):
-        worst_ok = True
-        for p in range(1, q):
-            spec = ApproxSpec(x=p / q, q=q, p=p, d_min=1, tol=1.0)
-            for d in range(1, 65):
-                if not check_approx(spec, d).bound_ok:
-                    worst_ok = False
-        checks.append({"name": f"bound holds q={q}, p<q, d<=64", "pass": worst_ok})
+        ok = True
+        for d in range(1, 65):
+            check = approx_checker(q, d)  # one residue row and one bound per (q, d)
+            ok &= all(check(p)[1] for p in range(1, q))
+        checks.append({"name": f"bound holds q={q}, p<q, d<=64", "pass": ok})
     # negative control: at q = 12, d = 64 a deviation of q 2^d exceeds the
-    # bound q 2^d e^(-d/(10 q^2)) by 4.5%, so the bound check must fail it
-    ok, _ = _bound_ok(Fraction(12 << 64), 12, 64)
+    # bound q 2^d e^(-d/(10 q^2)) by 4.5%, so the bound test must fail it
+    ok, _ = _bound_test(12, 64)(12 << 64, 1)
     name = "control: a deviation above the bound fails the bound check"
     checks.append({"name": name, "pass": not ok, "control": True})
     return checks

@@ -8,7 +8,6 @@ exactly s elements.  ω(s) = 4s-1 exactly when a Hadamard matrix of order
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,10 +100,15 @@ class JohnsonGraph:
                 "use johnson_adjacent for implicit adjacency"
             )
         self.s = s
-        self.vertices = tuple(
-            sum(1 << e for e in combo)
-            for combo in itertools.combinations(range(4 * s), 2 * s)
-        )
+        # combination order is descending order of the bit-reversed masks:
+        # list the 4s-bit masks r of popcount 2s downwards and reverse each
+        m = 4 * s
+        r = np.arange((1 << m) - 1, -1, -1)
+        r = r[np.bitwise_count(r) == 2 * s]
+        v = np.zeros_like(r)
+        for b in range(m):
+            v |= (r >> b & 1) << (m - 1 - b)
+        self.vertices = tuple(v.tolist())
 
     def adjacency_bitsets(self) -> list[int]:
         """adj[i] has bit j set iff vertices i and j are adjacent."""

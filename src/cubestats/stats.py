@@ -272,9 +272,12 @@ def _program(
         return ops
     dst, half = levels[k + 1], width // 2
     cap, last = max(1, block >> (n - k - 1)), n - d + k
-    child, filled = [], 0
+    child, filled, stop, j = [], 0, 0, 0
     for p in range(k, last + 1):
-        start, stop = 0, sum(c for end, c in runs if end < p)
+        while j < len(runs) and runs[j][0] < p:  # count the rows ending below p
+            stop += runs[j][1]
+            j += 1
+        start = 0
         while start < stop:
             take = min(stop - start, cap - filled)
             size = min(8, src.itemsize << (p - k))

@@ -1,5 +1,6 @@
 """Rational approximation of a target density by residue-class unions."""
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -17,7 +18,8 @@ from cubestats import (
     q_binsum,
     third_layer_check,
 )
-from cubestats.approx import _bound_ok
+from cubestats.approx import _bound_ok, _bound_test, approx_checker
+from cubestats.cli import main
 
 
 class TestConstruct:
@@ -107,12 +109,28 @@ def float_bound(q: int, d: int) -> Fraction:
 
 class TestCheck:
     def test_sliding_window_matches_reference(self):
+        # one checker per (q, d) answers every p as the per-term reference sum
+        # and the Fraction bound check do, and check_approx is it at one p;
+        # d = 1100 takes the log-space branch of the bound check
         for q in range(1, 14):
-            for p in range(q + 1):
-                spec = ApproxSpec(0.5, q, p, 1, 1.0)
-                # d = 1100 takes the log-space branch of the bound check
-                for d in (*range(1, 24), 70, 200, 1100):
-                    assert check_approx(spec, d).max_error == reference_check(spec, d), (q, p, d)
+            for d in (*range(1, 65), 70, 200, 1100):
+                check = approx_checker(q, d)
+                for p in range(q + 1):
+                    spec = ApproxSpec(0.5, q, p, 1, 1.0)
+                    E, ok, borderline = check(p)
+                    want = reference_check(spec, d)
+                    assert Fraction(E, q) == want, (q, p, d)
+                    assert (ok, borderline) == reference_bound_ok(want, q, d), (q, p, d)
+                    assert check_approx(spec, d) == ApproxCheck(want, ok, borderline)
+
+    def test_checker_domain(self):
+        for q, d in ((0, 5), (3, 0), (3, -1)):
+            with pytest.raises(DomainError):
+                approx_checker(q, d)
+        check = approx_checker(3, 5)
+        for p in (-1, 4):
+            with pytest.raises(DomainError):
+                check(p)
 
     def test_deviation_matches_direct_sum(self):
         spec = ApproxSpec(Fraction(1, 3), 3, 1, 1, Fraction(1))
@@ -168,6 +186,20 @@ class TestCheck:
             (False, False)
         ]
 
+    def test_log_space_test_reads_the_reduced_fraction(self):
+        # past the float range log2(g num) - log2(g den) can round across the
+        # bound where log2(num) - log2(den) does not; the verdict must not
+        # depend on how the deviation is written, so find where it turns
+        test = _bound_test(3, 1100)
+        lo, hi = 1 << 1083, 1 << 1085  # the bound is about 2^1083.95
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if test(mid, 1) == (True, False) else (lo, mid)
+        for num in range(lo - 64, hi + 64):
+            want = reference_bound_ok(Fraction(num), 3, 1100)
+            assert test(num, 1) == want
+            assert all(test(g * num, g) == want for g in range(2, 14)), num
+
     def test_log_space_path_past_float_range(self):
         spec = ApproxSpec(Fraction(1, 3), 3, 1, 1, Fraction(1))
         out = check_approx(spec, 1100)  # 2^1100 overflows float64
@@ -186,6 +218,19 @@ class TestCheck:
             "bound_ok": True,
             "borderline": False,
         }
+
+
+def test_verify_approx_checks(capsys):
+    assert main(["verify", "approx"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [
+        *({"name": f"bound holds q={q}, p<q, d<=64", "pass": True} for q in range(2, 13)),
+        {
+            "name": "control: a deviation above the bound fails the bound check",
+            "pass": True,
+            "control": True,
+        },
+    ]
 
 
 def test_third_layer_balance():

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubestats import (
-    ApproxCheck,
     CertificateError,
     VertexSet,
     __version__,
@@ -384,7 +383,7 @@ class TestVerifySuites:
         [
             ("prop31", [(residues, "prop31_holds"), (cli, "prop31_holds")]),
             ("thm32", [(residues, "thm32_admissible"), (cli, "thm32_admissible")]),
-            ("approx", [(approx, "_bound_ok"), (cli, "_bound_ok")]),
+            ("approx", [(approx, "_bound_test"), (cli, "_bound_test")]),
             ("third-layer", [(approx, "_splits_evenly"), (cli, "_splits_evenly")]),
             ("oracle-equivalence", [(cli, "_mirrors")]),
         ],
@@ -394,7 +393,7 @@ class TestVerifySuites:
         self, capsys, monkeypatch, suite, targets
     ):
         # every regular check passes; only the negative control fails
-        accepts = {"_bound_ok": (True, False)}
+        accepts = {"_bound_test": lambda num, den: (True, False)}
         for module, name in targets:
             monkeypatch.setattr(module, name, lambda *args, v=accepts.get(name, True): v)
         rc, out, _ = run(capsys, "verify", suite)
@@ -424,11 +423,7 @@ class TestVerifySuites:
                     k, tuple(dims), (), (Thm32Case(1, (0,), (1,) * k),)
                 ),
             ),
-            (
-                "approx",
-                "check_approx",
-                lambda spec, d: ApproxCheck(Fraction(1 << d), False, False),
-            ),
+            ("approx", "approx_checker", lambda q, d: lambda p: (q << d, False, False)),
             ("third-layer", "third_layer_check", lambda d_max: False),
             (
                 "oracle-equivalence",

@@ -41,6 +41,16 @@ class TestAdjacency:
         assert len(JohnsonGraph(1).vertices) == binomial(4, 2)
         assert len(JohnsonGraph(2).vertices) == binomial(8, 4)
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_vertices_are_the_subsets_in_lexicographic_order(self, s):
+        want = tuple(
+            sum(1 << e for e in combo)
+            for combo in itertools.combinations(range(4 * s), 2 * s)
+        )
+        got = JohnsonGraph(s).vertices
+        assert got == want
+        assert {type(v) for v in got} == {int}
+
     def test_adjacency_bitsets_symmetric(self):
         g = JohnsonGraph(1)
         adj = g.adjacency_bitsets()
