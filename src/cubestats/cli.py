@@ -26,7 +26,12 @@ from .approx import (
     check_approx,
     third_layer_check,
 )
-from .constructions import ConstructionResult, best_bounds, build_construction
+from .constructions import (
+    ConstructionResult,
+    best_bounds,
+    build_construction,
+    construction_dimension,
+)
 from .cube import MASK_CAP, VertexSet, check_subcube_dimension
 from .errors import CapabilityError, CertificateError, DomainError
 from .exhaustive import exhaustive_lambda
@@ -87,9 +92,10 @@ def _construct(config: RunConfig, text: str) -> ConstructionResult:
     spec = _load_json_arg(text)
     if isinstance(spec, dict) and spec.get("kind") == "bernoulli":
         spec.setdefault("seed", config.seed)
-    result = build_construction(spec)
-    _check_max_n(config, result.vertex_set.n)
-    return result
+    n = construction_dimension(spec)
+    if n is not None:  # None: the builder rejects the spec before any allocation
+        _check_max_n(config, n)
+    return build_construction(spec)
 
 
 def _check_max_n(config: RunConfig, n: int) -> None:

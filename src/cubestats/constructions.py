@@ -10,6 +10,7 @@ reference constants.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -18,7 +19,7 @@ import numpy as np
 
 from .cube import Subcube, VertexSet, binomial, check_mask_dimension
 from .cube import check_subcube_dimension
-from .errors import CapabilityError, CertificateError, DomainError, fields
+from .errors import CapabilityError, CertificateError, DomainError, fields, is_int
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
 from .stats import LambdaBounds, LayeredSpec, layered_distribution
@@ -38,6 +39,12 @@ _MAX_DENOMINATOR_BITS = 14_284
 
 # Most column subsets spanning_fraction ranks; each takes about 40 µs in Python.
 _SPANNING_SUBSET_CAP = 1 << 16
+
+# bernoulli_set unpacks at most about this many stream bits at a time.
+_BLOCK_BITS = 1 << 20
+
+# Guards the reset and read of the one Philox generator of bernoulli_set.
+_PHILOX_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +191,66 @@ def two_adic_split(s: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _philox() -> tuple[np.random.Philox, dict]:
+    """The one bit generator of bernoulli_set and its fresh state.
+
+    Made on the first draw, not at import, because numpy.random costs
+    about 18 ms to import, and from a fixed integer seed so that it never
+    reads OS entropy.
+    """
+    bg = np.random.Philox(0)
+    return bg, bg.state
+
+
+def _philox_words(seed: int, first: int, count: int) -> np.ndarray:
+    """Words first .. first+count-1 (first a multiple of 4) of the raw
+    64-bit stream of Philox with key = seed and a zero counter.
+
+    Philox is counter-based and makes 4 words per counter step, so the
+    key and the counter fix the stream, and one generator reset from its
+    fresh state gives any stretch of any seed's stream exactly.
+    ``random_raw`` takes the generator's own lock, which is not
+    re-entrant, so the reset and the read share a lock of their own.
+    """
+    with _PHILOX_LOCK:
+        bg, fresh = _philox()
+        bg.state = {
+            **fresh,
+            "state": {
+                "counter": np.array([first >> 2, 0, 0, 0], dtype=np.uint64),
+                "key": np.array([seed & ((1 << 64) - 1), seed >> 64], dtype=np.uint64),
+            },
+        }
+        return bg.random_raw(count)
+
+
 def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
     """Each vertex kept independently with probability exactly 2^(-d).
 
-    Vertex v consumes bits v·d .. v·d+d-1 of the Philox(seed) byte
-    stream (little-endian bit order within bytes) and is kept when all
-    d bits are zero, so membership is reproducible per seed.
+    The stream is the little-endian raw 64-bit words of Philox with
+    key = seed and a zero counter, the bytes that
+    ``Generator(Philox(key=seed)).bytes`` returns.  Vertex v consumes bits
+    v·d .. v·d+d-1 of it (little-endian bit order within bytes) and is
+    kept when all d bits are zero, so membership is reproducible per
+    seed.  Blocks of vertices are drawn and unpacked one at a time, so
+    the peak memory is O(2^n) bytes whatever d is.
     """
     check_subcube_dimension(n, d)
     if not 0 <= seed < 1 << 128:
         raise DomainError(f"seed {seed} outside [0, 2^128)")
     check_mask_dimension(n)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    total_bits = (1 << n) * d
-    raw = np.frombuffer(rng.bytes((total_bits + 7) // 8 + 1), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[:total_bits]
+    if d == 0:
+        return VertexSet.full(n)
+    # a multiple of 256 vertices takes a multiple of 4 words for any d
+    block = max(256, (_BLOCK_BITS // d) & -256)
     hit = np.zeros(1 << n, dtype=np.uint8)
-    for j in range(d):  # OR the d bit columns: far cheaper than .any(axis=1)
-        hit |= bits[j::d]
+    for start in range(0, 1 << n, block):
+        part = hit[start : start + block]
+        raw = _philox_words(seed, start * d >> 6, (len(part) * d + 63) >> 6)
+        bits = np.unpackbits(raw.astype("<u8").view(np.uint8), bitorder="little")
+        for j in range(d):  # OR the d bit columns: far cheaper than .any(axis=1)
+            part |= bits[j : j + len(part) * d : d]
     return VertexSet.from_flags(n, hit == 0)
 
 
@@ -341,6 +390,24 @@ def build_construction(spec: dict) -> ConstructionResult:
     if kind not in _BUILDERS:
         raise DomainError(f"unknown construction kind: {kind!r}")
     return _BUILDERS[kind](params)
+
+
+def construction_dimension(spec) -> int | None:
+    """The n of the Q_n whose subset a spec describes, read before anything
+    of size 2^n is built; None when the spec's kind or that member is
+    malformed, which build_construction rejects."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        return None
+    if kind == "syndrome":
+        matrix = spec.get("matrix")
+        n = matrix.get("cols") if isinstance(matrix, dict) else None
+    elif kind in ("turan_extremal", "weight_top_bottom"):
+        d = spec.get("d")
+        n = d + 2 if is_int(d) else None
+    else:
+        n = spec.get("n")
+    return n if is_int(n) else None
 
 
 def _build_syndrome(spec: dict) -> ConstructionResult:

@@ -8,7 +8,6 @@ of the residue sets that make them equal) back the layered constructions.
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,18 +29,31 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+# (k, d) -> the k residue-class sums of row d of Pascal's triangle
+_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
 def _binsum_row(k: int, d: int) -> tuple[int, ...]:
+    row = _ROWS.get((k, d))
+    if row is not None:
+        return row
     if k < 1:
         raise DomainError("modulus must be at least 1")
     if d < 0:
         raise DomainError("dimension must be nonnegative")
-    values = [0] * k
-    c = 1  # C(d, i), stepped by C(d, i+1) = C(d, i) (d-i) / (i+1)
-    for i in range(d + 1):
-        values[i % k] += c
-        c = c * (d - i) // (i + 1)
-    return tuple(values)
+    prev = _ROWS.get((k, d - 1))
+    if prev is not None and k <= d:  # for k > d the d + 1 direct terms are fewer
+        # Pascal's rule: C(d, i) = C(d-1, i) + C(d-1, i-1); prev[-1] wraps mod k
+        row = tuple(prev[a] + prev[a - 1] for a in range(k))
+    else:
+        values = [0] * k
+        c = 1  # C(d, i), stepped by C(d, i+1) = C(d, i) (d-i) / (i+1)
+        for i in range(d + 1):
+            values[i % k] += c
+            c = c * (d - i) // (i + 1)
+        row = tuple(values)
+    _ROWS[(k, d)] = row
+    return row
 
 
 def q_binsum(a: int, k: int, d: int) -> int:

@@ -21,6 +21,7 @@ from cubestats import (
     __version__,
     approx,
     cli,
+    constructions,
     distribution_fast,
     residues,
 )
@@ -160,6 +161,71 @@ class TestDist:
         f.write_text('{"n": 24, "vertices": ["a"]}')
         rc, _, err = run(capsys, "dist", "--set-file", str(f), "-d", "1", "--max-n", "4")
         assert rc == 2 and "must be a list of integers" in err
+
+    @pytest.mark.parametrize("command", [["construct"], ["dist", "-d", "1", "--construct"]])
+    @pytest.mark.parametrize(
+        "builder, spec, n",
+        [
+            ("bernoulli_set", {"kind": "bernoulli", "n": 22, "d": 22}, 22),
+            ("layered_set", {"kind": "layered", "n": 22, "k": 3, "T": [0]}, 22),
+            ("layered_set", {"kind": "parity", "n": 24}, 24),
+            ("layered_set", {"kind": "mod_weight", "n": 20, "d": 2}, 20),
+            ("layered_set", {"kind": "perturbed_parity", "n": 20, "d": 2, "cubes": []}, 20),
+            ("weight_top_bottom_set", {"kind": "weight_top_bottom", "d": 20}, 22),
+            (
+                "syndrome_set",
+                {"kind": "syndrome", "matrix": {"rows": 1, "cols": 21, "data": ["1" * 21]},
+                 "colors": [0], "d": 1},
+                21,
+            ),
+            (
+                "turan_extremal_set",
+                {"kind": "turan_extremal", "d": 19, "s": 1,
+                 "clique": {"s": 1, "members": [[0, 1], [0, 2], [0, 3]]}},
+                21,
+            ),
+        ],
+    )
+    def test_construct_cap_comes_before_the_set_is_built(
+        self, capsys, monkeypatch, command, builder, spec, n
+    ):
+        def build(*args):
+            raise AssertionError("the set was built before the --max-n check")
+
+        monkeypatch.setattr(constructions, builder, build)
+        rc, out, err = run(capsys, *command, json.dumps(spec), "--max-n", "10")
+        assert rc == 3
+        assert out == "" and f"n={n}, above the cap 10" in err and err.count("\n") == 1
+
+    def test_construction_dimension_is_the_built_sets(self):
+        specs = [
+            {"kind": "bernoulli", "n": 5, "d": 2, "seed": 1},
+            {"kind": "layered", "n": 6, "k": 3, "T": [0]},
+            {"kind": "parity", "n": 4},
+            {"kind": "mod_weight", "n": 5, "d": 2},
+            {"kind": "perturbed_parity", "n": 3, "d": 2, "cubes": []},
+            {"kind": "weight_top_bottom", "d": 2},
+            {"kind": "syndrome", "matrix": {"rows": 1, "cols": 3, "data": ["111"]},
+             "colors": [0], "d": 1},
+            {"kind": "turan_extremal", "d": 2, "s": 1,
+             "clique": {"s": 1, "members": [[0, 1], [0, 2], [0, 3]]}},
+        ]
+        assert {spec["kind"] for spec in specs} == set(constructions._BUILDERS)
+        for spec in specs:
+            n = constructions.construction_dimension(spec)
+            assert n == constructions.build_construction(spec).vertex_set.n, spec
+
+    def test_construction_dimension_leaves_malformed_specs_to_the_builder(self):
+        for spec in [
+            [],
+            {"kind": "nope", "n": 30},
+            {"kind": ["parity"], "n": 30},
+            {"kind": "parity", "n": "30"},
+            {"kind": "parity", "n": True},
+            {"kind": "syndrome", "matrix": [30]},
+            {"kind": "weight_top_bottom"},
+        ]:
+            assert constructions.construction_dimension(spec) is None, spec
 
     def test_bernoulli_inherits_cli_seed(self, capsys):
         spec = '{"kind": "bernoulli", "n": 6, "d": 2}'

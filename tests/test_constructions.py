@@ -1,6 +1,10 @@
 """Lower-bound constructions: syndrome sets, layers, cliques, perturbations."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +27,7 @@ from cubestats import (
     c_dk,
     c_star,
     c_star_enumerated,
+    constructions,
     distribution,
     distribution_fast,
     expected_single_fraction,
@@ -140,6 +145,15 @@ def test_two_adic_split():
         two_adic_split(0)
 
 
+def _reference_bernoulli(n: int, d: int, seed: int) -> VertexSet:
+    """bernoulli_set by the public route: a Generator on Philox(key=seed)."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    total_bits = (1 << n) * d
+    raw = np.frombuffer(rng.bytes((total_bits + 7) // 8), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[:total_bits].reshape(1 << n, d)
+    return VertexSet.from_flags(n, ~bits.any(axis=1))
+
+
 class TestConcreteSets:
     def test_bernoulli_reproducible_per_seed(self):
         a = bernoulli_set(8, 3, seed=42)
@@ -184,6 +198,71 @@ class TestConcreteSets:
         bits = bernoulli_set(n, d, seed).bits
         mask = bits.to_bytes(1 << (n - 3), "little")
         assert hashlib.sha256(mask).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**63 - 1, 2**64 - 1, 2**64, 2**128 - 1]
+    )
+    @pytest.mark.parametrize("n, d", [(3, 3), (0, 0), (2, 2), (5, 1), (10, 3), (9, 7)])
+    def test_bernoulli_stream_is_the_generator_bytes(self, n, d, seed):
+        assert bernoulli_set(n, d, seed) == _reference_bernoulli(n, d, seed)
+        # the raw words from any counter step on, against the same stream
+        words = constructions._philox_words(seed, 8, 5)
+        stream = np.random.Generator(np.random.Philox(key=seed)).bytes(13 * 8)
+        assert words.astype("<u8").tobytes() == stream[8 * 8 :]
+
+    @pytest.mark.parametrize("n, d", [(12, 5), (11, 7), (9, 3)])
+    def test_bernoulli_blocks_join_into_the_one_stream(self, monkeypatch, n, d):
+        # small blocks, one of them short, read the stream in many pieces
+        monkeypatch.setattr(constructions, "_BLOCK_BITS", 3000)
+        for seed in (4, 2**100 + 3):
+            assert bernoulli_set(n, d, seed) == _reference_bernoulli(n, d, seed)
+
+    def test_bernoulli_monte_carlo_shape_is_one_block(self, monkeypatch):
+        calls = []
+        words = constructions._philox_words
+        monkeypatch.setattr(
+            constructions, "_philox_words", lambda *a: calls.append(a) or words(*a)
+        )
+        bernoulli_set(10, 3, 11)
+        assert calls == [(11, 0, 48)]
+
+    def test_bernoulli_draws_from_threads_equal_serial_draws(self):
+        jobs = [(n, d, seed) for seed in range(24) for n, d in [(10, 3), (17, 9), (6, 6)]]
+        serial = [bernoulli_set(*job).bits for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to interleave the draws
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                drawn = pool.map(lambda job: bernoulli_set(*job).bits, jobs, timeout=60)
+                threaded = list(drawn)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_bernoulli_makes_no_generator_after_the_first_draw(self, monkeypatch):
+        first = bernoulli_set(10, 3, 5)
+        want = _reference_bernoulli(8, 8, 2**128 - 1)
+
+        def philox(*args, **kwargs):
+            raise AssertionError("a second Philox generator was made")
+
+        monkeypatch.setattr(np.random, "Philox", philox)
+        assert bernoulli_set(10, 3, 5) == first
+        assert bernoulli_set(8, 8, 2**128 - 1) == want
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random takes about 18 ms to import; the first draw pays it
+        code = (
+            "import sys, cubestats, cubestats.cli\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+            "cubestats.bernoulli_set(3, 1, 0)\n"
+            "assert 'numpy.random' in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_bernoulli_density_near_target(self):
         n, d, reps = 6, 2, 200

@@ -72,6 +72,26 @@ class TestBinsum:
                     ref[i % k] += math.comb(d, i)
                 assert residues._binsum_row(k, d) == tuple(ref), (k, d)
 
+    def test_rows_match_the_direct_sum_in_any_query_order(self, monkeypatch):
+        # rows derived by Pascal's rule from a cached row d - 1 must equal
+        # the direct sum, whichever rows happen to be cached
+        monkeypatch.setattr(residues, "_ROWS", {})
+        pairs = [(k, d) for k in range(1, 14) for d in range(201)]
+        order = np.random.default_rng(3).permutation(len(pairs)).tolist()
+        for i in order[: len(pairs) // 2] + list(range(len(pairs))):
+            k, d = pairs[i]
+            ref = [0] * k
+            for j in range(d + 1):
+                ref[j % k] += math.comb(d, j)
+            assert residues._binsum_row(k, d) == tuple(ref), (k, d)
+
+    def test_cold_row_far_from_the_cache(self, monkeypatch):
+        monkeypatch.setattr(residues, "_ROWS", {})
+        assert sum(residues._binsum_row(7, 1100)) == 1 << 1100
+        assert residues._binsum_row(7, 1101) == tuple(
+            _direct(a, 7, 1101) for a in range(7)
+        )
+
     def test_domain(self):
         with pytest.raises(DomainError):
             q_binsum(3, 3, 4)
