@@ -57,7 +57,6 @@ from .johnson import (
 from .residues import (
     ResidueSumTable,
     q_binsum,
-    q_fourier,
     residue_table,
     thm32_q,
     verify_prop31,
@@ -125,7 +124,6 @@ __all__ = [
     "perturb_parity",
     "perturbation_preserves",
     "q_binsum",
-    "q_fourier",
     "residue_table",
     "spanning_fraction",
     "subcube_count",

@@ -188,10 +188,6 @@ def _bound_test(q: int, d: int) -> Callable[[int, int], tuple[bool, bool]]:
     return exact
 
 
-def _bound_ok(max_error: Fraction, q: int, d: int) -> tuple[bool, bool]:
-    return _bound_test(q, d)(max_error.numerator, max_error.denominator)
-
-
 def approx_checker(q: int, d: int) -> Callable[[int], tuple[int, bool, bool]]:
     """Check the layered sets "weight mod q < p" at dimension d, one p per call.
 

@@ -387,6 +387,8 @@ _CONFIG_FIELDS = tuple(
 
 def _leaves(node, path: str = ""):
     """Yield (dotted path, value) for each scalar and empty container in node."""
+    if isinstance(node, np.ndarray):
+        node = node.tolist()
     if isinstance(node, (dict, list)) and node:
         items = sorted(node.items()) if isinstance(node, dict) else enumerate(node)
         for key, child in items:
@@ -414,24 +416,25 @@ def _render_json(node, pad: str = "") -> str:
     """``json.dumps(node, sort_keys=True, indent=2)``, with the same bytes.
 
     With ``indent`` set, json falls back to its pure-Python encoder.  Here
-    a list of nondecreasing ints in [0, 2^32), such as a vertex list, is
-    written by ``_render_ints``; any other container whose members are all
-    plain str, int, float, bool or None is one call of the C encoder, whose
-    item separator carries the newline and the indentation; only the other
-    containers are walked in Python.  ``pad`` is the indentation of the
-    line ``node`` starts on, and so of its closing bracket.  Dict keys must
-    be strings.
+    a numpy array, such as a vertex set's members, is written by
+    ``_render_ints`` when it is a nondecreasing integer array in [0, 2^32),
+    and as its ``tolist()`` otherwise; any other container whose members
+    are all plain str, int, float, bool or None is one call of the C
+    encoder, whose item separator carries the newline and the indentation;
+    only the other containers are walked in Python.  ``pad`` is the
+    indentation of the line ``node`` starts on, and so of its closing
+    bracket.  Dict keys must be strings.
     """
-    if not isinstance(node, (dict, list, tuple)) or not node:
-        return json.dumps(node)
     inner = pad + "  "
     sep = ",\n" + inner
+    if isinstance(node, np.ndarray):
+        body = _render_ints(node, sep)
+        return _render_json(node.tolist(), pad) if body is None else f"[\n{inner}{body}\n{pad}]"
+    if not isinstance(node, (dict, list, tuple)) or not node:
+        return json.dumps(node)
     children = node.values() if isinstance(node, dict) else node
-    types = set(map(type, children))
-    if _SCALAR_TYPES.issuperset(types):
-        body = _render_ints(node, sep) if types == {int} and isinstance(node, list) else None
-        if body is None:
-            body = json.dumps(node, sort_keys=True, separators=(sep, ": "))[1:-1]
+    if _SCALAR_TYPES.issuperset(map(type, children)):
+        body = json.dumps(node, sort_keys=True, separators=(sep, ": "))[1:-1]
     elif isinstance(node, dict):
         body = sep.join(
             f"{json.dumps(key)}: {_render_json(child, inner)}"
@@ -443,21 +446,20 @@ def _render_json(node, pad: str = "") -> str:
     return f"{opening}\n{inner}{body}\n{pad}{closing}"
 
 
-def _render_ints(items: list[int], sep: str) -> str | None:
+def _render_ints(values: np.ndarray, sep: str) -> str | None:
     """The items in decimal, joined by the ASCII ``sep``, as json writes them.
 
-    None unless the items are nondecreasing and in [0, 2^32).  Sorted items
-    fall into runs of equal digit width; each run fills a (rows, width +
-    len(sep)) byte block, the digits by repeated ``// 10`` from the right
-    and the separator in the columns after them.
+    None unless ``values`` is a nonempty 1-d integer array, nondecreasing
+    and in [0, 2^32).  Sorted items fall into runs of equal digit width;
+    each run fills a (rows, width + len(sep)) byte block, the digits by
+    repeated ``// 10`` from the right and the separator in the columns
+    after them.
     """
-    try:
-        values = np.fromiter(items, np.int64, len(items))
-    except OverflowError:
+    if values.ndim != 1 or not values.size or values.dtype.kind not in "iu":
         return None
     if values[0] < 0 or values[-1] >= 1 << 32 or (values[1:] < values[:-1]).any():
         return None
-    values = values.astype(np.uint32)
+    values = values.astype(np.uint32, copy=False)
     cuts = [0, *np.searchsorted(values, _POWERS_OF_TEN).tolist(), len(values)]
     tail = np.frombuffer(sep.encode(), np.uint8)
     blocks = []

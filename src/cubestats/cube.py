@@ -97,15 +97,20 @@ class VertexSet:
         raw = np.frombuffer(self.bits.to_bytes((size + 7) // 8, "little"), np.uint8)
         return np.unpackbits(raw, count=size, bitorder="little")
 
+    def members(self) -> np.ndarray:
+        """Members in ascending order, as a uint32 array."""
+        return np.flatnonzero(self.flags().view(bool)).astype(np.uint32)
+
     def vertices(self) -> list[int]:
         """Members in ascending order."""
-        return np.flatnonzero(self.flags()).tolist()
+        return self.members().tolist()
 
     def complement(self) -> VertexSet:
         return VertexSet(self.n, self.bits ^ ((1 << (1 << self.n)) - 1))
 
     def to_json(self) -> dict:
-        return {"n": self.n, "vertices": self.vertices()}
+        """n and the members array; json.dumps it with default=np.ndarray.tolist."""
+        return {"n": self.n, "vertices": self.members()}
 
     @staticmethod
     def read_json(obj: dict) -> tuple[int, list[int]]:

@@ -6,7 +6,6 @@ subcube, so the checkers here (non-equality of the k sums, classification
 of the residue sets that make them equal) back the layered constructions.
 """
 
-import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,7 +19,6 @@ __all__ = [
     "Thm32Report",
     "prop31_holds",
     "q_binsum",
-    "q_fourier",
     "residue_table",
     "thm32_admissible",
     "thm32_q",
@@ -88,23 +86,6 @@ class ResidueSumTable:
 
 def residue_table(k: int, d: int) -> ResidueSumTable:
     return ResidueSumTable(k, d, _binsum_row(k, d))
-
-
-def q_fourier(a: int, k: int, d: int) -> complex:
-    """Root-of-unity evaluation of q_binsum, for cross-checking only.
-
-    Computes (1/k) * sum_i w^(-i*a) * (1 + w^i)^d with w = exp(2*pi*I/k).
-    Floating point, with an absolute error on the order of
-    2^d * k * machine epsilon; q_binsum is the ground truth.
-    """
-    _binsum_row(k, d)
-    if not 0 <= a < k:
-        raise DomainError(f"residue {a} is outside range(0, {k})")
-    total = 0j
-    for i in range(k):
-        w_i = cmath.exp(2j * cmath.pi * i / k)
-        total += cmath.exp(-2j * cmath.pi * i * a / k) * (1 + w_i) ** d
-    return total / k
 
 
 def thm32_q(a: int, k: int, d: int, T: Iterable[int]) -> int:

@@ -18,7 +18,7 @@ from cubestats import (
     q_binsum,
     third_layer_check,
 )
-from cubestats.approx import _bound_ok, _bound_test, approx_checker
+from cubestats.approx import _bound_test, approx_checker
 from cubestats.cli import main
 
 
@@ -160,7 +160,9 @@ class TestCheck:
         ],
     )
     def test_bound_ok_borderline_and_failing(self, d, error, want):
-        assert _bound_ok(error(), 3, d) == want == reference_bound_ok(error(), 3, d)
+        err = error()
+        assert _bound_test(3, d)(err.numerator, err.denominator) == want
+        assert want == reference_bound_ok(err, 3, d)
 
     def test_bound_ok_matches_the_fraction_reference_on_every_suite_cell(self):
         for q in range(2, 13):
@@ -168,7 +170,8 @@ class TestCheck:
                 spec = ApproxSpec(x=p / q, q=q, p=p, d_min=1, tol=1.0)
                 for d in (*range(1, 65), 1100):
                     err = check_approx(spec, d).max_error
-                    assert _bound_ok(err, q, d) == reference_bound_ok(err, q, d), (q, p, d)
+                    got = _bound_test(q, d)(err.numerator, err.denominator)
+                    assert got == reference_bound_ok(err, q, d), (q, p, d)
 
     @pytest.mark.parametrize("q, d", [(3, 10), (7, 40), (12, 64), (2, 1)])
     def test_bound_ok_matches_the_fraction_reference_at_the_edges(self, q, d):
@@ -180,9 +183,10 @@ class TestCheck:
             bound * slack - tiny, bound * slack, bound * slack + tiny,
             2 * bound, Fraction(0), Fraction(1, 3),
         ]
+        test = _bound_test(q, d)
         for err in errors:
-            assert _bound_ok(err, q, d) == reference_bound_ok(err, q, d), err
-        assert [_bound_ok(e, q, d) for e in errors[3:6]] == [(True, True)] * 2 + [
+            assert test(err.numerator, err.denominator) == reference_bound_ok(err, q, d), err
+        assert [test(e.numerator, e.denominator) for e in errors[3:6]] == [(True, True)] * 2 + [
             (False, False)
         ]
 

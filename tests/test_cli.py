@@ -11,6 +11,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -356,11 +357,11 @@ class TestRenderJson:
     @pytest.mark.parametrize(
         "value, encoded",
         [
-            (_EVERY_WIDTH, True),
-            (list(range(0, 1 << 32, 4_294_967)), True),
-            ([0], True),
-            ([(1 << 32) - 1], True),
-            ([7, 7, 7, 12, 12], True),
+            (np.array(_EVERY_WIDTH, np.uint32), True),
+            (np.arange(0, 1 << 32, 4_294_967, dtype=np.uint32), True),
+            (np.array([0], np.uint32), True),
+            (np.array([(1 << 32) - 1], np.uint32), True),
+            (np.array([7, 7, 7, 12, 12], np.uint32), True),
             ([0, 5, 1 << 32], False),
             ([1 << 32], False),
             ([3, 1 << 63], False),
@@ -370,11 +371,27 @@ class TestRenderJson:
             ([0, True, 2], False),
             ([0, 1.5, 2], False),
             ((0, 1, 2), False),
-            ({"set": {"n": 4, "vertices": [1, 10, 100, 1000]}, "a": [[3, 30], [5]]}, True),
+            (
+                {
+                    "set": {"n": 4, "vertices": np.array([1, 10, 100, 1000], np.uint32)},
+                    "a": [[3, 30], [5]],
+                },
+                True,
+            ),
+            # arrays that are not nondecreasing in [0, 2^32) render as their tolist()
+            (np.array([], np.uint32), False),
+            (np.array([[1, 2], [3, 4]], np.uint32), False),
+            (np.array([-1, 0, 5], np.int64), False),
+            (np.array([0, 5, 1 << 32], np.int64), False),
+            (np.array([2, 1], np.uint32), False),
+            (np.array([0.5, 1.5]), False),
+            (np.array([False, True]), False),
+            ([np.array([3, 4], np.uint64), np.array([1 << 63], np.uint64)], True),
         ],
     )
     def test_integer_lists_match_indented_dumps(self, monkeypatch, value, encoded):
-        # lists of nondecreasing ints in [0, 2^32) go through _render_ints
+        # nondecreasing integer arrays in [0, 2^32) go through _render_ints;
+        # lists never do, and every report renders as its tolist() form would
         bodies = []
         render = cli._render_ints
 
@@ -383,25 +400,73 @@ class TestRenderJson:
             return bodies[-1]
 
         monkeypatch.setattr(cli, "_render_ints", spy)
-        assert cli._render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+        want = json.dumps(value, sort_keys=True, indent=2, default=np.ndarray.tolist)
+        assert cli._render_json(value) == want
         assert any(body is not None for body in bodies) == encoded
 
     def test_main_writes_indented_dumps_bytes(self, capsys, monkeypatch):
-        # the report each run renders, recorded where main builds it
-        reports = []
-        build = cli._envelope
-
-        def envelope(*args):
-            reports.append(build(*args))
-            return reports[-1]
-
-        monkeypatch.setattr(cli, "_envelope", envelope)
+        reports = record_reports(monkeypatch)
         # a 16,384-vertex list, long enough for every digit width up to 5
         big = ["construct", '{"kind": "mod_weight", "n": 16, "d": 3}']
         for argv in EVERY_COMMAND + [big]:
             rc, out, _ = run(capsys, *argv)
             assert rc == 0, argv
-            assert out == json.dumps(reports[-1], sort_keys=True, indent=2) + "\n", argv
+            want = json.dumps(reports[-1], sort_keys=True, indent=2, default=np.ndarray.tolist)
+            assert out == want + "\n", argv
+
+    @pytest.mark.parametrize(
+        "argv, members",
+        [
+            (["construct", '{"kind": "mod_weight", "n": 16, "d": 3}'], "construction.set"),
+            (
+                ["dist", "--construct", '{"kind": "parity", "n": 14}', "-d", "5"],
+                "construction.set",
+            ),
+            (["exhaustive", "4", "2", "1"], "witness"),
+        ],
+    )
+    def test_vertex_sets_render_from_members_without_lists(
+        self, capsys, monkeypatch, argv, members
+    ):
+        # no report converts a vertex set to a Python list, and each one
+        # reads as the rendering of its tolist() form
+        def refuse(self):
+            raise AssertionError("a report built a vertex list")
+
+        monkeypatch.setattr(VertexSet, "vertices", refuse)
+        reports = record_reports(monkeypatch)
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        want = json.dumps(reports[-1], sort_keys=True, indent=2, default=np.ndarray.tolist)
+        assert out == want + "\n"
+        assert lookup(reports[-1], members)["vertices"].dtype == np.uint32
+        rc, out, _ = run(capsys, *argv, "--format", "csv")
+        assert rc == 0
+        assert out == cli._render_csv(_as_lists(reports[-1]))
+
+
+def record_reports(monkeypatch) -> list[dict]:
+    """The list that the report of each later run is appended to, where main builds it."""
+    reports = []
+    build = cli._envelope
+
+    def envelope(*args):
+        reports.append(build(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "_envelope", envelope)
+    return reports
+
+
+def _as_lists(node):
+    """The report with every numpy array replaced by its tolist()."""
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {key: _as_lists(child) for key, child in node.items()}
+    if isinstance(node, (list, tuple)):
+        return type(node)(_as_lists(child) for child in node)
+    return node
 
 
 class TestVerifySuites:

@@ -1,5 +1,6 @@
 """Vertex sets, subcubes, and the subcube enumerator."""
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from cubestats import (
     VertexSet,
     bernoulli_set,
     binomial,
+    cli,
     distribution,
     distribution_fast,
     enumerate_subcubes,
@@ -29,6 +31,11 @@ from cubestats import (
     subcube_vertices,
 )
 from cubestats.cube import check_subcube_dimension
+
+
+def rendered(A: VertexSet) -> dict:
+    """A's JSON form, read back from the text a report writes."""
+    return json.loads(cli._render_json(A.to_json()))
 
 
 def test_binomial_matches_math_comb():
@@ -56,8 +63,10 @@ class TestVertexSet:
 
     def test_json_roundtrip(self):
         A = VertexSet.from_vertices(4, [1, 2, 7, 15])
-        assert VertexSet.from_json(A.to_json()) == A
-        assert A.to_json() == {"n": 4, "vertices": [1, 2, 7, 15]}
+        assert VertexSet.from_json(rendered(A)) == A
+        assert rendered(A) == {"n": 4, "vertices": [1, 2, 7, 15]}
+        assert A.members().dtype == np.uint32
+        assert A.members().tolist() == A.vertices() == [1, 2, 7, 15]
 
     def test_json_rejects_unsorted(self):
         with pytest.raises(DomainError):
@@ -79,7 +88,8 @@ class TestVertexSet:
         assert A.flags().tolist() == [int(v in A) for v in range(1 << n)]
         assert VertexSet.from_vertices(n, A.vertices()) == A
         assert VertexSet.from_flags(n, A.flags()) == A
-        assert VertexSet.from_json(A.to_json()) == A
+        assert VertexSet.from_json(rendered(A)) == A
+        assert A.members().tolist() == reference
 
     @given(st.integers(0, 8), st.data())
     def test_from_vertices_takes_any_order_repeats_and_numpy_ints(self, n, data):

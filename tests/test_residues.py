@@ -1,5 +1,6 @@
 """Binomial sums along residue classes and the constant-subset search."""
 
+import cmath
 import math
 
 import numpy as np
@@ -12,13 +13,26 @@ from cubestats import (
     ResidueSumTable,
     binomial,
     q_binsum,
-    q_fourier,
     residue_table,
     residues,
     thm32_q,
     verify_prop31,
     verify_thm32,
 )
+
+
+def q_fourier(a: int, k: int, d: int) -> complex:
+    """Root-of-unity evaluation of q_binsum, a float oracle for cross-checking.
+
+    Computes (1/k) * sum_i w^(-i*a) * (1 + w^i)^d with w = exp(2*pi*I/k).
+    Floating point, with an absolute error on the order of
+    2^d * k * machine epsilon; q_binsum is the ground truth.
+    """
+    total = 0j
+    for i in range(k):
+        w_i = cmath.exp(2j * cmath.pi * i / k)
+        total += cmath.exp(-2j * cmath.pi * i * a / k) * (1 + w_i) ** d
+    return total / k
 
 
 def _direct(a: int, k: int, d: int) -> int:
