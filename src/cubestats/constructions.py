@@ -61,11 +61,11 @@ def syndrome_set(B: GF2Matrix, colors: set[int]) -> VertexSet:
         if not 0 <= c < (1 << r):
             raise DomainError(f"color {c} is not an r-bit syndrome (r={r})")
     check_mask_dimension(n)
-    xs = np.arange(1 << n, dtype=np.uint64)
-    synd = np.zeros(1 << n, dtype=np.uint64)
-    for i, row_mask in enumerate(B.row_masks):
-        synd |= (np.bitwise_count(xs & np.uint64(row_mask)).astype(np.uint64) & 1) << i
-    member = np.isin(synd, np.fromiter(colors, dtype=np.uint64, count=len(colors)))
+    dtype = np.min_scalar_type((1 << r) - 1)
+    synd = np.zeros(1 << n, dtype=dtype)
+    for j in range(n):  # x + 2^j has the syndrome of x plus column j
+        np.bitwise_xor(synd[: 1 << j], B.column(j), out=synd[1 << j : 2 << j])
+    member = np.isin(synd, np.fromiter(colors, dtype=dtype, count=len(colors)))
     return VertexSet.from_flags(n, member)
 
 
@@ -257,9 +257,11 @@ def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
 def layered_set(n: int, spec: LayeredSpec) -> VertexSet:
     """All vertices whose Hamming weight lies in the residue set mod k."""
     check_mask_dimension(n)
-    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    member = np.isin(weights, [w for w in range(n + 1) if w % spec.k in spec.T])
-    return VertexSet.from_flags(n, member)
+    weights = np.zeros(1 << n, dtype=np.uint8)
+    for j in range(n):  # x + 2^j has the weight of x plus one
+        np.add(weights[: 1 << j], 1, out=weights[1 << j : 2 << j])
+    table = np.array([w % spec.k in spec.T for w in range(n + 1)])
+    return VertexSet.from_flags(n, table[weights])
 
 
 def parity_set(n: int) -> VertexSet:
@@ -375,12 +377,6 @@ class ConstructionResult:
         }
 
 
-def _mod_weight_claim(n: int, d: int) -> Fraction:
-    """Fraction of base weights ≡ 0 or 1 mod (d+1): the exact λ(n,d,1)."""
-    dist = layered_distribution(n, d, LayeredSpec(d + 1, frozenset({0})))
-    return dist.fraction(1)
-
-
 def build_construction(spec: dict) -> ConstructionResult:
     """Build the vertex set a ConstructionSpec JSON object describes."""
     if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
@@ -474,7 +470,9 @@ def _build_wtb(spec: dict) -> ConstructionResult:
 def _build_mod_weight(spec: dict) -> ConstructionResult:
     n, d = fields(spec, "mod_weight spec", n="int", d="int")
     A = mod_weight_set(n, d)
-    return ConstructionResult("mod_weight", A, d, 1, _mod_weight_claim(n, d), "eq")
+    # fraction of base weights ≡ 0 or 1 mod (d+1): the exact λ(n,d,1)
+    claim = layered_distribution(n, d, LayeredSpec(d + 1, frozenset({0}))).fraction(1)
+    return ConstructionResult("mod_weight", A, d, 1, claim, "eq")
 
 
 def _build_bernoulli(spec: dict) -> ConstructionResult:

@@ -2,8 +2,10 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -281,6 +283,45 @@ class TestConcreteSets:
         # int64 cast of k may be built
         A = layered_set(4, LayeredSpec(k, frozenset({0, 3, k - 1})))
         assert A == layered_set(4, LayeredSpec(5, frozenset({0, 3})))
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 9])
+    def test_sets_match_per_vertex_sums(self, n):
+        # rows 0, 1, 8, 9, 16, 17, 32, 33, 64 cross every syndrome dtype edge
+        rng = random.Random(n)
+        for r in [0, 1, 8, 9, 16, 17, 32, 33, 64]:
+            B = GF2Matrix(r, n, tuple(rng.getrandbits(n) for _ in range(r)))
+            synd = [
+                sum(((m & x).bit_count() & 1) << i for i, m in enumerate(B.row_masks))
+                for x in range(1 << n)
+            ]
+            several = {synd[rng.getrandbits(n)] for _ in range(3)}
+            several |= {rng.getrandbits(r), (1 << r) - 1}
+            for colors in [set(), {0}, several]:
+                expected = [x for x in range(1 << n) if synd[x] in colors]
+                assert syndrome_set(B, colors).vertices() == expected, (r, colors)
+        for k in sorted({1, 2, 3, n, n + 1, n + 2} - {0}):
+            for T in [frozenset(), frozenset(range(0, k, 2)), frozenset(range(k))]:
+                expected = [x for x in range(1 << n) if x.bit_count() % k in T]
+                assert layered_set(n, LayeredSpec(k, T)).vertices() == expected, (k, T)
+
+    def test_builders_peak_in_a_few_bytes_per_vertex(self):
+        n = 20
+        rng = np.random.default_rng(20)
+        rows = [tuple(map(int, rng.integers(0, 1 << n, r))) for r in (8, 20)]
+        builds = [(3, lambda: layered_set(n, LayeredSpec(3, frozenset({0}))))]
+        builds += [
+            (8, lambda m=m: syndrome_set(GF2Matrix(len(m), n, m), {0, 1, 2, 3}))
+            for m in rows
+        ]
+        for bytes_per_vertex, build in builds:
+            build()  # first-use imports are not the builder's memory
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bytes_per_vertex << n, (bytes_per_vertex, peak / (1 << n))
 
     def test_mod_weight_values(self):
         A = mod_weight_set(4, 2)
