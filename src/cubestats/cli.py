@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -412,48 +413,51 @@ _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 10)], np.uint32)
 
 
-def _render_json(node, pad: str = "") -> str:
-    """``json.dumps(node, sort_keys=True, indent=2)``, with the same bytes.
+def _render_json(node, out: list, pad: str = "") -> list:
+    """Append ``json.dumps(node, sort_keys=True, indent=2)`` to ``out`` as UTF-8 pieces.
 
     With ``indent`` set, json falls back to its pure-Python encoder.  Here
     a numpy array, such as a vertex set's members, is written by
     ``_render_ints`` when it is a nondecreasing integer array in [0, 2^32),
     and as its ``tolist()`` otherwise; any other container whose members
     are all plain str, int, float, bool or None is one call of the C
-    encoder, whose item separator carries the newline and the indentation;
-    only the other containers are walked in Python.  ``pad`` is the
-    indentation of the line ``node`` starts on, and so of its closing
-    bracket.  Dict keys must be strings.
+    encoder, whose item separator carries the newline and the indentation,
+    and so one piece; only the other containers are walked in Python.
+    ``pad`` is the indentation of the line ``node`` starts on, and so of
+    its closing bracket.  Dict keys must be strings.  Returns ``out``.
     """
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(node, np.ndarray):
-        body = _render_ints(node, sep)
-        return _render_json(node.tolist(), pad) if body is None else f"[\n{inner}{body}\n{pad}]"
-    if not isinstance(node, (dict, list, tuple)) or not node:
-        return json.dumps(node)
-    children = node.values() if isinstance(node, dict) else node
-    if _SCALAR_TYPES.issuperset(map(type, children)):
-        body = json.dumps(node, sort_keys=True, separators=(sep, ": "))[1:-1]
-    elif isinstance(node, dict):
-        body = sep.join(
-            f"{json.dumps(key)}: {_render_json(child, inner)}"
-            for key, child in sorted(node.items())
-        )
+        blocks = _render_ints(node, sep)
+        if blocks is None:
+            return _render_json(node.tolist(), out, pad)
+        out += (f"[\n{inner}".encode(), *blocks, f"\n{pad}]".encode())
+    elif not isinstance(node, (dict, list, tuple)) or not node:
+        out.append(json.dumps(node).encode())
+    elif _SCALAR_TYPES.issuperset(map(type, node.values() if isinstance(node, dict) else node)):
+        text = json.dumps(node, sort_keys=True, separators=(sep, ": "))
+        out.append(f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}".encode())
     else:
-        body = sep.join(_render_json(child, inner) for child in node)
-    opening, closing = ("{", "}") if isinstance(node, dict) else ("[", "]")
-    return f"{opening}\n{inner}{body}\n{pad}{closing}"
+        is_dict = isinstance(node, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        lead = f"{opening}\n{inner}"
+        for key, child in sorted(node.items()) if is_dict else enumerate(node):
+            out.append(f"{lead}{json.dumps(key)}: ".encode() if is_dict else lead.encode())
+            _render_json(child, out, inner)
+            lead = sep
+        out.append(f"\n{pad}{closing}".encode())
+    return out
 
 
-def _render_ints(values: np.ndarray, sep: str) -> str | None:
+def _render_ints(values: np.ndarray, sep: str) -> list[memoryview] | None:
     """The items in decimal, joined by the ASCII ``sep``, as json writes them.
 
     None unless ``values`` is a nonempty 1-d integer array, nondecreasing
     and in [0, 2^32).  Sorted items fall into runs of equal digit width;
     each run fills a (rows, width + len(sep)) byte block, the digits by
     repeated ``// 10`` from the right and the separator in the columns
-    after them.
+    after them.  Returns views of the blocks, the last cut short of its sep.
     """
     if values.ndim != 1 or not values.size or values.dtype.kind not in "iu":
         return None
@@ -474,16 +478,22 @@ def _render_ints(values: np.ndarray, sep: str) -> str | None:
             # a uint8 digit array first: a uint32 one casts slowly into the column
             block[:, col] = (run - 10 * quotient).astype(np.uint8) + ord("0")
             run = quotient
-        blocks.append(block.tobytes())
-    return b"".join(blocks)[: -len(tail)].decode()
+        blocks.append(block.reshape(-1).data)
+    return [*blocks[:-1], blocks[-1][: -len(tail)]]
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _emit(config: RunConfig, pieces: list) -> None:
+    if config.out is not None:
+        with open(config.out, "wb") as fh:
+            fh.writelines(pieces)
+        return
+    try:
+        sys.stdout.writelines(str(piece, "utf-8", "surrogateescape") for piece in pieces)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+    except BrokenPipeError:  # point fd 1 at devnull, so the exit flush cannot fail too
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -508,10 +518,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload, provenance, passed = _COMMANDS[args.command](config, args)
         report = _envelope(config, payload, provenance)
         if config.format == "csv":
-            text = _render_csv(report)
+            pieces = [_render_csv(report).encode("utf-8", "surrogateescape")]
         else:
-            text = _render_json(report) + "\n"
-        _emit(config, text)
+            pieces = [*_render_json(report, []), b"\n"]
+        _emit(config, pieces)
     except (DomainError, CertificateError, OSError) as exc:
         print(f"cubestats: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from cubestats import cli
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -17,3 +19,8 @@ def src_env() -> dict[str, str]:
     """
     rest = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, rest] if rest else [SRC])}
+
+
+def render_json(node) -> str:
+    """The text ``cli._render_json`` writes for node: its pieces joined and decoded."""
+    return b"".join(cli._render_json(node, [])).decode()

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from cubestats import (
 from cubestats.constructions import c_d
 from cubestats.cli import VERIFY_SUITES, main
 from cubestats.residues import Thm32Case, Thm32Report
+from conftest import render_json
 
 PARITY6 = '{"kind": "parity", "n": 6, "d": 3}'
 
@@ -352,7 +354,7 @@ class TestRenderJson:
     @given(_JSON_VALUES)
     def test_matches_indented_dumps(self, value):
         want = json.dumps(value, sort_keys=True, indent=2) + "\n"
-        assert cli._render_json(value) + "\n" == want
+        assert render_json(value) + "\n" == want
 
     @pytest.mark.parametrize(
         "value, encoded",
@@ -401,7 +403,7 @@ class TestRenderJson:
 
         monkeypatch.setattr(cli, "_render_ints", spy)
         want = json.dumps(value, sort_keys=True, indent=2, default=np.ndarray.tolist)
-        assert cli._render_json(value) == want
+        assert render_json(value) == want
         assert any(body is not None for body in bodies) == encoded
 
     def test_main_writes_indented_dumps_bytes(self, capsys, monkeypatch):
@@ -443,6 +445,54 @@ class TestRenderJson:
         rc, out, _ = run(capsys, *argv, "--format", "csv")
         assert rc == 0
         assert out == cli._render_csv(_as_lists(reports[-1]))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_bytes_match_stdout(self, capsys, monkeypatch, tmp_path, fmt):
+        # the --out file holds the stdout bytes, but for the config's own out field
+        reports = record_reports(monkeypatch)
+        target = tmp_path / f"report.{fmt}"
+        null, named = {
+            "json": ('  "out": null,\n', f'  "out": {json.dumps(str(target))},\n'),
+            "csv": ("\nconfig.out,null\n", f"\nconfig.out,{target}\n"),
+        }[fmt]
+        big = ["construct", '{"kind": "mod_weight", "n": 16, "d": 3}']
+        for argv in EVERY_COMMAND + [big]:
+            rc, stdout, _ = run(capsys, *argv, "--format", fmt)
+            assert rc == 0 and stdout.count(null) == 1, argv
+            rc, out, _ = run(capsys, *argv, "--format", fmt, "--out", str(target))
+            assert rc == 0 and out == "", argv
+            assert target.read_bytes() == stdout.replace(null, named).encode(), argv
+            if fmt == "json":
+                want = json.dumps(reports[-1], sort_keys=True, indent=2, default=np.ndarray.tolist)
+                assert target.read_bytes() == (want + "\n").encode(), argv
+
+    def test_csv_out_keeps_undecodable_argument_bytes(self, capsys, tmp_path):
+        # a path argument that is not UTF-8 reaches the CSV report as its own bytes
+        set_file = tmp_path / os.fsdecode(b"\xff.json")
+        set_file.write_text('{"n": 2, "vertices": [0, 3]}')
+        target = tmp_path / "report.csv"
+        argv = ["dist", "--set-file", str(set_file), "-d", "1", "--format", "csv"]
+        rc, out, _ = run(capsys, *argv, "--out", str(target))
+        assert rc == 0 and out == ""
+        row = b"\nconfig.parameters.set_file," + os.fsencode(set_file) + b"\n"
+        assert target.read_bytes().count(row) == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        ['{"kind": "mod_weight", "n": 18, "d": 3}', '{"kind": "parity", "n": 16}'],
+    )
+    def test_out_report_peaks_below_three_times_its_size(self, capsys, tmp_path, spec):
+        # the report is written as pieces of the rendering, not copied whole
+        target = str(tmp_path / "report.json")
+        assert main(["construct", spec, "--out", target]) == 0  # warm caches first
+        tracemalloc.start()
+        try:
+            rc = main(["construct", spec, "--out", target])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and capsys.readouterr().out == ""
+        assert peak < 3 * os.path.getsize(target)
 
 
 def record_reports(monkeypatch) -> list[dict]:
@@ -861,6 +911,37 @@ class TestEntryPoint:
             env=src_env,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize(
+        "argv, read",
+        [(["bounds", "2", "1"], 0), (["construct", '{"kind": "parity", "n": 20}'], 1)],
+    )
+    def test_closed_stdout_is_usage_error(self, src_env, argv, read, unbuffered):
+        # the reader is gone before a small report, which buffered stdout holds
+        # until a flush, or leaves after one byte of a multi-megabyte one:
+        # exit 2 with one stderr line, and nothing from the exit flush
+        env = {k: v for k, v in src_env.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        r, w = os.pipe()
+        if not read:
+            os.close(r)
+        with subprocess.Popen(
+            [sys.executable, "-m", "cubestats.cli", *argv],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            os.close(w)
+            if read:
+                assert len(os.read(r, read)) == read
+                os.close(r)
+            err = proc.stderr.read().decode()
+            rc = proc.wait(timeout=120)
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("cubestats: ")
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # Fuzzing: every input below must end in exit 0, 2 or 3, with one stderr line

@@ -19,7 +19,6 @@ from cubestats import (
     VertexSet,
     bernoulli_set,
     binomial,
-    cli,
     distribution,
     distribution_fast,
     enumerate_subcubes,
@@ -31,11 +30,12 @@ from cubestats import (
     subcube_vertices,
 )
 from cubestats.cube import check_subcube_dimension
+from conftest import render_json
 
 
 def rendered(A: VertexSet) -> dict:
     """A's JSON form, read back from the text a report writes."""
-    return json.loads(cli._render_json(A.to_json()))
+    return json.loads(render_json(A.to_json()))
 
 
 def test_binomial_matches_math_comb():
