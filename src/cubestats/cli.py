@@ -522,7 +522,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             pieces = [*_render_json(report, []), b"\n"]
         _emit(config, pieces)
-    except (DomainError, CertificateError, OSError) as exc:
+    # UnicodeEncodeError: a strict stdout encoding cannot write the report
+    except (DomainError, CertificateError, OSError, UnicodeEncodeError) as exc:
         print(f"cubestats: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

@@ -463,7 +463,10 @@ def _build_perturbed(spec: dict) -> ConstructionResult:
 def _build_wtb(spec: dict) -> ConstructionResult:
     (d,) = fields(spec, "weight_top_bottom spec", d="int")
     A = weight_top_bottom_set(d)
-    claim = Fraction(3, 4) if d >= 6 else None
+    # a d-subcube fixes two coordinates, of weight w = 0, 1 or 2 with chance
+    # 1/4, 1/2, 1/4; it meets A in vertex 0 if w = 0, else in the C(d, d+1-w)
+    # vertices of weight d + 1: 1 if w = 1, d if w = 2, so λ = 3/4, or 1 at d = 1
+    claim = Fraction(3, 4) if d >= 2 else Fraction(1)
     return ConstructionResult("weight_top_bottom", A, d, 1, claim, "eq")
 
 

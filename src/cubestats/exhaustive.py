@@ -92,9 +92,11 @@ def _lex_least(masks: np.ndarray) -> int:
 # is kept only if it is no larger than each tested image that still
 # avoids vertex 0; the smallest vertex-0-avoiding member of every orbit
 # passes all such tests, so the surviving set is a superset of one
-# representative per orbit and the maximum over it is exact.  The witness
-# is the least image of the maximizers under every symmetry, read from one
-# table of vertex images (``_symmetries``).
+# representative per orbit and the maximum over it is exact.  The filters
+# apply each symmetry as a product of cached shift-and-mask swaps
+# (``_swap``); all else reads rows of one table of vertex images
+# (``_symmetries``) through ``_images``: the S_4 and τ_t tests on high
+# halves, and the witness, the least image of the maximizers.
 # ---------------------------------------------------------------------------
 
 
@@ -120,56 +122,57 @@ def _images(masks: np.ndarray, vmaps: np.ndarray) -> np.ndarray:
     return member @ (one << vmaps.astype(masks.dtype)).T
 
 
-def _coord_zero_mask(n: int, b: int) -> int:
-    return sum(1 << v for v in range(1 << n) if not (v >> b) & 1)
+def _image_blocks(masks: np.ndarray, vmaps: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """(block, its ``_images``) for blocks of ``_CHUNK // len(vmaps)`` masks,
+    so the member bits and images stay small however many masks there are."""
+    step = max(1, _CHUNK // len(vmaps))
+    for lo in range(0, masks.size, step):
+        block = masks[lo : lo + step]
+        yield block, _images(block, vmaps)
 
 
-def _translate_image(arr: np.ndarray, t: int, n: int) -> np.ndarray:
-    out = arr
-    for b in range(n):
-        if (t >> b) & 1:
-            c = arr.dtype.type(_coord_zero_mask(n, b))
-            sh = arr.dtype.type(1 << b)
-            out = ((out & c) << sh) | ((out >> sh) & c)
-    return out
+@lru_cache(maxsize=None)
+def _swap(n: int, i: int, j: int) -> tuple[int, int, int]:
+    """(lo, shift, fixed) of the coordinate swap i <-> j (i < j), or of the
+    translation by 2^i (i == j), which maps mask m to (m & fixed) |
+    (m & lo) << shift | (m >> shift) & lo: lo holds the vertices it moves up."""
+    flip = 1 << i | 1 << j
+    image = [v ^ flip if i == j or (v >> i ^ v >> j) & 1 else v for v in range(1 << n)]
+    shift = (1 << j) - (1 << i) or flip
+    lo = sum(1 << v for v, w in enumerate(image) if w == v + shift)
+    return lo, shift, sum(1 << v for v, w in enumerate(image) if w == v)
 
 
-def _transposition_image(arr: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """Image under the coordinate swap i <-> j (i < j)."""
-    lo = sum(1 << v for v in range(1 << n) if (v >> i) & 1 and not (v >> j) & 1)
-    keep = sum(1 << v for v in range(1 << n) if ((v >> i) & 1) == ((v >> j) & 1))
-    sh = arr.dtype.type((1 << j) - (1 << i))
-    lo_c = arr.dtype.type(lo)
-    return (arr & arr.dtype.type(keep)) | ((arr & lo_c) << sh) | ((arr >> sh) & lo_c)
+def _apply_swaps(masks: np.ndarray, swaps) -> np.ndarray:
+    """The masks under a product of ``_swap`` tables, applied in order."""
+    word = masks.dtype.type
+    for lo, shift, fixed in swaps:
+        lo, shift = word(lo), word(shift)
+        img = ((masks & lo) << shift) | ((masks >> shift) & lo)
+        masks = img | (masks & word(fixed)) if fixed else img  # a translation fixes none
+    return masks
 
 
-def _n5_filters() -> list:
-    filters = []
-    for b in reversed(range(5)):
-        filters.append(lambda a, t=1 << b: _translate_image(a, t, 5))
-    pairs = sorted(
-        itertools.combinations(range(5), 2), key=lambda p: -((1 << p[1]) - (1 << p[0]))
+@lru_cache(maxsize=None)
+def _n5_filters() -> list[tuple[tuple[int, int, int], ...]]:
+    """The tested symmetries as ``_swap`` products: the one-bit translations,
+    high bit first, the coordinate swaps by falling shift, then the
+    translations by two or more bits, by popcount."""
+    pairs = sorted(itertools.combinations(range(5), 2), key=lambda p: (1 << p[0]) - (1 << p[1]))
+    rest = sorted((t for t in range(32) if t.bit_count() >= 2), key=int.bit_count)
+    return (
+        [(_swap(5, b, b),) for b in reversed(range(5))]
+        + [(_swap(5, i, j),) for i, j in pairs]
+        + [tuple(_swap(5, b, b) for b in range(5) if t >> b & 1) for t in rest]
     )
-    for i, j in pairs:
-        filters.append(lambda a, i=i, j=j: _transposition_image(a, i, j, 5))
-    rest = [t for t in range(32) if t.bit_count() >= 2]
-    for t in sorted(rest, key=lambda t: t.bit_count()):
-        filters.append(lambda a, t=t: _translate_image(a, t, 5))
-    return filters
 
 
 def _canonical_highs() -> np.ndarray:
     """The 16-bit halves least under the permutations of coordinates 0-3."""
     halves = np.arange(1 << 16, dtype=np.uint64)
-    least = np.ones(halves.size, dtype=bool)
-    # the rows of _symmetries(4) that translate by 0, bit by bit: the
-    # 65,536 x 16 member bits of ``_images`` would raise the build's peak RSS
-    for vmap in _symmetries(4)[:: 1 << 4]:
-        img = np.zeros_like(halves)
-        for u, pu in enumerate(vmap.tolist()):
-            img |= ((halves >> np.uint64(u)) & np.uint64(1)) << np.uint64(pu)
-        least &= halves <= img
-    return halves[least]
+    perms = _symmetries(4)[:: 1 << 4]  # the rows that translate by 0
+    least = [b[(b[:, None] <= img).all(axis=1)] for b, img in _image_blocks(halves, perms)]
+    return np.concatenate(least)
 
 
 def _n5_candidates(highs: np.ndarray) -> Iterator[np.ndarray]:
@@ -180,10 +183,9 @@ def _n5_candidates(highs: np.ndarray) -> Iterator[np.ndarray]:
     mask whose low half lacks t has a τ_t image that avoids vertex 0 and
     is smaller, so the filters would drop it.
     """
-    forced = np.zeros_like(highs)
-    for t in range(1, 16):
-        smaller = _translate_image(highs, t, 4) < highs
-        forced |= smaller.astype(np.uint64) << np.uint64(t)
+    taus = _symmetries(4)[1 : 1 << 4]  # τ_1 ... τ_15
+    bits = np.uint64(1) << np.arange(1, 1 << 4, dtype=np.uint64)
+    forced = np.concatenate([(img < b[:, None]) @ bits for b, img in _image_blocks(highs, taus)])
     evens = np.arange(0, 1 << 16, 2, dtype=np.uint64)
     lows_of: dict[int, np.ndarray] = {}
     batch, size = [], 0
@@ -203,8 +205,8 @@ def _n5_candidates(highs: np.ndarray) -> Iterator[np.ndarray]:
 def _n5_keep(masks: np.ndarray) -> np.ndarray:
     """The masks that no filtered symmetry maps to a smaller one avoiding vertex 0."""
     one = np.uint64(1)
-    for f in _n5_filters():
-        img = f(masks)
+    for swaps in _n5_filters():
+        img = _apply_swaps(masks, swaps)
         # Images hitting vertex 0 leave the enumerated half-space and
         # cannot disqualify a mask.
         masks = masks[((img & one) != 0) | (masks <= img)]
@@ -229,16 +231,9 @@ def _n5_survivors() -> np.ndarray:
 
 
 def _least_image(cands: np.ndarray, n: int) -> int:
-    """Lex-least image of the candidate masks under all 2^n n! symmetries.
-
-    ``_images`` maps a block of ``_CHUNK // (2^n n!)`` candidates at a time;
-    the blocks' least images go to a final ``_lex_least``."""
-    vmaps = _symmetries(n)
-    step = max(1, _CHUNK // len(vmaps))
-    least = [
-        _lex_least(_images(cands[lo : lo + step], vmaps).ravel())
-        for lo in range(0, cands.size, step)
-    ]
+    """Lex-least image of the candidate masks under all 2^n n! symmetries:
+    the least of the ``_image_blocks``' least images."""
+    least = [_lex_least(img.ravel()) for _, img in _image_blocks(cands, _symmetries(n))]
     return _lex_least(np.array(least, dtype=cands.dtype))
 
 

@@ -477,6 +477,18 @@ class TestRenderJson:
         row = b"\nconfig.parameters.set_file," + os.fsencode(set_file) + b"\n"
         assert target.read_bytes().count(row) == 1
 
+    def test_strict_stdout_that_cannot_write_a_path_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the CSV holds the path's byte 0xff, which strict UTF-8 cannot encode
+        set_file = tmp_path / os.fsdecode(b"\xff.json")
+        set_file.write_text('{"n": 2, "vertices": [0, 3]}')
+        strict = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", strict)
+        rc = main(["dist", "--set-file", str(set_file), "-d", "1", "--format", "csv"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("cubestats: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "spec",
         ['{"kind": "mod_weight", "n": 18, "d": 3}', '{"kind": "parity", "n": 16}'],

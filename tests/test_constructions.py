@@ -339,6 +339,13 @@ class TestConcreteSets:
         W7 = weight_top_bottom_set(7)
         assert distribution_fast(W7, 7).fraction(1) == Fraction(3, 4)
 
+    def test_weight_top_bottom_claim_is_its_exact_lambda(self):
+        for d in range(1, 11):
+            res = build_construction({"kind": "weight_top_bottom", "d": d})
+            assert res.claim_value == distribution(res.vertex_set, d).fraction(1), d
+        assert res.claim_value == Fraction(3, 4)
+        assert build_construction({"kind": "weight_top_bottom", "d": 1}).claim_value == 1
+
     def test_weight_top_bottom_domain(self):
         with pytest.raises(DomainError):
             weight_top_bottom_set(0)

@@ -1,6 +1,7 @@
 """Exact maxima over all vertex sets, and the symmetry-table internals."""
 
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -25,6 +26,7 @@ from cubestats import (
 )
 from cubestats import exhaustive
 from cubestats.exhaustive import (
+    _apply_swaps,
     _canonical_highs,
     _cell,
     _cube_masks,
@@ -33,10 +35,10 @@ from cubestats.exhaustive import (
     _least_image,
     _lex_least,
     _n5_candidates,
+    _n5_filters,
     _n5_keep,
+    _swap,
     _symmetries,
-    _transposition_image,
-    _translate_image,
 )
 
 
@@ -271,6 +273,15 @@ def _orbit_least(cands, n: int) -> int:
     )
 
 
+def _swap_row(n: int, i: int, j: int) -> int:
+    """The ``_symmetries(n)`` row of the swap i <-> j, or of τ_(2^i) if i == j."""
+    if i == j:
+        return 1 << i
+    perm = list(range(n))
+    perm[i], perm[j] = j, i
+    return list(itertools.permutations(range(n))).index(tuple(perm)) << n
+
+
 class TestSymmetryTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_rows_match_the_reference_maps(self, n):
@@ -307,12 +318,34 @@ class TestSymmetryTable:
         masks = rng.integers(0, 1 << 16, size=50, dtype=np.uint32)
         ident = tuple(range(n))
         swapped = (1, 0, 2, 3)
-        got = _transposition_image(masks, 0, 1, n)
+        got = _apply_swaps(masks, [_swap(n, 0, 1)])
         want = [_apply_group_element(int(m), swapped, 0, n) for m in masks]
         assert got.tolist() == want
-        got = _translate_image(masks, 0b101, n)
+        got = _apply_swaps(masks, [_swap(n, 0, 0), _swap(n, 2, 2)])
         want = [_apply_group_element(int(m), ident, 0b101, n) for m in masks]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("n, dtype", [(4, np.uint16), (5, np.uint32), (5, np.uint64)])
+    def test_every_swap_matches_its_table_row(self, n, dtype):
+        rng = np.random.default_rng(40 + n)
+        masks = rng.integers(0, 1 << (1 << n), size=64, dtype=np.uint64).astype(dtype)
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            want = _images(masks, _symmetries(n)[[_swap_row(n, i, j)]])[:, 0]
+            got = _apply_swaps(masks, [_swap(n, i, j)])
+            assert got.dtype == dtype and np.array_equal(got, want), (i, j)
+
+    def test_filter_products_match_their_table_rows(self):
+        # the one-bit translations, high bit first, the swaps by falling
+        # shift 2^j - 2^i, then the other translations by popcount
+        pairs = [(0, 4), (1, 4), (2, 4), (3, 4), (0, 3), (1, 3), (2, 3), (0, 2), (1, 2), (0, 1)]
+        rest = sorted((t for t in range(32) if t.bit_count() >= 2), key=int.bit_count)
+        rows = [16, 8, 4, 2, 1] + [_swap_row(5, i, j) for i, j in pairs] + rest
+        assert len(_n5_filters()) == len(rows) == 41
+        rng = np.random.default_rng(41)
+        masks = rng.integers(0, 1 << 32, size=256, dtype=np.uint64)
+        want = _images(masks, _symmetries(5)[rows])
+        for k, swaps in enumerate(_n5_filters()):
+            assert np.array_equal(_apply_swaps(masks, swaps), want[:, k]), k
 
     @given(
         st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=40),
@@ -420,6 +453,13 @@ class TestAmbientFive:
     def test_survivor_high_halves_are_least_under_s4(self):
         surv = exhaustive._n5_survivors()
         assert surv.size == 5_009_398
+        assert surv.dtype == np.uint32
+        digest = "ed2c4a73d29a3818c3c85637c949dc1b185e0aedc291be31168d33d9bfe18b02"
+        assert hashlib.sha256(surv.tobytes()).hexdigest() == digest
+        highs = _canonical_highs()
+        assert highs.dtype == np.uint64
+        digest = "670324313bcc6408436fe3660a887fcf2d190138121129a80440876f07e6dd58"
+        assert hashlib.sha256(highs.tobytes()).hexdigest() == digest
         assert np.all(surv[1:] > surv[:-1]) and not np.any(surv & 1)
         halves = np.unique(surv >> np.uint32(16))
         for perm in itertools.permutations(range(4)):
