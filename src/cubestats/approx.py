@@ -12,7 +12,6 @@ lies within (1 +- eps) x 2^d.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -33,8 +32,7 @@ __all__ = [
 
 MAX_MODULUS = 10**6
 
-_LN2 = math.log(2.0)
-_LOG2E = 1.0 / _LN2
+_LOG2E = 1.0 / math.log(2.0)
 # float-roundoff slack when the bound itself is evaluated in floating
 # point: deviations exceeding the bound by at most a relative 2^-51
 # (about 2 ulps) are flagged as borderline instead of failed
@@ -153,28 +151,17 @@ def approx_construct(x: float, eps: float) -> ApproxSpec:
 def _bound_test(q: int, d: int) -> Callable[[int, int], tuple[bool, bool]]:
     """The proven bound q 2^d e^(-d/(10 q^2)) at (q, d), as a test of a deviation.
 
-    The bound is evaluated once, in floating point.  The returned test maps
-    a deviation num/den >= 0 to (ok, borderline): a deviation that exceeds
-    the float bound by at most a relative 2^-51 is borderline, not failed.
+    The bound is q 2^(d+t) with t = -d log2(e) / (10 q^2).  Its float64 part
+    m = q 2^(t-k), k = floor(t), lies in [q, 2q), so it neither overflows
+    nor underflows, and the power 2^(d+k) (d + k >= 0) is applied exactly,
+    as a shift.  The returned test maps a deviation num/den >= 0 to
+    (ok, borderline): a deviation that exceeds the bound by at most a
+    relative 2^-51 is borderline, not failed.
     """
-    try:
-        top, bottom = (q * math.exp(d * _LN2 - d / (10.0 * q * q))).as_integer_ratio()
-    except OverflowError:
-        # 2^d overflows float64: compare base-2 logarithms instead, with
-        # the same relative slack folded into an additive log-space margin
-        bound_log2 = math.log2(q) + d - (d / (10.0 * q * q)) * _LOG2E
-        edge = bound_log2 + 8 * sys.float_info.epsilon * max(1.0, abs(bound_log2))
-
-        def in_logs(num: int, den: int) -> tuple[bool, bool]:
-            if num == 0:
-                return True, False
-            g = math.gcd(num, den)  # the logarithms of the reduced fraction
-            err_log2 = math.log2(num // g) - math.log2(den // g)
-            if err_log2 <= bound_log2:
-                return True, False
-            return (True, True) if err_log2 <= edge else (False, False)
-
-        return in_logs
+    t = -d * _LOG2E / (10.0 * q * q)
+    k = math.floor(t)
+    top, bottom = (q * 2.0 ** (t - k)).as_integer_ratio()
+    top <<= d + k
 
     def exact(num: int, den: int) -> tuple[bool, bool]:
         # num/den <= top/bottom, and then with the slack, cross-multiplied
@@ -226,8 +213,8 @@ def check_approx(spec: ApproxSpec, d: int) -> ApproxCheck:
     """Exact worst-case deviation of the layer counts from (p/q) 2^d at dimension d.
 
     The deviation is maximized over the base weight residue a; the proven
-    bound q 2^d e^(-d/(10 q^2)) is evaluated in floating point and exact
-    deviations within 2 ulps of it are flagged borderline, not failed.
+    bound q 2^d e^(-d/(10 q^2)) is evaluated by ``_bound_test``, and exact
+    deviations within a relative 2^-51 of it are flagged borderline, not failed.
     """
     E, ok, borderline = approx_checker(spec.q, d)(spec.p)
     return ApproxCheck(max_error=Fraction(E, spec.q), bound_ok=ok, borderline=borderline)

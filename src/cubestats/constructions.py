@@ -508,34 +508,22 @@ def best_bounds(d: int, s: int) -> LambdaBounds:
     trivial, low = occupancy_case(d, s)
     if trivial:
         return LambdaBounds(d, s, Fraction(1), Fraction(1), trivial, "closed-form")
-    if low != s:
-        # λ(d,s) = λ(d, 2^d - s) via complementation
-        inner = best_bounds(d, low)
-        return LambdaBounds(
-            d,
-            s,
-            inner.lower,
-            inner.upper,
-            f"complement of: {inner.lower_witness}",
-            inner.upper_source,
-        )
-
     # The denominators of c_d and c_star divide (2^d - 1)^(d - 1) or
     # (2^(d-k) - 1)^d; the Bernoulli fraction's is 2^(d(2^d - 1)).  Capping
     # that exponent's d at 16 keeps 2^d small and the test the same, since
     # 16(2^16 - 1) already passes the cap.
-    bits = d * ((1 << min(d, 16)) - 1 if s == 1 else d - 1)
+    bits = d * ((1 << min(d, 16)) - 1 if low == 1 else d - 1)
     if bits > _MAX_DENOMINATOR_BITS:
         raise CapabilityError(f"bounds at d={d} need fractions of over 4300 digits")
     lower_candidates: list[tuple[Fraction, str]] = [
         (c_d(d), "syndrome (square matrix, nonzero columns)")
     ]
-    k, _ = two_adic_split(s)
+    k, _ = two_adic_split(low)
     if 1 <= k <= d:
         lower_candidates.append(
             (c_star(d, k), f"syndrome ({d - k} rows, nonzero columns)")
         )
-    if s == 1:
+    if low == 1:
         lower_candidates.append((expected_single_fraction(d), "Bernoulli(2^-d) set"))
         lower_candidates.append(
             (Fraction(2, d + 1), f"weights divisible by {d + 1}")
@@ -543,15 +531,17 @@ def best_bounds(d: int, s: int) -> LambdaBounds:
     lower, lower_witness = max(lower_candidates, key=lambda t: t[0])
 
     upper_candidates: list[tuple[Fraction, str]] = []
-    if s == 1:
+    if low == 1:
         upper_candidates.append((lambda_d2_closed_form(d, 1), "closed-form"))
     else:
-        # π(d+2, ω(s)) with the a-priori cap ω(s) <= 4s-1; exact when a
-        # Hadamard matrix of order 4s exists, an upper bound regardless.
-        upper_candidates.append((turan_density(d + 2, 4 * s - 1), "closed-form"))
-        generic = (1 - Fraction(1, 4 * s - 1)) * (1 + Fraction(1, d + 1))
+        # π(d+2, ω(low)) with the a-priori cap ω(low) <= 4 low - 1; exact when
+        # a Hadamard matrix of order 4 low exists, an upper bound regardless.
+        upper_candidates.append((turan_density(d + 2, 4 * low - 1), "closed-form"))
+        generic = (1 - Fraction(1, 4 * low - 1)) * (1 + Fraction(1, d + 1))
         upper_candidates.append((min(generic, Fraction(1)), "generic"))
-    if (d, s) in REFERENCE_UPPER:
-        upper_candidates.append((REFERENCE_UPPER[(d, s)], "reference-constant"))
+    if (d, low) in REFERENCE_UPPER:
+        upper_candidates.append((REFERENCE_UPPER[(d, low)], "reference-constant"))
     upper, upper_source = min(upper_candidates, key=lambda t: t[0])
+    if low != s:  # λ(d,s) = λ(d, 2^d - s) via complementation
+        lower_witness = f"complement of: {lower_witness}"
     return LambdaBounds(d, s, lower, upper, lower_witness, upper_source)

@@ -10,8 +10,8 @@ packed into one uint64 word, 2^d + 1 lanes wide.  n <= 4 runs plain; n = 5
 additionally prunes by hypercube symmetries (coordinate permutations and
 translations), enumerating only masks whose high half is least under the
 permutations of coordinates 0-3 and whose low half holds the vertices that
-high half forces; its witness is the least image of the maximizers under
-one table of all 3840 symmetries.  n >= 6 is refused.
+high half forces.  At every n the witness is the least image of the
+maximizers under one table of all 2^n n! symmetries.  n >= 6 is refused.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ PLAIN_MAX_N = 4
 PRUNED_MAX_N = 5
 
 _CHUNK = 1 << 16
+
+# _REV8[b] is the byte b with its 8 bits in reverse order.
+_REV8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def _cube_masks(n: int, d: int) -> list[int]:
@@ -70,18 +73,17 @@ def _hist_matrix(masks: np.ndarray, cube_masks: list[int], d: int) -> np.ndarray
 def _lex_least(masks: np.ndarray) -> int:
     """The mask whose ascending vertex tuple is lexicographically least.
 
-    Keeps the masks with the smallest lowest vertex and strips that vertex,
-    until one mask runs out: it is a prefix of all the others, so it is first.
+    With its bits reversed (``_REV8``, then the byte order), a mask's tuple
+    reads from the top bit down and ends below the lowest set bit.  A
+    member sorts before a nonmember, and the end before both, so the least
+    masks have the least integer of nonmember bits at or above their lowest
+    set bit, and of those the one with fewest members is a prefix of the rest.
     """
-    rest = masks
-    one = rest.dtype.type(1)
-    taken = 0
-    while rest.all():
-        low = rest & (~rest + one)
-        least = low.min()
-        rest = rest[low == least] ^ least
-        taken |= int(least)
-    return taken
+    one = masks.dtype.type(1)
+    rev = _REV8[np.ascontiguousarray(masks).view(np.uint8)].view(masks.dtype).byteswap()
+    ends = ~rev & ~(rev & (~rev + one)) + one
+    tie = masks[ends == ends.min()]
+    return int(tie[np.bitwise_count(tie).argmin()])
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,9 @@ def _sweep(n: int, d: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
 
 @lru_cache(maxsize=None)
 def _cell(n: int, d: int, s: int) -> tuple[int, int]:
-    """(best subcube count, lex-least witness mask) for one s."""
+    """(best subcube count, witness mask) for one s: the witness is the
+    lex-least image of the maximizers under every symmetry, which for n <= 4,
+    where all maximizers are scanned, is the least maximizer itself."""
     best, ties = _sweep(n, d)
     mirror = (1 << d) - s
     count = max(best[s], best[mirror])
@@ -274,11 +278,7 @@ def _cell(n: int, d: int, s: int) -> tuple[int, int]:
     parts = [ties[s]] if best[s] == count else []
     if best[mirror] == count:
         parts.append(full ^ ties[mirror])
-    cands = np.concatenate(parts)
-    if n <= PLAIN_MAX_N:
-        # every mask was scanned, so the maximizers are all present
-        return count, _lex_least(cands)
-    return count, _least_image(cands, n)
+    return count, _least_image(np.concatenate(parts), n)
 
 
 def exhaustive_lambda(n: int, d: int, s: int) -> tuple[Fraction, VertexSet]:

@@ -94,7 +94,7 @@ def thm32_q(a: int, k: int, d: int, T: Iterable[int]) -> int:
     if not 0 <= a < k:
         raise DomainError(f"residue {a} is outside range(0, {k})")
     residues = set(T)
-    if not residues <= set(range(k)):
+    if not all(t in range(k) for t in residues):
         raise DomainError("T must be a subset of the residues mod k")
     return sum(row[(t - a) % k] for t in residues)
 

@@ -1,8 +1,9 @@
 """Rational approximation of a target density by residue-class unions."""
 
+import decimal
 import json
 import math
-import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -86,15 +87,7 @@ def reference_bound_ok(max_error: Fraction, q: int, d: int) -> tuple[bool, bool]
     """The bound check in Fractions built from the float bound, slack 2^-51."""
     if max_error == 0:
         return True, False
-    try:
-        bound = Fraction(q * math.exp(d * math.log(2.0) - d / (10.0 * q * q)))
-    except OverflowError:
-        err_log2 = math.log2(max_error.numerator) - math.log2(max_error.denominator)
-        bound_log2 = math.log2(q) + d - (d / (10.0 * q * q)) / math.log(2.0)
-        slack = 8 * sys.float_info.epsilon * max(1.0, abs(bound_log2))
-        if err_log2 <= bound_log2:
-            return True, False
-        return (True, True) if err_log2 <= bound_log2 + slack else (False, False)
+    bound = float_bound(q, d)
     if max_error <= bound:
         return True, False
     if max_error <= bound * (1 + Fraction(1, 1 << 51)):
@@ -103,15 +96,18 @@ def reference_bound_ok(max_error: Fraction, q: int, d: int) -> tuple[bool, bool]
 
 
 def float_bound(q: int, d: int) -> Fraction:
-    """The bound q 2^d e^(-d/(10 q^2)) as the check evaluates it in float64."""
-    return Fraction(q * math.exp(d * math.log(2.0) - d / (10.0 * q * q)))
+    """The bound q 2^d e^(-d/(10 q^2)) as the check evaluates it: the float64
+    q 2^(t-k), t = -d log2(e) / (10 q^2) and k = floor(t), times 2^(d+k)."""
+    t = -d * (1.0 / math.log(2.0)) / (10.0 * q * q)
+    k = math.floor(t)
+    return Fraction(q * 2.0 ** (t - k)) * (1 << (d + k))
 
 
 class TestCheck:
     def test_sliding_window_matches_reference(self):
         # one checker per (q, d) answers every p as the per-term reference sum
         # and the Fraction bound check do, and check_approx is it at one p;
-        # d = 1100 takes the log-space branch of the bound check
+        # d = 1100 is past the float range of 2^d, which the bound never forms
         for q in range(1, 14):
             for d in (*range(1, 65), 70, 200, 1100):
                 check = approx_checker(q, d)
@@ -156,7 +152,7 @@ class TestCheck:
             (10, lambda: float_bound(3, 10), (True, False)),
             (10, lambda: float_bound(3, 10) * (1 + Fraction(1, 1 << 52)), (True, True)),
             (10, lambda: 2 * float_bound(3, 10), (False, False)),
-            (1100, lambda: Fraction(1 << 1101), (False, False)),  # log-space branch
+            (1100, lambda: Fraction(1 << 1101), (False, False)),  # 2^1100 past float64
         ],
     )
     def test_bound_ok_borderline_and_failing(self, d, error, want):
@@ -191,9 +187,8 @@ class TestCheck:
         ]
 
     def test_log_space_test_reads_the_reduced_fraction(self):
-        # past the float range log2(g num) - log2(g den) can round across the
-        # bound where log2(num) - log2(den) does not; the verdict must not
-        # depend on how the deviation is written, so find where it turns
+        # past the float range of 2^d the verdict must not depend on how the
+        # deviation is written, num / 1 or g num / g, so find where it turns
         test = _bound_test(3, 1100)
         lo, hi = 1 << 1083, 1 << 1085  # the bound is about 2^1083.95
         while hi - lo > 1:
@@ -206,8 +201,22 @@ class TestCheck:
 
     def test_log_space_path_past_float_range(self):
         spec = ApproxSpec(Fraction(1, 3), 3, 1, 1, Fraction(1))
-        out = check_approx(spec, 1100)  # 2^1100 overflows float64
+        out = check_approx(spec, 1100)  # 2^1100 overflows float64, the shift does not
         assert out.bound_ok
+
+    def test_bound_test_matches_a_high_precision_bound(self):
+        # deviations a relative 2^-40 either side of the true bound, which
+        # decimal evaluates to 60 digits, are judged as the true bound would
+        below, above = 1 - Fraction(1, 1 << 40), 1 + Fraction(1, 1 << 40)
+        with decimal.localcontext(prec=60):
+            for q in range(2, 13):
+                for d in (*range(1, 65), 200, 1023, 1024, 1100, 4164, 8909, 10000):
+                    rate = (Decimal(-d) / (10 * q * q)).exp()
+                    bound = Fraction(q * Decimal(2) ** d * rate)
+                    test = _bound_test(q, d)
+                    for err, want in ((below * bound, (True, False)),
+                                      (above * bound, (False, False))):
+                        assert test(err.numerator, err.denominator) == want, (q, d, want)
 
     def test_bound_holds_across_dimension_slice(self):
         spec = ApproxSpec(Fraction(2, 5), 5, 2, 1, Fraction(1))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from cubestats import (
     DomainError,
+    LayeredSpec,
     ResidueSumTable,
     binomial,
+    layered_distribution,
     q_binsum,
     residue_table,
     residues,
@@ -163,6 +166,14 @@ class TestSubsetSums:
     def test_subset_validation(self):
         with pytest.raises(DomainError):
             thm32_q(0, 3, 4, frozenset({3}))
+
+    def test_large_modulus_does_not_build_its_residues(self):
+        # weights stay <= n < k, so modulus 10^6 keeps the same layer as 31;
+        # each thm32_q call checks T without a set of all k residues
+        start = time.perf_counter()
+        wide = layered_distribution(30, 3, LayeredSpec(10**6, frozenset({0})))
+        assert time.perf_counter() - start < 1
+        assert wide == layered_distribution(30, 3, LayeredSpec(31, frozenset({0})))
 
 
 class TestNonConstancy:
