@@ -35,14 +35,16 @@ def pair_counts(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     bit j of a boolean row in bit j % 64 of word j // 64, as ``_pack_rows``
     lays them out.  Blocks of consecutive rows cover every row once, each
     with at most ``_COUNT_BLOCK_ELEMS`` counts unless one row alone has
-    more.  Counts are exact int64.
+    more.  Counts are exact, in the narrowest unsigned dtype that holds
+    64·width: uint8 up to 3 words, uint16 up to 1,023, uint32 beyond.
+    Widen them before arithmetic that can leave that range.
     """
     rows, width = words.shape
+    dtype = np.min_scalar_type(64 * width)
     step = max(1, _COUNT_BLOCK_ELEMS // max(rows, 1))
     for lo in range(0, rows, step):
         block = words[lo : lo + step]
-        # one word's popcounts fit uint8; their sum over the words is int64
-        counts = np.bitwise_count(block[:, 0, None] & words[:, 0]).astype(np.int64)
+        counts = np.bitwise_count(block[:, 0, None] & words[:, 0]).astype(dtype, copy=False)
         for w in range(1, width):
             counts += np.bitwise_count(block[:, w, None] & words[:, w])
         yield lo, counts
@@ -111,7 +113,8 @@ def _orthogonal(neg: np.ndarray) -> bool:
     w = neg.sum(axis=1)
     for lo, counts in pair_counts(_pack_rows(neg)):
         rows = np.arange(len(counts))
-        apart = w[lo : lo + len(counts), None] + w - 2 * counts
+        # widen first: 2 * counts would wrap in their narrow dtype
+        apart = w[lo : lo + len(counts), None] + w - 2 * counts.astype(np.int64)
         apart[rows, lo + rows] += n // 2  # a row differs from itself nowhere
         if (apart != n // 2).any():
             return False

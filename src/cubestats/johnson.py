@@ -64,7 +64,8 @@ def _int_words(ints) -> np.ndarray:
 def _row_ints(bits: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as the int with bit j set iff column j is."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    raw, step = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * step : (i + 1) * step], "little") for i in range(len(packed))]
 
 
 def johnson_adjacent(u: int, v: int, s: int) -> bool:
@@ -156,9 +157,12 @@ def _last_colored(cand: int, adj: list[int]) -> int:
     while rest:
         avail = rest
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= ~adj[v] & ~(1 << v)
-            rest &= ~(1 << v)
+            # no self loops: v stays in avail until the xor takes it out
+            low = avail & -avail
+            v = low.bit_length() - 1
+            avail &= ~adj[v]
+            avail ^= low
+            rest ^= low
     return v
 
 

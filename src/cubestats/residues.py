@@ -57,7 +57,7 @@ def _binsum_row(k: int, d: int) -> tuple[int, ...]:
 def q_binsum(a: int, k: int, d: int) -> int:
     """Exact sum of C(d, i) over 0 <= i <= d with i = a (mod k)."""
     row = _binsum_row(k, d)
-    if not 0 <= a < k:
+    if not (is_int(a) and 0 <= a < k):
         raise DomainError(f"residue {a} is outside range(0, {k})")
     return row[a]
 
@@ -91,10 +91,11 @@ def residue_table(k: int, d: int) -> ResidueSumTable:
 def thm32_q(a: int, k: int, d: int, T: Iterable[int]) -> int:
     """Sum of C(d, i) over the i whose shifted residue (i + a) mod k lies in T."""
     row = _binsum_row(k, d)
-    if not 0 <= a < k:
+    if not (is_int(a) and 0 <= a < k):
         raise DomainError(f"residue {a} is outside range(0, {k})")
     residues = set(T)
-    if not all(t in range(k) for t in residues):
+    # a float equal to a residue passes the range test but cannot index the row
+    if not all(is_int(t) and 0 <= t < k for t in residues):
         raise DomainError("T must be a subset of the residues mod k")
     return sum(row[(t - a) % k] for t in residues)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cube import VertexSet, binomial, check_mask_dimension, check_subcube_dimension
 from .cube import enumerate_subcubes, subcube_count
-from .errors import DomainError, fields
+from .errors import DomainError, fields, is_int
 from .residues import thm32_q
 
 
@@ -119,9 +119,9 @@ class LayeredSpec:
     T: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError("modulus k must be >= 1")
-        if not all(0 <= t < self.k for t in self.T):
+        if not (is_int(self.k) and self.k >= 1):
+            raise DomainError("modulus k must be an integer >= 1")
+        if not all(is_int(t) and 0 <= t < self.k for t in self.T):
             raise DomainError("T must be a subset of Z_k")
 
 

@@ -669,6 +669,46 @@ class TestVerifySuites:
         assert not any(check["pass"] or check["violations"] for check in scans)
         assert control["control"] and control["pass"]
 
+    def test_prop31_suite_checks_every_k_of_every_row(self, capsys, monkeypatch):
+        calls = []
+
+        def record(k, d):
+            calls.append((k, d))
+            return residues.verify_prop31(k, d)
+
+        monkeypatch.setattr("cubestats.cli.verify_prop31", record)
+        rc, out, _ = run(capsys, "verify", "prop31")
+        assert rc == 0
+        assert calls == [(k, d) for d in range(3, 17) for k in range(3, d + 1)]
+        assert json.loads(out)["checks"] == [
+            *({"name": f"prop31 d={d} (all 2<k<=d)", "pass": True} for d in range(3, 17)),
+            {
+                "name": "control: a row with equal residue sums is reported constant",
+                "pass": True,
+                "control": True,
+            },
+        ]
+
+    def test_thm32_suite_scans_every_k(self, capsys, monkeypatch):
+        calls = []
+
+        def record(k, dims):
+            calls.append((k, list(dims)))
+            return residues.verify_thm32(k, dims)
+
+        monkeypatch.setattr("cubestats.cli.verify_thm32", record)
+        rc, out, _ = run(capsys, "verify", "thm32")
+        assert rc == 0
+        assert calls == [(k, list(range(1, 17))) for k in range(1, 9)]
+        assert json.loads(out)["checks"] == [
+            *({"name": f"thm32 k={k} d<=16", "pass": True, "violations": []} for k in range(1, 9)),
+            {
+                "name": "control: a non-admissible residue set is classified as a violation",
+                "pass": True,
+                "control": True,
+            },
+        ]
+
     def test_thm32_suite(self, capsys):
         rc, out, _ = run(capsys, "verify", "thm32", "--workers", "2")
         assert rc == 0

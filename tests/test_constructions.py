@@ -120,6 +120,11 @@ class TestRankConstants:
             assert c_star(d, k) == c_star_enumerated(d, k), (d, k)
         assert c_star(5, 5) == 1
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_no_rows_have_full_rank_for_certain(self, d):
+        # k = d leaves a 0 x d matrix; the enumeration has no nonzero column to try
+        assert c_star_enumerated(d, d) == c_star(d, d) == 1
+
     def test_grid_ordering(self):
         for d in range(1, 13):
             for k in range(1, d + 1):

@@ -82,6 +82,13 @@ class TestAdjacency:
             JohnsonGraph(0)
 
 
+# the narrowest unsigned dtype holding 64 per word of a row of that many bits
+NARROW_COUNTS = {
+    1: np.uint8, 63: np.uint8, 64: np.uint8, 65: np.uint8,
+    255: np.uint16, 256: np.uint16, 257: np.uint16, 400: np.uint16,
+}
+
+
 class TestPairCounts:
     @pytest.mark.parametrize("block", [1, 7, None])
     @pytest.mark.parametrize("width", [1, 63, 64, 65, 255, 256, 257, 400])
@@ -97,12 +104,31 @@ class TestPairCounts:
             range(0, 23, max(1, cubestats.hadamard._COUNT_BLOCK_ELEMS // 23))
         )
         counts = np.vstack([c for _, c in blocks])
-        assert counts.dtype == np.int64 and counts.shape == (23, 23)
+        assert counts.dtype == NARROW_COUNTS[width] and counts.shape == (23, 23)
         for i, u in enumerate(ints):
             for j, v in enumerate(ints):
                 assert counts[i, j] == (u & v).bit_count()
                 for s in {counts[i, j], counts[i, j] + 1}:
                     assert johnson_adjacent(u, v, s) == (i != j and u != v and counts[i, j] == s)
+
+    @pytest.mark.parametrize(
+        "words, dtype", [(4, np.uint16), (512, np.uint16), (1024, np.uint32)]
+    )
+    def test_all_ones_counts_past_each_narrow_range_stay_exact(self, words, dtype):
+        # 256, 32,768 and 65,536 pass the top of uint8, int16 and uint16
+        packed = _pack_rows(np.ones((3, 64 * words), dtype=bool))
+        counts = np.vstack([c for _, c in pair_counts(packed)])
+        assert counts.dtype == dtype
+        assert (counts.astype(np.int64) == 64 * words).all()
+
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_orthogonality_with_twice_the_shared_count_past_uint16(self, extra):
+        # two rows share 35,000 -1 entries, 2c = 70,000 > 2^16, and differ in
+        # `extra` places; with n = 2 rows they are orthogonal when that is 1
+        neg = np.zeros((2, 35_000 + extra), dtype=bool)
+        neg[:, :35_000] = True
+        neg[0, 35_000:] = True
+        assert cubestats.hadamard._orthogonal(neg) == (extra == 1)
 
     def test_blocks_stay_within_the_element_budget(self):
         words = _pack_rows(np.ones((1000, 70), dtype=bool))

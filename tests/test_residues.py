@@ -117,6 +117,11 @@ class TestBinsum:
         with pytest.raises(DomainError):
             q_binsum(0, 2, -1)
 
+    def test_non_integer_residue_rejected(self):
+        # 1.0 passes the range test but cannot index the row
+        with pytest.raises(DomainError):
+            q_binsum(1.0, 3, 4)
+
 
 class TestTable:
     def test_residue_table_contents(self):
@@ -166,6 +171,15 @@ class TestSubsetSums:
     def test_subset_validation(self):
         with pytest.raises(DomainError):
             thm32_q(0, 3, 4, frozenset({3}))
+
+    @pytest.mark.parametrize("a, T", [(0, {1.0}), (0, {True}), (1.0, {1}), (0, {"1"})])
+    def test_non_integer_residues_rejected(self, a, T):
+        # 1.0 and True pass a range test; each would index the row or return a sum
+        with pytest.raises(DomainError):
+            thm32_q(a, 3, 4, T)
+
+    def test_numpy_integer_residues_accepted(self):
+        assert thm32_q(np.int64(0), 3, 4, {np.uint8(1)}) == 5
 
     def test_large_modulus_does_not_build_its_residues(self):
         # weights stay <= n < k, so modulus 10^6 keeps the same layer as 31;

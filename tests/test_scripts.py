@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         (
             "omega_table.py",
-            ["--max-s", "2", "--policy", "search"],
+            ["--max-s", "3", "--policy", "search"],
             ["s", "4s", "lower", "upper", "exact", "source", "secs"],
         ),
         (

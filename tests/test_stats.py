@@ -249,6 +249,11 @@ class TestLayered:
             LayeredSpec(2**70, frozenset({-1}))
         assert LayeredSpec(2**70, frozenset({0, 2**70 - 1})).k == 2**70
 
+    @pytest.mark.parametrize("k, T", [(3, {1.0}), (3, {True}), (3.0, {1}), (3, {"1"})])
+    def test_spec_rejects_non_integers(self, k, T):
+        with pytest.raises(DomainError):
+            LayeredSpec(k, frozenset(T))
+
 
 class TestContainers:
     def test_distribution_json_roundtrip(self):
