@@ -9,12 +9,16 @@ a is the subcube's base weight mod q, and that count deviates from
 spec is the first dimension where this deviation also fits inside the
 remaining (eps/2) x 2^d budget, so from d_min on every d-subcube count
 lies within (1 +- eps) x 2^d.
+
+The checks read the prefix sums P of the deviations q row[a] - 2^d: each
+count's deviation is a difference of two of them, and the worst over
+every p is max P - min P (``approx_worst``).
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapabilityError, DomainError
@@ -26,6 +30,7 @@ __all__ = [
     "ApproxSpec",
     "approx_checker",
     "approx_construct",
+    "approx_worst",
     "check_approx",
     "third_layer_check",
 ]
@@ -175,35 +180,69 @@ def _bound_test(q: int, d: int) -> Callable[[int, int], tuple[bool, bool]]:
     return exact
 
 
-def approx_checker(q: int, d: int) -> Callable[[int], tuple[int, bool, bool]]:
-    """Check the layered sets "weight mod q < p" at dimension d, one p per call.
+def _prefix_sums(q: int, d: int) -> list[int]:
+    """The prefix sums P[i] of the deviations q row[a] - 2^d, for i = 0..h.
 
-    Row d of the residue sums mod q is read once, as the exact deviations
-    dev[a] = q row[a] - 2^d, and the bound is evaluated once.  A d-subcube
-    of base weight residue a holds (p 2^d + W(a)) / q set vertices, where
-    W(a) sums dev over the window a, ..., a+p-1 (mod q).  A call with
-    0 <= p <= q slides that window once around in O(q) integer steps and
-    returns (E, ok, borderline): E / q is the worst deviation of a count
-    from (p/q) 2^d, and (ok, borderline) is its bound check.
+    Row d of the residue sums mod q adds to 2^d, so P[q] = 0.  Past residue
+    d the row is zero, so only the head h = min(q, d + 1) is stored: from
+    there on P[i] = (q - i) 2^d, falling to P[q - 1] = 2^d.  Residues mod
+    d + 1 give the same head as residues mod q > d + 1, one binomial each.
     """
+    if q < 1:
+        raise DomainError("modulus must be at least 1")
     if d < 1:
         raise DomainError("dimension must be at least 1")
     full = 1 << d
-    dev = [q * v - full for v in residue_table(q, d).values]
-    ring = dev + dev
+    head = residue_table(min(q, d + 1), d).values
+    return list(accumulate((q * v - full for v in head), initial=0))
+
+
+def approx_worst(q: int, d: int) -> tuple[int, bool, bool]:
+    """The worst layered set "weight mod q < p" over every 0 < p < q, at dimension d.
+
+    A d-subcube of base weight residue a holds (p 2^d + W_p(a)) / q set
+    vertices, where W_p(a) sums the deviations q row[b] - 2^d over the
+    window b = a, ..., a+p-1 (mod q).  With the prefix sums P of
+    ``_prefix_sums`` and P[q] = 0, every window is W_p(a) = P[(a+p) mod q]
+    - P[a].  Each ordered pair i != j of residues is exactly one window,
+    the one with p = (j - i) mod q in [1, q-1], so the largest |W_p(a)|
+    over every p and a is max P - min P, read in O(q) steps.  Past the
+    stored head h, P falls from P[h] to 2^d > P[0] = 0, so the head alone
+    has that range.  Returns (E, ok, borderline) for that worst p, as
+    ``approx_checker`` does for one.
+    """
+    if q < 2:
+        raise DomainError("modulus must be at least 2, so that some 0 < p < q exists")
+    P = _prefix_sums(q, d)
+    E = max(P) - min(P)
+    return (E, *_bound_test(q, d)(E, q))
+
+
+def approx_checker(q: int, d: int) -> Callable[[int], tuple[int, bool, bool]]:
+    """Check the layered sets "weight mod q < p" at dimension d, one p per call.
+
+    The prefix sums P of ``_prefix_sums`` are built once, and the bound is
+    evaluated once.  A call with 0 <= p <= q returns (E, ok, borderline):
+    E = max over a of |P[(a+p) mod q] - P[a]| (see ``approx_worst``), so
+    E / q is the worst deviation of a count from (p/q) 2^d, and (ok,
+    borderline) is its bound check.  Past the stored head h, P falls by 2^d
+    a step, so a window from the tail to the tail is -p 2^d or, if it wraps,
+    (q - p) 2^d.  The windows from q - p to 0 and from 0 to p read the same
+    values, so only the O(h) windows that start or end in the head are read.
+    """
+    P = _prefix_sums(q, d)
+    h = len(P) - 1
+    full = 1 << d
     test = _bound_test(q, d)
+
+    def at(i: int) -> int:
+        return P[i] if i <= h else (q - i) * full
 
     def check(p: int) -> tuple[int, bool, bool]:
         if not 0 <= p <= q:
             raise DomainError("p must lie in [0, q]")
-        w = hi = lo = sum(dev[:p])
-        for out, into in zip(dev, islice(ring, p, None)):
-            w += into - out
-            if w > hi:
-                hi = w
-            elif w < lo:
-                lo = w
-        E = max(hi, -lo)
+        starts = {*range(h), *((b - p) % q for b in range(h))}
+        E = max(abs(at((a + p) % q) - at(a)) for a in starts)
         return (E, *test(E, q))
 
     return check

@@ -22,8 +22,8 @@ from . import __version__
 from .approx import (
     _bound_test,
     _splits_evenly,
-    approx_checker,
     approx_construct,
+    approx_worst,
     check_approx,
     third_layer_check,
 )
@@ -216,10 +216,9 @@ def _suite_thm32(config: RunConfig) -> list[dict]:
 def _suite_approx(config: RunConfig) -> list[dict]:
     checks = []
     for q in range(2, 13):
-        ok = True
-        for d in range(1, 65):
-            check = approx_checker(q, d)  # one residue row and one bound per (q, d)
-            ok &= all(check(p)[1] for p in range(1, q))
+        # the bound test is monotone in the deviation, so every p < q passes
+        # exactly when the worst one does: one prefix-sum range per (q, d)
+        ok = all(approx_worst(q, d)[1] for d in range(1, 65))
         checks.append({"name": f"bound holds q={q}, p<q, d<=64", "pass": ok})
     # negative control: at q = 12, d = 64 a deviation of q 2^d exceeds the
     # bound q 2^d e^(-d/(10 q^2)) by 4.5%, so the bound test must fail it

@@ -32,6 +32,12 @@ _ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def _binsum_row(k: int, d: int) -> tuple[int, ...]:
+    # before the cache, which a float equal to an int would hit; the exact
+    # type test keeps the common call cheap, and numpy ints become ints
+    if type(k) is not int or type(d) is not int:
+        if not (is_int(k) and is_int(d)):
+            raise DomainError("modulus and dimension must be integers")
+        k, d = int(k), int(d)
     row = _ROWS.get((k, d))
     if row is not None:
         return row

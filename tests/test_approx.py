@@ -3,10 +3,13 @@
 import decimal
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubestats import (
     ApproxCheck,
@@ -19,7 +22,12 @@ from cubestats import (
     q_binsum,
     third_layer_check,
 )
-from cubestats.approx import _bound_test, approx_checker
+from cubestats.approx import (
+    _bound_test,
+    _least_safe_dimension,
+    approx_checker,
+    approx_worst,
+)
 from cubestats.cli import main
 
 
@@ -231,6 +239,134 @@ class TestCheck:
             "bound_ok": True,
             "borderline": False,
         }
+
+
+def dense_checker(q: int, d: int):
+    """E(p) by sliding the window once around the whole row, a second route."""
+    dev = [q * q_binsum(a, q, d) - (1 << d) for a in range(q)]
+
+    def check(p: int) -> int:
+        w = sum(dev[:p])
+        worst = abs(w)
+        for a in range(q):
+            w += dev[(a + p) % q] - dev[a]
+            worst = max(worst, abs(w))
+        return worst
+
+    return check
+
+
+class TestWorst:
+    def test_range_of_prefix_sums_is_the_worst_p(self):
+        for q in range(2, 41):
+            for d in (*range(1, 81), 200, 1100):
+                check = approx_checker(q, d)
+                E, ok, borderline = approx_worst(q, d)
+                assert E == max(check(p)[0] for p in range(1, q)), (q, d)
+                assert (ok, borderline) == _bound_test(q, d)(E, q), (q, d)
+
+    def test_tail_past_residue_d(self):
+        # for q > d + 1 only residues 0..d collect binomials, and the checker
+        # reads only the windows that start or end among them
+        for d in range(1, 41, 3):
+            for q in sorted({d + 2, d + 3, d + 4, 2 * d + 1, 3 * d + 7, 5 * d + 1, 97, 300}):
+                check, ref = approx_checker(q, d), dense_checker(q, d)
+                got = [check(p)[0] for p in range(q + 1)]
+                assert got == [ref(p) for p in range(q + 1)], (q, d)
+                assert approx_worst(q, d)[0] == max(got[1:q]), (q, d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 150), st.integers(1, 300), st.data())
+    def test_complement_has_the_same_deviation(self, q, d, data):
+        # W_(q-p)(a) = -W_p((a - p) mod q), so E(p) = E(q - p)
+        p = data.draw(st.integers(0, q))
+        check = approx_checker(q, d)
+        assert check(p) == check(q - p)
+
+    def test_domain(self):
+        for q, d in ((1, 5), (0, 5), (3, 0), (3, -1)):
+            with pytest.raises(DomainError):
+                approx_worst(q, d)
+
+    def test_checker_memory_at_a_large_modulus(self):
+        # q = 200,000 > d + 1: only the d + 1 head prefix sums are held,
+        # not q big ints of d bits each
+        tracemalloc.start()
+        try:
+            E, ok, _ = approx_checker(200_000, 2_000)(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+        assert E == 200_000 * binomial(2_000, 1_000) - (1 << 2_000) and ok
+
+
+def least_safe_reference(q: int, budget: Fraction) -> int:
+    """The least d >= 1 with q e^(-d/(10 q^2)) <= budget, in 60-digit decimal."""
+    with decimal.localcontext(prec=60):
+        gap = Decimal(q).ln() - (
+            Decimal(budget.numerator).ln() - Decimal(budget.denominator).ln()
+        )
+        return max(1, math.ceil(10 * q * q * gap))
+
+
+def decimal_bound(q: int, d: int) -> Fraction:
+    """q e^(-d/(10 q^2)) to 60 digits."""
+    with decimal.localcontext(prec=60):
+        return Fraction(q * (Decimal(-d) / (10 * q * q)).exp())
+
+
+class TestLeastSafeDimension:
+    QS = (1, 2, 3, 7, 12, 149, 1000)
+
+    def test_matches_the_decimal_least_safe_dimension(self):
+        # budgets a relative 2^-40 either side of the bound at d0, from
+        # d0 = 1 up to bounds near 1e-260: clear of float rounding
+        near = (1 - Fraction(1, 1 << 40), 1 + Fraction(1, 1 << 40))
+        for q in self.QS:
+            scale = 10 * q * q
+            for f in (0.05, 1, 30, 600):
+                for d0 in range(max(1, round(f * scale)), max(1, round(f * scale)) + 3):
+                    for budget in (decimal_bound(q, d0) * s for s in near):
+                        assert _least_safe_dimension(q, budget) == least_safe_reference(
+                            q, budget
+                        ), (q, d0)
+
+    def test_budget_at_or_above_q_needs_one_dimension(self):
+        for q in self.QS:
+            for budget in (Fraction(q), Fraction(q) + Fraction(1, 10**30), Fraction(10**9)):
+                assert _least_safe_dimension(q, budget) == 1
+        assert approx_construct(0.5, 100.0).d_min == 1  # budget 25 >= q = 1
+
+    def test_correction_loops_settle_on_the_least_passing_dimension(self):
+        # budgets within a few ulps of exp(log q - d0 / scale), where the first
+        # estimate ceil(scale (log q - log budget)) misses both ways, to d = 1
+        # too, and the d - 1 test can land strictly below the budget (q = 10^6
+        # near 1e-298); the loops must settle on the least d that passes the
+        # logarithm test, which is the decimal least safe d to within the
+        # resolution of those logarithms in dimensions
+        def passes(d):
+            return math.log(q) - d / scale <= lb
+
+        outcomes = set()
+        for q, fs in ((1, (0.05, 1, 30, 600)), (3, (1, 30)), (12, (0.05, 600)),
+                      (149, (0.05, 1, 30, 600)), (10**6, (700,))):
+            scale = 10.0 * q * q
+            for d_start in (1, *(max(1, round(f * scale)) for f in fs)):
+                for d0 in range(d_start, d_start + 8):
+                    b0 = math.exp(math.log(q) - d0 / scale)
+                    for i in range(-4, 5):
+                        budget = Fraction(b0 + i * math.ulp(b0))
+                        lb = math.log(budget.numerator) - math.log(budget.denominator)
+                        first = max(1, math.ceil(scale * (math.log(q) - lb)))
+                        d = _least_safe_dimension(q, budget)
+                        assert passes(d) and (d == 1 or not passes(d - 1)), (q, budget)
+                        resolution = 1 + int(2 * scale * math.ulp(math.log(q) - lb))
+                        gap = abs(d - least_safe_reference(q, budget))
+                        assert gap <= resolution, (q, budget)
+                        strict = first > 1 and math.log(q) - (first - 1) / scale < lb
+                        outcomes.add(((d > first) - (d < first), strict, d == 1))
+        assert {(1, False, False), (-1, False, True), (-1, True, False)} <= outcomes
 
 
 def test_verify_approx_checks(capsys):

@@ -616,7 +616,7 @@ class TestVerifySuites:
                     k, tuple(dims), (), (Thm32Case(1, (0,), (1,) * k),)
                 ),
             ),
-            ("approx", "approx_checker", lambda q, d: lambda p: (q << d, False, False)),
+            ("approx", "approx_worst", lambda q, d: (q << d, False, False)),
             ("third-layer", "third_layer_check", lambda d_max: False),
             (
                 "oracle-equivalence",
@@ -688,6 +688,19 @@ class TestVerifySuites:
                 "control": True,
             },
         ]
+
+    def test_approx_suite_checks_the_worst_p_of_every_cell(self, capsys, monkeypatch):
+        calls = []
+
+        def record(q, d):
+            calls.append((q, d))
+            return approx.approx_worst(q, d)
+
+        monkeypatch.setattr("cubestats.cli.approx_worst", record)
+        rc, out, _ = run(capsys, "verify", "approx")
+        assert rc == 0
+        assert calls == [(q, d) for q in range(2, 13) for d in range(1, 65)]
+        assert json.loads(out)["pass"] is True
 
     def test_thm32_suite_scans_every_k(self, capsys, monkeypatch):
         calls = []

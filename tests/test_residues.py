@@ -122,6 +122,28 @@ class TestBinsum:
         with pytest.raises(DomainError):
             q_binsum(1.0, 3, 4)
 
+    @pytest.mark.parametrize(
+        "k, d", [(3.0, 4), (3, 4.0), (True, 4), (3, True), ("3", 4), (3, None)]
+    )
+    def test_non_integer_modulus_or_dimension_rejected_cold_and_cached(
+        self, monkeypatch, k, d
+    ):
+        # 3.0 hashes as 3, so the check must come before the cache lookup
+        monkeypatch.setattr(residues, "_ROWS", {})
+        with pytest.raises(DomainError):
+            q_binsum(0, k, d)
+        assert q_binsum(0, 3, 4) == 5  # row (3, 4) is now cached
+        with pytest.raises(DomainError):
+            q_binsum(0, k, d)
+        with pytest.raises(DomainError):
+            residue_table(k, d)
+
+    def test_numpy_integer_modulus_and_dimension_stay_exact(self, monkeypatch):
+        # C(100, i) passes the int64 range, so the row must be built in Python ints
+        monkeypatch.setattr(residues, "_ROWS", {})
+        assert q_binsum(0, np.int64(3), np.int64(100)) == _direct(0, 3, 100)
+        assert q_binsum(2, np.uint8(7), np.int32(80)) == _direct(2, 7, 80)
+
 
 class TestTable:
     def test_residue_table_contents(self):
