@@ -15,8 +15,10 @@ count's deviation is a difference of two of them, and the worst over
 every p is max P - min P (``approx_worst``).
 """
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
@@ -112,15 +114,18 @@ def _convergents(x: Fraction) -> Iterator[tuple[int, int]]:
 
 def _least_safe_dimension(q: int, budget: Fraction) -> int:
     # least d with q e^(-d/(10 q^2)) <= budget, compared in logarithms so a
-    # budget below the float range neither overflows q/budget nor rounds to 0
-    scale = 10.0 * q * q
-    log_q = math.log(q)
-    log_budget = math.log(budget.numerator) - math.log(budget.denominator)
-    d = max(1, math.ceil(scale * (log_q - log_budget)))
-    while log_q - d / scale > log_budget:
-        d += 1
-    while d > 1 and log_q - (d - 1) / scale <= log_budget:
-        d -= 1
+    # budget below the float range neither overflows q/budget nor rounds to 0;
+    # a float estimate of d is corrected in 60-digit logarithms, since float
+    # ones resolve d only to about 10 q^2 ulp(log q), a few units at q = 10^6
+    scale = 10 * q * q
+    with decimal.localcontext(prec=60):
+        log_q = Decimal(q).ln()
+        log_budget = Decimal(budget.numerator).ln() - Decimal(budget.denominator).ln()
+        d = max(1, math.ceil(scale * float(log_q - log_budget)))
+        while log_q - Decimal(d) / scale > log_budget:
+            d += 1
+        while d > 1 and log_q - Decimal(d - 1) / scale <= log_budget:
+            d -= 1
     return d
 
 

@@ -4,6 +4,13 @@ Vertices are the 2s-element subsets of a 4s-element ground set, encoded
 as bit masks; two vertices are adjacent when the subsets intersect in
 exactly s elements.  ω(s) = 4s-1 exactly when a Hadamard matrix of order
 4s exists, and such a matrix converts into a maximum clique certificate.
+
+The complement of a vertex is its twin: the two are not adjacent, and
+since the complement meets any vertex in 2s minus what the vertex does,
+they have the same neighbours.  In lexicographic order the complement of
+vertex i is vertex V-1-i, and the lower half i < V/2 holds exactly the
+subsets that contain element 0, so the adjacency and the clique descent
+work on that half alone.
 """
 
 from __future__ import annotations
@@ -112,19 +119,20 @@ class JohnsonGraph:
         self.vertices = tuple(v.tolist())
 
     def adjacency_bitsets(self) -> list[int]:
-        """adj[i] has bit j set iff vertices i and j are adjacent."""
-        # Lexicographic order puts the complement of vertex i at V-1-i, and a
-        # complement meets each vertex in 2s minus what i meets it in.  So
-        # row V-1-i equals row i, and the columns of the second half mirror
-        # those of the first: the first half's own counts give every row.
+        """Rows of the lower half: adj[i] has bit j set iff vertices i and j,
+        both below V/2, are adjacent.
+
+        Vertex V-1-i is the twin of vertex i, so these V/2 rows of V/2 bits
+        give the whole graph: i and j are adjacent iff the lower-half
+        representatives of their twin pairs are.
+        """
         half = len(self.vertices) // 2
         words = np.array(self.vertices[:half], dtype="<u8")[:, None]  # 4s <= 16 bits: one word
         adj: list[int] = []
         # a vertex meets itself in 2s != s elements, so no self loops
         for _, counts in pair_counts(words):
-            hits = counts == self.s
-            adj += _row_ints(np.hstack([hits, hits[:, ::-1]]))
-        return adj + adj[::-1]
+            adj += _row_ints(counts == self.s)
+        return adj
 
 
 def hadamard_to_clique(H: HadamardMatrix, *more: HadamardMatrix) -> CliqueCertificate:
@@ -151,36 +159,46 @@ def hadamard_to_clique(H: HadamardMatrix, *more: HadamardMatrix) -> CliqueCertif
     return cert
 
 
-def _last_colored(cand: int, adj: list[int]) -> int:
-    """The vertex a greedy colouring of the candidate set colours last."""
+def _first_of_last_class(cand: int, adj: list[int]) -> int:
+    """The first pick of the last class of a greedy colouring of cand, lowest index first."""
     rest = cand
     while rest:
+        first = (rest & -rest).bit_length() - 1
         avail = rest
         while avail:
-            # no self loops: v stays in avail until the xor takes it out
+            # no self loops: low stays in avail until the xor takes it out
             low = avail & -avail
-            v = low.bit_length() - 1
-            avail &= ~adj[v]
+            avail &= ~adj[low.bit_length() - 1]
             avail ^= low
             rest ^= low
-    return v
+    return first
 
 
 def max_clique(graph: JohnsonGraph) -> tuple[CliqueCertificate, bool]:
     """Deterministic greedy-colouring descent to a maximal clique.
 
     Each step adds the candidate that a greedy colouring of the remaining
-    candidates colours last and keeps only its neighbours.  Returns the
-    clique and whether it reached the a-priori cap 4s-1, which proves it
-    maximum; for every s <= 4 it does.
+    candidates, lowest index first, colours last, and keeps only its
+    neighbours.  Returns the clique and whether it reached the a-priori cap
+    4s-1, which proves it maximum; for every s <= 4 it does.
+
+    The descent runs on the lower half of the vertices.  The candidates
+    start as all of V and each step intersects them with a neighbourhood,
+    so they are closed under twins: S together with the complements of S,
+    for S in the lower half.  A greedy class of such a set picks from S
+    first, in the order the same colouring of S alone picks, and leaves
+    exactly the twins of those picks, which it then takes in decreasing
+    order of the pick.  So the vertex coloured last is V-1-i for the first
+    pick i of the last class of S, whose neighbours are those of i.
     """
     adj = graph.adjacency_bitsets()
+    last = len(graph.vertices) - 1
     clique: list[int] = []
-    cand = (1 << len(graph.vertices)) - 1
+    cand = (1 << len(adj)) - 1
     while cand:
-        v = _last_colored(cand, adj)
-        clique.append(graph.vertices[v])
-        cand &= adj[v]
+        i = _first_of_last_class(cand, adj)
+        clique.append(graph.vertices[last - i])
+        cand &= adj[i]
     cert = CliqueCertificate(graph.s, tuple(clique))
     return cert, cert.size() == 4 * graph.s - 1
 

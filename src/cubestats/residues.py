@@ -91,7 +91,10 @@ class ResidueSumTable:
 
 
 def residue_table(k: int, d: int) -> ResidueSumTable:
-    return ResidueSumTable(k, d, _binsum_row(k, d))
+    # the row's checks admit numpy ints; the table keeps Python ints, so
+    # that 2^d in its own check is exact at any d
+    row = _binsum_row(k, d)
+    return ResidueSumTable(len(row), int(d), row)
 
 
 def thm32_q(a: int, k: int, d: int, T: Iterable[int]) -> int:

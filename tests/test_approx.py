@@ -331,6 +331,14 @@ class TestLeastSafeDimension:
                         assert _least_safe_dimension(q, budget) == least_safe_reference(
                             q, budget
                         ), (q, d0)
+        # float budgets at q = 10^6, where float logarithms resolve d only to
+        # a few dimensions: these missed the least safe d by 1 or 2, both ways
+        q = 10**6
+        for d0 in range(6 * 10**15, 6 * 10**15 + 12):
+            for budget in (Fraction(float(decimal_bound(q, d0) * s)) for s in near):
+                assert _least_safe_dimension(q, budget) == least_safe_reference(
+                    q, budget
+                ), (q, d0)
 
     def test_budget_at_or_above_q_needs_one_dimension(self):
         for q in self.QS:
@@ -339,34 +347,29 @@ class TestLeastSafeDimension:
         assert approx_construct(0.5, 100.0).d_min == 1  # budget 25 >= q = 1
 
     def test_correction_loops_settle_on_the_least_passing_dimension(self):
-        # budgets within a few ulps of exp(log q - d0 / scale), where the first
-        # estimate ceil(scale (log q - log budget)) misses both ways, to d = 1
-        # too, and the d - 1 test can land strictly below the budget (q = 10^6
-        # near 1e-298); the loops must settle on the least d that passes the
-        # logarithm test, which is the decimal least safe d to within the
-        # resolution of those logarithms in dimensions
-        def passes(d):
-            return math.log(q) - d / scale <= lb
-
+        # budgets within a few ulps of exp(log q - d0 / scale), down to d = 1,
+        # where the float estimate ceil(scale (log q - log budget)) misses both
+        # ways (below at every q, above only at q = 10^6 near 1e-298); the
+        # loops must settle on the least d that passes the 60-digit logarithm
+        # test, the decimal least safe d
         outcomes = set()
-        for q, fs in ((1, (0.05, 1, 30, 600)), (3, (1, 30)), (12, (0.05, 600)),
-                      (149, (0.05, 1, 30, 600)), (10**6, (700,))):
-            scale = 10.0 * q * q
+        for q, fs, span in ((1, (0.05, 1, 30, 600), 8), (3, (1, 30), 8), (12, (0.05, 600), 8),
+                            (149, (0.05, 1, 30, 600), 8), (10**6, (700,), 40)):
+            scale = 10 * q * q
             for d_start in (1, *(max(1, round(f * scale)) for f in fs)):
-                for d0 in range(d_start, d_start + 8):
+                for d0 in range(d_start, d_start + span):
                     b0 = math.exp(math.log(q) - d0 / scale)
                     for i in range(-4, 5):
                         budget = Fraction(b0 + i * math.ulp(b0))
-                        lb = math.log(budget.numerator) - math.log(budget.denominator)
-                        first = max(1, math.ceil(scale * (math.log(q) - lb)))
+                        with decimal.localcontext(prec=60):
+                            gap = Decimal(q).ln() - (
+                                Decimal(budget.numerator).ln() - Decimal(budget.denominator).ln()
+                            )
+                        first = max(1, math.ceil(scale * float(gap)))
                         d = _least_safe_dimension(q, budget)
-                        assert passes(d) and (d == 1 or not passes(d - 1)), (q, budget)
-                        resolution = 1 + int(2 * scale * math.ulp(math.log(q) - lb))
-                        gap = abs(d - least_safe_reference(q, budget))
-                        assert gap <= resolution, (q, budget)
-                        strict = first > 1 and math.log(q) - (first - 1) / scale < lb
-                        outcomes.add(((d > first) - (d < first), strict, d == 1))
-        assert {(1, False, False), (-1, False, True), (-1, True, False)} <= outcomes
+                        assert d == least_safe_reference(q, budget), (q, budget)
+                        outcomes.add((d > first) - (d < first))
+        assert outcomes == {-1, 0, 1}
 
 
 def test_verify_approx_checks(capsys):

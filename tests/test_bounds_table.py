@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from cubestats import best_bounds, exhaustive_lambda
+import cubestats.constructions
+from cubestats import CapabilityError, best_bounds, exhaustive_lambda
 
 PINNED = Path(__file__).resolve().parent / "data" / "bounds_table.csv"
 MAX_D = 10
@@ -76,3 +77,23 @@ def test_a_raised_pinned_lower_bound_fails(tables):
     assert faults({**pinned, (3, 1): (lower + Fraction(1, 1000), upper)}, fresh) == [
         ("loosened", (3, 1))
     ]
+
+
+def test_witnesses_match_the_pinned_table():
+    with PINNED.open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    got = []
+    for r in rows:
+        b = best_bounds(int(r["d"]), int(r["s"]))
+        got.append((r["d"], r["s"], b.lower_witness, b.upper_source))
+    assert got == [(r["d"], r["s"], r["lower_witness"], r["upper_source"]) for r in rows]
+
+
+def test_denominator_cap_admits_exactly_its_own_size(monkeypatch):
+    # best_bounds(10, 1) needs 10 (2^10 - 1) = 10,230 bits: a cap of that
+    # many answers, one bit less refuses
+    monkeypatch.setattr(cubestats.constructions, "_MAX_DENOMINATOR_BITS", 10_230)
+    assert best_bounds(10, 1).d == 10
+    monkeypatch.setattr(cubestats.constructions, "_MAX_DENOMINATOR_BITS", 10_229)
+    with pytest.raises(CapabilityError):
+        best_bounds(10, 1)

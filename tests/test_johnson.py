@@ -51,26 +51,41 @@ class TestAdjacency:
         assert got == want
         assert {type(v) for v in got} == {int}
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_complement_of_each_vertex_sits_at_the_mirrored_index(self, s):
+        g = JohnsonGraph(s)
+        V, ground = len(g.vertices), (1 << 4 * s) - 1
+        assert all(g.vertices[V - 1 - i] == v ^ ground for i, v in enumerate(g.vertices))
+        # the lower half is exactly the subsets that contain element 0
+        assert [v & 1 for v in g.vertices] == [1] * (V // 2) + [0] * (V // 2)
+
     def test_adjacency_bitsets_symmetric(self):
+        # V/2 rows of V/2 bits; with vertex V-1-i the twin of vertex i, the
+        # rows of the twin-pair representatives give every pair of J(4,2,1)
         g = JohnsonGraph(1)
-        adj = g.adjacency_bitsets()
-        for i in range(len(adj)):
-            assert not (adj[i] >> i) & 1
-            for j in range(len(adj)):
-                assert ((adj[i] >> j) & 1) == ((adj[j] >> i) & 1)
-                assert ((adj[i] >> j) & 1) == johnson_adjacent(
-                    g.vertices[i], g.vertices[j], g.s
-                )
+        adj, V = g.adjacency_bitsets(), len(g.vertices)
+        assert len(adj) == V // 2 and all(row >> (V // 2) == 0 for row in adj)
+        rep = [min(i, V - 1 - i) for i in range(V)]
+        for i in range(V):
+            for j in range(V):
+                bit = (adj[rep[i]] >> rep[j]) & 1
+                assert bit == (adj[rep[j]] >> rep[i]) & 1
+                assert bit == johnson_adjacent(g.vertices[i], g.vertices[j], g.s)
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_adjacency_bitsets_match_pairwise_reference(self, s):
-        # s = 3 has 924 vertices, more than one block of rows
+        # s = 3 has 462 rows, more than one block of rows
         g = JohnsonGraph(s)
+        V, half = len(g.vertices), len(g.vertices) // 2
         want = [
             sum(1 << j for j, v in enumerate(g.vertices) if johnson_adjacent(u, v, s))
             for u in g.vertices
         ]
-        assert g.adjacency_bitsets() == want
+        adj = g.adjacency_bitsets()
+        assert len(adj) == half
+        # twins share rows and columns: bit V-1-k of a full row repeats bit k
+        full = [row | int(f"{row:0{half}b}"[::-1], 2) << half for row in adj]
+        assert full + full[::-1] == want
 
     def test_capability_caps(self):
         # refused before listing the 184,756 vertices of J(20,10,5)
@@ -362,7 +377,54 @@ class TestHadamard:
         assert hadamard_matrix(2) is not None
 
 
+def last_colored(cand: int, adj: list[int]) -> int:
+    """The vertex a greedy colouring of cand, lowest index first, colours last."""
+    rest = cand
+    while rest:
+        avail = rest
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            avail &= ~adj[v]
+            avail ^= low
+            rest ^= low
+    return v
+
+
 class TestMaxClique:
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_first_of_last_class_names_the_twin_coloured_last(self, s):
+        # the full-graph colouring of a twin-closed set S + twins(S) colours
+        # last the twin of the first pick of the last class of S alone
+        g = JohnsonGraph(s)
+        V, half = len(g.vertices), len(g.vertices) // 2
+        v = np.array(g.vertices)
+        full = cubestats.johnson._row_ints(np.bitwise_count(v[:, None] & v[None, :]) == s)
+        adj = g.adjacency_bitsets()
+        rng = np.random.default_rng(s)
+        for density in (0.02, 0.1, 0.3, 0.6, 1.0):
+            for _ in range(8):
+                lower = np.flatnonzero(rng.random(half) < density).tolist() or [0]
+                S = sum(1 << i for i in lower)
+                closed = S | sum(1 << (V - 1 - i) for i in lower)
+                first = cubestats.johnson._first_of_last_class(S, adj)
+                assert last_colored(closed, full) == V - 1 - first, (density, lower)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_descent_colours_only_the_lower_half(self, monkeypatch, s):
+        widths = []
+        colour = cubestats.johnson._first_of_last_class
+
+        def spy(cand, adj):
+            widths.append(cand.bit_length())
+            return colour(cand, adj)
+
+        monkeypatch.setattr(cubestats.johnson, "_first_of_last_class", spy)
+        g = JohnsonGraph(s)
+        cert, _ = max_clique(g)
+        assert len(widths) == cert.size()
+        assert widths[0] == max(widths) == len(g.vertices) // 2
+
     def test_triangle_in_smallest_graph(self):
         cert, optimal = max_clique(JohnsonGraph(1))
         assert optimal and cert.size() == 3

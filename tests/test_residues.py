@@ -151,6 +151,14 @@ class TestTable:
         assert t.values == (5, 5, 6)
         assert t.to_json()["values"] == ["5", "5", "6"]
 
+    @pytest.mark.parametrize("d", [40, 80])
+    def test_numpy_integer_arguments_give_the_plain_int_table(self, d):
+        # 1 << np.int64(80) wraps, so the table must keep d as a Python int
+        t = residue_table(np.uint8(7), np.int64(d))
+        assert t == residue_table(7, d)
+        assert type(t.k) is int and type(t.d) is int
+        assert t.to_json() == residue_table(7, d).to_json()
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ResidueSumTable(3, 4, (5, 5))  # wrong length
