@@ -506,6 +506,7 @@ def best_bounds(d: int, s: int) -> LambdaBounds:
     if d < 1:
         raise DomainError("d must be >= 1")
     trivial, low = occupancy_case(d, s)
+    d, s = int(d), int(s)  # numpy integers pass the check above
     if trivial:
         return LambdaBounds(d, s, Fraction(1), Fraction(1), trivial, "closed-form")
     # The denominators of c_d and c_star divide (2^d - 1)^(d - 1) or

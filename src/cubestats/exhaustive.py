@@ -5,13 +5,16 @@ Three cases need no search: d = 0 (only ∅ and Q_n are perfect), d = n - 1
 one subcube).  The rest, 1 <= d <= n - 2, is a sweep.  The search space of
 2^(2^n) subsets is halved by complement symmetry: only sets avoiding
 vertex 0 are enumerated, and each stands in for its complement through
-counts[s] = counts_complement[2^d - s].  Each mask's subcube histogram is
-packed into one uint64 word, 2^d + 1 lanes wide.  n <= 4 runs plain; n = 5
-additionally prunes by hypercube symmetries (coordinate permutations and
-translations), enumerating only masks whose high half is least under the
-permutations of coordinates 0-3 and whose low half holds the vertices that
-high half forces.  At every n the witness is the least image of the
-maximizers under one table of all 2^n n! symmetries.  n >= 6 is refused.
+counts[s] = counts_complement[2^d - s].  Masks are uint32 words.  Each
+mask's subcube histogram is packed into one word of 2^d + 1 lanes, the
+narrowest of uint16, uint32 and uint64 that holds lanes 0 .. 2^d - 1; lane
+2^d is implied, the subcube count minus the others, when it does not fit
+too.  n <= 4 runs plain; n = 5 additionally prunes by hypercube symmetries
+(coordinate permutations and translations), enumerating only masks whose
+high half is least under the permutations of coordinates 0-3 and whose low
+half holds the vertices that high half forces.  At every n the witness is
+the least image of the maximizers under one table of all 2^n n!
+symmetries.  n >= 6 is refused.
 """
 
 from __future__ import annotations
@@ -40,21 +43,35 @@ def _cube_masks(n: int, d: int) -> list[int]:
     return [q.vertex_mask() for q in enumerate_subcubes(n, d)]
 
 
+def _lane_word(w: int, d: int) -> tuple[type[np.unsignedinteger], int]:
+    """(word, explicit lanes) for ``_hist_matrix``'s 2^d + 1 lanes of w bits.
+
+    The word is the narrowest of uint16, uint32 and uint64 that holds lanes
+    0 .. 2^d - 1.  Lane 2^d is explicit too when it also fits, and is
+    otherwise implied, the subcube count minus the other lanes.
+    """
+    word = next(t for t in (np.uint16, np.uint32, np.uint64) if w << d <= np.iinfo(t).bits)
+    return word, min((1 << d) + 1, np.iinfo(word).bits // w)
+
+
 def _hist_matrix(masks: np.ndarray, cube_masks: list[int], d: int) -> np.ndarray:
     """hist[s, i] = number of d-subcubes meeting mask i in exactly s vertices.
 
-    Mask i's histogram accumulates in one uint64 word of 2^d + 1 lanes, w
-    bits each, w the bit length of the subcube count so that no lane
-    overflows: a subcube meeting the mask in c vertices adds 1 << (w c).
-    Every swept (n, d) needs (2^d + 1) w <= 64 bits.  The lanes are
-    unpacked once, after the last subcube.
+    Mask i's histogram accumulates in one ``_lane_word`` of lanes w bits
+    wide, w the bit length of the subcube count so that no lane overflows:
+    a subcube meeting the mask in c vertices adds 1 << (w c).  The explicit
+    lanes stay exact when lane 2^d is implied: left_shift gives 0 once the
+    shift reaches the word width, and carries out of the top of the word
+    are dropped.  The lanes are unpacked once, after the last subcube.
     """
-    w = len(cube_masks).bit_length()
-    acc = np.zeros(masks.size, dtype=np.uint64)
+    total = len(cube_masks)
+    w = total.bit_length()
+    word, explicit = _lane_word(w, d)
+    acc = np.zeros(masks.size, dtype=word)
     term = np.empty_like(acc)
     meet = np.empty_like(masks)
     shift = np.empty(masks.size, dtype=np.uint8)
-    one = np.uint64(1)
+    one = word(1)
     for cm in cube_masks:
         np.bitwise_and(masks, masks.dtype.type(cm), out=meet)
         np.bitwise_count(meet, out=shift)
@@ -62,11 +79,14 @@ def _hist_matrix(masks: np.ndarray, cube_masks: list[int], d: int) -> np.ndarray
         np.left_shift(one, shift, out=term)
         acc += term
     hist = np.empty(((1 << d) + 1, masks.size), dtype=np.uint8)
-    lane = np.uint64((1 << w) - 1)
-    for s, row in enumerate(hist):
-        np.right_shift(acc, np.uint64(w * s), out=term)
+    lane = word((1 << w) - 1)
+    for s, row in enumerate(hist[:explicit]):
+        np.right_shift(acc, word(w * s), out=term)
         np.bitwise_and(term, lane, out=term)
         row[:] = term
+    if explicit == 1 << d:
+        # exact in wrapping uint8, since the lane lies in [0, total]
+        np.subtract(np.uint8(total), hist[:-1].sum(axis=0, dtype=np.uint8), out=hist[-1])
     return hist
 
 
@@ -186,15 +206,15 @@ def _n5_candidates(highs: np.ndarray) -> Iterator[np.ndarray]:
     is smaller, so the filters would drop it.
     """
     taus = _symmetries(4)[1 : 1 << 4]  # τ_1 ... τ_15
-    bits = np.uint64(1) << np.arange(1, 1 << 4, dtype=np.uint64)
+    bits = np.uint32(1) << np.arange(1, 1 << 4, dtype=np.uint32)
     forced = np.concatenate([(img < b[:, None]) @ bits for b, img in _image_blocks(highs, taus)])
-    evens = np.arange(0, 1 << 16, 2, dtype=np.uint64)
+    evens = np.arange(0, 1 << 16, 2, dtype=np.uint32)
     lows_of: dict[int, np.ndarray] = {}
     batch, size = [], 0
     for h, f in zip(highs.tolist(), forced.tolist()):
         if f not in lows_of:
-            lows_of[f] = evens[(evens & np.uint64(f)) == f]
-        batch.append(np.uint64(h << 16) | lows_of[f])
+            lows_of[f] = evens[(evens & np.uint32(f)) == f]
+        batch.append(np.uint32(h << 16) | lows_of[f])
         size += batch[-1].size
         if size >= _CHUNK:
             chunk = np.concatenate(batch)
@@ -206,7 +226,7 @@ def _n5_candidates(highs: np.ndarray) -> Iterator[np.ndarray]:
 
 def _n5_keep(masks: np.ndarray) -> np.ndarray:
     """The masks that no filtered symmetry maps to a smaller one avoiding vertex 0."""
-    one = np.uint64(1)
+    one = masks.dtype.type(1)
     for swaps in _n5_filters():
         img = _apply_swaps(masks, swaps)
         # Images hitting vertex 0 leave the enumerated half-space and
@@ -226,9 +246,10 @@ def _n5_survivors() -> np.ndarray:
     vertex-0-avoiding member of every orbit, the mask the filters keep, has a
     high half least under them: only such halves are enumerated.  Each such
     high half h also forces vertices into the low half (``_n5_candidates``),
-    which leaves 35,772,925 of the 130.5M masks to test.
+    which leaves 35,772,925 of the 130.5M masks to test.  A Q_5 mask has 32
+    bits, so candidates and filters all run on uint32 words.
     """
-    parts = [_n5_keep(m).astype(np.uint32) for m in _n5_candidates(_canonical_highs())]
+    parts = [_n5_keep(m) for m in _n5_candidates(_canonical_highs())]
     return np.concatenate(parts)  # the empty mask always survives
 
 
@@ -285,6 +306,7 @@ def exhaustive_lambda(n: int, d: int, s: int) -> tuple[Fraction, VertexSet]:
     """Exact λ(n,d,s) with a lex-least maximizing witness, for n <= 5."""
     check_subcube_dimension(n, d)
     occupancy_case(d, s)  # the range check, without building 2^d
+    n, d, s = int(n), int(d), int(s)  # numpy integers pass both checks
     if n > PRUNED_MAX_N:
         raise CapabilityError(f"exhaustive search not supported for n={n}")
     if d == n:

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 
+# The most shifted sums one product of ``_constant_cases`` computes
+_STACK_ELEMS = 1 << 18
+
 # (k, d) -> the k residue-class sums of row d of Pascal's triangle
 _ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -180,22 +183,26 @@ def _constant_cases(k: int, dims: Sequence[int]) -> list[Thm32Case]:
 
     Row i of ``member`` holds the bits of mask i, and column a of the
     circulant ``row[(t - a) % k]`` picks out the shift by a, so one
-    integer product per d gives all k shifted sums of every set.  Each
-    sum is at most 2^d: int64 holds it while d <= 62, Python ints beyond.
+    integer product over a stack of circulants gives all k shifted sums
+    of every set at every d of the stack.  Each sum is at most 2^d: int64
+    holds it while d <= 62, Python ints beyond, so the two kinds of d are
+    stacked apart, and each stack holds at most ``_STACK_ELEMS`` sums.
     """
     member = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
     shift = (np.arange(k)[:, None] - np.arange(k)) % k
+    step = max(1, _STACK_ELEMS // (k << k))
     hits = []
-    for j, d in enumerate(dims):
-        dtype = np.int64 if d <= 62 else object
-        circulant = np.array(_binsum_row(k, d), dtype=dtype)[shift]
-        vals = member.astype(dtype, copy=False) @ circulant
-        for i in np.flatnonzero((vals == vals[:, :1]).all(axis=1)).tolist():
-            hits.append((i, j, (int(vals[i, 0]),) * k))
+    parts = (np.int64, [d for d in dims if d <= 62]), (object, [d for d in dims if d > 62])
+    for dtype, part in parts:
+        for lo in range(0, len(part), step):
+            stack = part[lo : lo + step]
+            circulants = np.array([_binsum_row(k, d) for d in stack], dtype=dtype)[:, shift]
+            vals = member.astype(dtype, copy=False) @ circulants  # vals[j, i, a]
+            for j, i in zip(*np.nonzero((vals == vals[..., :1]).all(axis=2))):
+                hits.append((int(i), stack[j], (int(vals[j, i, 0]),) * k))
     hits.sort(key=lambda hit: hit[:2])
     return [
-        Thm32Case(dims[j], tuple(t for t in range(k) if i >> t & 1), values)
-        for i, j, values in hits
+        Thm32Case(d, tuple(t for t in range(k) if i >> t & 1), values) for i, d, values in hits
     ]
 
 

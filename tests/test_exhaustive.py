@@ -173,6 +173,10 @@ class TestSmallTables:
 # --- lane-packed histogram ----------------------------------------------------
 
 
+# every (n, d) with n <= 5 that ``_sweep`` scans
+SWEPT_SHAPES = [(n, d) for n in range(3, 6) for d in range(1, n - 1)]
+
+
 def scatter_hist_matrix(masks: np.ndarray, cube_masks: list[int], d: int) -> np.ndarray:
     """Reference: one scatter-add per subcube into hist[count, mask]."""
     hist = np.zeros(((1 << d) + 1, masks.size), dtype=np.uint8)
@@ -199,19 +203,34 @@ class TestLaneHistogram:
             _hist_matrix(masks, cubes, d), scatter_hist_matrix(masks, cubes, d)
         )
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_scatter_on_a_seeded_n5_chunk(self, d):
-        rng = np.random.default_rng(50 + d)
-        masks = rng.integers(0, 1 << 31, size=1 << 14, dtype=np.uint32) << np.uint32(1)
+    @pytest.mark.parametrize("n, d", SWEPT_SHAPES)
+    def test_matches_scatter_on_seeded_masks(self, n, d):
+        rng = np.random.default_rng(10 * n + d)
+        masks = rng.integers(0, 1 << (1 << n) - 1, size=1 << 14, dtype=np.uint32) << np.uint32(1)
         # the extremes: no vertex, and every vertex but 0
-        masks[:2] = 0, 0xFFFFFFFE
-        cubes = _cube_masks(5, d)
+        masks[:2] = 0, (1 << (1 << n)) - 2
+        cubes = _cube_masks(n, d)
         got = _hist_matrix(masks, cubes, d)
         assert np.array_equal(got, scatter_hist_matrix(masks, cubes, d))
         # full lanes: every subcube misses the empty mask, and all but the
-        # C(5, d) through vertex 0 lie inside the other one
+        # C(n, d) through vertex 0 lie inside the other one
         assert got[0, 0] == len(cubes)
-        assert got[1 << d, 1] == len(cubes) - math.comb(5, d)
+        assert got[1 << d, 1] == len(cubes) - math.comb(n, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_explicit_lanes_that_fill_the_word(self, d):
+        # 200 cubes give 8-bit lanes, so the 2^d explicit ones fill a word
+        # of 16, 32 or 64 bits and lane 2^d's shift is the word width
+        word, explicit = exhaustive._lane_word(8, d)
+        assert (np.iinfo(word).bits, explicit) == (8 << d, 1 << d)
+        rng = np.random.default_rng(70 + d)
+        picks = [rng.choice(32, 1 << d, replace=False) for _ in range(200)]
+        cubes = [sum(1 << int(v) for v in pick) for pick in picks]
+        masks = rng.integers(0, 1 << 32, size=1 << 12, dtype=np.uint32)
+        masks[:2] = 0, 0xFFFFFFFF
+        got = _hist_matrix(masks, cubes, d)
+        assert np.array_equal(got, scatter_hist_matrix(masks, cubes, d))
+        assert got[0, 0] == got[1 << d, 1] == 200
 
     @pytest.mark.parametrize("chunk", [2, 3])
     def test_sweep_across_chunk_boundaries(self, monkeypatch, chunk):
@@ -224,10 +243,22 @@ class TestLaneHistogram:
         assert all(np.array_equal(a, b) for a, b in zip(ties, want_ties, strict=True))
 
     def test_lanes_fit_one_word_at_every_swept_shape(self):
-        for n in range(3, 6):
-            for d in range(1, n - 1):
-                w = len(_cube_masks(n, d)).bit_length()
-                assert ((1 << d) + 1) * w <= 64, (n, d)
+        words = {}
+        for n, d in SWEPT_SHAPES:
+            w = len(_cube_masks(n, d)).bit_length()
+            assert ((1 << d) + 1) * w <= 64, (n, d)
+            word, explicit = exhaustive._lane_word(w, d)
+            words[n, d] = word, explicit == 1 << d
+        # (word, is lane 2^d implied): the narrowest word that holds the
+        # explicit lanes; n = 5, d = 3 needs uint64 either way
+        assert words == {
+            (3, 1): (np.uint16, False),
+            (4, 1): (np.uint16, True),
+            (4, 2): (np.uint32, False),
+            (5, 1): (np.uint16, True),
+            (5, 2): (np.uint32, True),
+            (5, 3): (np.uint64, False),
+        }
 
 
 # --- symmetry-table internals ------------------------------------------------
@@ -333,6 +364,15 @@ class TestSymmetryTable:
             want = _images(masks, _symmetries(n)[[_swap_row(n, i, j)]])[:, 0]
             got = _apply_swaps(masks, [_swap(n, i, j)])
             assert got.dtype == dtype and np.array_equal(got, want), (i, j)
+
+    def test_n5_candidates_and_filter_stay_in_uint32(self):
+        highs = np.array([0, 0b1, 0b10110, 0xFFFF], dtype=np.uint64)
+        chunks = list(_n5_candidates(highs))
+        assert chunks and all(c.dtype == np.uint32 for c in chunks)
+        masks = np.concatenate(chunks)
+        kept = _n5_keep(masks)
+        assert kept.dtype == np.uint32 and 0 < kept.size < masks.size
+        assert np.array_equal(kept, _n5_keep(masks.astype(np.uint64)))
 
     def test_filter_products_match_their_table_rows(self):
         # the one-bit translations, high bit first, the swaps by falling

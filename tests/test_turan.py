@@ -4,16 +4,22 @@ import itertools
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubestats import (
     DomainError,
+    LambdaBounds,
+    VertexSet,
+    best_bounds,
     binomial,
+    exhaustive_lambda,
     lambda_d2_closed_form,
     turan_density,
     turan_edges,
     turan_parts,
 )
+from cubestats.turan import occupancy_case
 
 
 def _max_multipartite_edges(n: int, k: int) -> int:
@@ -139,3 +145,44 @@ class TestTwoCodimensionClosedForm:
             lambda_d2_closed_form(-1, 0)
         with pytest.raises(DomainError):
             lambda_d2_closed_form(3, 9)
+
+
+class TestOccupancyArguments:
+    """Every entry through ``occupancy_case`` takes integers only."""
+
+    ENTRIES = [
+        (best_bounds, (3,)),
+        (exhaustive_lambda, (3, 1)),
+        (exhaustive_lambda, (4, 2)),
+        (lambda_d2_closed_form, (3,)),
+    ]
+
+    @pytest.mark.parametrize("s", [1.0, 2.5, True, None, "1"])
+    @pytest.mark.parametrize("entry, head", ENTRIES)
+    def test_non_integer_s_is_a_domain_error(self, entry, head, s):
+        with pytest.raises(DomainError, match="must be integers"):
+            entry(*head, s)
+
+    @pytest.mark.parametrize("d", [3.0, True])
+    def test_non_integer_d_is_a_domain_error(self, d):
+        for entry in (best_bounds, lambda_d2_closed_form, occupancy_case):
+            with pytest.raises(DomainError, match="must be integers"):
+                entry(d, 1)
+
+    @pytest.mark.parametrize("entry, head", ENTRIES)
+    def test_numpy_integers_give_the_plain_answer(self, entry, head):
+        for s in range(3):
+            want = entry(*head, s)
+            got = entry(*map(np.int64, head), np.int64(s))
+            assert got == want
+            # the reported s, or the witness bits, are Python ints again
+            if isinstance(got, LambdaBounds):
+                assert (type(got.d), type(got.s)) == (int, int)
+            elif isinstance(got, tuple) and isinstance(got[1], VertexSet):
+                assert type(got[1].bits) is int
+
+    def test_numpy_integers_are_range_checked_as_ints(self):
+        assert occupancy_case(np.int64(3), np.uint8(6)) == (None, 2)
+        assert type(occupancy_case(np.int32(3), np.int64(6))[1]) is int
+        with pytest.raises(DomainError):
+            occupancy_case(np.int64(3), np.uint8(9))
