@@ -48,26 +48,15 @@ SWAPS = {
 # address space of each test run, so that a mutant cannot exhaust the machine
 MEMORY_LIMIT = 2 << 30
 
+# seconds per test run: the unmutated tier-1 suite takes under a minute, so
+# a mutant that runs five times as long has made some loop endless
+TIMEOUT = 300.0
+
 # mutant id -> why no test can tell it from the original
 ALLOWED = {
-    "src/cubestats/exhaustive.py:_CHUNK: 1 << 16 => 1 << 17": "a block size",
-    "src/cubestats/exhaustive.py:_CHUNK: 1 << 16 => 2 << 16": "a block size",
-    "src/cubestats/residues.py:_STACK_ELEMS: 1 << 18 => 1 << 19": "a block size",
     "src/cubestats/residues.py:_binsum_row: d + 1 => d + 2": "the extra term is C(d, d + 1) = 0",
     "src/cubestats/exhaustive.py:_n5_candidates: _symmetries(4) => _symmetries(5)": (
         "rows 1-15 of both are the translations by t < 16, which act alike on 16-bit halves"
-    ),
-    "src/cubestats/residues.py:_STACK_ELEMS: 1 << 18 => 2 << 18": "a block size",
-    "src/cubestats/hadamard.py:_COUNT_BLOCK_ELEMS: 1 << 16 => 1 << 17": "a block size",
-    "src/cubestats/hadamard.py:_COUNT_BLOCK_ELEMS: 1 << 16 => 2 << 16": "a block size",
-    "src/cubestats/stats.py:_SHORT_RUN: _SHORT_RUN = 8 => _SHORT_RUN = 9": "a loop order",
-    "src/cubestats/approx.py:_least_safe_dimension: d += 1 => d += 2": (
-        "the second loop steps back down over any overshoot of the first"
-    ),
-    "src/cubestats/approx.py:_least_safe_dimension: "
-    "log_q - Decimal(d) / scale > log_budget"
-    " => log_q - Decimal(d) / scale >= log_budget": (
-        "the second loop steps back down over any overshoot of the first"
     ),
 }
 
@@ -140,7 +129,7 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def tests_pass(workdir: Path, tests: list[str], timeout: float) -> bool | None:
+def tests_pass(workdir: Path, tests: list[str]) -> bool | None:
     """Whether the tests pass in workdir; None when they run out of time."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
@@ -154,7 +143,7 @@ def tests_pass(workdir: Path, tests: list[str], timeout: float) -> bool | None:
         start_new_session=True,
     ) as proc:
         try:
-            return proc.wait(timeout) == 0
+            return proc.wait(TIMEOUT) == 0
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)  # pytest and any child it started
             proc.wait()
@@ -167,7 +156,6 @@ def main() -> None:
     ap.add_argument("--sample", type=int, required=True)
     ap.add_argument("--files", nargs="+", help="default: src/cubestats/*.py but __init__.py")
     ap.add_argument("--tests", nargs="+", default=["tests"], help="pytest arguments")
-    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
     args = ap.parse_args()
 
     files = args.files or sorted(
@@ -187,13 +175,13 @@ def main() -> None:
                 shutil.copytree(src, work / name, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(src, work / name)
-        if not tests_pass(work, args.tests, args.timeout):
+        if not tests_pass(work, args.tests):
             sys.exit("the tests fail on the unmutated copy")
         for rel, k, name in chosen:
             original = (work / rel).read_text()
             (work / rel).write_text(mutated_source(rel, k))
             start = time.monotonic()
-            passed = tests_pass(work, args.tests, args.timeout)
+            passed = tests_pass(work, args.tests)
             (work / rel).write_text(original)
             if passed is None:
                 status = "timeout"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cube import Subcube, VertexSet, binomial, check_mask_dimension
 from .cube import check_subcube_dimension
-from .errors import CapabilityError, CertificateError, DomainError, fields, is_int
+from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, is_int
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
 from .stats import LambdaBounds, LayeredSpec, layered_distribution
@@ -503,10 +503,10 @@ _BUILDERS = {
 
 def best_bounds(d: int, s: int) -> LambdaBounds:
     """Tightest enclosure of the limit λ(d,s) assembled from all sources."""
+    d, s = check_int("d", d), check_int("s", s)
     if d < 1:
         raise DomainError("d must be >= 1")
     trivial, low = occupancy_case(d, s)
-    d, s = int(d), int(s)  # numpy integers pass the check above
     if trivial:
         return LambdaBounds(d, s, Fraction(1), Fraction(1), trivial, "closed-form")
     # The denominators of c_d and c_star divide (2^d - 1)^(d - 1) or

@@ -21,6 +21,13 @@ def is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def check_int(name: str, x) -> int:
+    """x as a Python int; DomainError, naming it, unless ``is_int(x)``."""
+    if not is_int(x):
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 # kind -> (test, what the error message says the member must be)
 _KINDS = {
     "int": (is_int, "an integer"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cube import binomial
-from .errors import DomainError, is_int
+from .errors import DomainError, check_int
 from .johnson import OmegaResult, omega
 
 
@@ -44,10 +44,7 @@ def occupancy_case(d: int, s: int) -> tuple[str | None, int]:
     2^d, else None, and s mirrored to 2^d - s when above 2^(d-1).
     Non-integers raise DomainError; numpy integers count as ints.
     """
-    if type(d) is not int or type(s) is not int:  # the common call stays cheap
-        if not (is_int(d) and is_int(s)):
-            raise DomainError(f"d and s must be integers, got d={d!r}, s={s!r}")
-        d, s = int(d), int(s)
+    d, s = check_int("d", d), check_int("s", s)
     # 2^d matters only when s >= 2^(d-1), where it is at most 2s; below,
     # any stand-in above 2s gives the same answers without building 2^d.
     top = 1 << d if s.bit_length() >= d else 2 * s + 1

@@ -275,7 +275,7 @@ class TestConstantSubsetSearch:
 
 
 class TestConstantCaseKernel:
-    """The one-product-per-d scan against the thm32_q loop it replaced."""
+    """The stacked-product scan against the thm32_q loop it replaced."""
 
     @staticmethod
     def check_against_reference(k: int, dims) -> None:
@@ -297,6 +297,13 @@ class TestConstantCaseKernel:
     def test_matches_loop_past_int64(self, k):
         # sums reach 2^d: int64 holds d <= 62, Python ints take over at 63
         self.check_against_reference(k, [61, 62, 63, 64, 100])
+
+    @pytest.mark.parametrize("k, step", [(3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_matches_loop_across_stacks(self, monkeypatch, k, step):
+        # stacks of two or three d: the 16 int64 d end in a partial stack
+        # when step = 3, the three object d when step = 2
+        monkeypatch.setattr(residues, "_STACK_ELEMS", step * (k << k))
+        self.check_against_reference(k, [*range(1, 17), 63, 64, 100])
 
 
 class TestAdmissibleFamilies:

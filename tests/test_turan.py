@@ -160,13 +160,13 @@ class TestOccupancyArguments:
     @pytest.mark.parametrize("s", [1.0, 2.5, True, None, "1"])
     @pytest.mark.parametrize("entry, head", ENTRIES)
     def test_non_integer_s_is_a_domain_error(self, entry, head, s):
-        with pytest.raises(DomainError, match="must be integers"):
+        with pytest.raises(DomainError, match="must be an integer"):
             entry(*head, s)
 
     @pytest.mark.parametrize("d", [3.0, True])
     def test_non_integer_d_is_a_domain_error(self, d):
         for entry in (best_bounds, lambda_d2_closed_form, occupancy_case):
-            with pytest.raises(DomainError, match="must be integers"):
+            with pytest.raises(DomainError, match="must be an integer"):
                 entry(d, 1)
 
     @pytest.mark.parametrize("entry, head", ENTRIES)
