@@ -32,6 +32,7 @@ from .constructions import (
     best_bounds,
     build_construction,
     construction_dimension,
+    layered_set,
 )
 from .cube import MASK_CAP, VertexSet, check_subcube_dimension
 from .errors import CapabilityError, CertificateError, DomainError
@@ -46,7 +47,7 @@ from .residues import (
     verify_prop31,
     verify_thm32,
 )
-from .stats import distribution, distribution_fast
+from .stats import LayeredSpec, distribution, distribution_fast, layered_distribution
 from .turan import occupancy_case
 
 _CHECKED_DIMENSION_CAP = 10_000  # the largest d the approx check runs at
@@ -284,11 +285,23 @@ def _suite_oracle_equivalence(config: RunConfig) -> list[dict]:
             sym_ok = False
     checks.append({"name": "distribution_fast == distribution (25 seeded sets)", "pass": ok})
     checks.append({"name": "complement mirrors counts", "pass": sym_ok})
+    # the parity (k = 2) and mod_weight (k = 4) sets put each 2^16-count
+    # leaf block on one or two values, so the fast kernel counts them by value
+    specs = [LayeredSpec(k, frozenset({0})) for k in (2, 4)]
+    fast = [distribution_fast(layered_set(16, spec), 3) for spec in specs]
+    layered_ok = fast == [layered_distribution(16, 3, spec) for spec in specs]
+    name = "distribution_fast == layered_distribution (parity and mod_weight, n=16, d=3)"
+    checks.append({"name": name, "pass": layered_ok})
     # negative control: {0} in Q_3 has edge counts (9, 3, 0); its complement's
     # are (0, 3, 9), so its own counts must not pass for its complement's
     counts = distribution_fast(VertexSet(3, 1), 1).counts
     name = "control: an asymmetric set's complement has different counts"
     checks.append({"name": name, "pass": not _mirrors(counts, counts), "control": True})
+    # negative control: the weights 1 mod 4 also meet each 3-subcube in 1 or
+    # 3 points, but not in the same ones, so the counts must differ
+    other = layered_distribution(16, 3, LayeredSpec(4, frozenset({1})))
+    name = "control: the mod_weight set's counts differ from those of weights 1 mod 4"
+    checks.append({"name": name, "pass": fast[1] != other, "control": True})
     return checks
 
 

@@ -15,9 +15,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, is_int
+from .errors import CapabilityError, DomainError, check_int, is_int
 
 _COUNT_BLOCK_ELEMS = 1 << 16  # counts per block that pair_counts yields
+
+# Largest order built: Sylvester's 2048 x 2048 grid passes through 32 MiB
+# int64 arrays, and the package needs orders up to 4 * OMEGA_CAP = 400.
+ORDER_CAP = 1 << 11
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -122,9 +126,12 @@ def _orthogonal(neg: np.ndarray) -> bool:
 
 
 def hadamard_sylvester(m: int) -> HadamardMatrix:
-    """Order 2^m by repeated doubling: [[H, H], [H, -H]]."""
+    """Order 2^m by repeated doubling: [[H, H], [H, -H]], for 2^m <= ORDER_CAP."""
+    m = check_int("m", m)
     if m < 0:
         raise DomainError("m must be >= 0")
+    if m >= ORDER_CAP.bit_length():
+        raise CapabilityError(f"Hadamard orders are capped at {ORDER_CAP}")
     idx = np.arange(1 << m)
     # doubling makes H[i, j] = (-1)^popcount(i & j)
     grid = np.where(np.bitwise_count(idx[:, None] & idx) % 2, -1, 1)
@@ -149,13 +156,21 @@ def hadamard_tensor(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
     return HadamardMatrix(a.order * b.order, np.kron(a.entries, b.entries))
 
 
-@lru_cache(maxsize=None)
 def hadamard_matrix(order: int) -> HadamardMatrix | None:
     """A Hadamard matrix of the given order, or None if unreachable.
 
     Tries Sylvester (powers of two), Paley I (order-1 a prime ≡ 3 mod 4),
-    then tensor products of reachable factors.
+    then tensor products of reachable factors.  A non-integer order raises
+    DomainError, and one above ORDER_CAP CapabilityError.
     """
+    order = check_int("order", order)
+    if order > ORDER_CAP:
+        raise CapabilityError(f"Hadamard orders are capped at {ORDER_CAP}")
+    return _hadamard_matrix(order)
+
+
+@lru_cache(maxsize=None)
+def _hadamard_matrix(order: int) -> HadamardMatrix | None:
     if order <= 0:
         return None
     if order & (order - 1) == 0:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapabilityError, CertificateError, DomainError, fields, is_int
+from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, is_int
 from .hadamard import HadamardMatrix, hadamard_matrix, pair_counts
 
 DENSE_ADJACENCY_CAP = 4
@@ -100,6 +100,7 @@ class JohnsonGraph:
     """Explicit J(4s,2s,s); vertices listed in subset-lexicographic order."""
 
     def __init__(self, s: int):
+        s = check_int("s", s)
         if s < 1:
             raise DomainError("s must be >= 1")
         if s > DENSE_ADJACENCY_CAP:
@@ -226,7 +227,6 @@ class OmegaResult:
         }
 
 
-@lru_cache(maxsize=None)
 def omega(s: int, policy: str = "auto") -> OmegaResult:
     """Clique number of J(4s,2s,s).
 
@@ -236,14 +236,20 @@ def omega(s: int, policy: str = "auto") -> OmegaResult:
     takes it from Hadamard rows: a matrix of order 4s gives 4s-1 members
     ("hadamard"); otherwise blocks of orders 4a and 4(s-a) side by side,
     with the largest a <= s/2 for which both exist, give 4a-1
-    ("hadamard-concat").
+    ("hadamard-concat").  A non-integer s raises DomainError.
     """
+    s = check_int("s", s)
     if s < 1:
         raise DomainError("s must be >= 1")
     if policy not in ("auto", "search"):
         raise DomainError(f"unknown omega policy: {policy}")
     if s > OMEGA_CAP:
         raise CapabilityError(f"omega is capped at s <= {OMEGA_CAP}")
+    return _omega(s, policy)
+
+
+@lru_cache(maxsize=None)
+def _omega(s: int, policy: str) -> OmegaResult:
     cap = 4 * s - 1
     if policy == "search" and s <= DENSE_ADJACENCY_CAP:
         cert, _ = max_clique(JohnsonGraph(s))

@@ -6,8 +6,9 @@ can cross-check each other:
 * ``distribution``       -- direct per-subcube popcounts (the oracle),
 * ``distribution_fast``  -- prefix-shared coordinate folding: a program
   of views into reusable level buffers, compiled once per shape in one
-  pass and run as word-wide adds, with uint8 leaf counts histogrammed two
-  per bin (the fast path),
+  pass and run as word-wide adds, with each block of leaf counts
+  histogrammed by value, two per bin, or by a plain bincount (the fast
+  path),
 * ``layered_distribution`` -- analytic counts for layered sets, valid for n
   far beyond the materialized-mask cap.
 """
@@ -147,32 +148,46 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
     into fixed views and the leaf histograms.  Sums stay in
     the smallest unsigned dtype that holds 2^d, so counts are exact and the
     word-wide adds of ``_program`` never carry from one count into the next.
-    Below d = 8 the counts are uint8, and the leaves are histogrammed in
-    pairs into a (2^d + 1, 256) grid whose row and column sums are the
-    counts of the odd and even lanes; see ``_program``.
+
+    Each block of leaf counts takes one of three routes; see ``_program``.
+    A uint8 block of at least ``_BY_VALUE_MIN`` counts, all within
+    ``_BY_VALUE_SPAN`` consecutive values, is counted value by value.  Other
+    uint8 blocks of a shape with a pair grid are histogrammed in pairs into
+    a (2^d + 1, 256) grid, whose row and column sums are the counts of the
+    odd and even lanes; the grid is zeroed and folded into the counts only
+    in calls that scatter into it.  Everything else is bincounted.
     """
     n = A.n
     check_subcube_dimension(n, d)
     pool = _pool(n, d, _BLOCK_ELEMS)
     try:
-        top, hist, pairs, program = pool.pop()
+        top, hist, bins, pairs, program = pool.pop()
     except IndexError:  # none bound yet, or every one is in use
-        top, hist, pairs, program = _bind(n, d, _BLOCK_ELEMS)
+        top, hist, bins, pairs, program = _bind(n, d, _BLOCK_ELEMS)
     np.copyto(top, A.flags())
     hist.fill(0)
-    if pairs is not None:
-        pairs.fill(0)
+    scattered = False
     for x, y, out in program:
         if y is not None:
             np.add(x, y, out=out, order="C")  # innermost along the last axis
-        elif pairs is None:
-            out += np.bincount(x, minlength=out.size)
+        elif out is hist:
+            hist += np.bincount(x, minlength=hist.size)
         else:
+            if out is None:  # a large uint8 leaf block: by value when its counts are few
+                lo, hi = int(x.min()), int(x.max())
+                if hi - lo < _BY_VALUE_SPAN:
+                    for c in range(lo, hi + 1):
+                        hist[c] += np.count_nonzero(x == c)
+                    continue
+                x, out = x.view("<u2"), bins
+            if not scattered:
+                pairs.fill(0)
+                scattered = True
             np.add.at(out, x, 1)
-    if pairs is not None:  # row c counts the odd lanes holding c, column c the even
+    if scattered:  # row c counts the odd lanes holding c, column c the even
         hist += pairs.sum(axis=1) + pairs.sum(axis=0)
     counts = tuple(hist.tolist())
-    pool.append((top, hist, pairs, program))
+    pool.append((top, hist, bins, pairs, program))
     return SubcubeDistribution(n, d, counts, subcube_count(n, d))
 
 
@@ -182,6 +197,19 @@ _BLOCK_ELEMS = 1 << 16
 # Runs of fewer words than this are added across their pairs: on 8 KiB
 # buffers numpy took 1.4-3x as long with a 2- or 4-word run innermost.
 _SHORT_RUN = 8
+
+# A uint8 leaf block of at least _BY_VALUE_MIN counts is counted by value,
+# one ``==`` pass per value, when max - min < _BY_VALUE_SPAN.  Structured
+# sets put every count of a block on one or a few values, where the pair
+# scatter is slowest, as all its increments land in the same bins.
+# Measured on a 2-core Xeon (numpy 2.4.6), medians of 200: at 2^16 counts
+# min and max take 7 us, a pass 12 us, and the pair scatter 101-107 us on
+# 7-9 values, 156 us on one, so eight passes (103 us) are about where the
+# scatter wins.  At 15,360 counts, the Bernoulli blocks of Q_10 at d = 3
+# that span 6-9 values, six passes and the range (34 us) lose to the
+# scatter (27 us); below 2^15 every block keeps its precompiled scatter.
+_BY_VALUE_MIN = 1 << 15
+_BY_VALUE_SPAN = 8
 
 # Shapes whose workspaces are kept.  A workspace holds up to a block per
 # level besides its 2^n-element top buffer, and at most 129 x 256 int64
@@ -193,7 +221,7 @@ _POOL_SHAPES = 1
 
 @lru_cache(maxsize=_POOL_SHAPES)
 def _pool(n: int, d: int, block: int) -> list:
-    """Free list of (top, hist, pairs, program) workspaces for one shape.
+    """Free list of (top, hist, bins, pairs, program) workspaces for one shape.
 
     A caller pops one, or binds a fresh one when the list is empty, and
     appends it back when done: list.pop and list.append are atomic, so
@@ -203,27 +231,29 @@ def _pool(n: int, d: int, block: int) -> list:
 
 
 def _bind(n: int, d: int, block: int) -> tuple:
-    """A workspace for (n, d, block): (top, hist, pairs, program).
+    """A workspace for (n, d, block): (top, hist, bins, pairs, program).
 
     Level k has one flat buffer of 2^(n-k)-element rows: as many as a block
     holds (at least one), but no more than the C(n-d+k, k) rows the level
-    has in all.  Each program entry is (x, y, out) for ``np.add`` or
-    (leaf, None, out) for a histogram of the leaf counts into ``out``, with
-    every view built here once, by ``_program``.  ``hist`` holds the 2^d + 1
-    counts; ``pairs`` is None for wider dtypes, else the histogram of uint8
-    leaf pairs: a (2^d + 1, 2^d + 1) view of the (2^d + 1, 256) grid that
-    the program indexes flat, since no count exceeds 2^d.
+    has in all.  Each program entry is (x, y, out) for ``np.add``, or has y
+    None for a leaf histogram, with every view built here once, by
+    ``_program``.  ``hist`` holds the 2^d + 1 counts.  ``bins`` is the flat
+    pair grid of 256 * (2^d + 1) int64 cells, and ``pairs`` its
+    (2^d + 1, 2^d + 1) view, since no count exceeds 2^d; both are None for
+    wider dtypes, and for uint8 shapes with fewer leaf counts than grid
+    cells, which gain nothing from pairing: warm, (8, 7) took 43 us with
+    the grid zeroed and folded per call and 22 us with a plain bincount.
     """
     dtype = np.uint8 if d < 8 else np.uint16 if d < 16 else np.uint32
     rows = [min(max(1, block >> (n - k)), binomial(n - d + k, k)) for k in range(d + 1)]
     levels = [np.empty(r << (n - k), dtype) for k, r in enumerate(rows)]
     hist = np.zeros((1 << d) + 1, dtype=np.int64)
     bins = pairs = None
-    if dtype == np.uint8:
+    if dtype == np.uint8 and subcube_count(n, d) >= 256 * hist.size:
         bins = np.zeros(256 * hist.size, dtype=np.int64)
         pairs = bins.reshape(-1, 256)[:, : hist.size]
     program = _program(n, d, 0, ((-1, 1),), levels, (hist, bins), block, {})
-    return levels[0], hist, pairs, program
+    return levels[0], hist, bins, pairs, program
 
 
 def _program(
@@ -244,15 +274,20 @@ def _program(
     lane dtype's 2^(8*itemsize), so no lane carries into its neighbour and a
     word add is the lanewise add.
 
-    The leaves (k == d) are histogrammed a block at a time.  With uint8
-    counts, ``hists`` = (hist, bins) and a leaf's even-length prefix is read
-    as little-endian uint16 words: word c_even + 256*c_odd indexes ``bins``,
-    and as both counts are at most 2^d <= 128 < 256 they never mix.  These
-    are counted with ``np.add.at`` into the bound bins, since a bincount
-    would allocate and add a fresh 256 * (2^d + 1) bins (258 KiB at d = 7)
-    per leaf.  An odd leaf's last count goes to ``hist`` on its own.  A
-    wider dtype (bins None) keeps the plain bincount into ``hist``, which
-    first copies a leaf to intp; the blocks keep that copy small.
+    The leaves (k == d) are histogrammed a block at a time, by one of three
+    ops with y None; ``hists`` is (hist, bins).  Where ``bins`` is bound,
+    a leaf's even-length prefix is read as little-endian uint16 words: word
+    c_even + 256*c_odd indexes ``bins``, and as both counts are at most
+    2^d <= 128 < 256 they never mix.  A prefix of at least ``_BY_VALUE_MIN``
+    counts is bound as (leaf, None, None): the call counts it by value when
+    its counts span few values, which scattering serialises on, and
+    otherwise views its words then.  A shorter prefix is bound as
+    (words, None, bins), counted with ``np.add.at`` into the bound bins,
+    since a bincount would allocate and add a fresh 256 * (2^d + 1) bins
+    (258 KiB at d = 7) per leaf.  An odd leaf's last count, and every leaf
+    where ``bins`` is None, is bound as (leaf, None, hist) for a plain
+    bincount into ``hist``, which first copies a leaf to intp; the blocks
+    keep that copy small.
     """
     key = k, runs
     if key in memo:
@@ -265,7 +300,9 @@ def _program(
         for i in range(0, flat.size, block):
             leaf = flat[i : i + block]
             cut = 0 if bins is None else leaf.size & ~1
-            if cut:
+            if cut >= _BY_VALUE_MIN:
+                ops.append((leaf[:cut], None, None))
+            elif cut:
                 ops.append((leaf[:cut].view("<u2"), None, bins))
             if cut < leaf.size:
                 ops.append((leaf[cut:], None, hist))

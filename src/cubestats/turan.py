@@ -10,14 +10,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cube import binomial
-from .errors import DomainError, check_int
+from .errors import CapabilityError, DomainError, check_int
 from .johnson import OmegaResult, omega
 
 
+# Most parts turan_parts lists; no caller in the package needs more than
+# ω's cap 4s - 1 = 399 at s = 100.
+PARTS_CAP = 1 << 20
+
+
 def turan_parts(n: int, k: int) -> list[int]:
-    """Sizes of the k near-equal parts of T(n,k), largest first."""
+    """Sizes of the k near-equal parts of T(n,k), largest first.
+
+    Non-integers raise DomainError, and k above PARTS_CAP CapabilityError.
+    """
+    n, k = check_int("n", n), check_int("k", k)
     if n < 0 or k < 1:
         raise DomainError("need n >= 0 and k >= 1")
+    if k > PARTS_CAP:
+        raise CapabilityError(f"Turán graphs are capped at {PARTS_CAP} parts")
     q, r = divmod(n, k)
     return [q + 1] * r + [q] * (k - r)
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from cubestats import (
     CertificateError,
+    LayeredSpec,
     VertexSet,
     __version__,
     approx,
@@ -564,12 +565,16 @@ class TestVerifySuites:
         "suite", ["prop31", "thm32", "approx", "third-layer", "oracle-equivalence"]
     )
     def test_suite_reports_its_negative_control(self, capsys, suite):
+        # oracle-equivalence has one control for the mirror, one for the layered check
+        controls = 2 if suite == "oracle-equivalence" else 1
         rc, out, _ = run(capsys, "verify", suite)
         checks = json.loads(out)["checks"]
         assert rc == 0
-        assert [c.get("control", False) for c in checks][-1:] == [True]
-        assert sum(c.get("control", False) for c in checks) == 1
-        assert checks[-1]["pass"] is True and checks[-1]["name"].startswith("control: ")
+        flags = [c.get("control", False) for c in checks]
+        assert flags[-controls - 1 :] == [False] + [True] * controls
+        assert sum(flags) == controls
+        for check in checks[-controls:]:
+            assert check["pass"] is True and check["name"].startswith("control: ")
 
     @pytest.mark.parametrize(
         "suite, targets",
@@ -641,7 +646,24 @@ class TestVerifySuites:
         monkeypatch.setattr(VertexSet, "complement", lambda self: self)
         rc, out, _ = run(capsys, "verify", "oracle-equivalence")
         assert rc == 1
-        assert [c["pass"] for c in json.loads(out)["checks"]] == [True, False, True]
+        assert [c["pass"] for c in json.loads(out)["checks"]] == [True, False, True, True, True]
+
+    @pytest.mark.parametrize("T, failed", [({0}, 4), ({1}, 2)])
+    def test_oracle_equivalence_layered_check_and_its_control(
+        self, capsys, monkeypatch, T, failed
+    ):
+        # layered_distribution that ignores T: with T = {0} only the control
+        # sees it, with T = {1} only the check against the fast kernel does
+        real = cli.layered_distribution
+        monkeypatch.setattr(
+            cli,
+            "layered_distribution",
+            lambda n, d, spec: real(n, d, LayeredSpec(spec.k, frozenset(T))),
+        )
+        rc, out, _ = run(capsys, "verify", "oracle-equivalence")
+        passes = [c["pass"] for c in json.loads(out)["checks"]]
+        assert rc == 1
+        assert passes == [i != failed for i in range(5)]
 
     def test_thm32_fails_when_the_scan_misses_a_case(self, capsys, monkeypatch):
         # no violations, but none of the admissible families found either

@@ -19,6 +19,7 @@ from cubestats import (
     JohnsonGraph,
     binomial,
     hadamard_matrix,
+    hadamard_sylvester,
     hadamard_to_clique,
     johnson_adjacent,
     max_clique,
@@ -473,11 +474,11 @@ class TestOmega:
         # the upper bound is the cap 4s-1, not the size of the clique found
         short = CliqueCertificate(2, (15, 51))
         monkeypatch.setattr(cubestats.johnson, "max_clique", lambda g: (short, False))
-        omega.cache_clear()
+        cubestats.johnson._omega.cache_clear()
         try:
             w = omega(2, policy="search")
         finally:
-            omega.cache_clear()
+            cubestats.johnson._omega.cache_clear()
         assert (w.lower, w.upper, w.exact) == (2, 7, False)
 
     def test_search_at_s4_is_exact(self):
@@ -518,3 +519,58 @@ class TestOmega:
                 omega(2, policy=policy)
         with pytest.raises(DomainError):
             omega(0)
+
+
+class TestIntegerArguments:
+    """Integer arguments are read before any cache lookup or allocation."""
+
+    @pytest.mark.parametrize(
+        "call, arg",
+        [
+            (hadamard_matrix, 12.0),
+            (hadamard_matrix, True),
+            (hadamard_sylvester, 2.0),
+            (omega, 2.0),
+            (JohnsonGraph, 2.0),
+            (JohnsonGraph, "2"),
+        ],
+    )
+    def test_a_non_integer_is_a_domain_error(self, call, arg):
+        call(int(arg))  # a cached equal integer must not answer for it
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(arg)
+
+    @pytest.mark.parametrize(
+        "call, arg",
+        [
+            (hadamard_sylvester, 2**70),
+            (hadamard_sylvester, cubestats.hadamard.ORDER_CAP.bit_length()),
+            (hadamard_matrix, 2**70),
+            (hadamard_matrix, cubestats.hadamard.ORDER_CAP + 4),
+            (omega, 2**70),
+            (JohnsonGraph, 2**70),
+        ],
+    )
+    def test_a_size_past_its_cap_is_a_capability_error(self, call, arg):
+        with pytest.raises(CapabilityError):
+            call(arg)
+
+    def test_tensor_factors_go_through_the_checking_front(self, monkeypatch):
+        # perfbench counts hadamard_matrix calls, factors included, by
+        # wrapping the public name; 40 is reached only as 2 x 20
+        seen, real = [], cubestats.hadamard.hadamard_matrix
+        monkeypatch.setattr(
+            cubestats.hadamard, "hadamard_matrix", lambda order: seen.append(order) or real(order)
+        )
+        cubestats.hadamard._hadamard_matrix.cache_clear()
+        try:
+            assert cubestats.hadamard.hadamard_matrix(40).order == 40
+        finally:
+            cubestats.hadamard._hadamard_matrix.cache_clear()
+        assert seen == [40, 2, 20]
+
+    def test_numpy_integers_read_as_ints(self):
+        assert hadamard_matrix(np.int64(12)) is hadamard_matrix(12)
+        assert hadamard_sylvester(np.uint8(3)).order == 8
+        assert omega(np.int32(2)) is omega(2)
+        assert type(JohnsonGraph(np.int64(1)).s) is int

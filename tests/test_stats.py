@@ -151,12 +151,15 @@ class TestDistribution:
     @pytest.mark.parametrize("block", [1, 3, 8, 64, 1 << 16])
     def test_program_histograms_every_subcube_once(self, block):
         # replayed blocks count each time; a uint16 word of uint8 leaf
-        # counts (out is the pair bins, not hist) holds two subcubes
+        # counts (out is the pair bins, not hist, nor None for a block that
+        # may be counted by value) holds two subcubes
         for n in range(13):
             for d in range(n + 1):
-                _, hist, _, program = stats._bind(n, d, block)
+                _, hist, _, _, program = stats._bind(n, d, block)
                 leaves = sum(
-                    x.size * (1 if out is hist else 2) for x, y, out in program if y is None
+                    x.size * (1 if out is hist or out is None else 2)
+                    for x, y, out in program
+                    if y is None
                 )
                 assert leaves == subcube_count(n, d), (n, d)
 
@@ -194,6 +197,97 @@ class TestDistribution:
         dist = distribution_fast(A, d)
         comp = distribution_fast(A.complement(), d)
         assert comp.counts == dist.counts[::-1]
+
+
+@pytest.fixture
+def fresh_pool():
+    # drops workspaces bound before, or under a patched constant
+    stats._pool.cache_clear()
+    yield
+    stats._pool.cache_clear()
+
+
+def _leaf_grid(n, d):
+    """The pair bins of the one workspace kept for (n, d), and its program."""
+    ((_, _, bins, _, program),) = stats._pool(n, d, stats._BLOCK_ELEMS)
+    return bins, program
+
+
+class TestLeafRoutes:
+    """A leaf block is counted by value, scattered in pairs, or bincounted."""
+
+    @pytest.mark.parametrize("block, gate", [(8, 2), (64, 32), (1 << 16, 2)])
+    def test_structured_sets_match_both_oracles(self, monkeypatch, fresh_pool, block, gate):
+        # parity, layered and mod_weight sets put each block on one or a few
+        # counts; with the size gate lowered, every block of a shape with a
+        # pair grid (d <= 4 here) goes by value or, spanning many, scatters
+        monkeypatch.setattr(stats, "_BLOCK_ELEMS", block)
+        monkeypatch.setattr(stats, "_BY_VALUE_MIN", gate)
+        for n in range(11):
+            for d in range(n + 1):
+                for k, T in ((2, {0}), (3, {0, 2}), (5, {1, 2}), (d + 1, {0})):
+                    spec = LayeredSpec(k, frozenset(T))
+                    A = layered_set(n, spec)
+                    want = layered_distribution(n, d, spec)
+                    assert distribution_fast(A, d) == want == distribution(A, d), (n, d, k, T)
+
+    @pytest.mark.parametrize("gate", [2, 1 << 10])
+    def test_structured_sets_at_d_5_to_7_match_layered(self, monkeypatch, fresh_pool, gate):
+        # the first shapes past n = 10 with a pair grid at d = 5, 6 and 7
+        monkeypatch.setattr(stats, "_BY_VALUE_MIN", gate)
+        for n, d in ((11, 5), (12, 6), (13, 7)):
+            for k, T in ((2, {0}), (3, {0, 2}), (d + 1, {0})):
+                spec = LayeredSpec(k, frozenset(T))
+                want = layered_distribution(n, d, spec)
+                assert distribution_fast(layered_set(n, spec), d) == want, (n, d, k, T)
+
+    def test_eight_values_go_by_value_and_nine_scatter(self, monkeypatch, fresh_pool):
+        # at (10, 3) the 15,360 leaf counts are one block.  A fair-coin set
+        # spans 0..8; without its vertices of weight 0 mod 4, every 3-subcube
+        # holds at most 7, so the rest spans 0..7
+        monkeypatch.setattr(stats, "_BY_VALUE_MIN", 1 << 13)
+        coin = bernoulli_set(10, 1, 5)
+        drop = layered_set(10, LayeredSpec(4, frozenset({0})))
+        below_eight = VertexSet(10, coin.bits & ~drop.bits)
+        for A, span, scattered in ((below_eight, 8, False), (coin, 9, True)):
+            want = distribution(A, 3)
+            held = [s for s, c in enumerate(want.counts) if c]
+            assert held[-1] - held[0] + 1 == span
+            assert distribution_fast(A, 3) == want, span
+            bins, program = _leaf_grid(10, 3)
+            assert sum(y is None for _, y, _ in program) == 1
+            assert bins.any() == scattered, span
+
+    def test_one_valued_blocks_leave_the_pair_grid_zero(self, fresh_pool):
+        # every 3-subcube holds 4 points of the parity set, so each 2^16-count
+        # leaf block is one value; a fair-coin set spans 0..8 in every block
+        distribution_fast(parity_set(16), 3)
+        bins, _ = _leaf_grid(16, 3)
+        assert not bins.any()
+        distribution_fast(bernoulli_set(16, 1, 0), 3)
+        assert bins.any()
+
+    def test_a_by_value_call_ignores_the_grid_a_scatter_left(self, fresh_pool):
+        coin = bernoulli_set(16, 1, 0)
+        assert distribution_fast(coin, 3) == distribution_fast(coin, 3)
+        for spec in (LayeredSpec(2, frozenset({0})), LayeredSpec(4, frozenset({0}))):
+            got = distribution_fast(layered_set(16, spec), 3)
+            assert got == layered_distribution(16, 3, spec)
+            bins, _ = _leaf_grid(16, 3)
+            assert bins.any()  # the same workspace, still holding the scatter's pairs
+
+    @pytest.mark.parametrize(
+        "n, d, grid",
+        [(8, 7, False), (10, 7, False), (12, 7, False), (11, 6, False)]
+        + [(10, 3, True), (12, 6, True), (16, 3, True)],
+    )
+    def test_the_pair_grid_is_bound_only_where_leaves_outnumber_its_cells(self, n, d, grid):
+        # (8, 7) has 16 leaf counts and would zero and fold 129 x 129 pair bins
+        _, hist, bins, pairs, program = stats._bind(n, d, stats._BLOCK_ELEMS)
+        assert (bins is not None) == (pairs is not None) == grid
+        assert grid == (subcube_count(n, d) >= 256 * hist.size)
+        if not grid:
+            assert all(out is hist for _, y, out in program if y is None)
 
 
 class TestLayered:

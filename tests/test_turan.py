@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cubestats import (
+    CapabilityError,
     DomainError,
     LambdaBounds,
     VertexSet,
@@ -19,7 +20,7 @@ from cubestats import (
     turan_edges,
     turan_parts,
 )
-from cubestats.turan import occupancy_case
+from cubestats.turan import PARTS_CAP, occupancy_case
 
 
 def _max_multipartite_edges(n: int, k: int) -> int:
@@ -94,6 +95,21 @@ class TestTuranNumbers:
             turan_edges(4, 0)
         with pytest.raises(DomainError):
             turan_parts(-1, 2)
+
+    @pytest.mark.parametrize("n, k", [(5.0, 2), (5, 2.0), (True, 2), (5, None)])
+    def test_non_integer_parts_arguments_are_domain_errors(self, n, k):
+        with pytest.raises(DomainError, match="must be an integer"):
+            turan_parts(n, k)
+
+    @pytest.mark.parametrize("k", [2**70, PARTS_CAP + 1])
+    def test_parts_past_the_cap_are_a_capability_error(self, k):
+        # checked before the list of k sizes is built
+        with pytest.raises(CapabilityError):
+            turan_parts(5, k)
+
+    def test_numpy_integer_parts_arguments_read_as_ints(self):
+        parts = turan_parts(np.int64(5), np.uint8(3))
+        assert parts == [2, 2, 1] and {type(p) for p in parts} == {int}
 
 
 class TestTwoCodimensionClosedForm:
