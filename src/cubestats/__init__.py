@@ -72,72 +72,3 @@ from .stats import (
     layered_distribution,
 )
 from .turan import lambda_d2_closed_form, turan_density, turan_edges, turan_parts
-
-__all__ = [
-    "ApproxCheck",
-    "ApproxSpec",
-    "CapabilityError",
-    "CertificateError",
-    "CliqueCertificate",
-    "ConstructionResult",
-    "DomainError",
-    "GF2Matrix",
-    "HadamardMatrix",
-    "JohnsonGraph",
-    "LambdaBounds",
-    "LayeredSpec",
-    "MASK_CAP",
-    "OmegaResult",
-    "ResidueSumTable",
-    "Subcube",
-    "SubcubeDistribution",
-    "VertexSet",
-    "approx_construct",
-    "bernoulli_set",
-    "best_bounds",
-    "binomial",
-    "build_construction",
-    "c_d",
-    "c_dk",
-    "c_star",
-    "c_star_enumerated",
-    "check_approx",
-    "distribution",
-    "distribution_fast",
-    "enumerate_subcubes",
-    "exhaustive_lambda",
-    "expected_single_fraction",
-    "gf2_rank",
-    "hadamard_matrix",
-    "hadamard_paley",
-    "hadamard_sylvester",
-    "hadamard_to_clique",
-    "johnson_adjacent",
-    "lambda_d2_closed_form",
-    "lambda_of_set",
-    "layered_distribution",
-    "layered_set",
-    "max_clique",
-    "mod_weight_set",
-    "omega",
-    "parity_set",
-    "perturb_parity",
-    "perturbation_preserves",
-    "q_binsum",
-    "residue_table",
-    "spanning_fraction",
-    "subcube_count",
-    "subcube_vertices",
-    "syndrome_set",
-    "third_layer_check",
-    "thm32_q",
-    "turan_density",
-    "turan_edges",
-    "turan_extremal_set",
-    "turan_parts",
-    "two_adic_split",
-    "verify_clique",
-    "verify_prop31",
-    "verify_thm32",
-    "weight_top_bottom_set",
-]

@@ -23,19 +23,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, check_int
 from .residues import residue_table
-
-__all__ = [
-    "MAX_MODULUS",
-    "ApproxCheck",
-    "ApproxSpec",
-    "approx_checker",
-    "approx_construct",
-    "approx_worst",
-    "check_approx",
-    "third_layer_check",
-]
 
 MAX_MODULUS = 10**6
 
@@ -62,14 +51,10 @@ class ApproxSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.x < 1.0:
             raise DomainError("target density must lie strictly between 0 and 1")
-        if self.q < 1:
-            raise DomainError("modulus must be at least 1")
+        check_int("p", self.p, 0, check_int("modulus", self.q, 1))
         if self.tol <= 0.0:
             raise DomainError("tolerance must be positive")
-        if self.d_min < 1:
-            raise DomainError("dimension threshold must be at least 1")
-        if not 0 <= self.p <= self.q:
-            raise DomainError("p must lie in [0, q]")
+        check_int("dimension threshold", self.d_min, 1)
 
     def to_json(self) -> dict:
         return {
@@ -193,10 +178,6 @@ def _prefix_sums(q: int, d: int) -> list[int]:
     there on P[i] = (q - i) 2^d, falling to P[q - 1] = 2^d.  Residues mod
     d + 1 give the same head as residues mod q > d + 1, one binomial each.
     """
-    if q < 1:
-        raise DomainError("modulus must be at least 1")
-    if d < 1:
-        raise DomainError("dimension must be at least 1")
     full = 1 << d
     head = residue_table(min(q, d + 1), d).values
     return list(accumulate((q * v - full for v in head), initial=0))
@@ -216,8 +197,8 @@ def approx_worst(q: int, d: int) -> tuple[int, bool, bool]:
     has that range.  Returns (E, ok, borderline) for that worst p, as
     ``approx_checker`` does for one.
     """
-    if q < 2:
-        raise DomainError("modulus must be at least 2, so that some 0 < p < q exists")
+    # q >= 2, so that some 0 < p < q exists
+    q, d = check_int("modulus", q, 2), check_int("dimension", d, 1)
     P = _prefix_sums(q, d)
     E = max(P) - min(P)
     return (E, *_bound_test(q, d)(E, q))
@@ -235,6 +216,7 @@ def approx_checker(q: int, d: int) -> Callable[[int], tuple[int, bool, bool]]:
     (q - p) 2^d.  The windows from q - p to 0 and from 0 to p read the same
     values, so only the O(h) windows that start or end in the head are read.
     """
+    q, d = check_int("modulus", q, 1), check_int("dimension", d, 1)
     P = _prefix_sums(q, d)
     h = len(P) - 1
     full = 1 << d
@@ -244,8 +226,7 @@ def approx_checker(q: int, d: int) -> Callable[[int], tuple[int, bool, bool]]:
         return P[i] if i <= h else (q - i) * full
 
     def check(p: int) -> tuple[int, bool, bool]:
-        if not 0 <= p <= q:
-            raise DomainError("p must lie in [0, q]")
+        p = check_int("p", p, 0, q)
         starts = {*range(h), *((b - p) % q for b in range(h))}
         E = max(abs(at((a + p) % q) - at(a)) for a in starts)
         return (E, *test(E, q))
@@ -266,8 +247,7 @@ def check_approx(spec: ApproxSpec, d: int) -> ApproxCheck:
 
 def third_layer_check(d_max: int) -> bool:
     """Each residue class mod 3 collects floor(2^d/3) or ceil(2^d/3) weights."""
-    if d_max < 1:
-        raise DomainError("d_max must be at least 1")
+    d_max = check_int("d_max", d_max, 1)
     return all(
         _splits_evenly(residue_table(3, d).values, d) for d in range(1, d_max + 1)
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cube import Subcube, VertexSet, binomial, check_mask_dimension
 from .cube import check_subcube_dimension
-from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, is_int
+from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, is_int, show
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
 from .stats import LambdaBounds, LayeredSpec, layered_distribution
@@ -58,8 +58,7 @@ def syndrome_set(B: GF2Matrix, colors: set[int]) -> VertexSet:
     if r > 64:
         raise CapabilityError(f"syndromes of r={r} rows exceed 64 bits")
     for c in colors:
-        if not 0 <= c < (1 << r):
-            raise DomainError(f"color {c} is not an r-bit syndrome (r={r})")
+        check_int("color", c, 0, (1 << r) - 1)
     check_mask_dimension(n)
     dtype = np.min_scalar_type((1 << r) - 1)
     synd = np.zeros(1 << n, dtype=dtype)
@@ -97,37 +96,36 @@ def spanning_fraction(B: GF2Matrix, d: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def c_d(d: int) -> Fraction:
     """Probability that d uniform nonzero columns of F_2^d span it."""
-    if d < 1:
-        raise DomainError("d must be >= 1")
+    d = check_int("d", d, 1)
     out = Fraction(1)
     for i in range(1, d):
         out *= 1 - Fraction((1 << i) - 1, (1 << d) - 1)
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def c_dk(d: int, k: int) -> Fraction:
     """Probability that a (d-k) x d uniform binary matrix has full row rank."""
-    if not 1 <= k <= d:
-        raise DomainError(f"k={k} outside [1, d]")
+    d = check_int("d", d)
+    k = check_int("k", k, 1, d)
     out = Fraction(1)
     for i in range(d - k):
         out *= 1 - Fraction(1 << i, 1 << d)
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def c_star(d: int, k: int) -> Fraction:
     """Full-row-rank probability for (d-k) x d with uniform NONZERO columns.
 
     Rank-evolution recurrence: a fresh nonzero column raises rank r with
     probability (2^(d-k) - 2^r)/(2^(d-k) - 1).
     """
-    if not 1 <= k <= d:
-        raise DomainError(f"k={k} outside [1, d]")
+    d = check_int("d", d)
+    k = check_int("k", k, 1, d)
     m = d - k
     if m == 0:
         return Fraction(1)
@@ -151,8 +149,8 @@ def c_star(d: int, k: int) -> Fraction:
 
 def c_star_enumerated(d: int, k: int) -> Fraction:
     """Oracle for c_star by enumerating all (2^(d-k)-1)^d column tuples."""
-    if not 1 <= k <= d:
-        raise DomainError(f"k={k} outside [1, d]")
+    d = check_int("d", d)
+    k = check_int("k", k, 1, d)
     m = d - k
     if m == 0:
         return Fraction(1)
@@ -169,19 +167,17 @@ def c_star_enumerated(d: int, k: int) -> Fraction:
     return Fraction(hits, total)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def expected_single_fraction(d: int) -> Fraction:
     """(1 - 2^-d)^(2^d - 1): expected fraction of d-subcubes meeting a
     Bernoulli(2^-d) set in exactly one vertex."""
-    if d < 1:
-        raise DomainError("d must be >= 1")
+    d = check_int("d", d, 1)
     return Fraction((1 << d) - 1, 1 << d) ** ((1 << d) - 1)
 
 
 def two_adic_split(s: int) -> tuple[int, int]:
     """s = 2^k · j with j odd."""
-    if s < 1:
-        raise DomainError("s must be >= 1")
+    s = check_int("s", s, 1)
     k = (s & -s).bit_length() - 1
     return k, s >> k
 
@@ -236,9 +232,8 @@ def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
     seed.  Blocks of vertices are drawn and unpacked one at a time, so
     the peak memory is O(2^n) bytes whatever d is.
     """
-    check_subcube_dimension(n, d)
-    if not 0 <= seed < 1 << 128:
-        raise DomainError(f"seed {seed} outside [0, 2^128)")
+    n, d = check_subcube_dimension(n, d)
+    seed = check_int("seed", seed, 0, (1 << 128) - 1)
     check_mask_dimension(n)
     if d == 0:
         return VertexSet.full(n)
@@ -256,7 +251,7 @@ def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
 
 def layered_set(n: int, spec: LayeredSpec) -> VertexSet:
     """All vertices whose Hamming weight lies in the residue set mod k."""
-    check_mask_dimension(n)
+    n = check_mask_dimension(n)
     weights = np.zeros(1 << n, dtype=np.uint8)
     for j in range(n):  # x + 2^j has the weight of x plus one
         np.add(weights[: 1 << j], 1, out=weights[1 << j : 2 << j])
@@ -270,17 +265,13 @@ def parity_set(n: int) -> VertexSet:
 
 def mod_weight_set(n: int, d: int) -> VertexSet:
     """Weights divisible by d+1; meets most d-subcubes in a single vertex."""
-    if d < 0:
-        raise DomainError("d must be >= 0")
+    d = check_int("d", d, 0)
     return layered_set(n, LayeredSpec(d + 1, frozenset({0})))
 
 
 def weight_top_bottom_set(d: int) -> VertexSet:
     """Vertices of Q_{d+2} of weight 0 or d+1 (d+3 vertices)."""
-    if d < 1:
-        raise DomainError("d must be >= 1")
-    n = d + 2
-    check_mask_dimension(n)
+    n = check_mask_dimension(check_int("d", d, 1) + 2)
     full = (1 << n) - 1
     return VertexSet.from_vertices(n, [0] + [full ^ (1 << j) for j in range(n)])
 
@@ -296,10 +287,8 @@ def turan_extremal_set(d: int, s: int, clique: CliqueCertificate) -> VertexSet:
     happens when d+2 columns are too few to tell the 4s rows apart, and
     then the set is smaller than 4s and that fraction need not hold.
     """
-    if s < 1:
-        raise DomainError("s must be >= 1")
-    n = d + 2
-    check_mask_dimension(n)
+    s = check_int("s", s, 1)
+    n = check_mask_dimension(check_int("d", d) + 2)
     if clique.s != s or not clique.members:
         raise CertificateError("clique certificate does not match s or is empty")
     if not verify_clique(clique):
@@ -441,17 +430,14 @@ def _build_turan(spec: dict) -> ConstructionResult:
 
 def _build_parity(spec: dict) -> ConstructionResult:
     n, d = fields(spec, "parity spec", n="int", d="int?")
-    d = n if d is None else d
-    if not 1 <= d <= n:
-        raise DomainError(f"parity claim needs 1 <= d <= n, got d={d}")
+    d = check_int("d", n if d is None else d, 1, n)
     A = parity_set(n)
     return ConstructionResult("parity", A, d, 1 << (d - 1), Fraction(1), "eq")
 
 
 def _build_perturbed(spec: dict) -> ConstructionResult:
     n, d, cubes = fields(spec, "perturbed_parity spec", n="int", d="int", cubes="list")
-    if not 1 <= d <= n:
-        raise DomainError(f"perturbed parity claim needs 1 <= d <= n, got d={d}")
+    check_int("d", d, 1, n)
     cubes = [Subcube(n, *fields(q, "cube", free="int", base="int")) for q in cubes]
     A = perturb_parity(parity_set(n), cubes)
     ok = perturbation_preserves(n, d, cubes)
@@ -503,9 +489,7 @@ _BUILDERS = {
 
 def best_bounds(d: int, s: int) -> LambdaBounds:
     """Tightest enclosure of the limit λ(d,s) assembled from all sources."""
-    d, s = check_int("d", d), check_int("s", s)
-    if d < 1:
-        raise DomainError("d must be >= 1")
+    d, s = check_int("d", d, 1), check_int("s", s)
     trivial, low = occupancy_case(d, s)
     if trivial:
         return LambdaBounds(d, s, Fraction(1), Fraction(1), trivial, "closed-form")
@@ -515,7 +499,7 @@ def best_bounds(d: int, s: int) -> LambdaBounds:
     # 16(2^16 - 1) already passes the cap.
     bits = d * ((1 << min(d, 16)) - 1 if low == 1 else d - 1)
     if bits > _MAX_DENOMINATOR_BITS:
-        raise CapabilityError(f"bounds at d={d} need fractions of over 4300 digits")
+        raise CapabilityError(f"bounds at d={show(d)} need fractions of over 4300 digits")
     lower_candidates: list[tuple[Fraction, str]] = [
         (c_d(d), "syndrome (square matrix, nonzero columns)")
     ]

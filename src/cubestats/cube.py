@@ -14,35 +14,30 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, fields, is_int
+from .errors import CapabilityError, DomainError, check_int, fields, is_int, show
 
 # Hard cap on materialized membership masks: 2^24 bits = 2 MiB per set.
 # Layered sets beyond this are handled analytically (see stats.layered_distribution).
 MASK_CAP = 24
 
 
-def check_mask_dimension(n: int) -> None:
-    """Raise unless a 2^n-bit mask of Q_n may be built; call before allocating."""
-    if not is_int(n) or n < 0:
-        raise DomainError(f"dimension must be an integer >= 0, got {n!r}")
+def check_mask_dimension(n: int) -> int:
+    """n as an int, if a 2^n-bit mask of Q_n may be built; call before allocating."""
+    n = check_int("dimension", n, 0)
     if n > MASK_CAP:
-        raise CapabilityError(f"n={n} exceeds the materialized-mask cap {MASK_CAP}")
+        raise CapabilityError(f"n={show(n)} exceeds the materialized-mask cap {MASK_CAP}")
+    return n
 
 
-def check_subcube_dimension(n: int, d: int) -> None:
-    """Raise unless n and d are integers with 0 <= d <= n: Q_n has d-subcubes."""
-    if not is_int(n) or n < 0:
-        raise DomainError(f"dimension must be an integer >= 0, got {n!r}")
-    if not is_int(d):
-        raise DomainError(f"subcube dimension must be an integer, got {d!r}")
-    if not 0 <= d <= n:
-        raise DomainError(f"subcube dimension {d} outside [0, {n}]")
+def check_subcube_dimension(n: int, d: int) -> tuple[int, int]:
+    """n and d as ints, if they are integers with 0 <= d <= n: Q_n has d-subcubes."""
+    n = check_int("dimension", n, 0)
+    return n, check_int("subcube dimension", d, 0, n)
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k < 0 or k > n."""
-    if n < 0:
-        raise DomainError(f"binomial: n must be >= 0, got {n}")
+    n, k = check_int("n", n, 0), check_int("k", k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -77,11 +72,11 @@ class VertexSet:
     @classmethod
     def from_vertices(cls, n: int, vertices: Iterable[int]) -> VertexSet:
         """The set of the listed vertices, in any order and with repeats."""
-        check_mask_dimension(n)
+        n = check_mask_dimension(n)
         flags = np.zeros(1 << n, dtype=np.uint8)
         for v in vertices:
             if not is_int(v) or not 0 <= v < (1 << n):
-                raise DomainError(f"vertex {v!r} is not an integer vertex of Q_{n}")
+                raise DomainError(f"vertex {show(v)} is not an integer vertex of Q_{n}")
             flags[v] = 1
         return cls.from_flags(n, flags)
 
@@ -144,10 +139,10 @@ class Subcube:
     base: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DomainError(f"dimension must be >= 0, got {self.n}")
+        check_int("dimension", self.n, 0)
+        free, base = check_int("free", self.free, 0), check_int("base", self.base, 0)
         # no n-bit mask is built, so a huge n is cheap to reject later
-        if self.free < 0 or self.base < 0 or (self.free | self.base) >> self.n:
+        if (free | base) >> self.n:
             raise DomainError("free/base masks outside Q_n")
         if self.base & self.free:
             raise DomainError("non-canonical subcube: base overlaps free mask")
@@ -211,7 +206,7 @@ def enumerate_subcubes(n: int, d: int) -> Iterator[Subcube]:
 
     Order: free masks ascending as integers, then bases ascending.
     """
-    check_subcube_dimension(n, d)
+    n, d = check_subcube_dimension(n, d)
     full = (1 << n) - 1
     for free in _masks_of_popcount(n, d):
         for base in _submasks(full ^ free):
@@ -220,5 +215,5 @@ def enumerate_subcubes(n: int, d: int) -> Iterator[Subcube]:
 
 def subcube_count(n: int, d: int) -> int:
     """C(n,d) * 2^(n-d), the number of d-subcubes of Q_n."""
-    check_subcube_dimension(n, d)
+    n, d = check_subcube_dimension(n, d)
     return binomial(n, d) << (n - d)

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .cube import VertexSet, check_subcube_dimension, enumerate_subcubes, subcube_count
-from .errors import CapabilityError, check_int
+from .errors import CapabilityError, check_int, show
 from .turan import occupancy_case
 
 PLAIN_MAX_N = 4
@@ -304,11 +304,10 @@ def _cell(n: int, d: int, s: int) -> tuple[int, int]:
 
 def exhaustive_lambda(n: int, d: int, s: int) -> tuple[Fraction, VertexSet]:
     """Exact λ(n,d,s) with a lex-least maximizing witness, for n <= 5."""
-    check_subcube_dimension(n, d)
-    n, d, s = int(n), int(d), check_int("s", s)
+    (n, d), s = check_subcube_dimension(n, d), check_int("s", s)
     occupancy_case(d, s)  # the range check, without building 2^d
     if n > PRUNED_MAX_N:
-        raise CapabilityError(f"exhaustive search not supported for n={n}")
+        raise CapabilityError(f"exhaustive search not supported for n={show(n)}")
     if d == n:
         # the whole cube is the one d-subcube; {0, ..., s-1} is the least s-set
         return Fraction(1), VertexSet(n, (1 << s) - 1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, fields
+from .errors import DomainError, check_int, fields
 
 
 @dataclass(frozen=True)
@@ -17,11 +17,10 @@ class GF2Matrix:
     row_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise DomainError("matrix dimensions must be >= 0")
+        check_int("rows", self.rows, 0)
+        limit = 1 << check_int("cols", self.cols, 0)
         if len(self.row_masks) != self.rows:
             raise DomainError("row count does not match row_masks")
-        limit = 1 << self.cols
         if any(not 0 <= m < limit for m in self.row_masks):
             raise DomainError("row mask has bits beyond cols")
 
@@ -39,11 +38,11 @@ class GF2Matrix:
 
     @classmethod
     def identity(cls, n: int) -> GF2Matrix:
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        return cls(n, n, tuple(1 << i for i in range(check_int("n", n, 0))))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> GF2Matrix:
-        return cls(rows, cols, (0,) * rows)
+        return cls(rows, cols, (0,) * check_int("rows", rows, 0))
 
     def entry(self, r: int, c: int) -> int:
         if not (0 <= r < self.rows and 0 <= c < self.cols):

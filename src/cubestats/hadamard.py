@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, check_int, is_int
+from .errors import CapabilityError, DomainError, check_int
 
 _COUNT_BLOCK_ELEMS = 1 << 16  # counts per block that pair_counts yields
 
@@ -81,9 +81,7 @@ class HadamardMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.order
-        if not is_int(n):
-            raise DomainError(f"order must be an integer, got {n!r}")
+        n = check_int("order", self.order)
         try:
             grid = np.asarray(self.entries)
         except ValueError as exc:  # rows or entries of uneven lengths
@@ -127,9 +125,7 @@ def _orthogonal(neg: np.ndarray) -> bool:
 
 def hadamard_sylvester(m: int) -> HadamardMatrix:
     """Order 2^m by repeated doubling: [[H, H], [H, -H]], for 2^m <= ORDER_CAP."""
-    m = check_int("m", m)
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    m = check_int("m", m, 0)
     if m >= ORDER_CAP.bit_length():
         raise CapabilityError(f"Hadamard orders are capped at {ORDER_CAP}")
     idx = np.arange(1 << m)
@@ -140,6 +136,7 @@ def hadamard_sylvester(m: int) -> HadamardMatrix:
 
 def hadamard_paley(q: int) -> HadamardMatrix:
     """Order q+1 from quadratic residues mod a prime q ≡ 3 (mod 4)."""
+    q = check_int("q", q)
     if not _is_prime(q) or q % 4 != 3:
         raise DomainError("q must be a prime congruent to 3 mod 4")
     chi = np.full(q, -1, dtype=np.int8)

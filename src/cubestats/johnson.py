@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, is_int
+from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, is_int, show
 from .hadamard import HadamardMatrix, hadamard_matrix, pair_counts
 
 DENSE_ADJACENCY_CAP = 4
@@ -55,7 +55,7 @@ class CliqueCertificate:
                 and len(mem) == 2 * s == len(set(mem))
             ):
                 raise DomainError(
-                    f"clique members must list 2s distinct elements of range({4 * s})"
+                    f"clique members must list 2s distinct elements of range({show(4 * s)})"
                 )
         return cls(s, tuple(sum(1 << e for e in mem) for mem in members))
 
@@ -100,9 +100,7 @@ class JohnsonGraph:
     """Explicit J(4s,2s,s); vertices listed in subset-lexicographic order."""
 
     def __init__(self, s: int):
-        s = check_int("s", s)
-        if s < 1:
-            raise DomainError("s must be >= 1")
+        s = check_int("s", s, 1)
         if s > DENSE_ADJACENCY_CAP:
             raise CapabilityError(
                 f"explicit graph capped at s <= {DENSE_ADJACENCY_CAP}; "
@@ -238,9 +236,7 @@ def omega(s: int, policy: str = "auto") -> OmegaResult:
     with the largest a <= s/2 for which both exist, give 4a-1
     ("hadamard-concat").  A non-integer s raises DomainError.
     """
-    s = check_int("s", s)
-    if s < 1:
-        raise DomainError("s must be >= 1")
+    s = check_int("s", s, 1)
     if policy not in ("auto", "search"):
         raise DomainError(f"unknown omega policy: {policy}")
     if s > OMEGA_CAP:

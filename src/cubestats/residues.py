@@ -11,20 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, is_int
-
-__all__ = [
-    "ResidueSumTable",
-    "Thm32Case",
-    "Thm32Report",
-    "prop31_holds",
-    "q_binsum",
-    "residue_table",
-    "thm32_admissible",
-    "thm32_q",
-    "verify_prop31",
-    "verify_thm32",
-]
+from .errors import DomainError, check_int
 
 
 # The most shifted sums one product of ``_constant_cases`` computes
@@ -38,9 +25,7 @@ def _binsum_row(k: int, d: int) -> tuple[int, ...]:
     # before the cache, which a float equal to an int would hit; the exact
     # type test keeps the common call cheap, and numpy ints become ints
     if type(k) is not int or type(d) is not int:
-        if not (is_int(k) and is_int(d)):
-            raise DomainError("modulus and dimension must be integers")
-        k, d = int(k), int(d)
+        k, d = check_int("modulus", k), check_int("dimension", d)
     row = _ROWS.get((k, d))
     if row is not None:
         return row
@@ -66,9 +51,7 @@ def _binsum_row(k: int, d: int) -> tuple[int, ...]:
 def q_binsum(a: int, k: int, d: int) -> int:
     """Exact sum of C(d, i) over 0 <= i <= d with i = a (mod k)."""
     row = _binsum_row(k, d)
-    if not (is_int(a) and 0 <= a < k):
-        raise DomainError(f"residue {a} is outside range(0, {k})")
-    return row[a]
+    return row[check_int("residue", a, 0, k - 1)]
 
 
 @dataclass(frozen=True)
@@ -103,12 +86,8 @@ def residue_table(k: int, d: int) -> ResidueSumTable:
 def thm32_q(a: int, k: int, d: int, T: Iterable[int]) -> int:
     """Sum of C(d, i) over the i whose shifted residue (i + a) mod k lies in T."""
     row = _binsum_row(k, d)
-    if not (is_int(a) and 0 <= a < k):
-        raise DomainError(f"residue {a} is outside range(0, {k})")
-    residues = set(T)
-    # a float equal to a residue passes the range test but cannot index the row
-    if not all(is_int(t) and 0 <= t < k for t in residues):
-        raise DomainError("T must be a subset of the residues mod k")
+    a = check_int("residue", a, 0, k - 1)
+    residues = {check_int("residue in T", t, 0, k - 1) for t in T}
     return sum(row[(t - a) % k] for t in residues)
 
 
@@ -118,9 +97,8 @@ def verify_prop31(k: int, d: int) -> bool:
     The claim being checked holds whenever 2 < k <= d; parameters outside
     that window are refused rather than reported as counterexamples.
     """
-    if not 2 < k <= d:
-        raise DomainError("requires 2 < k <= d")
-    return prop31_holds(_binsum_row(k, d))
+    d = check_int("d", d)
+    return prop31_holds(_binsum_row(check_int("k", k, 3, d), d))
 
 
 def prop31_holds(values: Sequence[int]) -> bool:
@@ -213,16 +191,10 @@ def verify_thm32(k: int, d_range: Iterable[int]) -> Thm32Report:
     set, all of Z_k, or (k even) one of the two parity classes, with common
     value 0, 2^d, or 2^(d-1) respectively.  Anything else is a violation.
     """
-    if not 1 <= k <= 16:
-        raise DomainError("subset enumeration supports 1 <= k <= 16")
-    d_range = list(d_range)
-    if not all(map(is_int, d_range)):
-        raise DomainError("dimensions must be integers")
-    dims = tuple(sorted({int(d) for d in d_range}))
+    k = check_int("k", k, 1, 16)  # subset enumeration is 2^k sets
+    dims = tuple(sorted({check_int("dimension", d, 0) for d in d_range}))
     if not dims:
         raise DomainError("need at least one dimension")
-    if dims[0] < 0:
-        raise DomainError("dimensions must be nonnegative")
 
     expected, violations = [], []
     for case in _constant_cases(k, dims):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cube import VertexSet, binomial, check_mask_dimension, check_subcube_dimension
 from .cube import enumerate_subcubes, subcube_count
-from .errors import DomainError, fields, is_int
+from .errors import DomainError, check_int, fields
 from .residues import thm32_q
 
 
@@ -44,9 +44,7 @@ class SubcubeDistribution:
 
     def fraction(self, s: int) -> Fraction:
         """λ(n, d, s, A) as an exact rational."""
-        if not 0 <= s <= (1 << self.d):
-            raise DomainError(f"s={s} outside [0, 2^d]")
-        return Fraction(self.counts[s], self.total)
+        return Fraction(self.counts[check_int("s", s, 0, 1 << self.d)], self.total)
 
     def to_json(self) -> dict:
         return {
@@ -120,10 +118,9 @@ class LayeredSpec:
     T: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not (is_int(self.k) and self.k >= 1):
-            raise DomainError("modulus k must be an integer >= 1")
-        if not all(is_int(t) and 0 <= t < self.k for t in self.T):
-            raise DomainError("T must be a subset of Z_k")
+        k = check_int("modulus k", self.k, 1)
+        for t in self.T:
+            check_int("residue in T", t, 0, k - 1)
 
 
 def distribution(A: VertexSet, d: int) -> SubcubeDistribution:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cube import binomial
-from .errors import CapabilityError, DomainError, check_int
+from .errors import CapabilityError, DomainError, check_int, show
 from .johnson import OmegaResult, omega
 
 
@@ -24,9 +24,7 @@ def turan_parts(n: int, k: int) -> list[int]:
 
     Non-integers raise DomainError, and k above PARTS_CAP CapabilityError.
     """
-    n, k = check_int("n", n), check_int("k", k)
-    if n < 0 or k < 1:
-        raise DomainError("need n >= 0 and k >= 1")
+    n, k = check_int("n", n, 0), check_int("k", k, 1)
     if k > PARTS_CAP:
         raise CapabilityError(f"Turán graphs are capped at {PARTS_CAP} parts")
     q, r = divmod(n, k)
@@ -34,6 +32,7 @@ def turan_parts(n: int, k: int) -> list[int]:
 
 
 def turan_edges(n: int, k: int) -> int:
+    n, k = check_int("n", n, 0), check_int("k", k, 1)
     # past n parts the rest are empty, so T(n,k) = T(n,n); one part at n = 0
     parts = turan_parts(n, min(k, max(n, 1)))
     return binomial(n, 2) - sum(binomial(p, 2) for p in parts)
@@ -41,8 +40,7 @@ def turan_edges(n: int, k: int) -> int:
 
 def turan_density(n: int, k: int) -> Fraction:
     """π(n,k) = t(n,k)/C(n,2); by convention 1 when n < 2."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    n, k = check_int("n", n), check_int("k", k, 1)
     if n < 2:
         return Fraction(1)
     return Fraction(turan_edges(n, k), binomial(n, 2))
@@ -55,12 +53,12 @@ def occupancy_case(d: int, s: int) -> tuple[str | None, int]:
     2^d, else None, and s mirrored to 2^d - s when above 2^(d-1).
     Non-integers raise DomainError; numpy integers count as ints.
     """
-    d, s = check_int("d", d), check_int("s", s)
+    d, s = check_int("d", d, 0), check_int("s", s)
     # 2^d matters only when s >= 2^(d-1), where it is at most 2s; below,
     # any stand-in above 2s gives the same answers without building 2^d.
     top = 1 << d if s.bit_length() >= d else 2 * s + 1
     if not 0 <= s <= top:
-        raise DomainError(f"s={s} outside [0, 2^d]")
+        raise DomainError(f"s={show(s)} outside [0, 2^d]")
     if s in (0, top) or 2 * s == top:
         return {0: "empty set", top: "full cube"}.get(s, "parity set"), s
     return None, min(s, top - s)
@@ -75,8 +73,6 @@ def lambda_d2_closed_form(
     has its own clause (π(d+2,3) for d < 6, else 3/4); otherwise the value
     is π(d+2, ω(s)), an interval when ω(s) is only enclosed.
     """
-    if d < 0:
-        raise DomainError("d must be >= 0")
     trivial, s = occupancy_case(d, s)
     if trivial:
         return Fraction(1)

@@ -29,7 +29,7 @@ from cubestats import (
     subcube_count,
     subcube_vertices,
 )
-from cubestats.cube import check_subcube_dimension
+from cubestats.cube import check_mask_dimension, check_subcube_dimension
 from conftest import render_json
 
 
@@ -79,6 +79,12 @@ class TestVertexSet:
             VertexSet(MASK_CAP + 1, 0)
         with pytest.raises(CapabilityError):  # raised before allocating 2^60 flags
             VertexSet.from_vertices(60, [])
+
+    def test_mask_cap_admits_24_and_refuses_25(self):
+        # 2^24 bits = 2 MiB per set; the check itself allocates nothing
+        assert check_mask_dimension(np.int64(24)) == 24
+        with pytest.raises(CapabilityError, match="^n=25 exceeds"):
+            check_mask_dimension(25)
 
     @given(st.integers(0, 8), st.data())
     def test_conversions_match_shift_loop(self, n, data):
