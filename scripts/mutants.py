@@ -62,6 +62,21 @@ ALLOWED = {
     "src/cubestats/cube.py:VertexSet.__contains__: 0 <= v < 1 << self.n => 0 <= v <= 1 << self.n": (
         "bit 2^n of a mask below 2^(2^n) is 0, so v = 2^n is out either way"
     ),
+    "src/cubestats/stats.py:_weight_distribution: n - d + 1 => n - d + 2": (
+        "the extra base weight n - d + 1 has C(n - d, n - d + 1) = 0 subcubes"
+    ),
+    "src/cubestats/stats.py:_weight_distribution: d + 1 => d + 2": (
+        "the extra term of the row is C(d, d + 1) = 0"
+    ),
+    "src/cubestats/stats.py:_weight_distribution: w + d + 1 => w + d + 2": (
+        "zip stops at the d + 1 entries of the binomial row"
+    ),
+    "src/cubestats/constructions.py:layered_set: n + 1 => n + 2": (
+        "no vertex of Q_n has weight n + 1, so the extra table entry is never read"
+    ),
+    "src/cubestats/stats.py:_SHORT_RUN: _SHORT_RUN = 8 => _SHORT_RUN = 9": (
+        "it only picks which axis of an add runs innermost; the sums are the same"
+    ),
     "src/cubestats/exhaustive.py:_n5_candidates: _symmetries(4) => _symmetries(5)": (
         "rows 1-15 of both are the translations by t < 16, which act alike on 16-bit halves"
     ),

@@ -51,10 +51,12 @@ class ApproxSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.x < 1.0:
             raise DomainError("target density must lie strictly between 0 and 1")
-        check_int("p", self.p, 0, check_int("modulus", self.q, 1))
+        # store the ints check_int returns: a numpy integer would reach to_json
+        object.__setattr__(self, "q", check_int("modulus", self.q, 1))
+        object.__setattr__(self, "p", check_int("p", self.p, 0, self.q))
         if self.tol <= 0.0:
             raise DomainError("tolerance must be positive")
-        check_int("dimension threshold", self.d_min, 1)
+        object.__setattr__(self, "d_min", check_int("dimension threshold", self.d_min, 1))
 
     def to_json(self) -> dict:
         return {

@@ -48,6 +48,7 @@ from .residues import (
     verify_thm32,
 )
 from .stats import LayeredSpec, distribution, distribution_fast, layered_distribution
+from .stats import _fold_distribution, _weight_distribution
 from .turan import occupancy_case
 
 _CHECKED_DIMENSION_CAP = 10_000  # the largest d the approx check runs at
@@ -285,12 +286,21 @@ def _suite_oracle_equivalence(config: RunConfig) -> list[dict]:
             sym_ok = False
     checks.append({"name": "distribution_fast == distribution (25 seeded sets)", "pass": ok})
     checks.append({"name": "complement mirrors counts", "pass": sym_ok})
-    # the parity (k = 2) and mod_weight (k = 4) sets put each 2^16-count
-    # leaf block on one or two values, so the fast kernel counts them by value
+    # the parity (k = 2) and mod_weight (k = 4) sets are weight-symmetric, so
+    # distribution_fast counts them in closed form; the fold kernel, called
+    # directly, puts each 2^16-count leaf block on one or two values
     specs = [LayeredSpec(k, frozenset({0})) for k in (2, 4)]
-    fast = [distribution_fast(layered_set(16, spec), 3) for spec in specs]
-    layered_ok = fast == [layered_distribution(16, 3, spec) for spec in specs]
-    name = "distribution_fast == layered_distribution (parity and mod_weight, n=16, d=3)"
+    sets = [layered_set(16, spec) for spec in specs]
+    fast = [distribution_fast(A, 3) for A in sets]
+    layered_ok = (
+        fast
+        == [_fold_distribution(A, 3) for A in sets]
+        == [layered_distribution(16, 3, spec) for spec in specs]
+    )
+    name = (
+        "distribution_fast == _fold_distribution == layered_distribution"
+        " (parity and mod_weight, n=16, d=3)"
+    )
     checks.append({"name": name, "pass": layered_ok})
     # negative control: {0} in Q_3 has edge counts (9, 3, 0); its complement's
     # are (0, 3, 9), so its own counts must not pass for its complement's
@@ -302,6 +312,13 @@ def _suite_oracle_equivalence(config: RunConfig) -> list[dict]:
     other = layered_distribution(16, 3, LayeredSpec(4, frozenset({1})))
     name = "control: the mod_weight set's counts differ from those of weights 1 mod 4"
     checks.append({"name": name, "pass": fast[1] != other, "control": True})
+    # negative control: the closed form fed the mod_weight set's weight
+    # classes with weight 8 left out moves the subcubes of base weight 5..8
+    W = [int(w % 4 == 0) for w in range(17)]
+    W[8] = 0
+    flipped = _weight_distribution(16, 3, W)
+    name = "control: the closed form with one weight class flipped gives different counts"
+    checks.append({"name": name, "pass": flipped != fast[1], "control": True})
     return checks
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cube import Subcube, VertexSet, binomial, check_mask_dimension
-from .cube import check_subcube_dimension
+from .cube import check_subcube_dimension, vertex_weights
 from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, is_int, show
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
@@ -252,11 +252,8 @@ def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
 def layered_set(n: int, spec: LayeredSpec) -> VertexSet:
     """All vertices whose Hamming weight lies in the residue set mod k."""
     n = check_mask_dimension(n)
-    weights = np.zeros(1 << n, dtype=np.uint8)
-    for j in range(n):  # x + 2^j has the weight of x plus one
-        np.add(weights[: 1 << j], 1, out=weights[1 << j : 2 << j])
     table = np.array([w % spec.k in spec.T for w in range(n + 1)])
-    return VertexSet.from_flags(n, table[weights])
+    return VertexSet.from_flags(n, table[vertex_weights(n)])
 
 
 def parity_set(n: int) -> VertexSet:

@@ -35,6 +35,15 @@ def check_subcube_dimension(n: int, d: int) -> tuple[int, int]:
     return n, check_int("subcube dimension", d, 0, n)
 
 
+def vertex_weights(n: int) -> np.ndarray:
+    """Hamming weights of the vertices of Q_n as a uint8 array: index = vertex."""
+    n = check_mask_dimension(n)
+    weights = np.zeros(1 << n, dtype=np.uint8)
+    for j in range(n):  # x + 2^j has the weight of x plus one
+        np.add(weights[: 1 << j], 1, out=weights[1 << j : 2 << j])
+    return weights
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k < 0 or k > n."""
     n, k = check_int("n", n, 0), check_int("k", k)
@@ -139,8 +148,10 @@ class Subcube:
     base: int
 
     def __post_init__(self) -> None:
-        check_int("dimension", self.n, 0)
+        object.__setattr__(self, "n", check_int("dimension", self.n, 0))
         free, base = check_int("free", self.free, 0), check_int("base", self.base, 0)
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "base", base)
         # no n-bit mask is built, so a huge n is cheap to reject later
         if (free | base) >> self.n:
             raise DomainError("free/base masks outside Q_n")

@@ -17,8 +17,9 @@ class GF2Matrix:
     row_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        check_int("rows", self.rows, 0)
-        limit = 1 << check_int("cols", self.cols, 0)
+        object.__setattr__(self, "rows", check_int("rows", self.rows, 0))
+        object.__setattr__(self, "cols", check_int("cols", self.cols, 0))
+        limit = 1 << self.cols
         if len(self.row_masks) != self.rows:
             raise DomainError("row count does not match row_masks")
         if any(not 0 <= m < limit for m in self.row_masks):

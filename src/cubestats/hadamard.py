@@ -82,6 +82,7 @@ class HadamardMatrix:
 
     def __post_init__(self) -> None:
         n = check_int("order", self.order)
+        object.__setattr__(self, "order", n)
         try:
             grid = np.asarray(self.entries)
         except ValueError as exc:  # rows or entries of uneven lengths
@@ -135,8 +136,11 @@ def hadamard_sylvester(m: int) -> HadamardMatrix:
 
 
 def hadamard_paley(q: int) -> HadamardMatrix:
-    """Order q+1 from quadratic residues mod a prime q ≡ 3 (mod 4)."""
+    """Order q+1 from quadratic residues mod a prime q ≡ 3 (mod 4), for
+    q + 1 <= ORDER_CAP: the cap is checked before trial division."""
     q = check_int("q", q)
+    if q + 1 > ORDER_CAP:
+        raise CapabilityError(f"Hadamard orders are capped at {ORDER_CAP}")
     if not _is_prime(q) or q % 4 != 3:
         raise DomainError("q must be a prime congruent to 3 mod 4")
     chi = np.full(q, -1, dtype=np.int8)

@@ -4,13 +4,17 @@ Three routes to the same quantity, kept deliberately independent so they
 can cross-check each other:
 
 * ``distribution``       -- direct per-subcube popcounts (the oracle),
-* ``distribution_fast``  -- prefix-shared coordinate folding: a program
-  of views into reusable level buffers, compiled once per shape in one
-  pass and run as word-wide adds, with each block of leaf counts
-  histogrammed by value, two per bin, or by a plain bincount (the fast
-  path),
+* ``distribution_fast``  -- the fast path.  A weight-symmetric set,
+  A = {x : |x| in W}, is counted in closed form from W: a subcube whose
+  fixed coordinates have weight w meets A in sum(C(d, i) for w + i in W)
+  vertices.  Every other set goes to ``_fold_distribution``,
+  prefix-shared coordinate folding: a program of views into reusable
+  level buffers, compiled once per shape in one pass and run as
+  word-wide adds, with each block of leaf counts histogrammed by value,
+  two per bin, or by a plain bincount,
 * ``layered_distribution`` -- analytic counts for layered sets, valid for n
-  far beyond the materialized-mask cap.
+  far beyond the materialized-mask cap.  It shares no code with the
+  closed form of ``distribution_fast``, so each checks the other.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cube import VertexSet, binomial, check_mask_dimension, check_subcube_dimension
-from .cube import enumerate_subcubes, subcube_count
+from .cube import enumerate_subcubes, subcube_count, vertex_weights
 from .errors import DomainError, check_int, fields
 from .residues import thm32_q
 
@@ -119,6 +123,7 @@ class LayeredSpec:
 
     def __post_init__(self) -> None:
         k = check_int("modulus k", self.k, 1)
+        object.__setattr__(self, "k", k)
         for t in self.T:
             check_int("residue in T", t, 0, k - 1)
 
@@ -134,6 +139,71 @@ def distribution(A: VertexSet, d: int) -> SubcubeDistribution:
 
 
 def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
+    """Same output as ``distribution``: in closed form when A is
+    weight-symmetric, else by ``_fold_distribution``.
+
+    A is weight-symmetric when membership depends only on the Hamming
+    weight, A = {x : |x| in W}, as for every parity, layered and
+    mod_weight set.  Then the histogram is exact from W alone: a d-subcube
+    whose n - d fixed coordinates have weight w holds the vertices of
+    weight w + i for the C(d, i) ways to set i of its free coordinates, so
+    it meets A in h(w) = sum(C(d, i) for i with w + i in W) of them, and
+    C(n, d)·C(n - d, w) subcubes have base weight w.  So counts[h(w)] gains
+    C(n, d)·C(n - d, w) for w = 0..n - d, in Python ints: O(n·d) integer
+    operations, with no fold.  ``_symmetric_weights`` finds W, or None.
+    """
+    n = A.n
+    check_subcube_dimension(n, d)
+    W = _symmetric_weights(A)
+    if W is None:
+        return _fold_distribution(A, d)
+    return _weight_distribution(n, d, W)
+
+
+def _weight_distribution(n: int, d: int, W: list[int]) -> SubcubeDistribution:
+    """The distribution of {x in Q_n : W[|x|]} for 0/1 flags W[0..n], in
+    closed form; ``distribution_fast`` says why it is exact."""
+    row = [binomial(d, i) for i in range(d + 1)]
+    choose_free = binomial(n, d)
+    counts = [0] * ((1 << d) + 1)
+    for w in range(n - d + 1):
+        hits = sum(c for c, member in zip(row, W[w : w + d + 1]) if member)
+        counts[hits] += choose_free * binomial(n - d, w)
+    return SubcubeDistribution(n, d, tuple(counts), subcube_count(n, d))
+
+
+def _symmetric_weights(A: VertexSet) -> list[int] | None:
+    """W as 0/1 flags by weight, if A = {x : |x| in W}; else None.
+
+    W[w] is the flag of vertex 2^w - 1.  A set that holds some but not
+    all of the vertices of weight 1, or of weight 2, is turned away by two
+    ANDs with the class masks of ``_low_weight_masks``: a random set
+    almost always is, before any array is built.  Otherwise the flags are
+    compared once with W[|x|] over all x, by the weight table.
+    """
+    n = A.n
+    for mask in _low_weight_masks(n):
+        held = A.bits & mask
+        if held and held != mask:
+            return None
+    flags = A.flags()
+    W = [int(flags[(1 << w) - 1]) for w in range(n + 1)]
+    # bit w of ``layers`` is W[w]: shifting it by the weights beats a uint8
+    # gather, which first widens 2^n indices to intp
+    layers = sum(flag << w for w, flag in enumerate(W))
+    want = np.right_shift(np.uint32(layers), vertex_weights(n), dtype=np.uint32)
+    return W if np.array_equal(want.astype(np.uint8) & 1, flags) else None
+
+
+@lru_cache(maxsize=None)  # 2^(n-2) bytes for an n; n <= MASK_CAP
+def _low_weight_masks(n: int) -> tuple[int, int]:
+    """Membership masks of the weight-1 and the weight-2 vertices of Q_n."""
+    ones = [1 << i for i in range(n)]
+    twos = [a | b for i, a in enumerate(ones) for b in ones[:i]]
+    return VertexSet.from_vertices(n, ones).bits, VertexSet.from_vertices(n, twos).bits
+
+
+def _fold_distribution(A: VertexSet, d: int) -> SubcubeDistribution:
     """Same output as ``distribution`` via prefix-shared coordinate folding.
 
     The free-coordinate sets are built one coordinate per level, in

@@ -565,8 +565,8 @@ class TestVerifySuites:
         "suite", ["prop31", "thm32", "approx", "third-layer", "oracle-equivalence"]
     )
     def test_suite_reports_its_negative_control(self, capsys, suite):
-        # oracle-equivalence has one control for the mirror, one for the layered check
-        controls = 2 if suite == "oracle-equivalence" else 1
+        # oracle-equivalence has one control for the mirror, two for the layered check
+        controls = 3 if suite == "oracle-equivalence" else 1
         rc, out, _ = run(capsys, "verify", suite)
         checks = json.loads(out)["checks"]
         assert rc == 0
@@ -646,7 +646,8 @@ class TestVerifySuites:
         monkeypatch.setattr(VertexSet, "complement", lambda self: self)
         rc, out, _ = run(capsys, "verify", "oracle-equivalence")
         assert rc == 1
-        assert [c["pass"] for c in json.loads(out)["checks"]] == [True, False, True, True, True]
+        passes = [c["pass"] for c in json.loads(out)["checks"]]
+        assert passes == [True, False, True, True, True, True]
 
     @pytest.mark.parametrize("T, failed", [({0}, 4), ({1}, 2)])
     def test_oracle_equivalence_layered_check_and_its_control(
@@ -663,7 +664,28 @@ class TestVerifySuites:
         rc, out, _ = run(capsys, "verify", "oracle-equivalence")
         passes = [c["pass"] for c in json.loads(out)["checks"]]
         assert rc == 1
-        assert passes == [i != failed for i in range(5)]
+        assert passes == [i != failed for i in range(6)]
+
+    @pytest.mark.parametrize(
+        "name, failed", [("_fold_distribution", 2), ("_weight_distribution", 5)]
+    )
+    def test_oracle_equivalence_checks_the_fold_and_the_closed_form(
+        self, capsys, monkeypatch, name, failed
+    ):
+        # a fold that counts the complement fails only the layered check, and
+        # a closed form that ignores W, giving the mod_weight set's counts,
+        # only the flipped-class control
+        fold, closed = cli._fold_distribution, cli._weight_distribution
+        mod_weight = [int(w % 4 == 0) for w in range(17)]
+        wrong = {
+            "_fold_distribution": lambda A, d: fold(A.complement(), d),
+            "_weight_distribution": lambda n, d, W: closed(n, d, mod_weight),
+        }
+        monkeypatch.setattr(cli, name, wrong[name])
+        rc, out, _ = run(capsys, "verify", "oracle-equivalence")
+        passes = [c["pass"] for c in json.loads(out)["checks"]]
+        assert rc == 1
+        assert passes == [i != failed for i in range(6)]
 
     def test_thm32_fails_when_the_scan_misses_a_case(self, capsys, monkeypatch):
         # no violations, but none of the admissible families found either

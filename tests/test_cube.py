@@ -29,7 +29,7 @@ from cubestats import (
     subcube_count,
     subcube_vertices,
 )
-from cubestats.cube import check_mask_dimension, check_subcube_dimension
+from cubestats.cube import check_mask_dimension, check_subcube_dimension, vertex_weights
 from conftest import render_json
 
 
@@ -42,6 +42,15 @@ def test_binomial_matches_math_comb():
     for n in range(12):
         for k in range(-1, n + 2):
             assert binomial(n, k) == (math.comb(n, k) if 0 <= k <= n else 0)
+
+
+def test_vertex_weights_are_popcounts():
+    for n in range(13):
+        weights = vertex_weights(n)
+        assert weights.dtype == np.uint8
+        assert weights.tolist() == [x.bit_count() for x in range(1 << n)]
+    with pytest.raises(CapabilityError):
+        vertex_weights(MASK_CAP + 1)
 
 
 class TestVertexSet:

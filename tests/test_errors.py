@@ -1,5 +1,6 @@
 """The integer contract: one reader, ``check_int``, for every integer argument."""
 
+import json
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from cubestats import (
     DomainError,
     GF2Matrix,
     HadamardMatrix,
+    LayeredSpec,
     Subcube,
     VertexSet,
     bernoulli_set,
@@ -144,6 +146,34 @@ def test_oversized_integer_is_named_by_its_bit_length(name):
     with pytest.raises((DomainError, CapabilityError, CertificateError)) as info:
         OVERSIZED[name]()
     assert f"<{HUGE.bit_length()}-bit integer>" in str(info.value)
+
+
+# field -> (build the object with np.int64(value) in that field, value); the
+# object keeps the int that check_int returns, so no numpy integer reaches
+# its JSON or a later 1 << field
+STORED = {
+    "ApproxSpec.q": (lambda x: ApproxSpec(x=0.5, q=x, p=1, d_min=1, tol=0.1), 3),
+    "ApproxSpec.p": (lambda x: ApproxSpec(x=0.5, q=3, p=x, d_min=1, tol=0.1), 1),
+    "ApproxSpec.d_min": (lambda x: ApproxSpec(x=0.5, q=3, p=1, d_min=x, tol=0.1), 4),
+    "LayeredSpec.k": (lambda x: LayeredSpec(x, frozenset({0})), 3),
+    "Subcube.n": (lambda x: Subcube(x, 1, 2), 3),
+    "Subcube.free": (lambda x: Subcube(3, x, 2), 1),
+    "Subcube.base": (lambda x: Subcube(3, 1, x), 2),
+    "GF2Matrix.rows": (lambda x: GF2Matrix(x, 2, (1, 2)), 2),
+    "GF2Matrix.cols": (lambda x: GF2Matrix(2, x, (1, 2)), 2),
+    "HadamardMatrix.order": (lambda x: HadamardMatrix(x, [[1, 1], [1, -1]]), 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STORED))
+def test_a_numpy_integer_field_is_stored_as_int(entry):
+    build, value = STORED[entry]
+    field = entry.split(".")[1]
+    obj = build(np.int64(value))
+    assert getattr(obj, field) == value and type(getattr(obj, field)) is int
+    # the two classes without to_json are shown by their integer fields
+    view = obj.to_json() if hasattr(obj, "to_json") else {field: getattr(obj, field)}
+    json.dumps(view)
 
 
 class TestCheckInt:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cubestats import (
     JohnsonGraph,
     binomial,
     hadamard_matrix,
+    hadamard_paley,
     hadamard_sylvester,
     hadamard_to_clique,
     johnson_adjacent,
@@ -547,6 +549,8 @@ class TestIntegerArguments:
             (hadamard_sylvester, cubestats.hadamard.ORDER_CAP.bit_length()),
             (hadamard_matrix, 2**70),
             (hadamard_matrix, cubestats.hadamard.ORDER_CAP + 4),
+            (hadamard_paley, 2063),  # the first prime q = 3 mod 4 past the cap
+            (hadamard_paley, 2**61 - 1),
             (omega, 2**70),
             (JohnsonGraph, 2**70),
         ],
@@ -554,6 +558,23 @@ class TestIntegerArguments:
     def test_a_size_past_its_cap_is_a_capability_error(self, call, arg):
         with pytest.raises(CapabilityError):
             call(arg)
+
+    def test_paley_checks_its_cap_before_any_work(self, monkeypatch):
+        # 2^61 - 1 would take about 7·10^8 trial divisions; 2039 (order
+        # 2040) is the largest Paley prime under the cap, and goes on to
+        # the primality test, which is patched here so nothing is built
+        tested = []
+        monkeypatch.setattr(cubestats.hadamard, "_is_prime", lambda q: tested.append(q) or False)
+        for q in (2063, 2**61 - 1):
+            start = time.perf_counter()
+            with pytest.raises(CapabilityError):
+                hadamard_paley(q)
+            assert time.perf_counter() - start < 0.1
+        assert tested == []
+        assert 2039 + 1 <= cubestats.hadamard.ORDER_CAP < 2063 + 1
+        with pytest.raises(DomainError):
+            hadamard_paley(2039)
+        assert tested == [2039]
 
     def test_tensor_factors_go_through_the_checking_front(self, monkeypatch):
         # perfbench counts hadamard_matrix calls, factors included, by

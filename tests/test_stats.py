@@ -1,5 +1,6 @@
 """Occupancy distributions: reference counter, bit-parallel version, layered."""
 
+import itertools
 import random
 import sys
 import threading
@@ -53,13 +54,13 @@ class TestDistribution:
         assert dist.counts[2] == dist.total == 24
 
     def test_empty_set(self):
-        dist = distribution_fast(VertexSet.empty(3), 2)
+        dist = stats._fold_distribution(VertexSet.empty(3), 2)
         assert dist.counts[0] == dist.total == subcube_count(3, 2)
 
     def test_full_set_fills_every_subcube(self):
         # 2^8 = 256 is the first count that overflows uint8
         for d in range(9):
-            dist = distribution_fast(VertexSet.full(8), d)
+            dist = stats._fold_distribution(VertexSet.full(8), d)
             assert dist.counts[1 << d] == dist.total == subcube_count(8, d)
 
     def test_fraction_and_lambda_agree(self):
@@ -114,11 +115,11 @@ class TestDistribution:
         # d = 7 and 15 fill the widest count each of uint8 and uint16 holds,
         # 8 and 16 are the first d of the next dtype; every word size is used
         n = d + 1
-        dist = distribution_fast(VertexSet.full(n), d)
+        dist = stats._fold_distribution(VertexSet.full(n), d)
         assert dist.counts[1 << d] == dist.total == subcube_count(n, d)
         for k, T in [(2, {0}), (3, {0, 2}), (4, {1, 2, 3})]:
             spec = LayeredSpec(k, frozenset(T))
-            assert distribution_fast(layered_set(n, spec), d) == layered_distribution(
+            assert stats._fold_distribution(layered_set(n, spec), d) == layered_distribution(
                 n, d, spec
             )
 
@@ -229,7 +230,8 @@ class TestLeafRoutes:
                     spec = LayeredSpec(k, frozenset(T))
                     A = layered_set(n, spec)
                     want = layered_distribution(n, d, spec)
-                    assert distribution_fast(A, d) == want == distribution(A, d), (n, d, k, T)
+                    got = stats._fold_distribution(A, d)
+                    assert got == want == distribution(A, d), (n, d, k, T)
 
     @pytest.mark.parametrize("gate", [2, 1 << 10])
     def test_structured_sets_at_d_5_to_7_match_layered(self, monkeypatch, fresh_pool, gate):
@@ -239,7 +241,7 @@ class TestLeafRoutes:
             for k, T in ((2, {0}), (3, {0, 2}), (d + 1, {0})):
                 spec = LayeredSpec(k, frozenset(T))
                 want = layered_distribution(n, d, spec)
-                assert distribution_fast(layered_set(n, spec), d) == want, (n, d, k, T)
+                assert stats._fold_distribution(layered_set(n, spec), d) == want, (n, d, k, T)
 
     def test_eight_values_go_by_value_and_nine_scatter(self, monkeypatch, fresh_pool):
         # at (10, 3) the 15,360 leaf counts are one block.  A fair-coin set
@@ -253,7 +255,7 @@ class TestLeafRoutes:
             want = distribution(A, 3)
             held = [s for s, c in enumerate(want.counts) if c]
             assert held[-1] - held[0] + 1 == span
-            assert distribution_fast(A, 3) == want, span
+            assert stats._fold_distribution(A, 3) == want, span
             bins, program = _leaf_grid(10, 3)
             assert sum(y is None for _, y, _ in program) == 1
             assert bins.any() == scattered, span
@@ -261,17 +263,17 @@ class TestLeafRoutes:
     def test_one_valued_blocks_leave_the_pair_grid_zero(self, fresh_pool):
         # every 3-subcube holds 4 points of the parity set, so each 2^16-count
         # leaf block is one value; a fair-coin set spans 0..8 in every block
-        distribution_fast(parity_set(16), 3)
+        stats._fold_distribution(parity_set(16), 3)
         bins, _ = _leaf_grid(16, 3)
         assert not bins.any()
-        distribution_fast(bernoulli_set(16, 1, 0), 3)
+        stats._fold_distribution(bernoulli_set(16, 1, 0), 3)
         assert bins.any()
 
     def test_a_by_value_call_ignores_the_grid_a_scatter_left(self, fresh_pool):
         coin = bernoulli_set(16, 1, 0)
-        assert distribution_fast(coin, 3) == distribution_fast(coin, 3)
+        assert stats._fold_distribution(coin, 3) == stats._fold_distribution(coin, 3)
         for spec in (LayeredSpec(2, frozenset({0})), LayeredSpec(4, frozenset({0}))):
-            got = distribution_fast(layered_set(16, spec), 3)
+            got = stats._fold_distribution(layered_set(16, spec), 3)
             assert got == layered_distribution(16, 3, spec)
             bins, _ = _leaf_grid(16, 3)
             assert bins.any()  # the same workspace, still holding the scatter's pairs
@@ -288,6 +290,77 @@ class TestLeafRoutes:
         assert grid == (subcube_count(n, d) >= 256 * hist.size)
         if not grid:
             assert all(out is hist for _, y, out in program if y is None)
+
+
+def _weight_set(n, W):
+    """{x in Q_n : W[|x|]}, listed vertex by vertex."""
+    return VertexSet.from_vertices(n, [x for x in range(1 << n) if W[x.bit_count()]])
+
+
+class TestWeightSymmetric:
+    """distribution_fast counts A = {x : |x| in W} in closed form from W."""
+
+    def test_every_weight_class_set_up_to_n_6_matches_the_oracle(self):
+        for n in range(7):
+            for W in itertools.product((0, 1), repeat=n + 1):
+                A = _weight_set(n, W)
+                assert stats._symmetric_weights(A) == list(W)
+                for d in range(n + 1):
+                    assert distribution_fast(A, d) == distribution(A, d), (n, W, d)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_seeded_weight_class_sets_match_the_fold(self, n):
+        rng = random.Random(n)
+        sets = [_weight_set(n, [rng.getrandbits(1) for _ in range(n + 1)]) for _ in range(40)]
+        for d in range(n + 1):  # d outermost: the fold keeps one shape's workspaces
+            for A in sets:
+                assert distribution_fast(A, d) == stats._fold_distribution(A, d), (n, d)
+
+    @pytest.mark.parametrize("x", [0b111, 0b1011_0100, 0b1111_1110])
+    def test_parity_with_one_heavy_vertex_flipped_takes_the_fold(self, x):
+        # the weight-1 and weight-2 classes stay whole, so only the full
+        # compare against the weight table turns the set away; 0b111 is the
+        # vertex W[3] is read from, so the rest of its class disagrees
+        A = VertexSet(8, parity_set(8).bits ^ (1 << x))
+        for mask in stats._low_weight_masks(8):
+            assert A.bits & mask in (0, mask)
+        assert stats._symmetric_weights(A) is None
+        for d in range(9):
+            assert distribution_fast(A, d) == distribution(A, d), d
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_one_vertex_splits_a_low_weight_class(self, monkeypatch, n):
+        # turned away by the class masks, before the weight table is built
+        parity = parity_set(n).bits
+        sets = [VertexSet(n, parity ^ (1 << x)) for x in (1 << (n - 1), 0b11 << (n - 2))]
+        with monkeypatch.context() as patch:
+            patch.setattr(stats, "vertex_weights", None)
+            assert [stats._symmetric_weights(A) for A in sets] == [None, None]
+        for A in sets:
+            assert distribution_fast(A, 3) == stats._fold_distribution(A, 3)
+
+    def test_only_sets_that_are_not_symmetric_reach_the_fold(self, monkeypatch):
+        class Folded(Exception):
+            pass
+
+        def fold(A, d):
+            raise Folded
+
+        monkeypatch.setattr(stats, "_fold_distribution", fold)
+        for n in range(11):
+            for k, T in ((1, {0}), (1, set()), (2, {0}), (3, {1}), (5, {0, 3})):
+                spec = LayeredSpec(k, frozenset(T))
+                A = layered_set(n, spec)
+                for d in range(n + 1):
+                    assert distribution_fast(A, d) == layered_distribution(n, d, spec)
+        with pytest.raises(Folded):
+            distribution_fast(bernoulli_set(10, 3, 0), 3)
+
+    def test_weight_one_vertices_of_q4_on_edges(self):
+        # an edge whose 3 fixed coordinates have weight 0 or 1 (4 + 12 edges)
+        # holds one vertex of weight 1; one of weight 2 or 3 (12 + 4) none
+        A = _weight_set(4, [0, 1, 0, 0, 0])
+        assert distribution_fast(A, 1).counts == (16, 16, 0)
 
 
 class TestLayered:
@@ -310,7 +383,7 @@ class TestLayered:
         ],
     )
     def test_matches_fast_kernel_at_scale(self, n, d, spec):
-        assert layered_distribution(n, d, spec) == distribution_fast(
+        assert layered_distribution(n, d, spec) == stats._fold_distribution(
             layered_set(n, spec), d
         )
 
