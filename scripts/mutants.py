@@ -80,6 +80,19 @@ ALLOWED = {
     "src/cubestats/exhaustive.py:_n5_candidates: _symmetries(4) => _symmetries(5)": (
         "rows 1-15 of both are the translations by t < 16, which act alike on 16-bit halves"
     ),
+    "src/cubestats/residues.py:_binsum_row: k <= d => k < d": (
+        "at k = d Pascal's rule and the direct sum give the same row; the test only picks one"
+    ),
+    "src/cubestats/residues.py:_constant_cases: "
+    "np.arange(k)[:, None] - np.arange(k) => np.arange(k)[:, None] + np.arange(k)": (
+        "a runs over all of Z_k, so the shifts by -a permute each set's k sums"
+    ),
+    "src/cubestats/approx.py:_bound_test: sum(map(abs, terms)) + 1 => sum(map(abs, terms)) + 2": (
+        "a wider float margin only sends more gaps to the exact decimal branch"
+    ),
+    "src/cubestats/approx.py:_decimal_gap: prec *= 2 => prec *= 3": (
+        "a faster-growing precision reaches the same sign of the gap"
+    ),
 }
 
 

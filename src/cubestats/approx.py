@@ -21,18 +21,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapabilityError, DomainError, check_int
 from .residues import residue_table
 
 MAX_MODULUS = 10**6
-
-_LOG2E = 1.0 / math.log(2.0)
-# float-roundoff slack when the bound itself is evaluated in floating
-# point: deviations exceeding the bound by at most a relative 2^-51
-# (about 2 ulps) are flagged as borderline instead of failed
-_SLACK_BITS = 51
 
 
 @dataclass(frozen=True)
@@ -74,14 +68,9 @@ class ApproxCheck:
 
     max_error: Fraction
     bound_ok: bool
-    borderline: bool
 
     def to_json(self) -> dict:
-        return {
-            "max_error": str(self.max_error),
-            "bound_ok": self.bound_ok,
-            "borderline": self.borderline,
-        }
+        return {"max_error": str(self.max_error), "bound_ok": self.bound_ok}
 
 
 def _convergents(x: Fraction) -> Iterator[tuple[int, int]]:
@@ -100,19 +89,15 @@ def _convergents(x: Fraction) -> Iterator[tuple[int, int]]:
 
 
 def _least_safe_dimension(q: int, budget: Fraction) -> int:
-    # least d with q e^(-d/(10 q^2)) <= budget, compared in logarithms so a
-    # budget below the float range neither overflows q/budget nor rounds to 0;
-    # a float estimate of d is corrected in 60-digit logarithms, since float
-    # ones resolve d only to about 10 q^2 ulp(log q), a few units at q = 10^6
-    scale = 10 * q * q
-    with decimal.localcontext(prec=60):
-        log_q = Decimal(q).ln()
-        log_budget = Decimal(budget.numerator).ln() - Decimal(budget.denominator).ln()
-        d = max(1, math.ceil(scale * float(log_q - log_budget)))
-        while log_q - Decimal(d) / scale > log_budget:
-            d += 1
-        while d > 1 and log_q - Decimal(d - 1) / scale <= log_budget:
-            d -= 1
+    # least d with q e^(-d/(10 q^2)) <= budget; the float estimate, in logarithms
+    # so that no budget overflows or rounds to 0, resolves d only to about 10 q^2
+    # ulp(log q), a few units at q = 10^6, so the exact ``_bound_test`` corrects it
+    num, den = budget.numerator, budget.denominator
+    d = max(1, math.ceil(10 * q * q * (math.log(q) - math.log(num) + math.log(den))))
+    while _bound_test(q, d, num, den):
+        d += 1
+    while d > 1 and not _bound_test(q, d - 1, num, den):
+        d -= 1
     return d
 
 
@@ -145,31 +130,45 @@ def approx_construct(x: float, eps: float) -> ApproxSpec:
     return ApproxSpec(x=x, q=q, p=p, d_min=d_min, tol=eps)
 
 
-def _bound_test(q: int, d: int) -> Callable[[int, int], tuple[bool, bool]]:
-    """The proven bound q 2^d e^(-d/(10 q^2)) at (q, d), as a test of a deviation.
+def _bound_test(q: int, d: int, num: int, den: int = 1, shift: int = 0) -> bool:
+    """Is r = num / (den 2^shift) >= 0 below the bound q e^(-d/(10 q^2))?
 
-    The bound is q 2^(d+t) with t = -d log2(e) / (10 q^2).  Its float64 part
-    m = q 2^(t-k), k = floor(t), lies in [q, 2q), so it neither overflows
-    nor underflows, and the power 2^(d+k) (d + k >= 0) is applied exactly,
-    as a shift.  The returned test maps a deviation num/den >= 0 to
-    (ok, borderline): a deviation that exceeds the bound by at most a
-    relative 2^-51 is borderline, not failed.
+    A deviation D is within the proven bound q 2^d e^(-d/(10 q^2)) when r =
+    D / 2^d is below this one.  The verdict is the sign of the gap ln q -
+    d/(10 q^2) - ln num + ln den + shift ln 2, trusted in float64 when it
+    clears 2^-48 (sum of the term sizes + 1), a few times their roundoff,
+    and else fixed by ``_decimal_gap``.  The gap is never 0, since e^x is
+    irrational for rational x != 0 (Lindemann, 1882), so the precision
+    doubling there ends; at d = 0 the bound q could tie, so d < 1 is refused.
     """
-    t = -d * _LOG2E / (10.0 * q * q)
-    k = math.floor(t)
-    top, bottom = (q * 2.0 ** (t - k)).as_integer_ratio()
-    top <<= d + k
+    if d < 1:
+        raise DomainError("the bound is decided only at dimension 1 or more")
+    if num == 0:
+        return True
+    terms = (math.log(q), -d / (10 * q * q), -math.log(num), math.log(den), shift * math.log(2))
+    gap = sum(terms)
+    if abs(gap) <= (sum(map(abs, terms)) + 1) * 2.0**-48:
+        gap = _decimal_gap(q, d, num, den, shift)
+    return gap > 0
 
-    def exact(num: int, den: int) -> tuple[bool, bool]:
-        # num/den <= top/bottom, and then with the slack, cross-multiplied
-        err, room = num * bottom, top * den
-        if err <= room:
-            return True, False
-        if err << _SLACK_BITS <= room * ((1 << _SLACK_BITS) + 1):
-            return True, True
-        return False, False
 
-    return exact
+def _decimal_gap(q: int, d: int, num: int, den: int, shift: int) -> Decimal:
+    """The gap of ``_bound_test`` in decimal, at a precision that fixes its sign.
+
+    The gap is ln z - d/(10 q^2) with z = q den 2^shift / num.  z, its
+    logarithm, the quotient and the difference are each rounded once, to a
+    relative 10^(1 - prec) / 2, so the gap is off by less than 10^(1 - prec)
+    (|ln z| + d/(10 q^2) + 1).  From 40 digits, the precision doubles until
+    the gap clears that.
+    """
+    prec = 40
+    while True:
+        with decimal.localcontext(prec=prec):
+            log_z, x = (Decimal(q * den << shift) / num).ln(), Decimal(d) / (10 * q * q)
+            gap = log_z - x
+            if abs(gap) > (abs(log_z) + x + 1).scaleb(1 - prec):
+                return gap
+        prec *= 2
 
 
 def _prefix_sums(q: int, d: int) -> list[int]:
@@ -180,12 +179,12 @@ def _prefix_sums(q: int, d: int) -> list[int]:
     there on P[i] = (q - i) 2^d, falling to P[q - 1] = 2^d.  Residues mod
     d + 1 give the same head as residues mod q > d + 1, one binomial each.
     """
+    head = residue_table(min(q, d + 1), d).values  # past ROW_CAP this raises first
     full = 1 << d
-    head = residue_table(min(q, d + 1), d).values
     return list(accumulate((q * v - full for v in head), initial=0))
 
 
-def approx_worst(q: int, d: int) -> tuple[int, bool, bool]:
+def approx_worst(q: int, d: int) -> tuple[int, bool]:
     """The worst layered set "weight mod q < p" over every 0 < p < q, at dimension d.
 
     A d-subcube of base weight residue a holds (p 2^d + W_p(a)) / q set
@@ -196,60 +195,43 @@ def approx_worst(q: int, d: int) -> tuple[int, bool, bool]:
     the one with p = (j - i) mod q in [1, q-1], so the largest |W_p(a)|
     over every p and a is max P - min P, read in O(q) steps.  Past the
     stored head h, P falls from P[h] to 2^d > P[0] = 0, so the head alone
-    has that range.  Returns (E, ok, borderline) for that worst p, as
-    ``approx_checker`` does for one.
+    has that range.  Returns E and its ``_bound_test`` verdict.
     """
     # q >= 2, so that some 0 < p < q exists
     q, d = check_int("modulus", q, 2), check_int("dimension", d, 1)
     P = _prefix_sums(q, d)
     E = max(P) - min(P)
-    return (E, *_bound_test(q, d)(E, q))
-
-
-def approx_checker(q: int, d: int) -> Callable[[int], tuple[int, bool, bool]]:
-    """Check the layered sets "weight mod q < p" at dimension d, one p per call.
-
-    The prefix sums P of ``_prefix_sums`` are built once, and the bound is
-    evaluated once.  A call with 0 <= p <= q returns (E, ok, borderline):
-    E = max over a of |P[(a+p) mod q] - P[a]| (see ``approx_worst``), so
-    E / q is the worst deviation of a count from (p/q) 2^d, and (ok,
-    borderline) is its bound check.  Past the stored head h, P falls by 2^d
-    a step, so a window from the tail to the tail is -p 2^d or, if it wraps,
-    (q - p) 2^d.  The windows from q - p to 0 and from 0 to p read the same
-    values, so only the O(h) windows that start or end in the head are read.
-    """
-    q, d = check_int("modulus", q, 1), check_int("dimension", d, 1)
-    P = _prefix_sums(q, d)
-    h = len(P) - 1
-    full = 1 << d
-    test = _bound_test(q, d)
-
-    def at(i: int) -> int:
-        return P[i] if i <= h else (q - i) * full
-
-    def check(p: int) -> tuple[int, bool, bool]:
-        p = check_int("p", p, 0, q)
-        starts = {*range(h), *((b - p) % q for b in range(h))}
-        E = max(abs(at((a + p) % q) - at(a)) for a in starts)
-        return (E, *test(E, q))
-
-    return check
+    return E, _bound_test(q, d, E, q, d)
 
 
 def check_approx(spec: ApproxSpec, d: int) -> ApproxCheck:
     """Exact worst-case deviation of the layer counts from (p/q) 2^d at dimension d.
 
-    The deviation is maximized over the base weight residue a; the proven
-    bound q 2^d e^(-d/(10 q^2)) is evaluated by ``_bound_test``, and exact
-    deviations within a relative 2^-51 of it are flagged borderline, not failed.
+    With the prefix sums P of ``_prefix_sums``, E = max over a of
+    |P[(a+p) mod q] - P[a]| (see ``approx_worst``), so E / q is the worst
+    deviation of a count, and ``_bound_test`` decides it against the proven
+    bound q 2^d e^(-d/(10 q^2)) exactly.  Past the stored head h, P falls
+    by 2^d a step, so a window from the tail to the tail is -p 2^d or, if
+    it wraps, (q - p) 2^d.  The windows from q - p to 0 and from 0 to p
+    read the same values, so only the O(h) windows that start or end in
+    the head are read.
     """
-    E, ok, borderline = approx_checker(spec.q, d)(spec.p)
-    return ApproxCheck(max_error=Fraction(E, spec.q), bound_ok=ok, borderline=borderline)
+    q, p, d = spec.q, spec.p, check_int("dimension", d, 1)
+    P = _prefix_sums(q, d)
+    h, full = len(P) - 1, 1 << d
+
+    def at(i: int) -> int:
+        return P[i] if i <= h else (q - i) * full
+
+    starts = {*range(h), *((b - p) % q for b in range(h))}
+    E = max(abs(at((a + p) % q) - at(a)) for a in starts)
+    return ApproxCheck(max_error=Fraction(E, q), bound_ok=_bound_test(q, d, E, q, d))
 
 
 def third_layer_check(d_max: int) -> bool:
     """Each residue class mod 3 collects floor(2^d/3) or ceil(2^d/3) weights."""
     d_max = check_int("d_max", d_max, 1)
+    residue_table(3, d_max)  # the largest row first: past ROW_CAP it raises before any work
     return all(
         _splits_evenly(residue_table(3, d).values, d) for d in range(1, d_max + 1)
     )

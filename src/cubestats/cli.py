@@ -8,12 +8,14 @@ report can be reproduced byte for byte from its own header.  Exit codes:
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from decimal import Decimal
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +42,7 @@ from .exhaustive import exhaustive_lambda
 from .hadamard import hadamard_matrix
 from .johnson import CliqueCertificate, hadamard_to_clique, omega, verify_clique
 from .residues import (
+    ROW_CAP,
     Thm32Case,
     prop31_holds,
     residue_table,
@@ -50,8 +53,6 @@ from .residues import (
 from .stats import LayeredSpec, distribution, distribution_fast, layered_distribution
 from .stats import _fold_distribution, _weight_distribution
 from .turan import occupancy_case
-
-_CHECKED_DIMENSION_CAP = 10_000  # the largest d the approx check runs at
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,7 @@ def cmd_approx(config: RunConfig, args: argparse.Namespace):
     spec = approx_construct(args.x, args.eps)
     payload = {"spec": spec.to_json()}
     check_d = args.check_d
-    if check_d is not None and check_d > _CHECKED_DIMENSION_CAP:
-        raise CapabilityError(f"--check-d above {_CHECKED_DIMENSION_CAP} is unsupported")
-    if check_d is None and spec.d_min <= _CHECKED_DIMENSION_CAP:
+    if check_d is None and spec.d_min <= ROW_CAP:
         check_d = spec.d_min
     check = check_approx(spec, check_d) if check_d is not None else None
     if check is not None:
@@ -222,10 +221,21 @@ def _suite_approx(config: RunConfig) -> list[dict]:
         # exactly when the worst one does: one prefix-sum range per (q, d)
         ok = all(approx_worst(q, d)[1] for d in range(1, 65))
         checks.append({"name": f"bound holds q={q}, p<q, d<=64", "pass": ok})
-    # negative control: at q = 12, d = 64 a deviation of q 2^d exceeds the
-    # bound q 2^d e^(-d/(10 q^2)) by 4.5%, so the bound test must fail it
-    ok, _ = _bound_test(12, 64)(12 << 64, 1)
+    # the bound B = 12 2^64 e^(-64/1440) lies about 0.3 from an integer, far
+    # inside the float margin of the bound test, so its decimal branch must
+    # pass floor(B) and fail floor(B) + 1
+    with decimal.localcontext(prec=50):
+        floor_bound = int(12 * 2**64 * (Decimal(-64) / 1440).exp())
+    name = "bound holds at floor(B), B = 12 2^64 e^(-64/1440)"
+    checks.append({"name": name, "pass": _bound_test(12, 64, floor_bound, 1, 64)})
+    # negative controls: at q = 12, d = 64 a deviation of q 2^d exceeds the
+    # bound q 2^d e^(-d/(10 q^2)) by 4.5%, and floor(B) + 1 exceeds it by
+    # less than 1, so the bound test must fail both
+    ok = _bound_test(12, 64, 12 << 64, 1, 64)
     name = "control: a deviation above the bound fails the bound check"
+    checks.append({"name": name, "pass": not ok, "control": True})
+    ok = _bound_test(12, 64, floor_bound + 1, 1, 64)
+    name = "control: floor(B) + 1 fails the bound check"
     checks.append({"name": name, "pass": not ok, "control": True})
     return checks
 

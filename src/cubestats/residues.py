@@ -11,8 +11,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import CapabilityError, DomainError, check_int
 
+
+ROW_CAP = 10_000  # the largest dimension d a residue row is built at
 
 # The most shifted sums one product of ``_constant_cases`` computes
 _STACK_ELEMS = 1 << 18
@@ -33,6 +35,8 @@ def _binsum_row(k: int, d: int) -> tuple[int, ...]:
         raise DomainError("modulus must be at least 1")
     if d < 0:
         raise DomainError("dimension must be nonnegative")
+    if d > ROW_CAP:
+        raise CapabilityError(f"residue rows past dimension {ROW_CAP} are unsupported")
     prev = _ROWS.get((k, d - 1))
     if prev is not None and k <= d:  # for k > d the d + 1 direct terms are fewer
         # Pascal's rule: C(d, i) = C(d-1, i) + C(d-1, i-1); prev[-1] wraps mod k
@@ -195,6 +199,7 @@ def verify_thm32(k: int, d_range: Iterable[int]) -> Thm32Report:
     dims = tuple(sorted({check_int("dimension", d, 0) for d in d_range}))
     if not dims:
         raise DomainError("need at least one dimension")
+    _binsum_row(k, dims[-1])  # the largest row first: past ROW_CAP it raises before any work
 
     expected, violations = [], []
     for case in _constant_cases(k, dims):

@@ -565,8 +565,9 @@ class TestVerifySuites:
         "suite", ["prop31", "thm32", "approx", "third-layer", "oracle-equivalence"]
     )
     def test_suite_reports_its_negative_control(self, capsys, suite):
-        # oracle-equivalence has one control for the mirror, two for the layered check
-        controls = 3 if suite == "oracle-equivalence" else 1
+        # oracle-equivalence has one control for the mirror, two for the layered
+        # check; approx has one for a deviation far above the bound, one just above
+        controls = {"oracle-equivalence": 3, "approx": 2}.get(suite, 1)
         rc, out, _ = run(capsys, "verify", suite)
         checks = json.loads(out)["checks"]
         assert rc == 0
@@ -590,14 +591,15 @@ class TestVerifySuites:
     def test_suite_fails_when_its_check_accepts_anything(
         self, capsys, monkeypatch, suite, targets
     ):
-        # every regular check passes; only the negative control fails
-        accepts = {"_bound_test": lambda num, den: (True, False)}
+        # every regular check passes; only the negative controls fail, which
+        # are both of approx's and one of the others'
         for module, name in targets:
-            monkeypatch.setattr(module, name, lambda *args, v=accepts.get(name, True): v)
+            monkeypatch.setattr(module, name, lambda *args: True)
         rc, out, _ = run(capsys, "verify", suite)
         failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
         assert rc == 1
-        assert len(failed) == 1 and failed[0].startswith("control: ")
+        assert len(failed) == (2 if suite == "approx" else 1)
+        assert all(name.startswith("control: ") for name in failed)
 
     def test_clique_certs_fails_when_a_certificate_cannot_be_built(
         self, capsys, monkeypatch
@@ -621,7 +623,7 @@ class TestVerifySuites:
                     k, tuple(dims), (), (Thm32Case(1, (0,), (1,) * k),)
                 ),
             ),
-            ("approx", "approx_worst", lambda q, d: (q << d, False, False)),
+            ("approx", "approx_worst", lambda q, d: (q << d, False)),
             ("third-layer", "third_layer_check", lambda d_max: False),
             (
                 "oracle-equivalence",

@@ -38,7 +38,7 @@ from cubestats import (
     verify_thm32,
     weight_top_bottom_set,
 )
-from cubestats.approx import approx_checker, approx_worst
+from cubestats.approx import approx_worst, check_approx
 from cubestats.cube import check_mask_dimension, check_subcube_dimension
 from cubestats.errors import check_int, show
 from cubestats.turan import occupancy_case
@@ -76,7 +76,7 @@ ENTRIES = {
     "bernoulli_set.seed": (lambda x: bernoulli_set(4, 2, x), 5),
     "approx_worst.q": (lambda x: approx_worst(x, 5), 3),
     "approx_worst.d": (lambda x: approx_worst(3, x), 5),
-    "approx_checker.p": (lambda x: approx_checker(3, 5)(x), 2),
+    "check_approx.d": (lambda x: check_approx(ApproxSpec(0.5, 3, 1, 1, 0.1), x), 5),
     "ApproxSpec.q": (lambda x: ApproxSpec(x=0.5, q=x, p=1, d_min=1, tol=0.1), 2),
     "Subcube.n": (lambda x: Subcube(x, 1, 0), 3),
     "Subcube.free": (lambda x: Subcube(3, x, 0), 3),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubestats import (
+    CapabilityError,
     DomainError,
     LayeredSpec,
     ResidueSumTable,
@@ -18,6 +19,7 @@ from cubestats import (
     q_binsum,
     residue_table,
     residues,
+    third_layer_check,
     thm32_q,
     verify_prop31,
     verify_thm32,
@@ -143,6 +145,40 @@ class TestBinsum:
         monkeypatch.setattr(residues, "_ROWS", {})
         assert q_binsum(0, np.int64(3), np.int64(100)) == _direct(0, 3, 100)
         assert q_binsum(2, np.uint8(7), np.int32(80)) == _direct(2, 7, 80)
+
+
+class TestRowCap:
+    def test_huge_dimension_raises_before_any_row_is_built(self, monkeypatch):
+        # each of these started work on 2^70 binomials, with no answer in 2 s
+        monkeypatch.setattr(residues, "_ROWS", {})
+        calls = (
+            lambda: q_binsum(0, 3, 2**70),
+            lambda: residue_table(3, 2**70),
+            lambda: third_layer_check(2**70),
+            lambda: verify_thm32(3, [1, 2, 2**70]),  # the largest d is read first
+        )
+        for call in calls:
+            with pytest.raises(CapabilityError):
+                call()
+        assert residues._ROWS == {}
+
+    def test_cap_admits_its_own_dimension(self, monkeypatch):
+        monkeypatch.setattr(residues, "_ROWS", {})
+        cap = residues.ROW_CAP
+        assert cap == 10_000
+        # (2^d + 2 cos(d pi / 3)) / 3, with d = 4 (mod 6)
+        assert q_binsum(0, 3, cap) == ((1 << cap) - 1) // 3
+        assert sum(residue_table(3, cap).values) == 1 << cap
+        assert verify_thm32(1, [cap]).ok
+        calls = (
+            lambda: q_binsum(0, 3, cap + 1),
+            lambda: residue_table(3, cap + 1),
+            lambda: third_layer_check(cap + 1),
+            lambda: verify_thm32(1, [cap + 1]),
+        )
+        for call in calls:
+            with pytest.raises(CapabilityError):
+                call()
 
 
 class TestTable:
