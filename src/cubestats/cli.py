@@ -8,14 +8,12 @@ report can be reproduced byte for byte from its own header.  Exit codes:
 
 import argparse
 import csv
-import decimal
 import functools
 import io
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from decimal import Decimal
 from typing import Sequence
 
 import numpy as np
@@ -221,11 +219,10 @@ def _suite_approx(config: RunConfig) -> list[dict]:
         # exactly when the worst one does: one prefix-sum range per (q, d)
         ok = all(approx_worst(q, d)[1] for d in range(1, 65))
         checks.append({"name": f"bound holds q={q}, p<q, d<=64", "pass": ok})
-    # the bound B = 12 2^64 e^(-64/1440) lies about 0.3 from an integer, far
-    # inside the float margin of the bound test, so its decimal branch must
-    # pass floor(B) and fail floor(B) + 1
-    with decimal.localcontext(prec=50):
-        floor_bound = int(12 * 2**64 * (Decimal(-64) / 1440).exp())
+    # floor(B) for the bound B = 12 2^64 e^(-64/1440); B lies about 0.3 from
+    # an integer, far inside the float margin of the bound test, so its
+    # decimal branch must pass floor(B) and fail floor(B) + 1
+    floor_bound = 211738090192580096408
     name = "bound holds at floor(B), B = 12 2^64 e^(-64/1440)"
     checks.append({"name": name, "pass": _bound_test(12, 64, floor_bound, 1, 64)})
     # negative controls: at q = 12, d = 64 a deviation of q 2^d exceeds the

@@ -78,6 +78,7 @@ ENTRIES = {
     "approx_worst.d": (lambda x: approx_worst(3, x), 5),
     "check_approx.d": (lambda x: check_approx(ApproxSpec(0.5, 3, 1, 1, 0.1), x), 5),
     "ApproxSpec.q": (lambda x: ApproxSpec(x=0.5, q=x, p=1, d_min=1, tol=0.1), 2),
+    "ApproxSpec.p": (lambda x: ApproxSpec(x=0.5, q=3, p=x, d_min=1, tol=0.1), 1),
     "Subcube.n": (lambda x: Subcube(x, 1, 0), 3),
     "Subcube.free": (lambda x: Subcube(3, x, 0), 3),
     "Subcube.base": (lambda x: Subcube(3, 1, x), 2),
