@@ -59,6 +59,9 @@ ALLOWED = {
     "src/cubestats/cube.py:VertexSet.from_vertices: 1 << n => 2 << n": (
         "the flags past 2^n stay zero, so the packed mask is the same; only the buffer doubles"
     ),
+    "src/cubestats/cube.py:Subcube.intersects: 1 << self.n => 2 << self.n": (
+        "both bases lie below 2^n, so bit n of the mask never meets their xor"
+    ),
     "src/cubestats/cube.py:VertexSet.__contains__: 0 <= v < 1 << self.n => 0 <= v <= 1 << self.n": (
         "bit 2^n of a mask below 2^(2^n) is 0, so v = 2^n is out either way"
     ),

@@ -31,10 +31,9 @@ from .constructions import (
     ConstructionResult,
     best_bounds,
     build_construction,
-    construction_dimension,
     layered_set,
 )
-from .cube import MASK_CAP, VertexSet, check_subcube_dimension
+from .cube import VertexSet, check_subcube_dimension
 from .errors import CapabilityError, CertificateError, DomainError
 from .exhaustive import exhaustive_lambda
 from .hadamard import hadamard_matrix
@@ -63,7 +62,6 @@ class RunConfig:
     format: str = "json"
     out: str | None = None
     workers: int = 1
-    max_n: int = MASK_CAP
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -90,19 +88,11 @@ def _load_json_arg(text: str):
 
 
 def _construct(config: RunConfig, text: str) -> ConstructionResult:
-    """Build the construction a spec argument names, within ``--max-n``."""
+    """Build the construction a spec argument names."""
     spec = _load_json_arg(text)
     if isinstance(spec, dict) and spec.get("kind") == "bernoulli":
         spec.setdefault("seed", config.seed)
-    n = construction_dimension(spec)
-    if n is not None:  # None: the builder rejects the spec before any allocation
-        _check_max_n(config, n)
     return build_construction(spec)
-
-
-def _check_max_n(config: RunConfig, n: int) -> None:
-    if n > config.max_n:
-        raise CapabilityError(f"set lives in n={n}, above the cap {config.max_n}")
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +106,7 @@ def cmd_dist(config: RunConfig, args: argparse.Namespace):
     if (args.set_file is None) == (args.construct is None):
         raise DomainError("give exactly one of --set-file and --construct")
     if args.set_file is not None:
-        n, vertices = VertexSet.read_json(_load_json_arg("@" + args.set_file))
-        _check_max_n(config, n)  # before the 2^n membership flags are built
-        A = VertexSet.from_ascending(n, vertices)
+        A = VertexSet.from_json(_load_json_arg("@" + args.set_file))
     else:
         result = _construct(config, args.construct)
         payload["construction"] = result.to_json()
@@ -364,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", default=None, help="write the report to this path")
     # kept so that existing command lines still parse; it changes nothing that runs
     shared.add_argument("--workers", type=int, default=1, help="unused (at least 1)")
-    shared.add_argument("--max-n", type=int, default=MASK_CAP, dest="max_n")
 
     parser = argparse.ArgumentParser(
         prog="cubestats",
@@ -547,8 +534,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if not 0 <= config.seed < 1 << 64:
             raise DomainError("seed must fit in 64 bits")
-        if config.max_n < 0:
-            raise DomainError("--max-n must be >= 0")
         if config.workers < 1:
             raise DomainError("--workers must be >= 1")
         payload, provenance, passed = _COMMANDS[args.command](config, args)

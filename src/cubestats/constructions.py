@@ -19,7 +19,7 @@ import numpy as np
 
 from .cube import Subcube, VertexSet, binomial, check_mask_dimension
 from .cube import check_subcube_dimension, vertex_weights
-from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, is_int, show
+from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, show
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
 from .stats import LambdaBounds, LayeredSpec, layered_distribution
@@ -374,31 +374,14 @@ def build_construction(spec: dict) -> ConstructionResult:
     return _BUILDERS[kind](params)
 
 
-def construction_dimension(spec) -> int | None:
-    """The n of the Q_n whose subset a spec describes, read before anything
-    of size 2^n is built; None when the spec's kind or that member is
-    malformed, which build_construction rejects."""
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if not isinstance(kind, str) or kind not in _BUILDERS:
-        return None
-    if kind == "syndrome":
-        matrix = spec.get("matrix")
-        n = matrix.get("cols") if isinstance(matrix, dict) else None
-    elif kind in ("turan_extremal", "weight_top_bottom"):
-        d = spec.get("d")
-        n = d + 2 if is_int(d) else None
-    else:
-        n = spec.get("n")
-    return n if is_int(n) else None
-
-
 def _build_syndrome(spec: dict) -> ConstructionResult:
     matrix, colors, d = fields(
         spec, "syndrome spec", matrix="dict", colors="ints", d="int?"
     )
     B = GF2Matrix.from_json(matrix)
+    check_mask_dimension(B.cols)  # before spanning_fraction ranks any column subset
     d = B.rows if d is None else d
-    frac = spanning_fraction(B, d)  # its cap comes before the 2^cols allocation
+    frac = spanning_fraction(B, d)
     colors = set(colors)
     A = syndrome_set(B, colors)
     if d < B.rows:  # no d columns reach full row rank, so nothing is certified

@@ -116,18 +116,10 @@ class VertexSet:
         """n and the members array; json.dumps it with default=np.ndarray.tolist."""
         return {"n": self.n, "vertices": self.members()}
 
-    @staticmethod
-    def read_json(obj: dict) -> tuple[int, list[int]]:
-        """The n and vertex list of a JSON vertex set, type-checked; nothing is built."""
-        return fields(obj, "vertex set", n="int", vertices="ints")
-
     @classmethod
     def from_json(cls, obj: dict) -> VertexSet:
-        return cls.from_ascending(*cls.read_json(obj))
-
-    @classmethod
-    def from_ascending(cls, n: int, vertices: list[int]) -> VertexSet:
-        """The set of a strictly ascending vertex list, as read_json returns it."""
+        """The set of a JSON vertex set; its vertices must be strictly ascending."""
+        n, vertices = fields(obj, "vertex set", n="int", vertices="ints")
         A = cls.from_vertices(n, vertices)
         if A.vertices() != vertices:
             raise DomainError("'vertices' must be strictly ascending")

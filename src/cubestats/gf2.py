@@ -19,10 +19,10 @@ class GF2Matrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", check_int("rows", self.rows, 0))
         object.__setattr__(self, "cols", check_int("cols", self.cols, 0))
-        limit = 1 << self.cols
         if len(self.row_masks) != self.rows:
             raise DomainError("row count does not match row_masks")
-        if any(not 0 <= m < limit for m in self.row_masks):
+        # a shift, not a compare with 1 << cols, which at a huge cols is a huge int
+        if any(m < 0 or m >> self.cols for m in self.row_masks):
             raise DomainError("row mask has bits beyond cols")
 
     @classmethod
@@ -80,7 +80,7 @@ class GF2Matrix:
         for s in data:
             if len(s) != cols or set(s) - {"0", "1"}:
                 raise DomainError(f"bad row string {s!r}")
-            masks.append(sum((s[c] == "1") << c for c in range(cols)))
+            masks.append(int(s[::-1] or "0", 2))  # base 2 has no digit limit
         return cls(rows, cols, tuple(masks))
 
 

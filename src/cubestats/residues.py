@@ -19,8 +19,10 @@ ROW_CAP = 10_000  # the largest dimension d a residue row is built at
 # The most shifted sums one product of ``_constant_cases`` computes
 _STACK_ELEMS = 1 << 18
 
-# (k, d) -> the k residue-class sums of row d of Pascal's triangle
-_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
+# k -> (d, the k residue-class sums of row d of Pascal's triangle) for the
+# latest row built mod k: every walk in the package steps from row d - 1 of
+# the same k, so one row per modulus is all that a later call reuses
+_ROWS: dict[int, tuple[int, tuple[int, ...]]] = {}
 
 
 def _binsum_row(k: int, d: int) -> tuple[int, ...]:
@@ -28,8 +30,8 @@ def _binsum_row(k: int, d: int) -> tuple[int, ...]:
     # type test keeps the common call cheap, and numpy ints become ints
     if type(k) is not int or type(d) is not int:
         k, d = check_int("modulus", k), check_int("dimension", d)
-    row = _ROWS.get((k, d))
-    if row is not None:
+    last, row = _ROWS.get(k, (None, ()))
+    if last == d:
         return row
     if k < 1:
         raise DomainError("modulus must be at least 1")
@@ -37,10 +39,9 @@ def _binsum_row(k: int, d: int) -> tuple[int, ...]:
         raise DomainError("dimension must be nonnegative")
     if d > ROW_CAP:
         raise CapabilityError(f"residue rows past dimension {ROW_CAP} are unsupported")
-    prev = _ROWS.get((k, d - 1))
-    if prev is not None and k <= d:  # for k > d the d + 1 direct terms are fewer
-        # Pascal's rule: C(d, i) = C(d-1, i) + C(d-1, i-1); prev[-1] wraps mod k
-        row = tuple(prev[a] + prev[a - 1] for a in range(k))
+    if last == d - 1 and k <= d:  # for k > d the d + 1 direct terms are fewer
+        # Pascal's rule: C(d, i) = C(d-1, i) + C(d-1, i-1); row[-1] wraps mod k
+        row = tuple(row[a] + row[a - 1] for a in range(k))
     else:
         values = [0] * k
         c = 1  # C(d, i), stepped by C(d, i+1) = C(d, i) (d-i) / (i+1)
@@ -48,7 +49,7 @@ def _binsum_row(k: int, d: int) -> tuple[int, ...]:
             values[i % k] += c
             c = c * (d - i) // (i + 1)
         row = tuple(values)
-    _ROWS[(k, d)] = row
+    _ROWS[k] = d, row
     return row
 
 

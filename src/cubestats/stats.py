@@ -154,9 +154,9 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
     """
     n = A.n
     check_subcube_dimension(n, d)
-    W = _symmetric_weights(A)
+    W, flags = _symmetric_weights(A)
     if W is None:
-        return _fold_distribution(A, d)
+        return _fold_distribution(A, d, flags)
     return _weight_distribution(n, d, W)
 
 
@@ -172,8 +172,9 @@ def _weight_distribution(n: int, d: int, W: list[int]) -> SubcubeDistribution:
     return SubcubeDistribution(n, d, tuple(counts), subcube_count(n, d))
 
 
-def _symmetric_weights(A: VertexSet) -> list[int] | None:
-    """W as 0/1 flags by weight, if A = {x : |x| in W}; else None.
+def _symmetric_weights(A: VertexSet) -> tuple[list[int] | None, np.ndarray | None]:
+    """(W, flags): W as 0/1 flags by weight if A = {x : |x| in W}, else
+    None, and ``A.flags()`` if it was unpacked, else None, for the fold.
 
     W[w] is the flag of vertex 2^w - 1.  A set that holds some but not
     all of the vertices of weight 1, or of weight 2, is turned away by two
@@ -185,14 +186,14 @@ def _symmetric_weights(A: VertexSet) -> list[int] | None:
     for mask in _low_weight_masks(n):
         held = A.bits & mask
         if held and held != mask:
-            return None
+            return None, None
     flags = A.flags()
     W = [int(flags[(1 << w) - 1]) for w in range(n + 1)]
     # bit w of ``layers`` is W[w]: shifting it by the weights beats a uint8
     # gather, which first widens 2^n indices to intp
     layers = sum(flag << w for w, flag in enumerate(W))
     want = np.right_shift(np.uint32(layers), vertex_weights(n), dtype=np.uint32)
-    return W if np.array_equal(want.astype(np.uint8) & 1, flags) else None
+    return (W if np.array_equal(want.astype(np.uint8) & 1, flags) else None), flags
 
 
 @lru_cache(maxsize=None)  # 2^(n-2) bytes for an n; n <= MASK_CAP
@@ -203,8 +204,11 @@ def _low_weight_masks(n: int) -> tuple[int, int]:
     return VertexSet.from_vertices(n, ones).bits, VertexSet.from_vertices(n, twos).bits
 
 
-def _fold_distribution(A: VertexSet, d: int) -> SubcubeDistribution:
-    """Same output as ``distribution`` via prefix-shared coordinate folding.
+def _fold_distribution(
+    A: VertexSet, d: int, flags: np.ndarray | None = None
+) -> SubcubeDistribution:
+    """Same output as ``distribution`` via prefix-shared coordinate folding;
+    ``flags``, when given, is ``A.flags()`` already unpacked.
 
     The free-coordinate sets are built one coordinate per level, in
     ascending order, so each partial fold is computed once and reused by
@@ -231,7 +235,7 @@ def _fold_distribution(A: VertexSet, d: int) -> SubcubeDistribution:
         top, hist, bins, pairs, program = pool.pop()
     except IndexError:  # none bound yet, or every one is in use
         top, hist, bins, pairs, program = _bind(n, d, _BLOCK_ELEMS)
-    np.copyto(top, A.flags())
+    np.copyto(top, A.flags() if flags is None else flags)
     hist.fill(0)
     scattered = False
     for x, y, out in program:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubestats import (
+    MASK_CAP,
     CertificateError,
     LayeredSpec,
     VertexSet,
@@ -50,6 +51,41 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_traced(capsys, *argv):
+    """run, and the tracemalloc peak in bytes of the main call."""
+    tracemalloc.start()
+    try:
+        rc = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    return rc, out.out, out.err, peak
+
+
+# one spec of each kind whose set lives in Q_n at n = MASK_CAP + 1
+PAST_THE_MASK_CAP = [
+    {"kind": "bernoulli", "n": MASK_CAP + 1, "d": 3},
+    {"kind": "layered", "n": MASK_CAP + 1, "k": 3, "T": [0]},
+    {"kind": "parity", "n": MASK_CAP + 1},
+    {"kind": "mod_weight", "n": MASK_CAP + 1, "d": 2},
+    {"kind": "perturbed_parity", "n": MASK_CAP + 1, "d": 2, "cubes": [{"free": 7, "base": 0}]},
+    {"kind": "weight_top_bottom", "d": MASK_CAP - 1},
+    {
+        "kind": "syndrome",
+        "matrix": {"rows": 1, "cols": MASK_CAP + 1, "data": ["1" * (MASK_CAP + 1)]},
+        "colors": [0],
+        "d": 1,
+    },
+    {
+        "kind": "turan_extremal",
+        "d": MASK_CAP - 1,
+        "s": 1,
+        "clique": {"s": 1, "members": [[0, 1], [0, 2], [0, 3]]},
+    },
+]
 
 
 def count_leaves(node) -> int:
@@ -99,8 +135,14 @@ class TestEnvelope:
     def test_config_echoes_parameters(self, capsys):
         rc, out, _ = run(capsys, "exhaustive", "4", "2", "1")
         cfg = json.loads(out)["config"]
-        assert cfg["parameters"] == {"d": 2, "n": 4, "s": 1}
-        assert cfg["seed"] == 0
+        assert cfg == {
+            "command": "exhaustive",
+            "parameters": {"d": 2, "n": 4, "s": 1},
+            "seed": 0,
+            "format": "json",
+            "out": None,
+            "workers": 1,
+        }
 
 
 class TestDist:
@@ -138,98 +180,33 @@ class TestDist:
         )
         assert rc == 2
 
-    def test_ambient_cap_respected(self, capsys):
-        rc, _, err = run(
-            capsys,
-            "dist",
-            "--construct",
-            '{"kind": "parity", "n": 12, "d": 3}',
-            "-d",
-            "3",
-            "--max-n",
-            "10",
-        )
-        assert rc == 3
-
-    def test_set_file_cap_comes_before_the_set_is_built(self, capsys, tmp_path, monkeypatch):
-        def build(*args):
-            raise AssertionError("the set was built before the --max-n check")
-
-        monkeypatch.setattr(VertexSet, "from_vertices", classmethod(build))
+    def test_set_file_past_the_mask_cap_exits_three_before_the_set_is_built(
+        self, capsys, tmp_path
+    ):
         f = tmp_path / "set.json"
-        f.write_text('{"n": 24, "vertices": [0]}')
-        rc, out, err = run(capsys, "dist", "--set-file", str(f), "-d", "1", "--max-n", "4")
+        f.write_text('{"n": %d, "vertices": [0]}' % (MASK_CAP + 1))
+        rc, out, err, peak = run_traced(capsys, "dist", "--set-file", str(f), "-d", "1")
         assert rc == 3
-        assert out == "" and "above the cap 4" in err and err.count("\n") == 1
+        assert out == "" and f"n={MASK_CAP + 1} exceeds" in err and err.count("\n") == 1
+        assert peak < 1 << 20
         # a malformed vertex list is still a domain error, whatever n is
-        f.write_text('{"n": 24, "vertices": ["a"]}')
-        rc, _, err = run(capsys, "dist", "--set-file", str(f), "-d", "1", "--max-n", "4")
+        f.write_text('{"n": %d, "vertices": ["a"]}' % (MASK_CAP + 1))
+        rc, _, err = run(capsys, "dist", "--set-file", str(f), "-d", "1")
         assert rc == 2 and "must be a list of integers" in err
 
     @pytest.mark.parametrize("command", [["construct"], ["dist", "-d", "1", "--construct"]])
-    @pytest.mark.parametrize(
-        "builder, spec, n",
-        [
-            ("bernoulli_set", {"kind": "bernoulli", "n": 22, "d": 22}, 22),
-            ("layered_set", {"kind": "layered", "n": 22, "k": 3, "T": [0]}, 22),
-            ("layered_set", {"kind": "parity", "n": 24}, 24),
-            ("layered_set", {"kind": "mod_weight", "n": 20, "d": 2}, 20),
-            ("layered_set", {"kind": "perturbed_parity", "n": 20, "d": 2, "cubes": []}, 20),
-            ("weight_top_bottom_set", {"kind": "weight_top_bottom", "d": 20}, 22),
-            (
-                "syndrome_set",
-                {"kind": "syndrome", "matrix": {"rows": 1, "cols": 21, "data": ["1" * 21]},
-                 "colors": [0], "d": 1},
-                21,
-            ),
-            (
-                "turan_extremal_set",
-                {"kind": "turan_extremal", "d": 19, "s": 1,
-                 "clique": {"s": 1, "members": [[0, 1], [0, 2], [0, 3]]}},
-                21,
-            ),
-        ],
-    )
-    def test_construct_cap_comes_before_the_set_is_built(
-        self, capsys, monkeypatch, command, builder, spec, n
+    @pytest.mark.parametrize("spec", PAST_THE_MASK_CAP, ids=lambda spec: spec["kind"])
+    def test_spec_past_the_mask_cap_exits_three_before_the_set_is_built(
+        self, capsys, command, spec
     ):
-        def build(*args):
-            raise AssertionError("the set was built before the --max-n check")
-
-        monkeypatch.setattr(constructions, builder, build)
-        rc, out, err = run(capsys, *command, json.dumps(spec), "--max-n", "10")
+        start = time.perf_counter()
+        rc, out, err, peak = run_traced(capsys, *command, json.dumps(spec))
         assert rc == 3
-        assert out == "" and f"n={n}, above the cap 10" in err and err.count("\n") == 1
+        assert out == "" and f"n={MASK_CAP + 1} exceeds" in err and err.count("\n") == 1
+        assert peak < 1 << 20 and time.perf_counter() - start < 1
 
-    def test_construction_dimension_is_the_built_sets(self):
-        specs = [
-            {"kind": "bernoulli", "n": 5, "d": 2, "seed": 1},
-            {"kind": "layered", "n": 6, "k": 3, "T": [0]},
-            {"kind": "parity", "n": 4},
-            {"kind": "mod_weight", "n": 5, "d": 2},
-            {"kind": "perturbed_parity", "n": 3, "d": 2, "cubes": []},
-            {"kind": "weight_top_bottom", "d": 2},
-            {"kind": "syndrome", "matrix": {"rows": 1, "cols": 3, "data": ["111"]},
-             "colors": [0], "d": 1},
-            {"kind": "turan_extremal", "d": 2, "s": 1,
-             "clique": {"s": 1, "members": [[0, 1], [0, 2], [0, 3]]}},
-        ]
-        assert {spec["kind"] for spec in specs} == set(constructions._BUILDERS)
-        for spec in specs:
-            n = constructions.construction_dimension(spec)
-            assert n == constructions.build_construction(spec).vertex_set.n, spec
-
-    def test_construction_dimension_leaves_malformed_specs_to_the_builder(self):
-        for spec in [
-            [],
-            {"kind": "nope", "n": 30},
-            {"kind": ["parity"], "n": 30},
-            {"kind": "parity", "n": "30"},
-            {"kind": "parity", "n": True},
-            {"kind": "syndrome", "matrix": [30]},
-            {"kind": "weight_top_bottom"},
-        ]:
-            assert constructions.construction_dimension(spec) is None, spec
+    def test_every_spec_kind_is_tried_past_the_mask_cap(self):
+        assert {spec["kind"] for spec in PAST_THE_MASK_CAP} == set(constructions._BUILDERS)
 
     def test_bernoulli_inherits_cli_seed(self, capsys):
         spec = '{"kind": "bernoulli", "n": 6, "d": 2}'
@@ -748,6 +725,18 @@ class TestVerifySuites:
         assert calls == [(q, d) for q in range(2, 13) for d in range(1, 65)]
         assert json.loads(out)["pass"] is True
 
+    def test_third_layer_suite_checks_up_to_the_dimension_it_names(self, capsys, monkeypatch):
+        calls = []
+
+        def record(d_max):
+            calls.append(d_max)
+            return approx.third_layer_check(d_max)
+
+        monkeypatch.setattr(cli, "third_layer_check", record)
+        rc, out, _ = run(capsys, "verify", "third-layer")
+        assert rc == 0 and calls == [30]
+        assert json.loads(out)["checks"][0]["name"] == "third layer floor/ceil d<=30"
+
     def test_thm32_suite_scans_every_k(self, capsys, monkeypatch):
         calls = []
 
@@ -767,6 +756,21 @@ class TestVerifySuites:
                 "control": True,
             },
         ]
+
+    def test_thm32_control_fails_a_classifier_that_reads_only_the_size(
+        self, capsys, monkeypatch
+    ):
+        # a classifier that takes any half of Z_k with the parity classes'
+        # value 2^(d-1) for a parity class; the control plants such a half
+        monkeypatch.setattr(
+            cli,
+            "thm32_admissible",
+            lambda k, case: 2 * len(case.subset) == k and case.values[0] == 1 << (case.d - 1),
+        )
+        rc, out, _ = run(capsys, "verify", "thm32")
+        checks = json.loads(out)["checks"]
+        assert rc == 1
+        assert [c["pass"] for c in checks] == [True] * 8 + [False]
 
     def test_thm32_suite(self, capsys):
         rc, out, _ = run(capsys, "verify", "thm32", "--workers", "2")
@@ -800,7 +804,6 @@ class TestErrors:
         "argv",
         [
             ["construct", '{"kind": "mod_weight", "n": 60, "d": 2}'],
-            ["construct", '{"kind": "parity", "n": 12}', "--max-n", "4"],
         ],
     )
     def test_construct_caps_exit_three(self, capsys, argv):
@@ -841,7 +844,6 @@ class TestErrors:
                 '{"kind": "syndrome", "colors": [0],'
                 ' "matrix": {"rows": 1.0, "cols": 2.0, "data": ["11"]}}',
             ],
-            ["construct", PARITY6, "--max-n", "-1"],
             ["construct", '{"kind": "mod_weight", "n": 4, "d": 1000000000000}'],
             [
                 "construct",
@@ -901,6 +903,16 @@ class TestErrors:
             ["omega", "101"],
             ["omega", "1000000"],
             ["omega", "100000", "--policy", "search"],
+            [
+                "construct",
+                '{"kind": "syndrome", "colors": [0], "d": 1,'
+                ' "matrix": {"rows": 1, "cols": 1000000, "data": ["%s"]}}' % ("1" * 10**6),
+            ],
+            [
+                "construct",
+                '{"kind": "syndrome", "colors": [0],'
+                ' "matrix": {"rows": 0, "cols": 134217728, "data": []}}',
+            ],
         ],
     )
     def test_oversized_inputs_exit_three(self, capsys, argv):

@@ -1,5 +1,7 @@
 """Bit-packed GF(2) matrices and rank."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,6 +36,29 @@ def test_rank_examples():
 def test_json_roundtrip():
     M = GF2Matrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 0]])
     assert GF2Matrix.from_json(M.to_json()) == M
+
+
+def test_json_roundtrip_without_columns():
+    M = GF2Matrix.zero(2, 0)
+    assert M.to_json()["data"] == ["", ""]
+    assert GF2Matrix.from_json(M.to_json()) == M
+
+
+def test_row_masks_must_fit_in_cols():
+    assert GF2Matrix(2, 3, (0, 7)).row_masks == (0, 7)
+    for mask in (8, -1):
+        with pytest.raises(DomainError, match="beyond cols"):
+            GF2Matrix(1, 3, (mask,))
+
+
+def test_huge_cols_builds_nothing_of_size_two_to_the_cols():
+    tracemalloc.start()
+    try:
+        M = GF2Matrix(0, 2**27, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.cols == 2**27 and peak < 1 << 20
 
 
 def test_malformed_json():

@@ -1,5 +1,7 @@
-"""The README holds: its examples run and every name its Layout gives exists."""
+"""The README holds: its examples run, its shared flags are the parser's,
+and every name its Layout gives exists."""
 
+import argparse
 import importlib
 import re
 import shlex
@@ -39,6 +41,16 @@ def test_cli_example_parses(line):
     argv = shlex.split(line, comments=True)[1:]
     args = cli._build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def test_shared_flags_are_the_parsers():
+    # the flags every command takes are the shared parser's
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    shared = set.intersection(
+        *({opt for a in p._actions for opt in a.option_strings} for p in sub.choices.values())
+    ) - {"-h", "--help"}
+    (sentence,) = re.findall(r"^Shared flags: (.*?)\.\s", README, flags=re.DOTALL | re.MULTILINE)
+    assert set(re.findall(r"`(--[\w-]+)", sentence)) == shared
 
 
 LAYOUT = re.findall(

@@ -3,6 +3,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,19 @@ class TestRowCap:
         for call in calls:
             with pytest.raises(CapabilityError):
                 call()
+
+
+    def test_cache_keeps_one_row_per_modulus(self, monkeypatch):
+        # a walk up to the cap must not leave its 10,000 rows (21.6 MiB) cached
+        monkeypatch.setattr(residues, "_ROWS", {})
+        tracemalloc.start()
+        try:
+            assert third_layer_check(residues.ROW_CAP)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+        assert list(residues._ROWS) == [3] and residues._ROWS[3][0] == residues.ROW_CAP
 
 
 class TestTable:

@@ -304,7 +304,7 @@ class TestWeightSymmetric:
         for n in range(7):
             for W in itertools.product((0, 1), repeat=n + 1):
                 A = _weight_set(n, W)
-                assert stats._symmetric_weights(A) == list(W)
+                assert stats._symmetric_weights(A)[0] == list(W)
                 for d in range(n + 1):
                     assert distribution_fast(A, d) == distribution(A, d), (n, W, d)
 
@@ -324,7 +324,7 @@ class TestWeightSymmetric:
         A = VertexSet(8, parity_set(8).bits ^ (1 << x))
         for mask in stats._low_weight_masks(8):
             assert A.bits & mask in (0, mask)
-        assert stats._symmetric_weights(A) is None
+        assert stats._symmetric_weights(A)[0] is None
         for d in range(9):
             assert distribution_fast(A, d) == distribution(A, d), d
 
@@ -335,15 +335,34 @@ class TestWeightSymmetric:
         sets = [VertexSet(n, parity ^ (1 << x)) for x in (1 << (n - 1), 0b11 << (n - 2))]
         with monkeypatch.context() as patch:
             patch.setattr(stats, "vertex_weights", None)
-            assert [stats._symmetric_weights(A) for A in sets] == [None, None]
+            assert [stats._symmetric_weights(A) for A in sets] == [(None, None)] * 2
         for A in sets:
             assert distribution_fast(A, 3) == stats._fold_distribution(A, 3)
+
+    def test_flags_are_unpacked_once_per_call(self, monkeypatch):
+        # a symmetric set, one turned away only by the full compare (whose
+        # unpacked flags the fold reuses), and one turned away by the class
+        # masks, which only the fold unpacks
+        parity = parity_set(10)
+        sets = [parity, VertexSet(10, parity.bits ^ (1 << 0b111)), bernoulli_set(10, 3, 0)]
+        want = [distribution(A, 3) for A in sets]
+        unpack, calls = VertexSet.flags, []
+
+        def flags(A):
+            calls.append(A)
+            return unpack(A)
+
+        monkeypatch.setattr(VertexSet, "flags", flags)
+        for A, dist in zip(sets, want):
+            calls.clear()
+            assert distribution_fast(A, 3) == dist
+            assert calls == [A]
 
     def test_only_sets_that_are_not_symmetric_reach_the_fold(self, monkeypatch):
         class Folded(Exception):
             pass
 
-        def fold(A, d):
+        def fold(A, d, flags=None):
             raise Folded
 
         monkeypatch.setattr(stats, "_fold_distribution", fold)
