@@ -59,6 +59,19 @@ ALLOWED = {
     "src/cubestats/cube.py:VertexSet.from_vertices: 1 << n => 2 << n": (
         "the flags past 2^n stay zero, so the packed mask is the same; only the buffer doubles"
     ),
+    "src/cubestats/cube.py:VertexSet.from_weights: n + 1 => n + 2": (
+        "the extra one-bit pattern only lengthens each level by one; P(n, 0) is the same"
+    ),
+    "src/cubestats/cube.py:VertexSet.from_vertices: flags[v] = 1 => flags[v] = 2": (
+        "from_flags packs every nonzero flag as a 1 bit"
+    ),
+    "src/cubestats/cube.py:VertexSet.__contains__: 1 << self.n => 2 << self.n": (
+        "bits 2^n and up of a mask below 2^(2^n) are 0, so those v are out either way"
+    ),
+    "src/cubestats/constructions.py:syndrome_set: 1 << r => 2 << r": (
+        "at the dtype site, a dtype one bit wider holds the same syndromes; at the color"
+        " check, test_bad_color_rejected kills it"
+    ),
     "src/cubestats/cube.py:Subcube.intersects: 1 << self.n => 2 << self.n": (
         "both bases lie below 2^n, so bit n of the mask never meets their xor"
     ),

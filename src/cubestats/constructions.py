@@ -17,8 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import Subcube, VertexSet, binomial, check_mask_dimension
-from .cube import check_subcube_dimension, vertex_weights
+from .cube import Subcube, VertexSet, binomial, check_mask_dimension, check_subcube_dimension
 from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, show
 from .gf2 import GF2Matrix, gf2_rank
 from .johnson import CliqueCertificate, verify_clique
@@ -252,8 +251,8 @@ def bernoulli_set(n: int, d: int, seed: int) -> VertexSet:
 def layered_set(n: int, spec: LayeredSpec) -> VertexSet:
     """All vertices whose Hamming weight lies in the residue set mod k."""
     n = check_mask_dimension(n)
-    table = np.array([w % spec.k in spec.T for w in range(n + 1)])
-    return VertexSet.from_flags(n, table[vertex_weights(n)])
+    layers = sum(1 << w for w in range(n + 1) if w % spec.k in spec.T)
+    return VertexSet.from_weights(n, layers)
 
 
 def parity_set(n: int) -> VertexSet:
@@ -269,8 +268,7 @@ def mod_weight_set(n: int, d: int) -> VertexSet:
 def weight_top_bottom_set(d: int) -> VertexSet:
     """Vertices of Q_{d+2} of weight 0 or d+1 (d+3 vertices)."""
     n = check_mask_dimension(check_int("d", d, 1) + 2)
-    full = (1 << n) - 1
-    return VertexSet.from_vertices(n, [0] + [full ^ (1 << j) for j in range(n)])
+    return VertexSet.from_weights(n, 1 | 1 << (n - 1))
 
 
 def turan_extremal_set(d: int, s: int, clique: CliqueCertificate) -> VertexSet:

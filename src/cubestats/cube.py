@@ -35,15 +35,6 @@ def check_subcube_dimension(n: int, d: int) -> tuple[int, int]:
     return n, check_int("subcube dimension", d, 0, n)
 
 
-def vertex_weights(n: int) -> np.ndarray:
-    """Hamming weights of the vertices of Q_n as a uint8 array: index = vertex."""
-    n = check_mask_dimension(n)
-    weights = np.zeros(1 << n, dtype=np.uint8)
-    for j in range(n):  # x + 2^j has the weight of x plus one
-        np.add(weights[: 1 << j], 1, out=weights[1 << j : 2 << j])
-    return weights
-
-
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k < 0 or k > n."""
     n, k = check_int("n", n, 0), check_int("k", k)
@@ -77,6 +68,23 @@ class VertexSet:
         """The set of vertices v with flags[v] nonzero; len(flags) must be 2^n."""
         packed = np.packbits(flags, bitorder="little")
         return cls(n, int.from_bytes(packed.tobytes(), "little"))
+
+    @classmethod
+    def from_weights(cls, n: int, layers: int) -> VertexSet:
+        """The union of weight classes {x : bit |x| of layers is set}.
+
+        Membership depends on |x| alone, so the mask of Q_j whose bit x is
+        bit w + |x| of layers, pattern P(j, w), is P(j-1, w) followed by
+        P(j-1, w+1): coordinate j - 1 adds one to the weight.  The n + 1
+        one-bit patterns P(0, w) are doubled n times, each level one
+        pattern shorter, and the set is P(n, 0); no array of 2^n entries
+        is built.
+        """
+        n, layers = check_mask_dimension(n), check_int("layers", layers, 0)
+        patterns = [(layers >> w) & 1 for w in range(n + 1)]
+        for j in range(n):
+            patterns = [lo | hi << (1 << j) for lo, hi in zip(patterns, patterns[1:])]
+        return cls(n, patterns[0])
 
     @classmethod
     def from_vertices(cls, n: int, vertices: Iterable[int]) -> VertexSet:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, check_int, fields
+from .errors import DomainError, check_int, fields, show
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class GF2Matrix:
                 raise DomainError("ragged rows")
             if any(b not in (0, 1) for b in row):
                 raise DomainError("entries must be 0 or 1")
-            masks.append(sum(b << c for c, b in enumerate(row)))
+            masks.append(int("".join("1" if b else "0" for b in reversed(row)) or "0", 2))
         return cls(len(rows), cols, tuple(masks))
 
     @classmethod
@@ -54,21 +54,24 @@ class GF2Matrix:
         """Column c as an integer with bit r = entry(r, c)."""
         return sum(((m >> c) & 1) << r for r, m in enumerate(self.row_masks))
 
+    def _row_string(self, m: int) -> str:
+        """Row mask m as its cols entries, "0" or "1", column 0 first: one
+        base-2 conversion, linear in cols, where a shift of the row per entry
+        is quadratic.  The leading 1 keeps all cols digits, even at cols = 0."""
+        return format(m | 1 << self.cols, "b")[:0:-1]
+
     def restrict_columns(self, columns: Sequence[int]) -> GF2Matrix:
         """Submatrix keeping the given columns, renumbered 0..len-1."""
         if any(not 0 <= c < self.cols for c in columns):
             raise DomainError("column index out of range")
-        masks = tuple(
-            sum(((m >> c) & 1) << j for j, c in enumerate(columns))
-            for m in self.row_masks
-        )
-        return GF2Matrix(self.rows, len(columns), masks)
+        masks = []
+        for m in self.row_masks:
+            row = self._row_string(m)
+            masks.append(int("".join(row[c] for c in columns)[::-1] or "0", 2))
+        return GF2Matrix(self.rows, len(columns), tuple(masks))
 
     def to_json(self) -> dict:
-        data = [
-            "".join(str((m >> c) & 1) for c in range(self.cols))
-            for m in self.row_masks
-        ]
+        data = [self._row_string(m) for m in self.row_masks]
         return {"rows": self.rows, "cols": self.cols, "data": data}
 
     @classmethod
@@ -77,9 +80,16 @@ class GF2Matrix:
         if len(data) != rows:
             raise DomainError("'data' length does not match 'rows'")
         masks = []
-        for s in data:
-            if len(s) != cols or set(s) - {"0", "1"}:
-                raise DomainError(f"bad row string {s!r}")
+        for i, s in enumerate(data):
+            # the message names the row, never quotes it: a row can be huge
+            if len(s) != cols:
+                raise DomainError(f"'data' row {i} has length {len(s)}, not cols = {show(cols)}")
+            rest = s.lstrip("01")
+            if rest:
+                raise DomainError(
+                    f"'data' row {i} (length {len(s)}) has {rest[0]!r} at column"
+                    f" {len(s) - len(rest)}; entries must be '0' or '1'"
+                )
             masks.append(int(s[::-1] or "0", 2))  # base 2 has no digit limit
         return cls(rows, cols, tuple(masks))
 

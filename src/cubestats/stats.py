@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cube import VertexSet, binomial, check_mask_dimension, check_subcube_dimension
-from .cube import enumerate_subcubes, subcube_count, vertex_weights
+from .cube import enumerate_subcubes, subcube_count
 from .errors import DomainError, check_int, fields
 from .residues import thm32_q
 
@@ -154,9 +154,9 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
     """
     n = A.n
     check_subcube_dimension(n, d)
-    W, flags = _symmetric_weights(A)
+    W = _symmetric_weights(A)
     if W is None:
-        return _fold_distribution(A, d, flags)
+        return _fold_distribution(A, d)
     return _weight_distribution(n, d, W)
 
 
@@ -172,43 +172,34 @@ def _weight_distribution(n: int, d: int, W: list[int]) -> SubcubeDistribution:
     return SubcubeDistribution(n, d, tuple(counts), subcube_count(n, d))
 
 
-def _symmetric_weights(A: VertexSet) -> tuple[list[int] | None, np.ndarray | None]:
-    """(W, flags): W as 0/1 flags by weight if A = {x : |x| in W}, else
-    None, and ``A.flags()`` if it was unpacked, else None, for the fold.
+def _symmetric_weights(A: VertexSet) -> list[int] | None:
+    """W as 0/1 flags by weight if A = {x : |x| in W}, else None.
 
-    W[w] is the flag of vertex 2^w - 1.  A set that holds some but not
-    all of the vertices of weight 1, or of weight 2, is turned away by two
-    ANDs with the class masks of ``_low_weight_masks``: a random set
-    almost always is, before any array is built.  Otherwise the flags are
-    compared once with W[|x|] over all x, by the weight table.
+    A set that holds some but not all of the vertices of weight 1, or of
+    weight 2, is turned away by two ANDs with the class masks of
+    ``_low_weight_masks``: a random set almost always is.  Otherwise W[w]
+    is read from the weight-w vertex 2^n - 2^(n-w), whose shift keeps only
+    the 2^(n-w) bits above it, and A is compared with the set
+    ``VertexSet.from_weights`` builds from W.  Nothing is unpacked.
     """
     n = A.n
     for mask in _low_weight_masks(n):
         held = A.bits & mask
         if held and held != mask:
-            return None, None
-    flags = A.flags()
-    W = [int(flags[(1 << w) - 1]) for w in range(n + 1)]
-    # bit w of ``layers`` is W[w]: shifting it by the weights beats a uint8
-    # gather, which first widens 2^n indices to intp
+            return None
+    W = [(A.bits >> ((1 << n) - (1 << (n - w)))) & 1 for w in range(n + 1)]
     layers = sum(flag << w for w, flag in enumerate(W))
-    want = np.right_shift(np.uint32(layers), vertex_weights(n), dtype=np.uint32)
-    return (W if np.array_equal(want.astype(np.uint8) & 1, flags) else None), flags
+    return W if A == VertexSet.from_weights(n, layers) else None
 
 
 @lru_cache(maxsize=None)  # 2^(n-2) bytes for an n; n <= MASK_CAP
 def _low_weight_masks(n: int) -> tuple[int, int]:
     """Membership masks of the weight-1 and the weight-2 vertices of Q_n."""
-    ones = [1 << i for i in range(n)]
-    twos = [a | b for i, a in enumerate(ones) for b in ones[:i]]
-    return VertexSet.from_vertices(n, ones).bits, VertexSet.from_vertices(n, twos).bits
+    return VertexSet.from_weights(n, 0b10).bits, VertexSet.from_weights(n, 0b100).bits
 
 
-def _fold_distribution(
-    A: VertexSet, d: int, flags: np.ndarray | None = None
-) -> SubcubeDistribution:
-    """Same output as ``distribution`` via prefix-shared coordinate folding;
-    ``flags``, when given, is ``A.flags()`` already unpacked.
+def _fold_distribution(A: VertexSet, d: int) -> SubcubeDistribution:
+    """Same output as ``distribution`` via prefix-shared coordinate folding.
 
     The free-coordinate sets are built one coordinate per level, in
     ascending order, so each partial fold is computed once and reused by
@@ -235,7 +226,7 @@ def _fold_distribution(
         top, hist, bins, pairs, program = pool.pop()
     except IndexError:  # none bound yet, or every one is in use
         top, hist, bins, pairs, program = _bind(n, d, _BLOCK_ELEMS)
-    np.copyto(top, A.flags() if flags is None else flags)
+    np.copyto(top, A.flags())
     hist.fill(0)
     scattered = False
     for x, y, out in program:

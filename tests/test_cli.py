@@ -973,6 +973,14 @@ class TestErrors:
         assert rc == 2
         assert out == "" and "outside" in err and err.count("\n") == 1
 
+    def test_a_huge_bad_matrix_row_is_named_not_quoted(self, capsys):
+        spec = '{"kind": "syndrome", "colors": [0], "d": 1, "matrix":'
+        spec += ' {"rows": 1, "cols": 1000000, "data": ["%s"]}}' % ("2" * 10**6)
+        rc, out, err = run(capsys, "construct", spec)
+        assert rc == 2
+        assert out == "" and err.count("\n") == 1 and len(err.encode()) < 200
+        assert "row 0" in err and "1000000" in err and "'2'" in err
+
     @pytest.mark.parametrize("where", ["missing/report.json", "."])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
         rc, out, err = run(capsys, "bounds", "2", "1", "--out", str(tmp_path / where))

@@ -318,6 +318,9 @@ class TestConcreteSets:
             (8, lambda m=m: syndrome_set(GF2Matrix(len(m), n, m), {0, 1, 2, 3}))
             for m in rows
         ]
+        # bernoulli_set unpacks at most _BLOCK_BITS stream bits at a time, so
+        # d = 8 peaks no higher than d = 1 (3.5 B/vertex; 5.5 with twice the block)
+        builds.append((4, lambda: bernoulli_set(n, 8, 20)))
         for bytes_per_vertex, build in builds:
             build()  # first-use imports are not the builder's memory
             tracemalloc.start()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from cubestats import (
     subcube_count,
     subcube_vertices,
 )
-from cubestats.cube import check_mask_dimension, check_subcube_dimension, vertex_weights
+from cubestats.cube import check_mask_dimension, check_subcube_dimension
 from conftest import render_json
 
 
@@ -44,13 +45,22 @@ def test_binomial_matches_math_comb():
             assert binomial(n, k) == (math.comb(n, k) if 0 <= k <= n else 0)
 
 
-def test_vertex_weights_are_popcounts():
-    for n in range(13):
-        weights = vertex_weights(n)
-        assert weights.dtype == np.uint8
-        assert weights.tolist() == [x.bit_count() for x in range(1 << n)]
-    with pytest.raises(CapabilityError):
-        vertex_weights(MASK_CAP + 1)
+@pytest.mark.parametrize("n", [*range(13), 17, 18])
+def test_from_weights_keeps_the_vertices_whose_weight_bit_is_set(n):
+    # 17 and 18 take the doubling past 2^16 vertices; bits of layers above n are ignored
+    rng = random.Random(n)
+    masks = [0, (2 << n) - 1, rng.getrandbits(n + 1), rng.getrandbits(n + 1), rng.getrandbits(n + 9)]
+    for layers in masks:
+        flags = [(layers >> x.bit_count()) & 1 for x in range(1 << n)]
+        assert VertexSet.from_weights(n, layers) == VertexSet.from_flags(n, np.array(flags)), layers
+
+
+def test_from_weights_checks_its_arguments_first():
+    with pytest.raises(CapabilityError):  # raised before any pattern is built
+        VertexSet.from_weights(MASK_CAP + 1, 1)
+    for layers in (-1, 1.0, True):
+        with pytest.raises(DomainError):
+            VertexSet.from_weights(3, layers)
 
 
 class TestVertexSet:

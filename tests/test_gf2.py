@@ -1,5 +1,7 @@
 """Bit-packed GF(2) matrices and rank."""
 
+import random
+import time
 import tracemalloc
 
 import pytest
@@ -59,6 +61,54 @@ def test_huge_cols_builds_nothing_of_size_two_to_the_cols():
     finally:
         tracemalloc.stop()
     assert M.cols == 2**27 and peak < 1 << 20
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 4), (3, 0), (3, 1), (4, 7), (2, 70), (1, 300)])
+def test_row_conversions_match_the_entries(rows, cols):
+    rng = random.Random(100 * rows + cols)
+    M = GF2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+    entries = [[M.entry(r, c) for c in range(cols)] for r in range(rows)]
+    assert M.to_json()["data"] == ["".join(map(str, row)) for row in entries]
+    assert GF2Matrix.from_json(M.to_json()) == M
+    if rows:  # from_rows takes its column count from the first row
+        assert GF2Matrix.from_rows(entries) == M
+    for c in range(cols):
+        assert M.column(c) == sum(row[c] << r for r, row in enumerate(entries))
+    # any order, with repeats, and none at all
+    for keep in ([rng.randrange(cols) for _ in range(2 * cols)] if cols else [], []):
+        R = M.restrict_columns(keep)
+        assert (R.rows, R.cols) == (rows, len(keep))
+        assert [[R.entry(r, j) for j in range(len(keep))] for r in range(rows)] == [
+            [row[c] for c in keep] for row in entries
+        ]
+
+
+def test_row_conversions_are_linear_in_cols():
+    # a shift of the row per entry took 0.15 s for to_json, 0.13 s for
+    # from_rows and 0.11 s for restrict_columns at this size; base-2
+    # conversions take milliseconds
+    M = GF2Matrix(1, 1 << 16, (random.Random(16).getrandbits(1 << 16),))
+    entries = [[M.entry(0, c) for c in range(M.cols)]]
+    start = time.perf_counter()
+    assert GF2Matrix.from_json(M.to_json()) == M == GF2Matrix.from_rows(entries)
+    R = M.restrict_columns(range(0, 1 << 16, 2))
+    assert time.perf_counter() - start < 0.1
+    assert R.row_masks[0] == int(format(M.row_masks[0], "065536b")[::-1][::2][::-1], 2)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2" * 10**6, r"^'data' row 1 \(length 1000000\) has '2' at column 0;"),
+        ("0101x1", r"^'data' row 1 \(length 6\) has 'x' at column 4;"),
+        ("01", r"^'data' row 1 has length 2, not cols = 6$"),
+    ],
+)
+def test_bad_rows_are_named_not_quoted(row, message):
+    cols = len(row) if len(row) > 2 else 6
+    with pytest.raises(DomainError, match=message) as exc:
+        GF2Matrix.from_json({"rows": 2, "cols": cols, "data": ["1" * cols, row]})
+    assert len(str(exc.value)) < 100
 
 
 def test_malformed_json():

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -304,7 +305,7 @@ class TestWeightSymmetric:
         for n in range(7):
             for W in itertools.product((0, 1), repeat=n + 1):
                 A = _weight_set(n, W)
-                assert stats._symmetric_weights(A)[0] == list(W)
+                assert stats._symmetric_weights(A) == list(W)
                 for d in range(n + 1):
                     assert distribution_fast(A, d) == distribution(A, d), (n, W, d)
 
@@ -318,31 +319,57 @@ class TestWeightSymmetric:
 
     @pytest.mark.parametrize("x", [0b111, 0b1011_0100, 0b1111_1110])
     def test_parity_with_one_heavy_vertex_flipped_takes_the_fold(self, x):
-        # the weight-1 and weight-2 classes stay whole, so only the full
-        # compare against the weight table turns the set away; 0b111 is the
-        # vertex W[3] is read from, so the rest of its class disagrees
+        # the weight-1 and weight-2 classes stay whole, so only the compare
+        # with the set built from W turns the set away; 0b1111_1110 is the
+        # vertex W[7] is read from, so the rest of its class disagrees
         A = VertexSet(8, parity_set(8).bits ^ (1 << x))
         for mask in stats._low_weight_masks(8):
             assert A.bits & mask in (0, mask)
-        assert stats._symmetric_weights(A)[0] is None
+        assert stats._symmetric_weights(A) is None
         for d in range(9):
             assert distribution_fast(A, d) == distribution(A, d), d
 
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_one_vertex_flipped_in_the_first_or_the_last_block(self, n):
+        # 0b111 and 2^16 - 1 lie in the lowest 2^16 vertices, and 2^n - 2
+        # (the vertex W[n - 1] is read from) and 2^n - 1 - 0b101 in the
+        # highest; none is in a low weight class
+        A = layered_set(n, LayeredSpec(3, frozenset({0, 1})))
+        assert stats._symmetric_weights(A) == [int(w % 3 < 2) for w in range(n + 1)]
+        for x in (0b111, (1 << 16) - 1, (1 << n) - 2, (1 << n) - 1 - 0b101):
+            assert stats._symmetric_weights(VertexSet(n, A.bits ^ (1 << x))) is None, x
+
+    def test_a_symmetric_set_is_counted_in_under_two_bytes_per_vertex(self):
+        # it was unpacked to a byte per vertex and compared with a uint32
+        # weight shift: 7 bytes per vertex
+        n = 20
+        A = layered_set(n, LayeredSpec(3, frozenset({0})))
+        want = layered_distribution(n, 3, LayeredSpec(3, frozenset({0})))
+        assert distribution_fast(A, 3) == want  # caches the class masks
+        tracemalloc.start()
+        try:
+            assert distribution_fast(A, 3) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << n, peak / (1 << n)
+
     @pytest.mark.parametrize("n", [8, 9])
     def test_one_vertex_splits_a_low_weight_class(self, monkeypatch, n):
-        # turned away by the class masks, before the weight table is built
+        # turned away by the class masks, before any set is built from W
         parity = parity_set(n).bits
         sets = [VertexSet(n, parity ^ (1 << x)) for x in (1 << (n - 1), 0b11 << (n - 2))]
+        stats._low_weight_masks(n)  # the cached class masks are built by the helper too
         with monkeypatch.context() as patch:
-            patch.setattr(stats, "vertex_weights", None)
-            assert [stats._symmetric_weights(A) for A in sets] == [(None, None)] * 2
+            patch.setattr(VertexSet, "from_weights", None)
+            assert [stats._symmetric_weights(A) for A in sets] == [None] * 2
         for A in sets:
             assert distribution_fast(A, 3) == stats._fold_distribution(A, 3)
 
-    def test_flags_are_unpacked_once_per_call(self, monkeypatch):
-        # a symmetric set, one turned away only by the full compare (whose
-        # unpacked flags the fold reuses), and one turned away by the class
-        # masks, which only the fold unpacks
+    def test_only_the_fold_unpacks_flags(self, monkeypatch):
+        # a symmetric set, which is never unpacked, one turned away only by
+        # the full compare, and one turned away by the class masks: the fold
+        # unpacks each of the last two once
         parity = parity_set(10)
         sets = [parity, VertexSet(10, parity.bits ^ (1 << 0b111)), bernoulli_set(10, 3, 0)]
         want = [distribution(A, 3) for A in sets]
@@ -353,16 +380,16 @@ class TestWeightSymmetric:
             return unpack(A)
 
         monkeypatch.setattr(VertexSet, "flags", flags)
-        for A, dist in zip(sets, want):
+        for A, dist, unpacked in zip(sets, want, ([], [sets[1]], [sets[2]])):
             calls.clear()
             assert distribution_fast(A, 3) == dist
-            assert calls == [A]
+            assert calls == unpacked
 
     def test_only_sets_that_are_not_symmetric_reach_the_fold(self, monkeypatch):
         class Folded(Exception):
             pass
 
-        def fold(A, d, flags=None):
+        def fold(A, d):
             raise Folded
 
         monkeypatch.setattr(stats, "_fold_distribution", fold)
