@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import CapabilityError, DomainError, check_int
-from .residues import residue_table
-
-MAX_MODULUS = 10**6
+from .residues import MAX_MODULUS, residue_table
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,8 @@ def _bound_test(q: int, d: int, num: int, den: int = 1, shift: int = 0) -> bool:
     D / 2^d is below this one.  The verdict is the sign of the gap ln q -
     d/(10 q^2) - ln num + ln den + shift ln 2, trusted in float64 when it
     clears 2^-48 (sum of the term sizes + 1), a few times their roundoff,
-    and else fixed by ``_decimal_gap``.  The gap is never 0, since e^x is
-    irrational for rational x != 0 (Lindemann, 1882), so the precision
-    doubling there ends; at d = 0 the bound q could tie, so d < 1 is refused.
+    and else the sign of ``_decimal_gap``.  At d = 0 the bound q could tie
+    r, so d < 1 is refused.
     """
     if d < 1:
         raise DomainError("the bound is decided only at dimension 1 or more")
@@ -152,21 +150,41 @@ def _bound_test(q: int, d: int, num: int, den: int = 1, shift: int = 0) -> bool:
     return gap > 0
 
 
-def _decimal_gap(q: int, d: int, num: int, den: int, shift: int) -> Decimal:
-    """The gap of ``_bound_test`` in decimal, at a precision that fixes its sign.
+@lru_cache(maxsize=128)
+def _rate(q: int, d: int, prec: int) -> tuple[Decimal, Decimal]:
+    """x = d/(10 q^2) and e^(-x), each rounded once to prec digits."""
+    with decimal.localcontext(prec=prec):
+        x = Decimal(d) / (10 * q * q)
+        return x, (-x).exp()
 
-    The gap is ln z - d/(10 q^2) with z = q den 2^shift / num.  z, its
-    logarithm, the quotient and the difference are each rounded once, to a
-    relative 10^(1 - prec) / 2, so the gap is off by less than 10^(1 - prec)
-    (|ln z| + d/(10 q^2) + 1).  From 40 digits, the precision doubles until
-    the gap clears that.
+
+def _decimal_gap(q: int, d: int, num: int, den: int, shift: int) -> Decimal:
+    """B - num, B = q den 2^shift e^(-x) with x = d/(10 q^2), in decimal at
+    a precision that fixes its sign, the sign of ``_bound_test``'s gap.
+
+    Let u = 10^(1 - prec) / 2.  The quotient x, its exp (correctly
+    rounded) and the product P of the exact integer q den 2^shift with
+    e^(-x) are each rounded once, to a relative u, so P / B = e^(-x δ1)
+    (1 + δ2)(1 + δ3) with |δi| <= u.  Starting at 40 + bit_length(d)
+    digits makes u < 10^-39 / d^2, so η = x u < 10^-40 and η^2 < 10^-41 u;
+    with e^η - 1 <= η + η^2 that gives |P / B - 1| <= (x + 3) u =: ρ, and
+    |P - B| <= ρ (1 + 2ρ) P.  The margin (x + 4) P 10^(1 - prec) is
+    2 (x + 4) u P; rounding x, x + 4, the margin and P - num moves the test
+    by a factor within (1 +- u)^4, so an accepted |P - num| exceeds
+    1.9 (x + 4) u P > |P - B|, and P - num has the sign of B - num.
+    Decimal's default exponent range holds e^(-x) and P for x < 2·10^6
+    and q den 2^shift < 10^999999; the package's calls have x < 2·10^3
+    and shift <= 10^4.  B - num != 0, as e^(-x) is irrational for rational
+    x != 0 (Lindemann, 1882), so the doubling ends once the margin is
+    below |B - num|.  ``_rate`` caches x and e^(-x) per (q, d, prec).
     """
-    prec = 40
+    prec = 40 + d.bit_length()
     while True:
+        x, rate = _rate(q, d, prec)
         with decimal.localcontext(prec=prec):
-            log_z, x = (Decimal(q * den << shift) / num).ln(), Decimal(d) / (10 * q * q)
-            gap = log_z - x
-            if abs(gap) > (abs(log_z) + x + 1).scaleb(1 - prec):
+            bound = (q * den << shift) * rate
+            gap = bound - num
+            if abs(gap) > ((x + 4) * bound).scaleb(1 - prec):
                 return gap
         prec *= 2
 

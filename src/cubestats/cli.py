@@ -27,12 +27,8 @@ from .approx import (
     check_approx,
     third_layer_check,
 )
-from .constructions import (
-    ConstructionResult,
-    best_bounds,
-    build_construction,
-    layered_set,
-)
+from .bounds import best_bounds
+from .constructions import ConstructionResult, build_construction, layered_set
 from .cube import VertexSet, check_subcube_dimension
 from .errors import CapabilityError, CertificateError, DomainError
 from .exhaustive import exhaustive_lambda

@@ -12,7 +12,7 @@ integer above ``_SHOWN_BITS`` bits by its bit length (``show``): Python
 refuses to print one past 4,300 digits, and no reader wants one.
 """
 
-import numpy as np
+import numbers
 
 # Integers above this many bits (about 300 digits) are shown by bit length
 _SHOWN_BITS = 1024
@@ -32,8 +32,9 @@ class CertificateError(ValueError):
 
 def is_int(x) -> bool:
     """True for Python and numpy integers; bools are not integers here."""
-    # the exact type test first: it is about 5x cheaper than the isinstance pair
-    return type(x) is int or (isinstance(x, (int, np.integer)) and not isinstance(x, bool))
+    # the exact type test first, as it is cheaper; numpy registers its integer
+    # scalars as numbers.Integral, but not np.bool_ or arrays
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def show(x) -> str:

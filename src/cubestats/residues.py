@@ -9,12 +9,11 @@ of the residue sets that make them equal) back the layered constructions.
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import CapabilityError, DomainError, check_int
 
 
 ROW_CAP = 10_000  # the largest dimension d a residue row is built at
+MAX_MODULUS = 10**6  # the largest modulus k a residue row is built for: a row holds k sums
 
 # The most shifted sums one product of ``_constant_cases`` computes
 _STACK_ELEMS = 1 << 18
@@ -37,6 +36,8 @@ def _binsum_row(k: int, d: int) -> tuple[int, ...]:
         raise DomainError("modulus must be at least 1")
     if d < 0:
         raise DomainError("dimension must be nonnegative")
+    if k > MAX_MODULUS:
+        raise CapabilityError(f"residue rows past modulus {MAX_MODULUS} are unsupported")
     if d > ROW_CAP:
         raise CapabilityError(f"residue rows past dimension {ROW_CAP} are unsupported")
     if last == d - 1 and k <= d:  # for k > d the d + 1 direct terms are fewer
@@ -171,6 +172,7 @@ def _constant_cases(k: int, dims: Sequence[int]) -> list[Thm32Case]:
     holds it while d <= 62, Python ints beyond, so the two kinds of d are
     stacked apart, and each stack holds at most ``_STACK_ELEMS`` sums.
     """
+    import numpy as np  # here, not at the top: the other entries run without it
     member = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
     shift = (np.arange(k)[:, None] - np.arange(k)) % k
     step = max(1, _STACK_ELEMS // (k << k))

@@ -85,36 +85,6 @@ def _count(text) -> int:
 
 
 @dataclass(frozen=True)
-class LambdaBounds:
-    """Interval enclosing the limit value λ(d,s), with provenance.
-
-    lower_witness names the construction attaining the lower bound;
-    upper_source is one of closed-form | generic | reference-constant.
-    """
-
-    d: int
-    s: int
-    lower: Fraction
-    upper: Fraction
-    lower_witness: str
-    upper_source: str
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.lower <= self.upper <= 1:
-            raise DomainError("bounds must satisfy 0 <= lower <= upper <= 1")
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "s": self.s,
-            "lower": str(self.lower),
-            "upper": str(self.upper),
-            "lower_witness": self.lower_witness,
-            "upper_source": self.upper_source,
-        }
-
-
-@dataclass(frozen=True)
 class LayeredSpec:
     """Union-of-layers selector: keep vertices whose weight mod k lies in T."""
 

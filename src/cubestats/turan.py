@@ -7,11 +7,10 @@ two, λ(d+2,d,s) equals π(d+2,ω(s)) on the nontrivial range of s.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .cube import binomial
 from .errors import CapabilityError, DomainError, check_int, show
-from .johnson import OmegaResult, omega
 
 
 # Most parts turan_parts lists; no caller in the package needs more than
@@ -35,7 +34,7 @@ def turan_edges(n: int, k: int) -> int:
     n, k = check_int("n", n, 0), check_int("k", k, 1)
     # past n parts the rest are empty, so T(n,k) = T(n,n); one part at n = 0
     parts = turan_parts(n, min(k, max(n, 1)))
-    return binomial(n, 2) - sum(binomial(p, 2) for p in parts)
+    return math.comb(n, 2) - sum(math.comb(p, 2) for p in parts)
 
 
 def turan_density(n: int, k: int) -> Fraction:
@@ -43,7 +42,7 @@ def turan_density(n: int, k: int) -> Fraction:
     n, k = check_int("n", n), check_int("k", k, 1)
     if n < 2:
         return Fraction(1)
-    return Fraction(turan_edges(n, k), binomial(n, 2))
+    return Fraction(turan_edges(n, k), math.comb(n, 2))
 
 
 def occupancy_case(d: int, s: int) -> tuple[str | None, int]:
@@ -78,7 +77,8 @@ def lambda_d2_closed_form(
         return Fraction(1)
     if s == 1:
         return turan_density(d + 2, 3) if d < 6 else Fraction(3, 4)
-    w: OmegaResult = omega(s)
+    from .johnson import omega  # here, not at the top: johnson loads numpy
+    w = omega(s)
     if w.exact:
         return turan_density(d + 2, w.lower)
     return (turan_density(d + 2, w.lower), turan_density(d + 2, w.upper))

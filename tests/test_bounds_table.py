@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-import cubestats.constructions
+import cubestats.bounds
 from cubestats import CapabilityError, best_bounds, exhaustive_lambda
 
 PINNED = Path(__file__).resolve().parent / "data" / "bounds_table.csv"
@@ -92,8 +92,18 @@ def test_witnesses_match_the_pinned_table():
 def test_denominator_cap_admits_exactly_its_own_size(monkeypatch):
     # best_bounds(10, 1) needs 10 (2^10 - 1) = 10,230 bits: a cap of that
     # many answers, one bit less refuses
-    monkeypatch.setattr(cubestats.constructions, "_MAX_DENOMINATOR_BITS", 10_230)
+    monkeypatch.setattr(cubestats.bounds, "_MAX_DENOMINATOR_BITS", 10_230)
     assert best_bounds(10, 1).d == 10
-    monkeypatch.setattr(cubestats.constructions, "_MAX_DENOMINATOR_BITS", 10_229)
+    monkeypatch.setattr(cubestats.bounds, "_MAX_DENOMINATOR_BITS", 10_229)
     with pytest.raises(CapabilityError):
         best_bounds(10, 1)
+
+
+def test_denominator_cap_off_the_single_vertex_case(monkeypatch):
+    # at s = 2 the denominators divide (2^10 - 1)^9 or (2^9 - 1)^10, so
+    # best_bounds(10, 2) needs 10 (10 - 1) = 90 bits
+    monkeypatch.setattr(cubestats.bounds, "_MAX_DENOMINATOR_BITS", 90)
+    assert best_bounds(10, 2).d == 10
+    monkeypatch.setattr(cubestats.bounds, "_MAX_DENOMINATOR_BITS", 89)
+    with pytest.raises(CapabilityError):
+        best_bounds(10, 2)

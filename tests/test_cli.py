@@ -29,7 +29,7 @@ from cubestats import (
     distribution_fast,
     residues,
 )
-from cubestats.constructions import c_d
+from cubestats.bounds import c_d
 from cubestats.cli import VERIFY_SUITES, main
 from cubestats.residues import Thm32Case, Thm32Report
 from conftest import render_json

@@ -16,7 +16,9 @@ from cubestats import (
     LayeredSpec,
     ResidueSumTable,
     binomial,
+    distribution_fast,
     layered_distribution,
+    layered_set,
     q_binsum,
     residue_table,
     residues,
@@ -193,6 +195,35 @@ class TestRowCap:
             tracemalloc.stop()
         assert held < 1 << 20
         assert list(residues._ROWS) == [3] and residues._ROWS[3][0] == residues.ROW_CAP
+
+
+class TestModulusCap:
+    def test_cap_admits_its_own_modulus(self, monkeypatch):
+        monkeypatch.setattr(residues, "_ROWS", {})
+        cap = residues.MAX_MODULUS
+        assert cap == 10**6
+        assert q_binsum(0, cap, 3) == 1 and q_binsum(3, cap, 3) == 1
+        assert residue_table(cap, 3).values[:5] == (1, 3, 3, 1, 0)
+        assert thm32_q(0, cap, 3, [0, 1]) == 4
+        # only the weight-0 vertex has a weight = 0 mod 10^6 in Q_10
+        spec = LayeredSpec(cap, frozenset({0}))
+        assert layered_distribution(10, 3, spec) == distribution_fast(layered_set(10, spec), 3)
+
+    def test_past_the_cap_raises_before_any_row_is_built(self, monkeypatch):
+        # each of these raised OverflowError or MemoryError on a k-entry row
+        monkeypatch.setattr(residues, "_ROWS", {})
+        k = residues.MAX_MODULUS + 1
+        calls = (
+            lambda: q_binsum(0, k, 3),
+            lambda: q_binsum(0, 2**70, 3),
+            lambda: residue_table(2**70, 3),
+            lambda: thm32_q(0, 2**70, 3, [0]),
+            lambda: layered_distribution(10, 3, LayeredSpec(10**12, frozenset({0}))),
+        )
+        for call in calls:
+            with pytest.raises(CapabilityError):
+                call()
+        assert residues._ROWS == {}
 
 
 class TestTable:

@@ -499,3 +499,5 @@ class TestContainers:
             LambdaBounds(2, 1, Fraction(3, 4), Fraction(2, 3), "x", "generic")
         b = LambdaBounds(2, 1, Fraction(2, 3), Fraction(3, 4), "x", "generic")
         assert b.to_json()["lower"] == "2/3"
+        # the interval may reach both ends of [0, 1]
+        assert LambdaBounds(2, 1, Fraction(0), Fraction(1), "x", "generic").lower == 0

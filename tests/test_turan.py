@@ -107,6 +107,10 @@ class TestTuranNumbers:
         with pytest.raises(CapabilityError):
             turan_parts(5, k)
 
+    def test_the_cap_admits_its_own_part_count(self):
+        parts = turan_parts(PARTS_CAP + 3, PARTS_CAP)
+        assert len(parts) == PARTS_CAP and parts[:4] == [2, 2, 2, 1] and parts[-1] == 1
+
     def test_numpy_integer_parts_arguments_read_as_ints(self):
         parts = turan_parts(np.int64(5), np.uint8(3))
         assert parts == [2, 2, 1] and {type(p) for p in parts} == {int}
