@@ -30,7 +30,7 @@ class LambdaBounds:
     """Interval enclosing the limit value λ(d,s), with provenance.
 
     lower_witness names the construction attaining the lower bound;
-    upper_source is one of closed-form | generic | reference-constant.
+    upper_source is one of closed-form | reference-constant.
     """
 
     d: int
@@ -169,15 +169,12 @@ def best_bounds(d: int, s: int) -> LambdaBounds:
         )
     lower, lower_witness = max(lower_candidates, key=lambda t: t[0])
 
-    upper_candidates: list[tuple[Fraction, str]] = []
     if low == 1:
-        upper_candidates.append((lambda_d2_closed_form(d, 1), "closed-form"))
+        upper_candidates = [(lambda_d2_closed_form(d, 1), "closed-form")]
     else:
         # π(d+2, ω(low)) with the a-priori cap ω(low) <= 4 low - 1; exact when
         # a Hadamard matrix of order 4 low exists, an upper bound regardless.
-        upper_candidates.append((turan_density(d + 2, 4 * low - 1), "closed-form"))
-        generic = (1 - Fraction(1, 4 * low - 1)) * (1 + Fraction(1, d + 1))
-        upper_candidates.append((min(generic, Fraction(1)), "generic"))
+        upper_candidates = [(turan_density(d + 2, 4 * low - 1), "closed-form")]
     if (d, low) in REFERENCE_UPPER:
         upper_candidates.append((REFERENCE_UPPER[(d, low)], "reference-constant"))
     upper, upper_source = min(upper_candidates, key=lambda t: t[0])

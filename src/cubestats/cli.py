@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -48,25 +47,30 @@ from .stats import _fold_distribution, _weight_distribution
 from .turan import occupancy_case
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce a run, embedded in each report."""
-
-    command: str
-    parameters: dict
-    seed: int = 0
-    format: str = "json"
-    out: str | None = None
-    workers: int = 1
-
-    def to_json(self) -> dict:
-        return asdict(self)
+# the flags every command takes, each declared here only: name -> add_argument keywords
+_SHARED_FLAGS = {
+    "seed": {"type": int, "default": 0, "help": "64-bit seed (default 0)"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "out": {"default": None, "help": "write the report to this path"},
+    # kept so that existing command lines still parse; it changes nothing that runs
+    "workers": {"type": int, "default": 1, "help": "unused (at least 1)"},
+}
 
 
-def _envelope(config: RunConfig, payload: dict, provenance: Sequence[str] = ()) -> dict:
+def _envelope(args: argparse.Namespace, payload: dict, provenance: Sequence[str] = ()) -> dict:
+    values = vars(args)
+    parameters = {
+        k: v
+        for k, v in values.items()
+        if k not in _SHARED_FLAGS and k != "command" and v is not None
+    }
     return {
         "version": __version__,
-        "config": config.to_json(),
+        "config": {
+            "command": args.command,
+            "parameters": parameters,
+            **{name: values[name] for name in _SHARED_FLAGS},
+        },
         "provenance": sorted(provenance),
         **payload,
     }
@@ -83,11 +87,11 @@ def _load_json_arg(text: str):
         raise DomainError(f"bad JSON: {exc}") from exc
 
 
-def _construct(config: RunConfig, text: str) -> ConstructionResult:
+def _construct(args: argparse.Namespace, text: str) -> ConstructionResult:
     """Build the construction a spec argument names."""
     spec = _load_json_arg(text)
     if isinstance(spec, dict) and spec.get("kind") == "bernoulli":
-        spec.setdefault("seed", config.seed)
+        spec.setdefault("seed", args.seed)
     return build_construction(spec)
 
 
@@ -96,15 +100,14 @@ def _construct(config: RunConfig, text: str) -> ConstructionResult:
 # ---------------------------------------------------------------------------
 
 
-def cmd_dist(config: RunConfig, args: argparse.Namespace):
-    provenance: list[str] = []
+def cmd_dist(args: argparse.Namespace):
     payload: dict = {}
     if (args.set_file is None) == (args.construct is None):
         raise DomainError("give exactly one of --set-file and --construct")
     if args.set_file is not None:
         A = VertexSet.from_json(_load_json_arg("@" + args.set_file))
     else:
-        result = _construct(config, args.construct)
+        result = _construct(args, args.construct)
         payload["construction"] = result.to_json()
         A = result.vertex_set
     check_subcube_dimension(A.n, args.d)
@@ -114,10 +117,10 @@ def cmd_dist(config: RunConfig, args: argparse.Namespace):
     payload["distribution"] = dist.to_json()
     if args.s is not None:
         payload["lambda"] = {"s": args.s, "value": str(dist.fraction(args.s))}
-    return payload, provenance, True
+    return payload, [], True
 
 
-def cmd_exhaustive(config: RunConfig, args: argparse.Namespace):
+def cmd_exhaustive(args: argparse.Namespace):
     value, witness = exhaustive_lambda(args.n, args.d, args.s)
     payload = {
         "n": args.n,
@@ -129,7 +132,7 @@ def cmd_exhaustive(config: RunConfig, args: argparse.Namespace):
     return payload, [], True
 
 
-def cmd_bounds(config: RunConfig, args: argparse.Namespace):
+def cmd_bounds(args: argparse.Namespace):
     bounds = best_bounds(args.d, args.s)
     provenance = []
     if bounds.upper_source == "reference-constant":
@@ -137,17 +140,17 @@ def cmd_bounds(config: RunConfig, args: argparse.Namespace):
     return {"bounds": bounds.to_json()}, provenance, True
 
 
-def cmd_omega(config: RunConfig, args: argparse.Namespace):
+def cmd_omega(args: argparse.Namespace):
     result = omega(args.s, policy=args.policy)
     return {"omega": result.to_json()}, [], True
 
 
-def cmd_construct(config: RunConfig, args: argparse.Namespace):
-    result = _construct(config, args.spec)
+def cmd_construct(args: argparse.Namespace):
+    result = _construct(args, args.spec)
     return {"construction": result.to_json()}, [], True
 
 
-def cmd_approx(config: RunConfig, args: argparse.Namespace):
+def cmd_approx(args: argparse.Namespace):
     spec = approx_construct(args.x, args.eps)
     payload = {"spec": spec.to_json()}
     check_d = args.check_d
@@ -164,7 +167,7 @@ def cmd_approx(config: RunConfig, args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 
-def _suite_prop31(config: RunConfig) -> list[dict]:
+def _suite_prop31(args: argparse.Namespace) -> list[dict]:
     checks = []
     for d in range(3, 17):
         ok = all(verify_prop31(k, d) for k in range(3, d + 1))
@@ -177,7 +180,7 @@ def _suite_prop31(config: RunConfig) -> list[dict]:
     return checks
 
 
-def _suite_thm32(config: RunConfig) -> list[dict]:
+def _suite_thm32(args: argparse.Namespace) -> list[dict]:
     checks = []
     for k in range(1, 9):
         report = verify_thm32(k, range(1, 17))
@@ -196,7 +199,7 @@ def _suite_thm32(config: RunConfig) -> list[dict]:
     return checks
 
 
-def _suite_approx(config: RunConfig) -> list[dict]:
+def _suite_approx(args: argparse.Namespace) -> list[dict]:
     checks = []
     for q in range(2, 13):
         # the bound test is monotone in the deviation, so every p < q passes
@@ -221,7 +224,7 @@ def _suite_approx(config: RunConfig) -> list[dict]:
     return checks
 
 
-def _suite_third_layer(config: RunConfig) -> list[dict]:
+def _suite_third_layer(args: argparse.Namespace) -> list[dict]:
     checks = [{"name": "third layer floor/ceil d<=30", "pass": third_layer_check(30)}]
     # negative control: the residue sums mod 5 of row 30 lie up to 744,200
     # from floor(2^30/5), so they must fail the floor/ceil test
@@ -231,7 +234,7 @@ def _suite_third_layer(config: RunConfig) -> list[dict]:
     return checks
 
 
-def _suite_clique_certs(config: RunConfig) -> list[dict]:
+def _suite_clique_certs(args: argparse.Namespace) -> list[dict]:
     checks = []
     cert = None
     for order in (4, 8, 12, 16, 20, 24, 32):
@@ -258,23 +261,19 @@ def _suite_clique_certs(config: RunConfig) -> list[dict]:
     return checks
 
 
-def _suite_oracle_equivalence(config: RunConfig) -> list[dict]:
-    rng = np.random.default_rng(config.seed)
+def _suite_oracle_equivalence(args: argparse.Namespace) -> list[dict]:
+    rng = np.random.default_rng(args.seed)
     checks = []
-    ok = True
-    sym_ok = True
+    ok = sym_ok = True
     for _ in range(25):
         n = int(rng.integers(1, 8))
         d = int(rng.integers(0, n + 1))
         bits = rng.integers(0, 2, size=1 << n)
         A = VertexSet.from_flags(n, bits)
         fast = distribution_fast(A, d)
-        slow = distribution(A, d)
-        if fast != slow:
-            ok = False
+        ok &= fast == distribution(A, d)
         comp = distribution_fast(A.complement(), d)
-        if not _mirrors(fast.counts, comp.counts):
-            sym_ok = False
+        sym_ok &= _mirrors(fast.counts, comp.counts)
     checks.append({"name": "distribution_fast == distribution (25 seeded sets)", "pass": ok})
     checks.append({"name": "complement mirrors counts", "pass": sym_ok})
     # the parity (k = 2) and mod_weight (k = 4) sets are weight-symmetric, so
@@ -329,8 +328,8 @@ _SUITES = {
 VERIFY_SUITES = tuple(_SUITES)
 
 
-def cmd_verify(config: RunConfig, args: argparse.Namespace):
-    checks = _SUITES[args.suite](config)
+def cmd_verify(args: argparse.Namespace):
+    checks = _SUITES[args.suite](args)
     passed = all(c["pass"] for c in checks)
     return {"suite": args.suite, "pass": passed, "checks": checks}, [], passed
 
@@ -343,11 +342,8 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace):
 @functools.cache  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    shared.add_argument("--format", choices=("json", "csv"), default="json")
-    shared.add_argument("--out", default=None, help="write the report to this path")
-    # kept so that existing command lines still parse; it changes nothing that runs
-    shared.add_argument("--workers", type=int, default=1, help="unused (at least 1)")
+    for name, options in _SHARED_FLAGS.items():
+        shared.add_argument(f"--{name}", **options)
 
     parser = argparse.ArgumentParser(
         prog="cubestats",
@@ -398,11 +394,6 @@ _COMMANDS = {
     "verify": cmd_verify,
     "approx": cmd_approx,
 }
-
-# the shared flags fill every RunConfig field but these two
-_CONFIG_FIELDS = tuple(
-    f.name for f in fields(RunConfig) if f.name not in ("command", "parameters")
-)
 
 
 def _leaves(node, path: str = ""):
@@ -501,9 +492,9 @@ def _render_ints(values: np.ndarray, sep: str) -> list[memoryview] | None:
     return [*blocks[:-1], blocks[-1][: -len(tail)]]
 
 
-def _emit(config: RunConfig, pieces: list) -> None:
-    if config.out is not None:
-        with open(config.out, "wb") as fh:
+def _emit(out: str | None, pieces: list) -> None:
+    if out is not None:
+        with open(out, "wb") as fh:
             fh.writelines(pieces)
         return
     try:
@@ -517,35 +508,22 @@ def _emit(config: RunConfig, pieces: list) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    parameters = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in _CONFIG_FIELDS and k != "command" and v is not None
-    }
-    config = RunConfig(
-        command=args.command,
-        parameters=parameters,
-        **{name: getattr(args, name) for name in _CONFIG_FIELDS},
-    )
     try:
-        if not 0 <= config.seed < 1 << 64:
+        if not 0 <= args.seed < 1 << 64:
             raise DomainError("seed must fit in 64 bits")
-        if config.workers < 1:
+        if args.workers < 1:
             raise DomainError("--workers must be >= 1")
-        payload, provenance, passed = _COMMANDS[args.command](config, args)
-        report = _envelope(config, payload, provenance)
-        if config.format == "csv":
+        payload, provenance, passed = _COMMANDS[args.command](args)
+        report = _envelope(args, payload, provenance)
+        if args.format == "csv":
             pieces = [_render_csv(report).encode("utf-8", "surrogateescape")]
         else:
             pieces = [*_render_json(report, []), b"\n"]
-        _emit(config, pieces)
+        _emit(args.out, pieces)
     # UnicodeEncodeError: a strict stdout encoding cannot write the report
-    except (DomainError, CertificateError, OSError, UnicodeEncodeError) as exc:
+    except (DomainError, CertificateError, OSError, UnicodeEncodeError, CapabilityError) as exc:
         print(f"cubestats: {exc}", file=sys.stderr)
-        return 2
-    except CapabilityError as exc:
-        print(f"cubestats: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, CapabilityError) else 2
     return 0 if passed else 1
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -143,6 +144,88 @@ class TestEnvelope:
             "out": None,
             "workers": 1,
         }
+
+
+# a Bernoulli set drawn from --seed, so that the seed shows in the report
+BERNOULLI_DIST = ["dist", "--construct", '{"kind":"bernoulli","n":8,"d":2}', "-d", "2", "--seed", "7"]
+
+# sha256 of the JSON and the CSV report of each argv, in the order of
+# EVERY_COMMAND + [BERNOULLI_DIST]; a refactor of the front end keeps them all
+PINNED_DIGESTS = {
+    "dist parity": (
+        "c8983781dbca2042624d6aa389eeb7254a96df3677c5c0415c4d25049bda57d5",
+        "415133186e20d90fe37d6ea0bcdde79ccd2ab27f4f099c8b14cb9b0822fb2cb3",
+    ),
+    "exhaustive": (
+        "9a97d7050a2676d1d0190fac65c7d381954acfc4bfbfbceff131825aa529d1e2",
+        "e56aea5538a69962adae3a3a2d046cc504d40744f9afb11347aa4e0d75acfeb5",
+    ),
+    "bounds": (
+        "f96fd3b02cd200a15ba3f866d919d1a67353e63f88019cd7da0dee676d347401",
+        "c0a81f15637db903ff9b76268c4b5014e0ba668b73340fd7f47e2a32ba0c6037",
+    ),
+    "omega": (
+        "b6e1e26fb0f02865a86d2540d82f364a61d9b4c4bd27d81d57e1ee6641388e48",
+        "c3091719a0bd1c381d8888d6fdf1f3fc30bd739962c1cbba8fc27d592403be52",
+    ),
+    "construct parity": (
+        "9aa808bea591c4019e60320fe6fbf049327a36f0c279012f965bf76360e096aa",
+        "a07edc3464d4d7a60ccbf8513d6cdf9062eb77ee569a3c9c6ad1027726366fe3",
+    ),
+    "approx": (
+        "12cdcfb8fcacb82cb6e5f3d54a91933c3c8910798912d87a3e475c657b14e152",
+        "451d47d2cc28475786da2a1131458f53bdaf70d2b4b6a6ca74bacf2dbc53ea80",
+    ),
+    "verify prop31": (
+        "47a0a24e2c3fc81d7b65d79b7856f57d3f5aedb5d820bd7f105994e161566054",
+        "043c27f29796d9d94791ac8586a49174e8b4e5f8c62ce33f79cba65c7ca996f5",
+    ),
+    "verify thm32": (
+        "fd2532c0459d97d456ad1adb66bfeb0c60d000762dc02dfc88c20951d9431d63",
+        "e5b505762cdd376d5f5abf8e03c8a0dd5a3c73fae4a893ce4e281d9c6452683a",
+    ),
+    "verify approx": (
+        "e40d4e52d185ca6a1376bbf16808861887a9be59486ef85eb79665cdd43c1bc2",
+        "9225b3245646a4af82a171feff34a65582c455bc62466b6498464cca03d70d84",
+    ),
+    "verify third-layer": (
+        "7bbcfd1f25271ec72366317771a87253ba28ccaf4e6ff2fcf66225671ef1ab2e",
+        "6b8df352bb5ee7d8ec0f0c5f3599d0a115ff3fd00006eb5379b2164a15f73aec",
+    ),
+    "verify clique-certs": (
+        "b9f9adf67a848e2c39ff5ffe9ed3243fe674aac8b38e916df5578711392f81d9",
+        "ba83c4f5a455dd1d00e108fd18d86551ec12d640a77ee759f11793abffb9dd18",
+    ),
+    "verify oracle-equivalence": (
+        "51f0fbcda800444728255ff67c1fff99be62ba34bf571a060956cae4915b5244",
+        "080df757d3ad4e7d1cdb9dcccdf72c8836df96759da2d2999721fc1f00f2b7b4",
+    ),
+    "seeded bernoulli dist": (
+        "ef564cb6c8cb42d06bb2e77ac4340fd22025e4de27aa83759dec2e37c7d178b7",
+        "7a146524feb8aa143718401b42c3a85c2123a308ee88b28de88c57c934af25f3",
+    ),
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize(
+        "argv, digests",
+        zip(EVERY_COMMAND + [BERNOULLI_DIST], PINNED_DIGESTS.values(), strict=True),
+        ids=list(PINNED_DIGESTS),
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_bytes(self, capsys, argv, digests, fmt):
+        rc, out, _ = run(capsys, *argv, "--format", fmt)
+        assert rc == 0
+        digest = hashlib.sha256(out.encode("utf-8", "surrogateescape")).hexdigest()
+        assert digest == digests[fmt == "csv"]
+
+    def test_out_report_bytes(self, capsys, monkeypatch, tmp_path):
+        # a relative --out path, since the path is part of the report's config
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "bounds", "3", "2", "--out", "report.json")[:2] == (0, "")
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == "9253fec2ed9429dc11871a214826dfc4cd5a20b6eb9c2514d6fc2f78aef69b16"
 
 
 class TestDist:
@@ -618,6 +701,21 @@ class TestVerifySuites:
         rc, out, _ = run(capsys, "verify", suite)
         assert rc == 1
         assert json.loads(out)["pass"] is False
+
+    def test_oracle_equivalence_draws_its_sets_from_the_seed(self, capsys, monkeypatch):
+        seen = []  # the (set, d) pairs that reach the slow oracle
+        real = cli.distribution
+        monkeypatch.setattr(cli, "distribution", lambda A, d: seen.append((A, d)) or real(A, d))
+
+        def drawn(seed: int) -> list:
+            seen.clear()
+            assert run(capsys, "verify", "oracle-equivalence", "--seed", str(seed))[0] == 0
+            return list(seen)
+
+        first = drawn(1)
+        assert len(first) == 25
+        assert drawn(1) == first
+        assert drawn(2) != first
 
     def test_oracle_equivalence_fails_when_the_complement_does_not_mirror(
         self, capsys, monkeypatch

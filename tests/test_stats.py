@@ -496,8 +496,13 @@ class TestContainers:
 
     def test_bounds_ordering_enforced(self):
         with pytest.raises(DomainError):
-            LambdaBounds(2, 1, Fraction(3, 4), Fraction(2, 3), "x", "generic")
-        b = LambdaBounds(2, 1, Fraction(2, 3), Fraction(3, 4), "x", "generic")
+            LambdaBounds(2, 1, Fraction(3, 4), Fraction(2, 3), "x", "closed-form")
+        b = LambdaBounds(2, 1, Fraction(2, 3), Fraction(3, 4), "x", "closed-form")
         assert b.to_json()["lower"] == "2/3"
         # the interval may reach both ends of [0, 1]
-        assert LambdaBounds(2, 1, Fraction(0), Fraction(1), "x", "generic").lower == 0
+        assert LambdaBounds(2, 1, Fraction(0), Fraction(1), "x", "closed-form").lower == 0
+
+    def test_bounds_above_one_rejected(self):
+        # a limit of fractions lies in [0, 1], so an upper end past 1 is no enclosure
+        with pytest.raises(DomainError):
+            LambdaBounds(2, 1, Fraction(1, 2), Fraction(3, 2), "x", "closed-form")
