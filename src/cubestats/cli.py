@@ -339,61 +339,80 @@ def cmd_verify(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache  # built on the first main call, then reused
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    for name, options in _SHARED_FLAGS.items():
-        shared.add_argument(f"--{name}", **options)
+# command -> (the function that runs it, its line in the top-level help)
+_COMMANDS = {
+    "dist": (cmd_dist, "subcube count distribution of a set"),
+    "exhaustive": (cmd_exhaustive, "exact max over all sets"),
+    "bounds": (cmd_bounds, "best proven enclosure of the limit"),
+    "omega": (cmd_omega, "clique number with a certificate"),
+    "construct": (cmd_construct, "materialize a construction"),
+    "verify": (cmd_verify, "run a verification suite"),
+    "approx": (cmd_approx, "density approximation spec"),
+}
 
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """Declare the shared flags, then the arguments of ``command``, on ``parser``."""
+    for name, options in _SHARED_FLAGS.items():
+        parser.add_argument(f"--{name}", **options)
+    add = parser.add_argument
+    if command == "dist":
+        add("--set-file", dest="set_file", default=None)
+        add("--construct", default=None, help="construction spec JSON (or @file)")
+        add("-d", type=int, required=True, dest="d")
+        add("-s", type=int, default=None, dest="s")
+    elif command in ("exhaustive", "bounds"):
+        for name in ("n", "d", "s") if command == "exhaustive" else ("d", "s"):
+            add(name, type=int)
+    elif command == "omega":
+        add("s", type=int)
+        add("--policy", choices=("auto", "search"), default="auto")
+    elif command == "construct":
+        add("spec", help="construction spec JSON (or @file)")
+    elif command == "verify":
+        add("suite", choices=VERIFY_SUITES)
+    elif command == "approx":
+        add("x", type=float)
+        add("eps", type=float)
+        add("--check-d", type=int, default=None, dest="check_d")
+    return parser
+
+
+@functools.cache  # built only for argv that names no command or that a command's parser refuses
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubestats",
         description="Exact subcube statistics of vertex sets in hypercubes.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dist", parents=[shared], help="subcube count distribution of a set")
-    p.add_argument("--set-file", dest="set_file", default=None)
-    p.add_argument("--construct", default=None, help="construction spec JSON (or @file)")
-    p.add_argument("-d", type=int, required=True, dest="d")
-    p.add_argument("-s", type=int, default=None, dest="s")
-
-    p = sub.add_parser("exhaustive", parents=[shared], help="exact max over all sets")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("s", type=int)
-
-    p = sub.add_parser("bounds", parents=[shared], help="best proven enclosure of the limit")
-    p.add_argument("d", type=int)
-    p.add_argument("s", type=int)
-
-    p = sub.add_parser("omega", parents=[shared], help="clique number with a certificate")
-    p.add_argument("s", type=int)
-    p.add_argument("--policy", choices=("auto", "search"), default="auto")
-
-    p = sub.add_parser("construct", parents=[shared], help="materialize a construction")
-    p.add_argument("spec", help="construction spec JSON (or @file)")
-
-    p = sub.add_parser("verify", parents=[shared], help="run a verification suite")
-    p.add_argument("suite", choices=VERIFY_SUITES)
-
-    p = sub.add_parser("approx", parents=[shared], help="density approximation spec")
-    p.add_argument("x", type=float)
-    p.add_argument("eps", type=float)
-    p.add_argument("--check-d", type=int, default=None, dest="check_d")
-
+    for command, (_, summary) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=summary), command)
     return parser
 
 
-_COMMANDS = {
-    "dist": cmd_dist,
-    "exhaustive": cmd_exhaustive,
-    "bounds": cmd_bounds,
-    "omega": cmd_omega,
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "approx": cmd_approx,
-}
+class _CommandParser(argparse.ArgumentParser):
+    # the full tree words every usage error, leftover arguments included; it
+    # also refuses what only its top level would, such as an ambiguous --=x
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    return _add_arguments(_CommandParser(prog=f"cubestats {command}"), command)
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, from the named command's parser alone when it can."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        command, *rest = argv
+        try:
+            return _command_parser(command).parse_args(rest, argparse.Namespace(command=command))
+        except argparse.ArgumentError:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 def _leaves(node, path: str = ""):
@@ -507,13 +526,13 @@ def _emit(out: str | None, pieces: list) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if not 0 <= args.seed < 1 << 64:
             raise DomainError("seed must fit in 64 bits")
         if args.workers < 1:
             raise DomainError("--workers must be >= 1")
-        payload, provenance, passed = _COMMANDS[args.command](args)
+        payload, provenance, passed = _COMMANDS[args.command][0](args)
         report = _envelope(args, payload, provenance)
         if args.format == "csv":
             pieces = [_render_csv(report).encode("utf-8", "surrogateescape")]

@@ -134,11 +134,14 @@ def _weight_distribution(n: int, d: int, W: list[int]) -> SubcubeDistribution:
     """The distribution of {x in Q_n : W[|x|]} for 0/1 flags W[0..n], in
     closed form; ``distribution_fast`` says why it is exact."""
     row = [binomial(d, i) for i in range(d + 1)]
-    choose_free = binomial(n, d)
     counts = [0] * ((1 << d) + 1)
+    bases = 1  # C(m, w) at m = n - d, stepped exactly: C(m, w + 1) = C(m, w) (m - w) / (w + 1)
     for w in range(n - d + 1):
         hits = sum(c for c, member in zip(row, W[w : w + d + 1]) if member)
-        counts[hits] += choose_free * binomial(n - d, w)
+        counts[hits] += bases
+        bases = bases * (n - d - w) // (w + 1)
+    choose_free = binomial(n, d)
+    counts = [choose_free * c for c in counts]
     return SubcubeDistribution(n, d, tuple(counts), subcube_count(n, d))
 
 
@@ -381,9 +384,12 @@ def layered_distribution(n: int, d: int, spec: LayeredSpec) -> SubcubeDistributi
     check_subcube_dimension(n, d)
     k, T = spec.k, spec.T
     counts = [0] * ((1 << d) + 1)
-    choose_free = binomial(n, d)
     # the count depends on w only through w mod k
     hits = [thm32_q(a, k, d, T) for a in range(min(k, n - d + 1))]
+    bases = 1  # C(n - d, w), stepped exactly along w
     for w in range(n - d + 1):
-        counts[hits[w % k]] += choose_free * binomial(n - d, w)
+        counts[hits[w % k]] += bases
+        bases = bases * (n - d - w) // (w + 1)
+    choose_free = binomial(n, d)
+    counts = [choose_free * c for c in counts]
     return SubcubeDistribution(n, d, tuple(counts), subcube_count(n, d))

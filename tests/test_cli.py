@@ -120,7 +120,7 @@ class TestEnvelope:
         assert a == b and a[0] == 0
 
     def test_parser_is_built_once_and_keeps_no_options(self, capsys):
-        cli._build_parser.cache_clear()
+        cli._command_parser.cache_clear()
         argv = ["dist", "--construct", PARITY6, "-d", "3"]
         first = run(capsys, *argv)
         assert run(capsys, *argv, "-s", "4")[0] == 0
@@ -129,7 +129,7 @@ class TestEnvelope:
         assert exc.value.code == 2
         capsys.readouterr()
         again = run(capsys, *argv)
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._command_parser("dist") is cli._command_parser("dist")
         assert again == first and again[0] == 0
         assert "s" not in json.loads(again[1])["config"]["parameters"]
 
@@ -144,6 +144,78 @@ class TestEnvelope:
             "out": None,
             "workers": 1,
         }
+
+
+# argv for the parse of main against the full parser tree: help, version,
+# no or an unknown command, bad types and choices, leftover and missing
+# arguments, "--", abbreviated, joined and ambiguous flags
+PARSE_TABLE = [
+    [],
+    ["-h"],
+    ["--version"],
+    ["nope"],
+    ["dis", "-d", "3"],
+    ["--seed", "3", "bounds", "2", "1"],
+    *[[command, "-h"] for command in cli._COMMANDS],
+    *EVERY_COMMAND,
+    ["dist", "--construct", PARITY6, "-d", "3", "--seed", "5", "--format", "csv", "--out", "r"],
+    ["dist", "--cons", PARITY6, "-d3"],
+    ["dist", f"--construct={PARITY6}", "-d=3", "--work", "2"],
+    ["dist", "--set-file", "a.json", "-d", "x"],
+    ["dist", "--construct", PARITY6],
+    ["dist", "-d"],
+    ["dist", "--se", "a.json", "-d", "1"],
+    ["dist", "-d", "3", "--version"],
+    ["dist", "-d", "3", "extra"],
+    ["dist", "-d", "3", "--", "extra"],
+    ["dist", "--=x"],
+    ["dist", "-h", "--=x"],
+    ["dist", "-d", "x", "-h"],
+    ["exhaustive", "4", "2"],
+    ["exhaustive", "4", "2", "1", "9"],
+    ["exhaustive", "four", "2", "1"],
+    ["exhaustive", "--", "-4", "2", "1"],
+    ["bounds", "-3", "2", "--workers=0"],
+    ["bounds", "3", "2", "--seed"],
+    ["bounds", "3", "2", "--format", "xml"],
+    ["omega", "3", "--pol", "search"],
+    ["omega", "3", "--policy", "exact"],
+    ["construct"],
+    ["construct", PARITY6, PARITY6],
+    ["verify", "mystery"],
+    ["verify", "prop31", "--seed", "-1"],
+    ["approx", "0.25", "x"],
+    ["approx", "-0.5", "0.01", "--check-d", "3"],
+    ["approx", "0.25", "0.01", "--check-d"],
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """The namespace parse gives argv, or its exit code, stdout and stderr."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+class TestParse:
+    @pytest.mark.parametrize("argv", PARSE_TABLE, ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_matches_the_full_tree(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = parse_outcome(capsys, cli._build_parser().parse_args, argv)
+        assert parse_outcome(capsys, cli._parse_args, argv) == want
+
+    def test_a_command_builds_only_its_own_parser(self, capsys):
+        cli._build_parser.cache_clear()
+        cli._command_parser.cache_clear()
+        assert run(capsys, "bounds", "3", "2")[0] == 0
+        assert cli._build_parser.cache_info().currsize == 0
+        assert cli._command_parser.cache_info().currsize == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0 and capsys.readouterr().out == f"{__version__}\n"
+        assert cli._build_parser.cache_info().currsize == 1
 
 
 # a Bernoulli set drawn from --seed, so that the seed shows in the report

@@ -39,7 +39,7 @@ def test_every_cli_example_is_found():
 def test_cli_example_parses(line):
     # argparse exits 2 on an unknown flag or a bad value, which fails the test
     argv = shlex.split(line, comments=True)[1:]
-    args = cli._build_parser().parse_args(argv)
+    args = cli._parse_args(argv)
     assert args.command == argv[0]
 
 

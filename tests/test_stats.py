@@ -1,6 +1,7 @@
 """Occupancy distributions: reference counter, bit-parallel version, layered."""
 
 import itertools
+import math
 import random
 import sys
 import threading
@@ -466,6 +467,39 @@ class TestLayered:
     def test_spec_rejects_non_integers(self, k, T):
         with pytest.raises(DomainError):
             LayeredSpec(k, frozenset(T))
+
+
+def comb_sum(n, d, W):
+    """The weight-class closed form, one math.comb product per base weight."""
+    counts = [0] * ((1 << d) + 1)
+    for w in range(n - d + 1):
+        hits = sum(math.comb(d, i) for i in range(d + 1) if W[w + i])
+        counts[hits] += math.comb(n, d) * math.comb(n - d, w)
+    return tuple(counts)
+
+
+class TestClosedForms:
+    def test_running_binomials_match_math_comb(self):
+        # every n <= 200 and every d the 2^d + 1 counts allow here
+        rng = random.Random(26)
+        for n in range(201):
+            for d in range(min(n, 8) + 1):
+                W = [rng.getrandbits(1) for _ in range(n + 1)]
+                assert stats._weight_distribution(n, d, W).counts == comb_sum(n, d, W)
+                k = rng.randint(1, 6)
+                T = frozenset(a for a in range(k) if rng.getrandbits(1))
+                W = [int(w % k in T) for w in range(n + 1)]
+                got = layered_distribution(n, d, LayeredSpec(k, T))
+                assert got.counts == comb_sum(n, d, W)
+
+    def test_large_n_in_under_a_second(self):
+        n, d = 10_000, 10
+        W = [int(w % (d + 1) == 0) for w in range(n + 1)]
+        start = time.perf_counter()
+        weights = stats._weight_distribution(n, d, W)
+        layered = layered_distribution(n, d, LayeredSpec(d + 1, frozenset({0})))
+        assert time.perf_counter() - start < 1
+        assert weights == layered and weights.total == subcube_count(n, d)
 
 
 class TestContainers:
