@@ -116,6 +116,14 @@ ALLOWED = {
         "13 2^64 is above the bound too, so the control still fails the bound test; the"
         " floor(B) + 1 control is the one that sits next to the bound"
     ),
+    "src/cubestats/johnson.py:_int_words: default=0 => default=1": (
+        "with no ints, a bit length of 0 or of 1 both round up to the one-word minimum"
+    ),
+    "src/cubestats/bounds.py:_MAX_DENOMINATOR_BITS: _MAX_DENOMINATOR_BITS = 14284 =>"
+    " _MAX_DENOMINATOR_BITS = 14285": (
+        "no d needs exactly 14,285 bits: d(d - 1) is even, and d(2^min(d, 16) - 1) jumps"
+        " from 10,230 at d = 10 to 22,517 at d = 11"
+    ),
 }
 
 

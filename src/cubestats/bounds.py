@@ -118,10 +118,8 @@ def c_star_enumerated(d: int, k: int) -> Fraction:
     total = 0
     for cols in itertools.product(nonzero, repeat=d):
         total += 1
-        rows = [
-            sum(((col >> r) & 1) << j for j, col in enumerate(cols)) for r in range(m)
-        ]
-        if gf2_rank(GF2Matrix(m, d, tuple(rows))) == m:
+        # the rank of the m x d matrix is that of its transpose, whose rows are cols
+        if gf2_rank(GF2Matrix(d, m, cols)) == m:
             hits += 1
     return Fraction(hits, total)
 

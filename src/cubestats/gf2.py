@@ -1,4 +1,4 @@
-"""GF(2) matrices as int bitsets, with Gaussian-elimination rank."""
+"""GF(2) matrices as int bitsets, with rank by an XOR basis of the rows."""
 
 from __future__ import annotations
 
@@ -95,22 +95,21 @@ class GF2Matrix:
 
 
 def gf2_rank(matrix: GF2Matrix) -> int:
-    """Rank over GF(2); the input is not modified."""
-    work = list(matrix.row_masks)
-    rank = 0
-    for col in range(matrix.cols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and (work[r] >> col) & 1:
-                work[r] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    """Rank over GF(2): the size of an XOR basis of the row masks.
+
+    Each row is reduced by the basis rows in the order kept: ``min(row,
+    row ^ b)`` XORs in b exactly when the row has b's top bit, the highest
+    bit that b flips.  A row left nonzero joins the basis.  No basis row
+    has the top bit of an earlier one: its reduction cleared that bit, and
+    each basis row XORed in later lacks it too.  So the top bits are
+    distinct, a nonzero XOR of basis rows has one of them as its top bit,
+    and a reduced row, which has none of them, is no such XOR: the basis
+    is independent and spans every row.  The input is not modified.
+    """
+    basis: list[int] = []
+    for row in matrix.row_masks:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    return len(basis)

@@ -2,56 +2,23 @@
 
 Every constructor returns a validated matrix, and ``hadamard_matrix``
 resolves an order to whichever construction reaches it.  H Hᵀ = order·I
-is checked exactly by ``pair_counts``, the pairwise popcount kernel that
-the Johnson graph and its clique certificates share: rows i != j of ±1
-entries are orthogonal exactly when they differ in order/2 places.
+is checked as one float32 matrix product, which is exact: every partial
+sum is an integer of size at most the order, and float32 holds integers
+up to 2^24, an order whose grid would have 2^48 entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
 from .errors import CapabilityError, DomainError, check_int
 
-_COUNT_BLOCK_ELEMS = 1 << 16  # counts per block that pair_counts yields
-
 # Largest order built: Sylvester's 2048 x 2048 grid passes through 32 MiB
 # int64 arrays, and the package needs orders up to 4 * OMEGA_CAP = 400.
 ORDER_CAP = 1 << 11
-
-
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Boolean rows as little-endian uint64 words: bit j of row i is column j."""
-    rows, width = bits.shape
-    packed = np.zeros((rows, max(1, -(-width // 64)) * 8), dtype=np.uint8)
-    packed[:, : -(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
-def pair_counts(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, counts) with counts[i, j] = popcount(words[lo + i] & words[j]).
-
-    Row i of ``words`` is one or more little-endian uint64 words holding
-    bit j of a boolean row in bit j % 64 of word j // 64, as ``_pack_rows``
-    lays them out.  Blocks of consecutive rows cover every row once, each
-    with at most ``_COUNT_BLOCK_ELEMS`` counts unless one row alone has
-    more.  Counts are exact, in the narrowest unsigned dtype that holds
-    64·width: uint8 up to 3 words, uint16 up to 1,023, uint32 beyond.
-    Widen them before arithmetic that can leave that range.
-    """
-    rows, width = words.shape
-    dtype = np.min_scalar_type(64 * width)
-    step = max(1, _COUNT_BLOCK_ELEMS // max(rows, 1))
-    for lo in range(0, rows, step):
-        block = words[lo : lo + step]
-        counts = np.bitwise_count(block[:, 0, None] & words[:, 0]).astype(dtype, copy=False)
-        for w in range(1, width):
-            counts += np.bitwise_count(block[:, w, None] & words[:, w])
-        yield lo, counts
 
 
 def _is_prime(q: int) -> bool:
@@ -92,7 +59,8 @@ class HadamardMatrix:
         # numeric entries compare exactly with ±1, as Python's == does
         if grid.dtype.kind not in "biuf" or (np.abs(grid) != 1).any():
             raise DomainError("entries must be +1 or -1")
-        if not _orthogonal(grid < 0):
+        signs = grid.astype(np.float32)
+        if (signs @ signs.T != n * np.eye(n, dtype=np.float32)).any():
             raise DomainError("rows are not orthogonal: not a Hadamard matrix")
         grid = grid.astype(np.int8)
         grid.flags.writeable = False
@@ -101,27 +69,6 @@ class HadamardMatrix:
     def to_json(self) -> dict:
         signs = np.where(self.entries == 1, "+", "-").tolist()
         return {"order": self.order, "rows": ["".join(r) for r in signs]}
-
-
-def _orthogonal(neg: np.ndarray) -> bool:
-    """Whether ±1 rows with -1 exactly where ``neg`` is set are orthogonal.
-
-    Rows i and j differ in w_i + w_j - 2 c_ij places, where w counts a
-    row's -1 entries and c_ij the -1 entries they share; they are
-    orthogonal when that is n/2, which an odd n > 1 never reaches.
-    """
-    n = len(neg)
-    if n % 2 and n > 1:
-        return False
-    w = neg.sum(axis=1)
-    for lo, counts in pair_counts(_pack_rows(neg)):
-        rows = np.arange(len(counts))
-        # widen first: 2 * counts would wrap in their narrow dtype
-        apart = w[lo : lo + len(counts), None] + w - 2 * counts.astype(np.int64)
-        apart[rows, lo + rows] += n // 2  # a row differs from itself nowhere
-        if (apart != n // 2).any():
-            return False
-    return True
 
 
 def hadamard_sylvester(m: int) -> HadamardMatrix:

@@ -11,20 +11,27 @@ they have the same neighbours.  In lexicographic order the complement of
 vertex i is vertex V-1-i, and the lower half i < V/2 holds exactly the
 subsets that contain element 0, so the adjacency and the clique descent
 work on that half alone.
+
+``_int_words`` packs subsets into rows of little-endian uint64 words, and
+``pair_counts``, the one pairwise-popcount kernel, counts the elements
+each pair of rows shares: exactly, in an unsigned dtype that holds 64 per
+word.  The adjacency build and ``verify_clique`` read those counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CapabilityError, CertificateError, DomainError, check_int, fields, is_int, show
-from .hadamard import HadamardMatrix, hadamard_matrix, pair_counts
+from .hadamard import HadamardMatrix, hadamard_matrix
 
 DENSE_ADJACENCY_CAP = 4
 OMEGA_CAP = 100  # largest s for omega; each s up to it has Hadamard blocks
+_COUNT_BLOCK_ELEMS = 1 << 16  # counts per block that pair_counts yields
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,28 @@ def _int_words(ints) -> np.ndarray:
     width = max(1, -(-max((m.bit_length() for m in ints), default=0) // 64))
     raw = b"".join(m.to_bytes(8 * width, "little") for m in ints)
     return np.frombuffer(raw, dtype="<u8").reshape(len(ints), width)
+
+
+def pair_counts(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, counts) with counts[i, j] = popcount(words[lo + i] & words[j]).
+
+    Row i of ``words`` is one or more little-endian uint64 words holding
+    bit j of a subset in bit j % 64 of word j // 64, as ``_int_words``
+    lays them out.  Blocks of consecutive rows cover every row once, each
+    with at most ``_COUNT_BLOCK_ELEMS`` counts unless one row alone has
+    more.  Counts are exact, in the narrowest unsigned dtype that holds
+    64·width: uint8 up to 3 words, uint16 up to 1,023, uint32 beyond.
+    Widen them before arithmetic that can leave that range.
+    """
+    rows, width = words.shape
+    dtype = np.min_scalar_type(64 * width)
+    step = max(1, _COUNT_BLOCK_ELEMS // max(rows, 1))
+    for lo in range(0, rows, step):
+        block = words[lo : lo + step]
+        counts = np.bitwise_count(block[:, 0, None] & words[:, 0]).astype(dtype, copy=False)
+        for w in range(1, width):
+            counts += np.bitwise_count(block[:, w, None] & words[:, w])
+        yield lo, counts
 
 
 def _row_ints(bits: np.ndarray) -> list[int]:

@@ -30,9 +30,32 @@ def test_restrict_columns():
     assert R.column(0) == M.column(0) and R.column(1) == M.column(2)
 
 
+@pytest.mark.parametrize("rows", [0, 2])
+@pytest.mark.parametrize("col", [-1, 3])
+def test_restrict_columns_refuses_a_column_outside_the_matrix(rows, col):
+    # 3 is one past the last column; with no rows there is no row to index
+    with pytest.raises(DomainError, match="column index out of range"):
+        GF2Matrix.zero(rows, 3).restrict_columns([0, col])
+
+
 def test_rank_examples():
     assert gf2_rank(GF2Matrix.from_rows([[1, 1], [1, 1]])) == 1
     assert gf2_rank(GF2Matrix.from_rows([[1, 0], [0, 1], [1, 1]])) == 2
+
+
+def test_rank_counts_the_xors_of_row_subsets():
+    # the rows span 2^rank vectors, each the XOR of some subset of them
+    rng = random.Random(2024)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 10)
+        density = rng.random()
+        masks = tuple(
+            sum(1 << c for c in range(cols) if rng.random() < density) for _ in range(rows)
+        )
+        span = {0}
+        for m in masks:
+            span |= {x ^ m for x in span}
+        assert 1 << gf2_rank(GF2Matrix(rows, cols, masks)) == len(span), masks
 
 
 def test_json_roundtrip():

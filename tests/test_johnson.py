@@ -28,7 +28,7 @@ from cubestats import (
     omega,
     verify_clique,
 )
-from cubestats.hadamard import _pack_rows, pair_counts
+from cubestats.johnson import _int_words, _row_ints, pair_counts
 
 # 40 and 96 are neither Sylvester nor Paley orders, so they go through hadamard_tensor
 HADAMARD_ORDERS = (4, 8, 12, 16, 20, 24, 32, 40, 96)
@@ -112,14 +112,14 @@ class TestPairCounts:
     @pytest.mark.parametrize("width", [1, 63, 64, 65, 255, 256, 257, 400])
     def test_counts_match_pairwise_reference(self, monkeypatch, width, block):
         if block is not None:
-            monkeypatch.setattr(cubestats.hadamard, "_COUNT_BLOCK_ELEMS", block)
+            monkeypatch.setattr(cubestats.johnson, "_COUNT_BLOCK_ELEMS", block)
         rng = np.random.default_rng(width)
         bits = rng.integers(0, 2, size=(23, width)).astype(bool)
         bits[3] = bits[5]  # equal rows are no neighbours
         ints = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in bits]
-        blocks = list(pair_counts(_pack_rows(bits)))
+        blocks = list(pair_counts(_int_words(_row_ints(bits))))
         assert [lo for lo, _ in blocks] == list(
-            range(0, 23, max(1, cubestats.hadamard._COUNT_BLOCK_ELEMS // 23))
+            range(0, 23, max(1, cubestats.johnson._COUNT_BLOCK_ELEMS // 23))
         )
         counts = np.vstack([c for _, c in blocks])
         assert counts.dtype == NARROW_COUNTS[width] and counts.shape == (23, 23)
@@ -134,28 +134,19 @@ class TestPairCounts:
     )
     def test_all_ones_counts_past_each_narrow_range_stay_exact(self, words, dtype):
         # 256, 32,768 and 65,536 pass the top of uint8, int16 and uint16
-        packed = _pack_rows(np.ones((3, 64 * words), dtype=bool))
+        packed = _int_words(_row_ints(np.ones((3, 64 * words), dtype=bool)))
         counts = np.vstack([c for _, c in pair_counts(packed)])
         assert counts.dtype == dtype
         assert (counts.astype(np.int64) == 64 * words).all()
 
-    @pytest.mark.parametrize("extra", [1, 3])
-    def test_orthogonality_with_twice_the_shared_count_past_uint16(self, extra):
-        # two rows share 35,000 -1 entries, 2c = 70,000 > 2^16, and differ in
-        # `extra` places; with n = 2 rows they are orthogonal when that is 1
-        neg = np.zeros((2, 35_000 + extra), dtype=bool)
-        neg[:, :35_000] = True
-        neg[0, 35_000:] = True
-        assert cubestats.hadamard._orthogonal(neg) == (extra == 1)
-
     def test_blocks_stay_within_the_element_budget(self):
-        words = _pack_rows(np.ones((1000, 70), dtype=bool))
+        words = _int_words(_row_ints(np.ones((1000, 70), dtype=bool)))
         sizes = [c.size for _, c in pair_counts(words)]
         assert sum(sizes) == 1000 * 1000
-        assert max(sizes) <= cubestats.hadamard._COUNT_BLOCK_ELEMS
+        assert max(sizes) <= cubestats.johnson._COUNT_BLOCK_ELEMS
 
     def test_no_rows_give_no_blocks(self):
-        assert list(pair_counts(_pack_rows(np.zeros((0, 5), dtype=bool)))) == []
+        assert list(pair_counts(_int_words(_row_ints(np.zeros((0, 5), dtype=bool))))) == []
 
 
 class TestCertificates:
@@ -348,6 +339,15 @@ class TestHadamard:
         grid[order // 3, order // 2] *= -1
         with pytest.raises(DomainError, match="orthogonal"):
             HadamardMatrix(order, grid)
+
+    def test_order_cap_validates_and_refuses_one_flipped_entry(self):
+        # the largest grid built: its Gram matrix has entries up to 2048
+        H = hadamard_sylvester(cubestats.hadamard.ORDER_CAP.bit_length() - 1)
+        assert H.order == cubestats.hadamard.ORDER_CAP
+        grid = H.entries.copy()
+        grid[1000, 2000] *= -1
+        with pytest.raises(DomainError, match="orthogonal"):
+            HadamardMatrix(H.order, grid)
 
     @pytest.mark.parametrize("order", [3, 5, 7])
     def test_odd_orders_are_refused(self, order):
