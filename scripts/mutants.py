@@ -81,6 +81,10 @@ ALLOWED = {
     "src/cubestats/stats.py:_weight_distribution: n - d + 1 => n - d + 2": (
         "the extra base weight n - d + 1 has C(n - d, n - d + 1) = 0 subcubes"
     ),
+    "src/cubestats/stats.py:_weight_distribution: n - d => n + d": (
+        "at the range bound (at the running binomial a test kills it): past w = n - d the"
+        " running binomial is 0, so the extra base weights add nothing"
+    ),
     "src/cubestats/stats.py:_weight_distribution: d + 1 => d + 2": (
         "the extra term of the row is C(d, d + 1) = 0"
     ),

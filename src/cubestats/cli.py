@@ -104,6 +104,7 @@ def cmd_dist(args: argparse.Namespace):
     payload: dict = {}
     if (args.set_file is None) == (args.construct is None):
         raise DomainError("give exactly one of --set-file and --construct")
+    result = None
     if args.set_file is not None:
         A = VertexSet.from_json(_load_json_arg("@" + args.set_file))
     else:
@@ -117,7 +118,13 @@ def cmd_dist(args: argparse.Namespace):
     payload["distribution"] = dist.to_json()
     if args.s is not None:
         payload["lambda"] = {"s": args.s, "value": str(dist.fraction(args.s))}
-    return payload, [], True
+    passed = True
+    # a claim with no warning, at the -d asked for, must agree with the count
+    claim = result.claim_value if result else None
+    if claim is not None and not result.warning and result.claim_d == args.d:
+        got = dist.fraction(result.claim_s)
+        passed = got == claim if result.claim_relation == "eq" else got >= claim
+    return payload, [], passed
 
 
 def cmd_exhaustive(args: argparse.Namespace):

@@ -9,7 +9,7 @@ Only VertexSet converts that integer to and from 0/1 arrays and vertex lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -49,6 +49,8 @@ class VertexSet:
 
     n: int
     bits: int
+    # bit w set iff weight class w is in the set; written only by from_weights
+    _layers: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_mask_dimension(self.n)
@@ -79,12 +81,24 @@ class VertexSet:
         one-bit patterns P(0, w) are doubled n times, each level one
         pattern shorter, and the set is P(n, 0); no array of 2^n entries
         is built.
+
+        The set keeps layers, masked to bits 0..n, as a record of its
+        weight classes, so ``stats.distribution_fast`` reads W from it
+        instead of from the 2^n-bit mask.  The record can be trusted: no
+        constructor argument sets it, only this method writes it, from the
+        same mask that bits is built from, and VertexSet is frozen.  It
+        takes no part in ==, hash or repr, and every other way to make a
+        set (complement, dataclasses.replace, from_flags, ...) leaves it
+        None.
         """
         n, layers = check_mask_dimension(n), check_int("layers", layers, 0)
+        layers &= (2 << n) - 1
         patterns = [(layers >> w) & 1 for w in range(n + 1)]
         for j in range(n):
             patterns = [lo | hi << (1 << j) for lo, hi in zip(patterns, patterns[1:])]
-        return cls(n, patterns[0])
+        A = cls(n, patterns[0])
+        object.__setattr__(A, "_layers", layers)
+        return A
 
     @classmethod
     def from_vertices(cls, n: int, vertices: Iterable[int]) -> VertexSet:

@@ -120,7 +120,10 @@ def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
     it meets A in h(w) = sum(C(d, i) for i with w + i in W) of them, and
     C(n, d)·C(n - d, w) subcubes have base weight w.  So counts[h(w)] gains
     C(n, d)·C(n - d, w) for w = 0..n - d, in Python ints: O(n·d) integer
-    operations, with no fold.  ``_symmetric_weights`` finds W, or None.
+    operations, with no fold.  ``_symmetric_weights`` finds W, or None:
+    for a set ``VertexSet.from_weights`` built it reads W from the set's
+    record of its weight classes, in O(n), and it screens and compares the
+    2^n-bit mask only for a set built any other way.
     """
     n = A.n
     check_subcube_dimension(n, d)
@@ -148,14 +151,19 @@ def _weight_distribution(n: int, d: int, W: list[int]) -> SubcubeDistribution:
 def _symmetric_weights(A: VertexSet) -> list[int] | None:
     """W as 0/1 flags by weight if A = {x : |x| in W}, else None.
 
-    A set that holds some but not all of the vertices of weight 1, or of
-    weight 2, is turned away by two ANDs with the class masks of
-    ``_low_weight_masks``: a random set almost always is.  Otherwise W[w]
-    is read from the weight-w vertex 2^n - 2^(n-w), whose shift keeps only
-    the 2^(n-w) bits above it, and A is compared with the set
-    ``VertexSet.from_weights`` builds from W.  Nothing is unpacked.
+    A set built by ``VertexSet.from_weights`` carries its layers, and W is
+    read from them; ``from_weights`` says why that record can be trusted.
+    For any other set the mask itself decides.  A set that holds some but
+    not all of the vertices of weight 1, or of weight 2, is turned away by
+    two ANDs with the class masks of ``_low_weight_masks``: a random set
+    almost always is.  Otherwise W[w] is read from the weight-w vertex
+    2^n - 2^(n-w), whose shift keeps only the 2^(n-w) bits above it, and A
+    is compared with the set ``VertexSet.from_weights`` builds from W.
+    Nothing is unpacked.
     """
-    n = A.n
+    n, layers = A.n, A._layers
+    if layers is not None:
+        return [(layers >> w) & 1 for w in range(n + 1)]
     for mask in _low_weight_masks(n):
         held = A.bits & mask
         if held and held != mask:

@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -29,6 +30,7 @@ from cubestats import (
     constructions,
     distribution_fast,
     residues,
+    subcube_count,
 )
 from cubestats.bounds import c_d
 from cubestats.cli import VERIFY_SUITES, main
@@ -324,6 +326,50 @@ class TestDist:
         f.write_text(PARITY6)
         rc, out, _ = run(capsys, "dist", "--construct", f"@{f}", "-d", "3")
         assert rc == 0
+
+    @pytest.mark.parametrize("argv, wrong", [(["-d", "3"], 1), (["-d", "2"], 0), (["-d", "3"], 0)])
+    def test_a_claim_off_by_one_subcube_exits_1(self, capsys, monkeypatch, argv, wrong):
+        # the mod_weight claim (d = 3) raised by 1/total: checked at -d 3, not
+        # at -d 2; the third case raises it too, but with a warning
+        build = constructions._BUILDERS["mod_weight"]
+        spec = '{"kind": "mod_weight", "n": 8, "d": 3}'
+        honest = run(capsys, "dist", "--construct", spec, *argv)
+        assert honest[0] == 0
+
+        def off(params):
+            r = build(params)
+            total = subcube_count(r.vertex_set.n, r.claim_d)
+            value = r.claim_value + Fraction(1, total)
+            return dataclasses.replace(r, claim_value=value, warning=not wrong)
+
+        monkeypatch.setitem(constructions._BUILDERS, "mod_weight", off)
+        rc, out, _ = run(capsys, "dist", "--construct", spec, *argv)
+        assert rc == wrong
+        report, want = json.loads(out), json.loads(honest[1])
+        assert report["distribution"] == want["distribution"]  # the report is still written
+        claim = Fraction(want["construction"]["claim"]["lambda"]) + Fraction(1, subcube_count(8, 3))
+        assert report["construction"]["claim"]["lambda"] == str(claim)
+
+    @pytest.mark.parametrize("colors, d, value, rc_want", [
+        ([0, 1], 1, "1/3", 0),  # every vertex: λ(3, 1, 2) = 1, above the claim
+        ([0], 1, "1/3", 0),  # x0 = 0: exactly the claim
+        ([0], None, "1/3", 0),  # d = rows = 1
+        ([0, 1], 2, "2/3", 0),  # λ(3, 2, 4) = 1: the 2-subsets with column 0 span
+    ])
+    def test_a_syndrome_claim_that_holds_exits_0(self, capsys, colors, d, value, rc_want):
+        spec = {"kind": "syndrome", "matrix": {"rows": 1, "cols": 3, "data": ["100"]},
+                "colors": colors, **({} if d is None else {"d": d})}
+        rc, out, _ = run(capsys, "dist", "--construct", json.dumps(spec), "-d", str(d or 1))
+        claim = json.loads(out)["construction"]["claim"]
+        assert (rc, claim["relation"], claim["lambda"]) == (rc_want, "ge", value)
+
+    def test_a_syndrome_claim_above_the_count_exits_1(self, capsys, monkeypatch):
+        # x0 = 0 meets 1/3 of the 1-subcubes in one vertex; a "ge" 1/2 fails
+        monkeypatch.setattr(constructions, "spanning_fraction", lambda B, d: Fraction(1, 2))
+        spec = '{"kind": "syndrome", "matrix": {"rows": 1, "cols": 3, "data": ["100"]}, "colors": [0]}'
+        rc, out, _ = run(capsys, "dist", "--construct", spec, "-d", "1")
+        assert rc == 1
+        assert json.loads(out)["distribution"]["counts"] == {"0": "4", "1": "4", "2": "4"}
 
     def test_exactly_one_input_required(self, capsys, tmp_path):
         f = tmp_path / "set.json"

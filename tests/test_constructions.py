@@ -1,6 +1,7 @@
 """Lower-bound constructions: syndrome sets, layers, cliques, perturbations."""
 
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -33,6 +34,7 @@ from cubestats import (
     distribution,
     distribution_fast,
     expected_single_fraction,
+    gf2_rank,
     hadamard_matrix,
     hadamard_to_clique,
     layered_set,
@@ -88,6 +90,21 @@ class TestSyndrome:
         assert spanning_fraction(B, 2) == Fraction(2, 3)
         assert spanning_fraction(B, 3) == 1
         assert spanning_fraction(B, 1) == 0
+
+    def test_spanning_fraction_matches_ranking_the_restricted_columns(self):
+        # every d, on seeded matrices up to 8 x 12; every third has a row
+        # that is the XOR of two others, so some never reach full rank
+        rng = random.Random(44)
+        for i in range(210):
+            rows, cols = rng.randint(0, 8), rng.randint(0, 12)
+            masks = [rng.getrandbits(cols) for _ in range(rows)]
+            if i % 3 == 0 and rows >= 3:
+                masks[0] = masks[1] ^ masks[2]
+            B = GF2Matrix(rows, cols, tuple(masks))
+            for d in range(cols + 1):
+                subsets = list(itertools.combinations(range(cols), d))
+                hits = sum(gf2_rank(B.restrict_columns(c)) == rows for c in subsets)
+                assert spanning_fraction(B, d) == Fraction(hits, len(subsets)), (B, d)
 
     def test_spanning_fraction_certifies_subcube_counts(self):
         # every spanning free-set gives a subcube meeting A in exactly

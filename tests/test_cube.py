@@ -1,5 +1,6 @@
 """Vertex sets, subcubes, and the subcube enumerator."""
 
+import dataclasses
 import json
 import math
 import random
@@ -61,6 +62,45 @@ def test_from_weights_checks_its_arguments_first():
     for layers in (-1, 1.0, True):
         with pytest.raises(DomainError):
             VertexSet.from_weights(3, layers)
+
+
+class TestWeightRecord:
+    """from_weights records its weight classes; nothing else can."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_a_recorded_set_equals_hashes_and_prints_as_its_copy(self, n):
+        rng = random.Random(n)
+        for layers in (0, (2 << n) - 1, rng.getrandbits(n + 1), rng.getrandbits(n + 9)):
+            A = VertexSet.from_weights(n, layers)
+            copy = VertexSet(A.n, A.bits)
+            assert A._layers == layers & ((2 << n) - 1) and copy._layers is None
+            assert A == copy and hash(A) == hash(copy) and repr(A) == repr(copy)
+            assert len({A, copy}) == 1
+
+    def test_no_other_way_to_make_a_set_carries_a_record(self):
+        A = VertexSet.from_weights(6, 0b1010101)
+        others = [
+            A.complement(),
+            A.complement().complement(),
+            dataclasses.replace(A),
+            dataclasses.replace(A, bits=A.bits),
+            VertexSet.from_flags(6, A.flags()),
+            VertexSet.from_vertices(6, A.vertices()),
+            VertexSet.from_json(rendered(A)),
+        ]
+        assert [B._layers for B in others] == [None] * len(others)
+        assert others[1] == others[2] == A
+
+    def test_the_record_is_no_constructor_argument_and_cannot_be_set(self):
+        A = VertexSet.from_weights(3, 0b101)
+        with pytest.raises(TypeError):
+            VertexSet(3, A.bits, 0b101)
+        with pytest.raises(TypeError):
+            VertexSet(3, A.bits, _layers=0b101)
+        with pytest.raises(ValueError):  # replace refuses a field that init does not take
+            dataclasses.replace(A, _layers=0b10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            A._layers = 0b10
 
 
 class TestVertexSet:

@@ -1,6 +1,8 @@
 """Occupancy distributions: reference counter, bit-parallel version, layered."""
 
+import dataclasses
 import itertools
+import json
 import math
 import random
 import sys
@@ -9,6 +11,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -309,6 +312,51 @@ class TestWeightSymmetric:
                 assert stats._symmetric_weights(A) == list(W)
                 for d in range(n + 1):
                     assert distribution_fast(A, d) == distribution(A, d), (n, W, d)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_the_record_gives_the_w_the_mask_gives(self, n):
+        # layers with bits above n too; the copy has no record, so its W is
+        # read from the mask
+        rng = random.Random(45 + n)
+        masks = [0, (2 << n) - 1, *(rng.getrandbits(n + 1 + 8 * (i % 2)) for i in range(6))]
+        for layers in masks:
+            A = VertexSet.from_weights(n, layers)
+            copy = VertexSet(A.n, A.bits)
+            W = [(layers >> w) & 1 for w in range(n + 1)]
+            assert stats._symmetric_weights(A) == stats._symmetric_weights(copy) == W
+            for d in range(n + 1):
+                want = distribution(A, d) if n <= 8 else stats._weight_distribution(n, d, W)
+                assert distribution_fast(A, d) == distribution_fast(copy, d) == want, (d, layers)
+
+    def test_a_recorded_set_is_never_screened(self, monkeypatch):
+        A = layered_set(12, LayeredSpec(3, frozenset({1})))
+        copy = VertexSet(A.n, A.bits)
+        want = distribution_fast(copy, 4)
+
+        def refuse(n):
+            raise AssertionError("screened")
+
+        monkeypatch.setattr(stats, "_low_weight_masks", refuse)
+        assert distribution_fast(A, 4) == want
+        with pytest.raises(AssertionError, match="screened"):
+            distribution_fast(copy, 4)
+
+    @pytest.mark.parametrize("n", [6, 11])
+    def test_symmetric_sets_without_a_record_still_take_the_closed_form(self, monkeypatch, n):
+        # the mask alone shows these to be weight-symmetric; the fold is never called
+        A = layered_set(n, LayeredSpec(3, frozenset({0, 2})))
+        sets = [
+            A.complement(),
+            dataclasses.replace(A, bits=parity_set(n).bits),
+            VertexSet.from_flags(n, A.flags()),
+            VertexSet.from_json(json.loads(json.dumps(A.to_json(), default=np.ndarray.tolist))),
+        ]
+        specs = [(3, {1}), (2, {0}), (3, {0, 2}), (3, {0, 2})]
+        want = [layered_distribution(n, 3, LayeredSpec(k, frozenset(T))) for k, T in specs]
+        monkeypatch.setattr(stats, "_fold_distribution", None)
+        for B, dist in zip(sets, want):
+            assert B._layers is None
+            assert distribution_fast(B, 3) == dist
 
     @pytest.mark.parametrize("n", range(7, 13))
     def test_seeded_weight_class_sets_match_the_fold(self, n):
