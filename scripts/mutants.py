@@ -88,8 +88,10 @@ ALLOWED = {
     "src/cubestats/stats.py:_weight_distribution: d + 1 => d + 2": (
         "the extra term of the row is C(d, d + 1) = 0"
     ),
-    "src/cubestats/stats.py:_weight_distribution: w + d + 1 => w + d + 2": (
-        "zip stops at the d + 1 entries of the binomial row"
+    "src/cubestats/cli.py:_suite_oracle_equivalence:"
+    " distribution_fast(VertexSet(3, 1), 1) => distribution_fast(VertexSet(3, 1), 2)": (
+        "{0} meets the 2-faces of Q_3 in (3, 3, 0, 0, 0), no palindrome either, so the"
+        " control passes alike"
     ),
     "src/cubestats/constructions.py:layered_set: n + 1 => n + 2": (
         "no vertex of Q_n has weight n + 1, so the extra table entry is never read"

@@ -83,13 +83,13 @@ class VertexSet:
         is built.
 
         The set keeps layers, masked to bits 0..n, as a record of its
-        weight classes, so ``stats.distribution_fast`` reads W from it
-        instead of from the 2^n-bit mask.  The record can be trusted: no
-        constructor argument sets it, only this method writes it, from the
-        same mask that bits is built from, and VertexSet is frozen.  It
-        takes no part in ==, hash or repr, and every other way to make a
-        set (complement, dataclasses.replace, from_flags, ...) leaves it
-        None.
+        weight classes, so ``stats.distribution_fast`` counts it in closed
+        form from the record and never folds its 2^n-bit mask.  The record
+        can be trusted: no constructor argument sets it, only this method
+        writes it, from the same mask that bits is built from, and
+        VertexSet is frozen.  It takes no part in ==, hash or repr, and
+        every other way to make a set (complement, dataclasses.replace,
+        from_flags, ...) leaves it None, so such a set is folded.
         """
         n, layers = check_mask_dimension(n), check_int("layers", layers, 0)
         layers &= (2 << n) - 1
@@ -142,8 +142,8 @@ class VertexSet:
     def from_json(cls, obj: dict) -> VertexSet:
         """The set of a JSON vertex set; its vertices must be strictly ascending."""
         n, vertices = fields(obj, "vertex set", n="int", vertices="ints")
-        A = cls.from_vertices(n, vertices)
-        if A.vertices() != vertices:
+        A = cls.from_vertices(n, vertices)  # names a bad vertex before any order error
+        if (np.diff(np.array(vertices, np.int64)) <= 0).any():
             raise DomainError("'vertices' must be strictly ascending")
         return A
 

@@ -4,10 +4,12 @@ Three routes to the same quantity, kept deliberately independent so they
 can cross-check each other:
 
 * ``distribution``       -- direct per-subcube popcounts (the oracle),
-* ``distribution_fast``  -- the fast path.  A weight-symmetric set,
-  A = {x : |x| in W}, is counted in closed form from W: a subcube whose
-  fixed coordinates have weight w meets A in sum(C(d, i) for w + i in W)
-  vertices.  Every other set goes to ``_fold_distribution``,
+* ``distribution_fast``  -- the fast path, with two routes.  A set that
+  ``VertexSet.from_weights`` built records its weight classes W, and is
+  counted in closed form from that record: a subcube whose fixed
+  coordinates have weight w meets A = {x : |x| in W} in
+  sum(C(d, i) for w + i in W) vertices.  Every other set goes to
+  ``_fold_distribution``,
   prefix-shared coordinate folding: a program of views into reusable
   level buffers, compiled once per shape in one pass and run as
   word-wide adds, with each block of leaf counts histogrammed by value,
@@ -109,74 +111,40 @@ def distribution(A: VertexSet, d: int) -> SubcubeDistribution:
 
 
 def distribution_fast(A: VertexSet, d: int) -> SubcubeDistribution:
-    """Same output as ``distribution``: in closed form when A is
-    weight-symmetric, else by ``_fold_distribution``.
+    """Same output as ``distribution``: in closed form when A records its
+    weight classes, else by ``_fold_distribution``.
 
-    A is weight-symmetric when membership depends only on the Hamming
-    weight, A = {x : |x| in W}, as for every parity, layered and
-    mod_weight set.  Then the histogram is exact from W alone: a d-subcube
-    whose n - d fixed coordinates have weight w holds the vertices of
-    weight w + i for the C(d, i) ways to set i of its free coordinates, so
-    it meets A in h(w) = sum(C(d, i) for i with w + i in W) of them, and
-    C(n, d)·C(n - d, w) subcubes have base weight w.  So counts[h(w)] gains
-    C(n, d)·C(n - d, w) for w = 0..n - d, in Python ints: O(n·d) integer
-    operations, with no fold.  ``_symmetric_weights`` finds W, or None:
-    for a set ``VertexSet.from_weights`` built it reads W from the set's
-    record of its weight classes, in O(n), and it screens and compares the
-    2^n-bit mask only for a set built any other way.
+    A set ``VertexSet.from_weights`` built, as every parity, layered and
+    mod_weight set is, is A = {x : |x| in W} and records W as its layer
+    mask.  Then the histogram is exact from W alone: a d-subcube whose
+    n - d fixed coordinates have weight w holds the vertices of weight
+    w + i for the C(d, i) ways to set i of its free coordinates, so it
+    meets A in h(w) = sum(C(d, i) for i with w + i in W) of them, and
+    C(n, d)·C(n - d, w) subcubes have base weight w.  So counts[h(w)]
+    gains C(n, d)·C(n - d, w) for w = 0..n - d, in Python ints: O(n·d)
+    integer operations, with no fold and no read of the 2^n-bit mask.
+    Every set without a record folds, weight-symmetric or not.
     """
     n = A.n
     check_subcube_dimension(n, d)
-    W = _symmetric_weights(A)
-    if W is None:
+    if A._layers is None:
         return _fold_distribution(A, d)
-    return _weight_distribution(n, d, W)
+    return _weight_distribution(n, d, A._layers)
 
 
-def _weight_distribution(n: int, d: int, W: list[int]) -> SubcubeDistribution:
-    """The distribution of {x in Q_n : W[|x|]} for 0/1 flags W[0..n], in
-    closed form; ``distribution_fast`` says why it is exact."""
+def _weight_distribution(n: int, d: int, layers: int) -> SubcubeDistribution:
+    """The distribution of {x in Q_n : bit |x| of layers is set}, in closed
+    form; ``distribution_fast`` says why it is exact."""
     row = [binomial(d, i) for i in range(d + 1)]
     counts = [0] * ((1 << d) + 1)
     bases = 1  # C(m, w) at m = n - d, stepped exactly: C(m, w + 1) = C(m, w) (m - w) / (w + 1)
     for w in range(n - d + 1):
-        hits = sum(c for c, member in zip(row, W[w : w + d + 1]) if member)
+        hits = sum(c for i, c in enumerate(row) if layers >> (w + i) & 1)
         counts[hits] += bases
         bases = bases * (n - d - w) // (w + 1)
     choose_free = binomial(n, d)
     counts = [choose_free * c for c in counts]
     return SubcubeDistribution(n, d, tuple(counts), subcube_count(n, d))
-
-
-def _symmetric_weights(A: VertexSet) -> list[int] | None:
-    """W as 0/1 flags by weight if A = {x : |x| in W}, else None.
-
-    A set built by ``VertexSet.from_weights`` carries its layers, and W is
-    read from them; ``from_weights`` says why that record can be trusted.
-    For any other set the mask itself decides.  A set that holds some but
-    not all of the vertices of weight 1, or of weight 2, is turned away by
-    two ANDs with the class masks of ``_low_weight_masks``: a random set
-    almost always is.  Otherwise W[w] is read from the weight-w vertex
-    2^n - 2^(n-w), whose shift keeps only the 2^(n-w) bits above it, and A
-    is compared with the set ``VertexSet.from_weights`` builds from W.
-    Nothing is unpacked.
-    """
-    n, layers = A.n, A._layers
-    if layers is not None:
-        return [(layers >> w) & 1 for w in range(n + 1)]
-    for mask in _low_weight_masks(n):
-        held = A.bits & mask
-        if held and held != mask:
-            return None
-    W = [(A.bits >> ((1 << n) - (1 << (n - w)))) & 1 for w in range(n + 1)]
-    layers = sum(flag << w for w, flag in enumerate(W))
-    return W if A == VertexSet.from_weights(n, layers) else None
-
-
-@lru_cache(maxsize=None)  # 2^(n-2) bytes for an n; n <= MASK_CAP
-def _low_weight_masks(n: int) -> tuple[int, int]:
-    """Membership masks of the weight-1 and the weight-2 vertices of Q_n."""
-    return VertexSet.from_weights(n, 0b10).bits, VertexSet.from_weights(n, 0b100).bits
 
 
 def _fold_distribution(A: VertexSet, d: int) -> SubcubeDistribution:

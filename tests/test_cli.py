@@ -871,10 +871,10 @@ class TestVerifySuites:
         # a closed form that ignores W, giving the mod_weight set's counts,
         # only the flipped-class control
         fold, closed = cli._fold_distribution, cli._weight_distribution
-        mod_weight = [int(w % 4 == 0) for w in range(17)]
+        mod_weight = sum(1 << w for w in range(0, 17, 4))
         wrong = {
             "_fold_distribution": lambda A, d: fold(A.complement(), d),
-            "_weight_distribution": lambda n, d, W: closed(n, d, mod_weight),
+            "_weight_distribution": lambda n, d, layers: closed(n, d, mod_weight),
         }
         monkeypatch.setattr(cli, name, wrong[name])
         rc, out, _ = run(capsys, "verify", "oracle-equivalence")
@@ -981,7 +981,7 @@ class TestVerifySuites:
         monkeypatch.setattr(
             cli,
             "thm32_admissible",
-            lambda k, case: 2 * len(case.subset) == k and case.values[0] == 1 << (case.d - 1),
+            lambda k, case: 2 * len(set(case.subset)) == k and case.values[0] == 1 << (case.d - 1),
         )
         rc, out, _ = run(capsys, "verify", "thm32")
         checks = json.loads(out)["checks"]
@@ -1360,6 +1360,7 @@ def run_fuzzed(argv):
     err = err.getvalue()
     assert rc in (0, 2, 3), (argv, rc, err)
     assert "Traceback" not in err and err.count("\n") == (rc != 0), (argv, err)
+    return rc, err
 
 
 class TestFuzz:
@@ -1387,6 +1388,19 @@ class TestFuzz:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(obj, fh)
             run_fuzzed(["dist", "--set-file", path, "-d", str(d)])
+
+    @pytest.mark.parametrize("depth", [1000, 10**5])
+    def test_deeply_nested_json_is_bad_input(self, tmp_path, depth):
+        # json.loads recurses once per level, and raises RecursionError past the limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth)
+        for argv in (
+            ["construct", f"@{path}"],
+            ["dist", "--construct", f"@{path}", "-d", "1"],
+            ["dist", "--set-file", str(path), "-d", "1"],
+        ):
+            rc, err = run_fuzzed(argv)
+            assert rc == 2 and "nested too deeply" in err, (argv, err)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -177,8 +177,9 @@ class TestVertexSet:
             VertexSet.from_vertices(3, [np.int64(2), 1.5])
         with pytest.raises(DomainError, match=r"^vertex -1 is not"):
             VertexSet.from_json({"n": 3, "vertices": [0, -1, 1 << 70]})
-        with pytest.raises(DomainError, match="strictly ascending"):
-            VertexSet.from_json({"n": 3, "vertices": [1, 1]})
+        for vertices in ([1, 1], [0, 2, 1]):
+            with pytest.raises(DomainError, match="strictly ascending"):
+                VertexSet.from_json({"n": 3, "vertices": vertices})
         assert VertexSet.from_json({"n": 3, "vertices": []}) == VertexSet.empty(3)
         assert VertexSet.from_vertices(3, (v for v in [6, 1, 6])) == VertexSet(3, 0b1000010)
 

@@ -374,6 +374,17 @@ class TestSymmetryTable:
         assert kept.dtype == np.uint32 and 0 < kept.size < masks.size
         assert np.array_equal(kept, _n5_keep(masks.astype(np.uint64)))
 
+    def test_the_filter_stops_once_no_mask_is_left(self, monkeypatch):
+        # translating by vertex 16 takes {17} to {1}, which is smaller and
+        # avoids vertex 0, so the first filter drops it and no other is applied
+        applied = []
+        apply = exhaustive._apply_swaps
+        monkeypatch.setattr(
+            exhaustive, "_apply_swaps", lambda m, s: applied.append(s) or apply(m, s)
+        )
+        kept = _n5_keep(np.array([1 << 17], dtype=np.uint32))
+        assert kept.size == 0 and len(applied) == 1
+
     def test_filter_products_match_their_table_rows(self):
         # the one-bit translations, high bit first, the swaps by falling
         # shift 2^j - 2^i, then the other translations by popcount

@@ -559,6 +559,12 @@ class TestIntegerArguments:
         with pytest.raises(CapabilityError):
             call(arg)
 
+    @pytest.mark.parametrize("q", [-3, 0, 1, 4, 2, 9, 13])
+    def test_paley_refuses_a_q_that_is_no_prime_3_mod_4(self, q):
+        # q < 2 and even q are turned away before any trial division
+        with pytest.raises(DomainError, match="prime congruent to 3 mod 4"):
+            hadamard_paley(q)
+
     def test_paley_checks_its_cap_before_any_work(self, monkeypatch):
         # 2^61 - 1 would take about 7·10^8 trial divisions; 2039 (order
         # 2040) is the largest Paley prime under the cap, and goes on to

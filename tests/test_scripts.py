@@ -1,5 +1,6 @@
 """Smoke tests: each experiment script runs and prints its header."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +63,13 @@ def test_mutants_kills_one_seeded_mutant(src_env):
     assert row.split()[0] == "killed"
     assert row.endswith("tests/data/mutants_target.py:add: a + b => a - b")
     assert summary.startswith("1 mutants of 1 sites: 1 killed")
+
+
+def test_every_allowed_mutant_is_a_site_of_its_file():
+    # an ALLOWED id goes stale, and excuses nothing, once the code it names changes
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    files = {name.split(":")[0] for name in mutants.ALLOWED}
+    sites = {name for rel in files for name in mutants.mutants(rel)}
+    assert sorted(set(mutants.ALLOWED) - sites) == []

@@ -298,52 +298,72 @@ class TestLeafRoutes:
 
 
 def _weight_set(n, W):
-    """{x in Q_n : W[|x|]}, listed vertex by vertex."""
+    """{x in Q_n : W[|x|]}, listed vertex by vertex, so it carries no record."""
     return VertexSet.from_vertices(n, [x for x in range(1 << n) if W[x.bit_count()]])
 
 
+def _layers(W):
+    """The layer mask of the 0/1 flags W[0..n]."""
+    return sum(flag << w for w, flag in enumerate(W))
+
+
+def _spy_fold(monkeypatch):
+    """The list of sets ``_fold_distribution`` is called on from now on."""
+    fold, calls = stats._fold_distribution, []
+
+    def spy(A, d):
+        calls.append(A)
+        return fold(A, d)
+
+    monkeypatch.setattr(stats, "_fold_distribution", spy)
+    return calls
+
+
 class TestWeightSymmetric:
-    """distribution_fast counts A = {x : |x| in W} in closed form from W."""
+    """distribution_fast counts a set from_weights built in closed form from
+    its record; every other set folds, weight-symmetric or not."""
 
     def test_every_weight_class_set_up_to_n_6_matches_the_oracle(self):
         for n in range(7):
             for W in itertools.product((0, 1), repeat=n + 1):
-                A = _weight_set(n, W)
-                assert stats._symmetric_weights(A) == list(W)
+                A = VertexSet.from_weights(n, _layers(W))
+                listed = _weight_set(n, W)
+                assert A == listed and listed._layers is None
                 for d in range(n + 1):
-                    assert distribution_fast(A, d) == distribution(A, d), (n, W, d)
+                    got = [distribution_fast(A, d), distribution_fast(listed, d)]
+                    assert got == [distribution(A, d)] * 2, (n, W, d)
 
     @pytest.mark.parametrize("n", range(13))
-    def test_the_record_gives_the_w_the_mask_gives(self, n):
-        # layers with bits above n too; the copy has no record, so its W is
-        # read from the mask
+    def test_the_closed_form_of_the_record_matches_the_fold_of_a_copy(self, monkeypatch, n):
+        # layers with bits above n too; the copy has no record, so it folds
         rng = random.Random(45 + n)
         masks = [0, (2 << n) - 1, *(rng.getrandbits(n + 1 + 8 * (i % 2)) for i in range(6))]
-        for layers in masks:
-            A = VertexSet.from_weights(n, layers)
-            copy = VertexSet(A.n, A.bits)
-            W = [(layers >> w) & 1 for w in range(n + 1)]
-            assert stats._symmetric_weights(A) == stats._symmetric_weights(copy) == W
-            for d in range(n + 1):
-                want = distribution(A, d) if n <= 8 else stats._weight_distribution(n, d, W)
+        sets = [VertexSet.from_weights(n, layers) for layers in masks]
+        copies = [VertexSet(A.n, A.bits) for A in sets]
+        calls = _spy_fold(monkeypatch)
+        for d in range(n + 1):  # d outermost: the fold keeps one shape's workspaces
+            for layers, A, copy in zip(masks, sets, copies):
+                want = distribution(A, d) if n <= 8 else stats._weight_distribution(n, d, layers)
                 assert distribution_fast(A, d) == distribution_fast(copy, d) == want, (d, layers)
+        assert calls == copies * (n + 1)
 
-    def test_a_recorded_set_is_never_screened(self, monkeypatch):
+    def test_a_recorded_set_never_folds(self, monkeypatch):
         A = layered_set(12, LayeredSpec(3, frozenset({1})))
         copy = VertexSet(A.n, A.bits)
         want = distribution_fast(copy, 4)
 
-        def refuse(n):
-            raise AssertionError("screened")
+        def refuse(B, d):
+            raise AssertionError("folded")
 
-        monkeypatch.setattr(stats, "_low_weight_masks", refuse)
+        monkeypatch.setattr(stats, "_fold_distribution", refuse)
         assert distribution_fast(A, 4) == want
-        with pytest.raises(AssertionError, match="screened"):
+        with pytest.raises(AssertionError, match="folded"):
             distribution_fast(copy, 4)
 
     @pytest.mark.parametrize("n", [6, 11])
-    def test_symmetric_sets_without_a_record_still_take_the_closed_form(self, monkeypatch, n):
-        # the mask alone shows these to be weight-symmetric; the fold is never called
+    def test_symmetric_sets_without_a_record_fold(self, monkeypatch, n):
+        # weight-symmetric, but built without from_weights, so only the mask
+        # could show it: each folds, to the counts of its layers
         A = layered_set(n, LayeredSpec(3, frozenset({0, 2})))
         sets = [
             A.complement(),
@@ -353,48 +373,38 @@ class TestWeightSymmetric:
         ]
         specs = [(3, {1}), (2, {0}), (3, {0, 2}), (3, {0, 2})]
         want = [layered_distribution(n, 3, LayeredSpec(k, frozenset(T))) for k, T in specs]
-        monkeypatch.setattr(stats, "_fold_distribution", None)
+        calls = _spy_fold(monkeypatch)
         for B, dist in zip(sets, want):
             assert B._layers is None
             assert distribution_fast(B, 3) == dist
+        assert calls == sets
 
     @pytest.mark.parametrize("n", range(7, 13))
     def test_seeded_weight_class_sets_match_the_fold(self, n):
         rng = random.Random(n)
-        sets = [_weight_set(n, [rng.getrandbits(1) for _ in range(n + 1)]) for _ in range(40)]
+        sets = [
+            VertexSet.from_weights(n, _layers([rng.getrandbits(1) for _ in range(n + 1)]))
+            for _ in range(40)
+        ]
         for d in range(n + 1):  # d outermost: the fold keeps one shape's workspaces
             for A in sets:
                 assert distribution_fast(A, d) == stats._fold_distribution(A, d), (n, d)
 
-    @pytest.mark.parametrize("x", [0b111, 0b1011_0100, 0b1111_1110])
-    def test_parity_with_one_heavy_vertex_flipped_takes_the_fold(self, x):
-        # the weight-1 and weight-2 classes stay whole, so only the compare
-        # with the set built from W turns the set away; 0b1111_1110 is the
-        # vertex W[7] is read from, so the rest of its class disagrees
+    @pytest.mark.parametrize("x", [0b111, 0b1011_0100, 0b1111_1110, 1 << 7, 0b11 << 6])
+    def test_parity_with_one_vertex_flipped_folds(self, monkeypatch, x):
+        # a vertex of weight 3, 4, 7, 1 or 2 flipped: no record, so each folds
         A = VertexSet(8, parity_set(8).bits ^ (1 << x))
-        for mask in stats._low_weight_masks(8):
-            assert A.bits & mask in (0, mask)
-        assert stats._symmetric_weights(A) is None
+        calls = _spy_fold(monkeypatch)
         for d in range(9):
             assert distribution_fast(A, d) == distribution(A, d), d
-
-    @pytest.mark.parametrize("n", [17, 18])
-    def test_one_vertex_flipped_in_the_first_or_the_last_block(self, n):
-        # 0b111 and 2^16 - 1 lie in the lowest 2^16 vertices, and 2^n - 2
-        # (the vertex W[n - 1] is read from) and 2^n - 1 - 0b101 in the
-        # highest; none is in a low weight class
-        A = layered_set(n, LayeredSpec(3, frozenset({0, 1})))
-        assert stats._symmetric_weights(A) == [int(w % 3 < 2) for w in range(n + 1)]
-        for x in (0b111, (1 << 16) - 1, (1 << n) - 2, (1 << n) - 1 - 0b101):
-            assert stats._symmetric_weights(VertexSet(n, A.bits ^ (1 << x))) is None, x
+        assert calls == [A] * 9
 
     def test_a_symmetric_set_is_counted_in_under_two_bytes_per_vertex(self):
-        # it was unpacked to a byte per vertex and compared with a uint32
-        # weight shift: 7 bytes per vertex
+        # the closed form reads the record alone, never the 2^n-bit mask
         n = 20
         A = layered_set(n, LayeredSpec(3, frozenset({0})))
         want = layered_distribution(n, 3, LayeredSpec(3, frozenset({0})))
-        assert distribution_fast(A, 3) == want  # caches the class masks
+        assert distribution_fast(A, 3) == want
         tracemalloc.start()
         try:
             assert distribution_fast(A, 3) == want
@@ -403,22 +413,9 @@ class TestWeightSymmetric:
             tracemalloc.stop()
         assert peak <= 2 << n, peak / (1 << n)
 
-    @pytest.mark.parametrize("n", [8, 9])
-    def test_one_vertex_splits_a_low_weight_class(self, monkeypatch, n):
-        # turned away by the class masks, before any set is built from W
-        parity = parity_set(n).bits
-        sets = [VertexSet(n, parity ^ (1 << x)) for x in (1 << (n - 1), 0b11 << (n - 2))]
-        stats._low_weight_masks(n)  # the cached class masks are built by the helper too
-        with monkeypatch.context() as patch:
-            patch.setattr(VertexSet, "from_weights", None)
-            assert [stats._symmetric_weights(A) for A in sets] == [None] * 2
-        for A in sets:
-            assert distribution_fast(A, 3) == stats._fold_distribution(A, 3)
-
     def test_only_the_fold_unpacks_flags(self, monkeypatch):
-        # a symmetric set, which is never unpacked, one turned away only by
-        # the full compare, and one turned away by the class masks: the fold
-        # unpacks each of the last two once
+        # a recorded set, which is never unpacked, and two without a record,
+        # one of them a flipped parity set: the fold unpacks each once
         parity = parity_set(10)
         sets = [parity, VertexSet(10, parity.bits ^ (1 << 0b111)), bernoulli_set(10, 3, 0)]
         want = [distribution(A, 3) for A in sets]
@@ -434,7 +431,7 @@ class TestWeightSymmetric:
             assert distribution_fast(A, 3) == dist
             assert calls == unpacked
 
-    def test_only_sets_that_are_not_symmetric_reach_the_fold(self, monkeypatch):
+    def test_only_sets_without_a_record_reach_the_fold(self, monkeypatch):
         class Folded(Exception):
             pass
 
@@ -448,14 +445,15 @@ class TestWeightSymmetric:
                 A = layered_set(n, spec)
                 for d in range(n + 1):
                     assert distribution_fast(A, d) == layered_distribution(n, d, spec)
-        with pytest.raises(Folded):
-            distribution_fast(bernoulli_set(10, 3, 0), 3)
+        for A in (parity_set(10).complement(), bernoulli_set(10, 3, 0)):
+            with pytest.raises(Folded):
+                distribution_fast(A, 3)
 
     def test_weight_one_vertices_of_q4_on_edges(self):
         # an edge whose 3 fixed coordinates have weight 0 or 1 (4 + 12 edges)
         # holds one vertex of weight 1; one of weight 2 or 3 (12 + 4) none
-        A = _weight_set(4, [0, 1, 0, 0, 0])
-        assert distribution_fast(A, 1).counts == (16, 16, 0)
+        for A in (_weight_set(4, [0, 1, 0, 0, 0]), VertexSet.from_weights(4, 0b10)):
+            assert distribution_fast(A, 1).counts == (16, 16, 0)
 
 
 class TestLayered:
@@ -533,7 +531,7 @@ class TestClosedForms:
         for n in range(201):
             for d in range(min(n, 8) + 1):
                 W = [rng.getrandbits(1) for _ in range(n + 1)]
-                assert stats._weight_distribution(n, d, W).counts == comb_sum(n, d, W)
+                assert stats._weight_distribution(n, d, _layers(W)).counts == comb_sum(n, d, W)
                 k = rng.randint(1, 6)
                 T = frozenset(a for a in range(k) if rng.getrandbits(1))
                 W = [int(w % k in T) for w in range(n + 1)]
@@ -542,9 +540,9 @@ class TestClosedForms:
 
     def test_large_n_in_under_a_second(self):
         n, d = 10_000, 10
-        W = [int(w % (d + 1) == 0) for w in range(n + 1)]
+        layers = sum(1 << w for w in range(0, n + 1, d + 1))
         start = time.perf_counter()
-        weights = stats._weight_distribution(n, d, W)
+        weights = stats._weight_distribution(n, d, layers)
         layered = layered_distribution(n, d, LayeredSpec(d + 1, frozenset({0})))
         assert time.perf_counter() - start < 1
         assert weights == layered and weights.total == subcube_count(n, d)
@@ -570,6 +568,7 @@ class TestContainers:
             {"counts": {"1": 4}},
             {"counts": {"3": "4"}},
             {"counts": {"1": "4"}, "extra": 0},
+            {"total": "9" * 5000},  # more digits than Python converts to an int
         ):
             start = time.perf_counter()
             with pytest.raises(DomainError):
