@@ -59,6 +59,13 @@ ALLOWED = {
     "src/cubestats/cube.py:VertexSet.from_vertices: 1 << n => 2 << n": (
         "the flags past 2^n stay zero, so the packed mask is the same; only the buffer doubles"
     ),
+    "src/cubestats/cube.py:VertexSet.from_vertices: flags[index] = 1 => flags[index] = 2": (
+        "from_flags packs every nonzero flag as a 1 bit"
+    ),
+    "src/cubestats/cube.py:VertexSet.from_vertices: set(map(type, vertices)) <= {int} =>"
+    " set(map(type, vertices)) < {int}": (
+        "the one-vertex-at-a-time scan builds the same set; only the numpy pass is skipped"
+    ),
     "src/cubestats/cube.py:VertexSet.from_weights: n + 1 => n + 2": (
         "the extra one-bit pattern only lengthens each level by one; P(n, 0) is the same"
     ),
@@ -99,8 +106,17 @@ ALLOWED = {
     "src/cubestats/stats.py:_SHORT_RUN: _SHORT_RUN = 8 => _SHORT_RUN = 9": (
         "it only picks which axis of an add runs innermost; the sums are the same"
     ),
-    "src/cubestats/exhaustive.py:_n5_candidates: _symmetries(4) => _symmetries(5)": (
-        "rows 1-15 of both are the translations by t < 16, which act alike on 16-bit halves"
+    "src/cubestats/exhaustive.py:_candidates: (0, 0) => (0, 1)": (
+        "a running size one too high only moves the chunk boundaries; the filters keep the"
+        " same masks of each chunk"
+    ),
+    "src/cubestats/exhaustive.py:_candidates: (end, 0) => (end, 1)": (
+        "a running size one too high only moves the chunk boundaries; the filters keep the"
+        " same masks of each chunk"
+    ),
+    "src/cubestats/exhaustive.py:_canonical_highs: 1 << half => 2 << half": (
+        "a half of 2^(n-1) bits or more has a bit its images drop, so it is larger than its"
+        " identity image and is never kept"
     ),
     "src/cubestats/residues.py:_binsum_row: k <= d => k < d": (
         "at k = d Pascal's rule and the direct sum give the same row; the test only picks one"

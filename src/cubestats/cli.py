@@ -3,7 +3,8 @@
 Every command emits a single report (JSON by default, CSV on request)
 that embeds the library version and the full run configuration, so a
 report can be reproduced byte for byte from its own header.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 capability exceeded.
+0 success, 1 verification failure, 2 usage error, 3 capability exceeded,
+4 internal error (a fault in cubestats, reported with its traceback).
 """
 
 import argparse
@@ -13,6 +14,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from typing import Sequence
 
 import numpy as np
@@ -550,6 +552,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, CertificateError, OSError, UnicodeEncodeError, CapabilityError) as exc:
         print(f"cubestats: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, CapabilityError) else 2
+    except Exception as exc:  # a fault of cubestats, which exit 1 would read as a failed check
+        print(f"cubestats: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
     return 0 if passed else 1
 
 

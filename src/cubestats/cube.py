@@ -8,6 +8,7 @@ Only VertexSet converts that integer to and from 0/1 arrays and vertex lists.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -103,8 +104,15 @@ class VertexSet:
     @classmethod
     def from_vertices(cls, n: int, vertices: Iterable[int]) -> VertexSet:
         """The set of the listed vertices, in any order and with repeats."""
-        n = check_mask_dimension(n)
+        n, vertices = check_mask_dimension(n), list(vertices)
         flags = np.zeros(1 << n, dtype=np.uint8)
+        # plain ints in range take one numpy pass; the scan names the first bad vertex
+        if set(map(type, vertices)) <= {int}:
+            with contextlib.suppress(OverflowError):  # a vertex past int64
+                index = np.fromiter(vertices, np.int64, len(vertices))
+                if (index.view(np.uint64) < 1 << n).all():  # a negative one wraps high
+                    flags[index] = 1
+                    return cls.from_flags(n, flags)
         for v in vertices:
             if not is_int(v) or not 0 <= v < (1 << n):
                 raise DomainError(f"vertex {show(v)} is not an integer vertex of Q_{n}")

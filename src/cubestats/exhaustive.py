@@ -9,12 +9,12 @@ counts[s] = counts_complement[2^d - s].  Masks are uint32 words.  Each
 mask's subcube histogram is packed into one word of 2^d + 1 lanes, the
 narrowest of uint16, uint32 and uint64 that holds lanes 0 .. 2^d - 1; lane
 2^d is implied, the subcube count minus the others, when it does not fit
-too.  n <= 4 runs plain; n = 5 additionally prunes by hypercube symmetries
-(coordinate permutations and translations), enumerating only masks whose
-high half is least under the permutations of coordinates 0-3 and whose low
-half holds the vertices that high half forces.  At every n the witness is
-the least image of the maximizers under one table of all 2^n n!
-symmetries.  n >= 6 is refused.
+too.  At every n the sweep prunes by hypercube symmetries (coordinate
+permutations and translations), enumerating only masks whose high half is
+least under the permutations of coordinates 0 .. n-2 and whose low half
+holds the vertices that high half forces, and keeping those no tested
+symmetry makes smaller.  The witness is the least image of the maximizers
+under one table of all 2^n n! symmetries.  n >= 6 is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .cube import VertexSet, check_subcube_dimension, enumerate_subcubes, subcub
 from .errors import CapabilityError, check_int, show
 from .turan import occupancy_case
 
-PLAIN_MAX_N = 4
 PRUNED_MAX_N = 5
 
 _CHUNK = 1 << 16
@@ -107,7 +106,7 @@ def _lex_least(masks: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# n = 5: orbit-pruned enumeration.
+# Orbit-pruned enumeration.
 #
 # The automorphisms used are translations x -> x ^ t and coordinate
 # permutations, acting on membership masks as bit permutations.  A mask
@@ -117,7 +116,7 @@ def _lex_least(masks: np.ndarray) -> int:
 # representative per orbit and the maximum over it is exact.  The filters
 # apply each symmetry as a product of cached shift-and-mask swaps
 # (``_swap``); all else reads rows of one table of vertex images
-# (``_symmetries``) through ``_images``: the S_4 and τ_t tests on high
+# (``_symmetries``) through ``_images``: the S_(n-1) and τ_t tests on high
 # halves, and the witness, the least image of the maximizers.
 # ---------------------------------------------------------------------------
 
@@ -176,58 +175,59 @@ def _apply_swaps(masks: np.ndarray, swaps) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _n5_filters() -> list[tuple[tuple[int, int, int], ...]]:
+def _filters(n: int) -> list[tuple[tuple[int, int, int], ...]]:
     """The tested symmetries as ``_swap`` products: the one-bit translations,
     high bit first, the coordinate swaps by falling shift, then the
     translations by two or more bits, by popcount."""
-    pairs = sorted(itertools.combinations(range(5), 2), key=lambda p: (1 << p[0]) - (1 << p[1]))
-    rest = sorted((t for t in range(32) if t.bit_count() >= 2), key=int.bit_count)
+    pairs = sorted(itertools.combinations(range(n), 2), key=lambda p: (1 << p[0]) - (1 << p[1]))
+    rest = sorted((t for t in range(1 << n) if t.bit_count() >= 2), key=int.bit_count)
     return (
-        [(_swap(5, b, b),) for b in reversed(range(5))]
-        + [(_swap(5, i, j),) for i, j in pairs]
-        + [tuple(_swap(5, b, b) for b in range(5) if t >> b & 1) for t in rest]
+        [(_swap(n, b, b),) for b in reversed(range(n))]
+        + [(_swap(n, i, j),) for i, j in pairs]
+        + [tuple(_swap(n, b, b) for b in range(n) if t >> b & 1) for t in rest]
     )
 
 
-def _canonical_highs() -> np.ndarray:
-    """The 16-bit halves least under the permutations of coordinates 0-3."""
-    halves = np.arange(1 << 16, dtype=np.uint64)
-    perms = _symmetries(4)[:: 1 << 4]  # the rows that translate by 0
+def _canonical_highs(n: int) -> np.ndarray:
+    """The 2^(n-1)-bit halves least under the permutations of coordinates 0 .. n-2."""
+    table = _symmetries(n - 1)  # acting on either half, a copy of Q_(n-1)
+    half = table.shape[1]
+    halves = np.arange(1 << half, dtype=np.uint64)
+    perms = table[::half]  # the rows that translate by 0
     least = [b[(b[:, None] <= img).all(axis=1)] for b, img in _image_blocks(halves, perms)]
     return np.concatenate(least)
 
 
-def _n5_candidates(highs: np.ndarray) -> Iterator[np.ndarray]:
-    """Chunks of the masks h 2^16 + low, ascending, that the build tests.
+def _candidates(n: int, highs: np.ndarray) -> Iterator[np.ndarray]:
+    """Chunks of the masks h 2^(2^(n-1)) + low, ascending, that the build tests.
 
     low runs over the even halves holding forced(h), the vertices t of
-    coordinates 0-3 whose translation τ_t makes the high half smaller: a
-    mask whose low half lacks t has a τ_t image that avoids vertex 0 and
+    coordinates 0 .. n-2 whose translation τ_t makes the high half smaller:
+    a mask whose low half lacks t has a τ_t image that avoids vertex 0 and
     is smaller, so the filters would drop it.
     """
-    taus = _symmetries(4)[1 : 1 << 4]  # τ_1 ... τ_15
-    bits = np.uint32(1) << np.arange(1, 1 << 4, dtype=np.uint32)
+    table = _symmetries(n - 1)
+    half = table.shape[1]
+    taus = table[1:half]  # τ_1 ... τ_(half-1)
+    bits = np.uint32(1) << np.arange(1, half, dtype=np.uint32)
     forced = np.concatenate([(img < b[:, None]) @ bits for b, img in _image_blocks(highs, taus)])
-    evens = np.arange(0, 1 << 16, 2, dtype=np.uint32)
-    lows_of: dict[int, np.ndarray] = {}
-    batch, size = [], 0
-    for h, f in zip(highs.tolist(), forced.tolist()):
-        if f not in lows_of:
-            lows_of[f] = evens[(evens & np.uint32(f)) == f]
-        batch.append(np.uint32(h << 16) | lows_of[f])
-        size += batch[-1].size
-        if size >= _CHUNK:
-            chunk = np.concatenate(batch)
-            batch, size = [], 0
-            yield chunk
-    if batch:
-        yield np.concatenate(batch)
+    evens = np.arange(0, 1 << half, 2, dtype=np.uint32)
+    patterns, which = np.unique(forced, return_inverse=True)
+    lows = [evens[(evens & f) == f] for f in patterns]
+    tops = highs.astype(np.uint32) << np.uint32(half)
+    start, size = 0, 0
+    for end, k in enumerate(which.tolist(), start=1):
+        size += lows[k].size
+        if size >= _CHUNK or end == which.size:  # a chunk of the highs start .. end - 1
+            part = [lows[k] for k in which[start:end].tolist()]
+            yield np.repeat(tops[start:end], [x.size for x in part]) | np.concatenate(part)
+            start, size = end, 0
 
 
-def _n5_keep(masks: np.ndarray) -> np.ndarray:
+def _keep(n: int, masks: np.ndarray) -> np.ndarray:
     """The masks that no filtered symmetry maps to a smaller one avoiding vertex 0."""
     one = masks.dtype.type(1)
-    for swaps in _n5_filters():
+    for swaps in _filters(n):
         img = _apply_swaps(masks, swaps)
         # Images hitting vertex 0 leave the enumerated half-space and
         # cannot disqualify a mask.
@@ -238,18 +238,18 @@ def _n5_keep(masks: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _n5_survivors() -> np.ndarray:
-    """Vertex-0-avoiding masks surviving the symmetry filter, as ascending uint32.
+def _survivors(n: int) -> np.ndarray:
+    """The vertex-0-avoiding masks of Q_n that survive the filters, as
+    ascending uint32: 23 of 128 at n = 3, 670 of 32,768 at n = 4 and
+    5,009,398 of 2^31 at n = 5.
 
-    Permutations of coordinates 0-3 map the low half (vertices 0-15) and the
-    high half (16-31) of a mask onto themselves and fix vertex 0, so the least
-    vertex-0-avoiding member of every orbit, the mask the filters keep, has a
-    high half least under them: only such halves are enumerated.  Each such
-    high half h also forces vertices into the low half (``_n5_candidates``),
-    which leaves 35,772,925 of the 130.5M masks to test.  A Q_5 mask has 32
-    bits, so candidates and filters all run on uint32 words.
+    Permutations of coordinates 0 .. n-2 fix vertex 0 and map each half of
+    a mask (the vertices below 2^(n-1), and the rest) onto itself, so the
+    mask the filters keep from each orbit has a high half least under them:
+    only such halves are enumerated, each with the low vertices it forces
+    (``_candidates``), 62, 4,202 and 35,772,925 masks at n = 3, 4 and 5.
     """
-    parts = [_n5_keep(m) for m in _n5_candidates(_canonical_highs())]
+    parts = [_keep(n, m) for m in _candidates(n, _canonical_highs(n))]
     return np.concatenate(parts)  # the empty mask always survives
 
 
@@ -262,15 +262,13 @@ def _least_image(cands: np.ndarray, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sweep(n: int, d: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
-    """Per s: the best subcube count over the scanned vertex-0-avoiding masks
-    (all of them for n <= 4, the symmetry survivors for n = 5) and the masks
-    attaining it, from one chunked scan.  ``exhaustive_lambda`` sweeps only
-    1 <= d <= n - 2, where ``_hist_matrix``'s lanes fit one word."""
+    """Per s: the best subcube count over the ``_survivors`` and those
+    attaining it, from one chunked scan.  A symmetry permutes the d-subcubes
+    and every orbit has a survivor, so the best counts are those of all the
+    masks.  ``exhaustive_lambda`` sweeps only 1 <= d <= n - 2, where
+    ``_hist_matrix``'s lanes fit one word."""
     cubes = _cube_masks(n, d)
-    if n <= PLAIN_MAX_N:
-        masks = np.arange(0, 1 << (1 << n), 2, dtype=np.uint32)
-    else:
-        masks = _n5_survivors()
+    masks = _survivors(n)
     best = [-1] * ((1 << d) + 1)
     ties: list[list[np.ndarray]] = [[] for _ in best]
     for lo in range(0, masks.size, _CHUNK):
@@ -288,8 +286,8 @@ def _sweep(n: int, d: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
 @lru_cache(maxsize=None)
 def _cell(n: int, d: int, s: int) -> tuple[int, int]:
     """(best subcube count, witness mask) for one s: the witness is the
-    lex-least image of the maximizers under every symmetry, which for n <= 4,
-    where all maximizers are scanned, is the least maximizer itself."""
+    lex-least image of the scanned maximizers under every symmetry, which is
+    the least maximizer of all, since every maximizer is such an image."""
     best, ties = _sweep(n, d)
     mirror = (1 << d) - s
     count = max(best[s], best[mirror])

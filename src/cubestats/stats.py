@@ -83,7 +83,9 @@ def _count(text) -> int:
             return int(text)
         except ValueError:  # more digits than Python converts to an int
             pass
-    raise DomainError(f"count {text!r} is not a string of decimal digits")
+    # named, never quoted: a count can be huge
+    what = f"str of length {len(text)}" if isinstance(text, str) else type(text).__name__
+    raise DomainError(f"count ({what}) is not a string of decimal digits")
 
 
 @dataclass(frozen=True)

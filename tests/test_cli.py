@@ -1238,6 +1238,20 @@ class TestErrors:
         rc, _, err = run(capsys, "dist", "--set-file", "/nonexistent.json", "-d", "1")
         assert rc == 2
 
+    def test_internal_error_exits_four_with_its_traceback(self, capsys, monkeypatch):
+        # an exception outside the named ones is a fault, not a failed check
+        def boom(args):
+            return 1 // 0
+
+        monkeypatch.setitem(cli._COMMANDS, "bounds", (boom, "broken"))
+        rc, out, err = run(capsys, "bounds", "2", "1")
+        assert rc == 4 and out == ""
+        first, *rest = err.splitlines()
+        assert first == (
+            "cubestats: internal error: ZeroDivisionError: integer division or modulo by zero"
+        )
+        assert rest[0] == "Traceback (most recent call last):" and "in boom" in err
+
 
 class TestEntryPoint:
     def test_module_invocation(self, src_env):
@@ -1288,6 +1302,7 @@ class TestEntryPoint:
             rc = proc.wait(timeout=120)
         assert rc == 2
         assert err.count("\n") == 1 and err.startswith("cubestats: ")
+        assert "internal error" not in err
         assert "Traceback" not in err and "Exception ignored" not in err
 
 

@@ -175,6 +175,16 @@ class TestVertexSet:
             VertexSet.from_vertices(3, (v for v in [1, 9, -1]))
         with pytest.raises(DomainError, match=r"^vertex 1.5 is not"):
             VertexSet.from_vertices(3, [np.int64(2), 1.5])
+        # plain ints take one numpy pass, and a bad one still names the first
+        for vertices, first in (
+            ([1, True, 9], "True"),
+            ([0, 8], "8"),
+            ([2, 9, 1 << 70], "9"),
+            ([2, 1 << 63, -1], str(1 << 63)),
+            ([3, -(1 << 63) - 1], str(-(1 << 63) - 1)),
+        ):
+            with pytest.raises(DomainError, match=rf"^vertex {first} is not an integer vertex"):
+                VertexSet.from_vertices(3, vertices)
         with pytest.raises(DomainError, match=r"^vertex -1 is not"):
             VertexSet.from_json({"n": 3, "vertices": [0, -1, 1 << 70]})
         for vertices in ([1, 1], [0, 2, 1]):

@@ -27,16 +27,16 @@ from cubestats import (
 from cubestats import exhaustive
 from cubestats.exhaustive import (
     _apply_swaps,
+    _candidates,
     _canonical_highs,
-    _cell,
     _cube_masks,
+    _filters,
     _hist_matrix,
     _images,
+    _keep,
     _least_image,
     _lex_least,
-    _n5_candidates,
-    _n5_filters,
-    _n5_keep,
+    _survivors,
     _swap,
     _symmetries,
 )
@@ -145,9 +145,9 @@ class TestSmallTables:
 
     @pytest.mark.parametrize("d_of_n", [lambda n: 0, lambda n: n - 1], ids=["d0", "codim1"])
     def test_closed_forms_match_the_sweep(self, monkeypatch, d_of_n):
-        # λ = 1 at d = 0 and d = n - 1, with the witness the sweep finds
+        # λ = 1 at d = 0 and d = n - 1, with the witness a plain sweep finds
         cells = {
-            (n, s): _cell(n, d_of_n(n), s)
+            (n, s): plain_cell(n, d_of_n(n), s)
             for n in range(1, 5)
             for s in range((1 << d_of_n(n)) + 1)
         }
@@ -194,6 +194,25 @@ def scatter_sweep(n: int, d: int, masks: np.ndarray):
     return best, tuple(masks[col == peak] for col, peak in zip(hist, best))
 
 
+@functools.lru_cache(maxsize=None)
+def plain_sweep(n: int, d: int):
+    """Reference: ``scatter_sweep`` of every vertex-0-avoiding mask of Q_n."""
+    return scatter_sweep(n, d, np.arange(0, 1 << (1 << n), 2, dtype=np.uint32))
+
+
+def plain_cell(n: int, d: int, s: int) -> tuple[int, int]:
+    """Reference (best count, witness) from ``plain_sweep``: the maximizers
+    are its ties at s and the complements of its ties at 2^d - s, and the
+    witness is the least of them in vertex-tuple order."""
+    best, ties = plain_sweep(n, d)
+    mirror, full = (1 << d) - s, (1 << (1 << n)) - 1
+    count = max(best[s], best[mirror])
+    tied = ties[s].tolist() if best[s] == count else []
+    if best[mirror] == count:
+        tied += [full ^ m for m in ties[mirror].tolist()]
+    return count, min(tied, key=lambda m: _vertex_tuple(m, n))
+
+
 class TestLaneHistogram:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_scatter_on_every_even_n4_mask(self, d):
@@ -234,11 +253,11 @@ class TestLaneHistogram:
 
     @pytest.mark.parametrize("chunk", [2, 3])
     def test_sweep_across_chunk_boundaries(self, monkeypatch, chunk):
-        # 64 masks in chunks of 2, or 3 with a last chunk of one
+        # 23 survivors in chunks of 2 with a last chunk of one, or of 3 with a last of two
         monkeypatch.setattr(exhaustive, "_CHUNK", chunk)
         sweep = functools.lru_cache(exhaustive._sweep.__wrapped__)
         best, ties = sweep(3, 1)
-        want_best, want_ties = scatter_sweep(3, 1, np.arange(0, 256, 2, dtype=np.uint32))
+        want_best, want_ties = scatter_sweep(3, 1, _survivors(3))
         assert best == want_best
         assert all(np.array_equal(a, b) for a, b in zip(ties, want_ties, strict=True))
 
@@ -249,6 +268,8 @@ class TestLaneHistogram:
             assert ((1 << d) + 1) * w <= 64, (n, d)
             word, explicit = exhaustive._lane_word(w, d)
             words[n, d] = word, explicit == 1 << d
+        # a word with room to spare still has only the 2^d + 1 lanes
+        assert exhaustive._lane_word(1, 1) == (np.uint16, 3)
         # (word, is lane 2^d implied): the narrowest word that holds the
         # explicit lanes; n = 5, d = 3 needs uint64 either way
         assert words == {
@@ -367,12 +388,12 @@ class TestSymmetryTable:
 
     def test_n5_candidates_and_filter_stay_in_uint32(self):
         highs = np.array([0, 0b1, 0b10110, 0xFFFF], dtype=np.uint64)
-        chunks = list(_n5_candidates(highs))
+        chunks = list(_candidates(5, highs))
         assert chunks and all(c.dtype == np.uint32 for c in chunks)
         masks = np.concatenate(chunks)
-        kept = _n5_keep(masks)
+        kept = _keep(5, masks)
         assert kept.dtype == np.uint32 and 0 < kept.size < masks.size
-        assert np.array_equal(kept, _n5_keep(masks.astype(np.uint64)))
+        assert np.array_equal(kept, _keep(5, masks.astype(np.uint64)))
 
     def test_the_filter_stops_once_no_mask_is_left(self, monkeypatch):
         # translating by vertex 16 takes {17} to {1}, which is smaller and
@@ -382,7 +403,7 @@ class TestSymmetryTable:
         monkeypatch.setattr(
             exhaustive, "_apply_swaps", lambda m, s: applied.append(s) or apply(m, s)
         )
-        kept = _n5_keep(np.array([1 << 17], dtype=np.uint32))
+        kept = _keep(5, np.array([1 << 17], dtype=np.uint32))
         assert kept.size == 0 and len(applied) == 1
 
     def test_filter_products_match_their_table_rows(self):
@@ -391,11 +412,11 @@ class TestSymmetryTable:
         pairs = [(0, 4), (1, 4), (2, 4), (3, 4), (0, 3), (1, 3), (2, 3), (0, 2), (1, 2), (0, 1)]
         rest = sorted((t for t in range(32) if t.bit_count() >= 2), key=int.bit_count)
         rows = [16, 8, 4, 2, 1] + [_swap_row(5, i, j) for i, j in pairs] + rest
-        assert len(_n5_filters()) == len(rows) == 41
+        assert len(_filters(5)) == len(rows) == 41
         rng = np.random.default_rng(41)
         masks = rng.integers(0, 1 << 32, size=256, dtype=np.uint64)
         want = _images(masks, _symmetries(5)[rows])
-        for k, swaps in enumerate(_n5_filters()):
+        for k, swaps in enumerate(_filters(5)):
             assert np.array_equal(_apply_swaps(masks, swaps), want[:, k]), k
 
     @given(
@@ -464,6 +485,45 @@ class TestSymmetryTable:
         assert _least_image(cands, 3) == _orbit_least(cands, 3) == 0b11
 
 
+def _least_images(masks: np.ndarray, n: int) -> set[int]:
+    """Reference: the least integer image of each mask under every symmetry
+    of ``_vertex_maps``, in float64 blocks, exact below 2^53."""
+    weights = np.exp2(np.array(_vertex_maps(n))).T
+    least = set()
+    for lo in range(0, masks.size, 2048):
+        member = (masks[lo : lo + 2048, None] >> np.arange(1 << n, dtype=masks.dtype)) & 1
+        least.update((member @ weights).min(axis=1).astype(np.int64).tolist())
+    return least
+
+
+class TestSurvivorTables:
+    """The survivor tables below n = 5 against a plain sweep of every mask."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_a_plain_sweep_of_every_mask(self, n):
+        for d in range(1, n - 1):
+            for s in range((1 << d) + 1):
+                count, witness = plain_cell(n, d, s)
+                val, wit = exhaustive_lambda(n, d, s)
+                assert val == Fraction(count, subcube_count(n, d)), (n, d, s)
+                assert wit.bits == witness, (n, d, s)
+
+    @pytest.mark.parametrize("n, orbits", [(3, 21), (4, 401)])
+    def test_survivors_reach_every_orbit(self, n, orbits):
+        every = _least_images(np.arange(0, 1 << (1 << n), 2, dtype=np.uint32), n)
+        assert len(every) == orbits and _least_images(_survivors(n), n) == every
+
+    @pytest.mark.parametrize(
+        "n, highs, candidates, survivors", [(3, 12, 62, 23), (4, 80, 4202, 670)]
+    )
+    def test_survivor_counts(self, n, highs, candidates, survivors):
+        surv = _survivors(n)
+        assert _canonical_highs(n).size == highs
+        assert sum(c.size for c in _candidates(n, _canonical_highs(n))) == candidates
+        assert surv.size == survivors and surv.dtype == np.uint32
+        assert np.all(surv[1:] > surv[:-1]) and not np.any(surv & 1)
+
+
 class TestSweepAtNFive:
     """The n = 5 branch of the sweep, over a small stub survivor set."""
 
@@ -473,7 +533,7 @@ class TestSweepAtNFive:
         masks = [0b110, 0b1101000, 0b10110, 0b111111110]
         masks += [2 * int(m) for m in rng.integers(0, 1 << 31, size=4)]
         masks = np.array(masks, dtype=np.uint32)
-        monkeypatch.setattr(exhaustive, "_n5_survivors", lambda: masks)
+        monkeypatch.setattr(exhaustive, "_survivors", lambda n: masks)
         # chunks of two masks exercise the running best across chunks
         monkeypatch.setattr(exhaustive, "_CHUNK", 2)
         # fresh caches, so the real table's sweeps stay cached for other tests
@@ -502,12 +562,12 @@ class TestAmbientFive:
     """The real n = 5 survivor table, built once and shared by these tests."""
 
     def test_survivor_high_halves_are_least_under_s4(self):
-        surv = exhaustive._n5_survivors()
+        surv = _survivors(5)
         assert surv.size == 5_009_398
         assert surv.dtype == np.uint32
         digest = "ed2c4a73d29a3818c3c85637c949dc1b185e0aedc291be31168d33d9bfe18b02"
         assert hashlib.sha256(surv.tobytes()).hexdigest() == digest
-        highs = _canonical_highs()
+        highs = _canonical_highs(5)
         assert highs.dtype == np.uint64
         digest = "670324313bcc6408436fe3660a887fcf2d190138121129a80440876f07e6dd58"
         assert hashlib.sha256(highs.tobytes()).hexdigest() == digest
@@ -582,16 +642,21 @@ class TestAmbientFive:
             assert wit.bits == ((1 << s) - 1) * (1 | 1 << (32 - s))
 
     def test_forced_low_bits_keep_the_same_survivors(self):
-        highs = _canonical_highs()
+        highs = _canonical_highs(5)
         assert highs.size == 3984
         every_low = np.arange(0, 1 << 16, 2, dtype=np.uint64)
         rng = np.random.default_rng(16)
         sizes = []
         for h in rng.choice(highs, size=16, replace=False):
-            forced = np.concatenate(list(_n5_candidates(np.array([h]))))
+            forced = np.concatenate(list(_candidates(5, np.array([h]))))
             unforced = (h << np.uint64(16)) | every_low
             assert np.isin(forced, unforced).all()
-            assert np.array_equal(_n5_keep(forced), _n5_keep(unforced)), int(h)
+            assert np.array_equal(_keep(5, forced), _keep(5, unforced)), int(h)
             sizes.append(forced.size)
         assert min(sizes) < every_low.size
-        assert sum(c.size for c in _n5_candidates(highs)) == 35_772_925
+        # every chunk stays short of _CHUNK plus the 2^15 even low halves of
+        # one more high half, and all but the last reach _CHUNK masks
+        chunks = [c.size for c in _candidates(5, highs)]
+        assert sum(chunks) == 35_772_925
+        assert max(chunks) < exhaustive._CHUNK + (1 << 15)
+        assert min(chunks[:-1]) >= exhaustive._CHUNK

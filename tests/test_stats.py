@@ -571,9 +571,11 @@ class TestContainers:
             {"total": "9" * 5000},  # more digits than Python converts to an int
         ):
             start = time.perf_counter()
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError) as err:
                 SubcubeDistribution.from_json({**good, **bad})
             assert time.perf_counter() - start < 1
+            # one short line, however long the bad member
+            assert "\n" not in str(err.value) and len(str(err.value)) < 200, bad
 
     def test_bounds_ordering_enforced(self):
         with pytest.raises(DomainError):
