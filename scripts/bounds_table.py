@@ -1,7 +1,7 @@
 """Print the best proven enclosure of the limit value for every (d, s).
 
-Each row shows the certified interval, which construction attains the
-lower end, and where the upper end comes from.
+Each row shows the certified interval, the text of the witness that
+attains the lower end, and that of the source of the upper end.
 
 Usage: python3 scripts/bounds_table.py --max-d 6 [--csv]
 """
@@ -23,9 +23,8 @@ def main() -> None:
     for d in range(1, args.max_d + 1):
         for s in range((1 << d) + 1):
             b = best_bounds(d, s)
-            rows.append(
-                [d, s, str(b.lower), str(b.upper), b.lower_witness, b.upper_source]
-            )
+            witness, source = b.lower_witness.text(d), b.upper_source.text(d)
+            rows.append([d, s, str(b.lower), str(b.upper), witness, source])
 
     header = ["d", "s", "lower", "upper", "lower_witness", "upper_source"]
     if args.csv:

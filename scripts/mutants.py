@@ -69,9 +69,6 @@ ALLOWED = {
     "src/cubestats/cube.py:VertexSet.from_weights: n + 1 => n + 2": (
         "the extra one-bit pattern only lengthens each level by one; P(n, 0) is the same"
     ),
-    "src/cubestats/cube.py:VertexSet.from_vertices: flags[v] = 1 => flags[v] = 2": (
-        "from_flags packs every nonzero flag as a 1 bit"
-    ),
     "src/cubestats/cube.py:VertexSet.__contains__: 1 << self.n => 2 << self.n": (
         "bits 2^n and up of a mask below 2^(2^n) are 0, so those v are out either way"
     ),

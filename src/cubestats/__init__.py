@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # module -> the public names it defines, space-separated
 _NAMES = {
     "approx": "ApproxCheck ApproxSpec approx_construct check_approx third_layer_check",
-    "bounds": "LambdaBounds best_bounds c_d c_dk c_star c_star_enumerated"
+    "bounds": "LambdaBounds Witness best_bounds c_d c_dk c_star c_star_enumerated"
     " expected_single_fraction two_adic_split",
     "constructions": "ConstructionResult bernoulli_set build_construction layered_set"
     " mod_weight_set parity_set perturb_parity perturbation_preserves spanning_fraction"

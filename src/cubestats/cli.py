@@ -15,6 +15,8 @@ import json
 import os
 import sys
 import traceback
+from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +30,7 @@ from .approx import (
     check_approx,
     third_layer_check,
 )
-from .bounds import best_bounds
+from .bounds import Witness, best_bounds
 from .constructions import ConstructionResult, build_construction, layered_set
 from .cube import VertexSet, check_subcube_dimension
 from .errors import CapabilityError, CertificateError, DomainError
@@ -146,8 +148,8 @@ def cmd_exhaustive(args: argparse.Namespace):
 def cmd_bounds(args: argparse.Namespace):
     bounds = best_bounds(args.d, args.s)
     provenance = []
-    if bounds.upper_source == "reference-constant":
-        provenance.append(f"reference-constant:upper({args.d},{args.s})")
+    if bounds.upper_source.family == "reference":
+        provenance.append(f"{bounds.upper_source.text(args.d)}:upper({args.d},{args.s})")
     return {"bounds": bounds.to_json()}, provenance, True
 
 
@@ -326,6 +328,51 @@ def _mirrors(counts: tuple[int, ...], comp_counts: tuple[int, ...]) -> bool:
     return counts == comp_counts[::-1]
 
 
+def _recompute(witness: Witness, d: int, s: int) -> tuple[str, Fraction]:
+    """The family of a lower witness, under its complements, and its value at
+    (d, s) by a route that shares no helper with that in bounds.py."""
+    p = dict(witness.params)
+    match witness.family:
+        case "complement":
+            return _recompute(p["of"], d, (1 << d) - s)
+        case "syndrome":  # Möbius inversion over the subspaces of F_2^m (Rota, 1964)
+            m, total, gauss = p["rows"], 0, 1  # gauss = [m choose j]_2
+            for j in range(m + 1):
+                total += (-1) ** (m - j) * 2 ** comb(m - j, 2) * gauss * ((1 << j) - 1) ** d
+                gauss = gauss * ((1 << (m - j)) - 1) // ((1 << (j + 1)) - 1)
+            value = Fraction(total, ((1 << m) - 1) ** d)
+        case "layered":  # the residue sums of row d, by math.comb
+            k, T = p["k"], p["T"]
+            row = [sum(comb(d, i) for i in range(d + 1) if (i + a) % k in T) for a in range(k)]
+            value = Fraction(row.count(s), k)
+        case "bernoulli":  # C(2^d, s) q^s (1 - q)^(2^d - s) with q = 2^-d
+            q = Fraction(1, 1 << d)
+            value = comb(1 << d, s) * q**s * (1 - q) ** ((1 << d) - s)
+        case "trivial":
+            value = Fraction(s in (0, 1 << d - 1, 1 << d))
+    return witness.family, value
+
+
+def _suite_bounds(args: argparse.Namespace) -> list[dict]:
+    same, enclosed = dict.fromkeys(("syndrome", "layered", "bernoulli", "trivial"), True), True
+    for d in range(1, 11):
+        for s in range((1 << d) + 1):
+            b = best_bounds(d, s)
+            family, value = _recompute(b.lower_witness, d, s)
+            same[family] &= value == b.lower
+            enclosed &= value <= b.upper
+    checks = [{"name": f"{f} lower bounds d<=10 recomputed", "pass": ok} for f, ok in same.items()]
+    checks.append({"name": "recomputed lower <= upper d<=10", "pass": enclosed})
+    cells = [(n, d, s) for n in range(1, 5) for d in range(1, n + 1) for s in range((1 << d) + 1)]
+    ok = all(best_bounds(d, s).lower <= exhaustive_lambda(n, d, s)[0] for n, d, s in cells)
+    checks.append({"name": "lower <= exhaustive_lambda(n, d, s) n<=4", "pass": ok})
+    # negative control: weights divisible by 5, not 4, give 2/5 at (3, 1), not 1/2
+    ok = _recompute(Witness.make("layered", k=5, T=(0,)), 3, 1)[1] == best_bounds(3, 1).lower
+    name = "control: the (3, 1) witness with k = 5 for 4 fails its recompute"
+    checks.append({"name": name, "pass": not ok, "control": True})
+    return checks
+
+
 _SUITES = {
     "prop31": _suite_prop31,
     "thm32": _suite_thm32,
@@ -333,6 +380,7 @@ _SUITES = {
     "third-layer": _suite_third_layer,
     "clique-certs": _suite_clique_certs,
     "oracle-equivalence": _suite_oracle_equivalence,
+    "bounds": _suite_bounds,
 }
 VERIFY_SUITES = tuple(_SUITES)
 

@@ -102,21 +102,22 @@ class VertexSet:
         return A
 
     @classmethod
-    def from_vertices(cls, n: int, vertices: Iterable[int]) -> VertexSet:
-        """The set of the listed vertices, in any order and with repeats."""
+    def from_vertices(cls, n: int, vertices: Iterable[int], *, ascending=False) -> VertexSet:
+        """The set of the listed vertices, in any order and with repeats unless ``ascending``."""
         n, vertices = check_mask_dimension(n), list(vertices)
-        flags = np.zeros(1 << n, dtype=np.uint8)
-        # plain ints in range take one numpy pass; the scan names the first bad vertex
+        index = None
         if set(map(type, vertices)) <= {int}:
             with contextlib.suppress(OverflowError):  # a vertex past int64
                 index = np.fromiter(vertices, np.int64, len(vertices))
-                if (index.view(np.uint64) < 1 << n).all():  # a negative one wraps high
-                    flags[index] = 1
-                    return cls.from_flags(n, flags)
-        for v in vertices:
-            if not is_int(v) or not 0 <= v < (1 << n):
-                raise DomainError(f"vertex {show(v)} is not an integer vertex of Q_{n}")
-            flags[v] = 1
+        if index is None or not (index.view(np.uint64) < 1 << n).all():  # -1 wraps high
+            for v in vertices:
+                if not is_int(v) or not 0 <= v < (1 << n):
+                    raise DomainError(f"vertex {show(v)} is not an integer vertex of Q_{n}")
+            index = np.array(vertices, np.int64)  # numpy integers, each a vertex
+        if ascending and (np.diff(index) <= 0).any():
+            raise DomainError("'vertices' must be strictly ascending")
+        flags = np.zeros(1 << n, dtype=np.uint8)
+        flags[index] = 1
         return cls.from_flags(n, flags)
 
     def __contains__(self, v: int) -> bool:
@@ -150,10 +151,7 @@ class VertexSet:
     def from_json(cls, obj: dict) -> VertexSet:
         """The set of a JSON vertex set; its vertices must be strictly ascending."""
         n, vertices = fields(obj, "vertex set", n="int", vertices="ints")
-        A = cls.from_vertices(n, vertices)  # names a bad vertex before any order error
-        if (np.diff(np.array(vertices, np.int64)) <= 0).any():
-            raise DomainError("'vertices' must be strictly ascending")
-        return A
+        return cls.from_vertices(n, vertices, ascending=True)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,10 @@ _KINDS = {
     "str": (lambda x: isinstance(x, str), "a string"),
     "list": (lambda x: isinstance(x, list), "a list"),
     "dict": (lambda x: isinstance(x, dict), "an object"),
-    "ints": (lambda x: isinstance(x, list) and all(map(is_int, x)), "a list of integers"),
+    "ints": (  # a list of plain ints, as JSON gives, takes one walk over its types
+        lambda x: isinstance(x, list) and (set(map(type, x)) <= {int} or all(map(is_int, x))),
+        "a list of integers",
+    ),
     "strs": (
         lambda x: isinstance(x, list) and all(isinstance(e, str) for e in x),
         "a list of strings",

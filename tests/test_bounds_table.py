@@ -84,9 +84,18 @@ def test_witnesses_match_the_pinned_table():
         rows = list(csv.DictReader(f))
     got = []
     for r in rows:
-        b = best_bounds(int(r["d"]), int(r["s"]))
-        got.append((r["d"], r["s"], b.lower_witness, b.upper_source))
+        d = int(r["d"])
+        b = best_bounds(d, int(r["s"]))
+        got.append((r["d"], r["s"], b.lower_witness.text(d), b.upper_source.text(d)))
     assert got == [(r["d"], r["s"], r["lower_witness"], r["upper_source"]) for r in rows]
+
+
+def test_each_end_is_the_value_of_its_witness():
+    # complement witnesses included: their value is the mirrored cell's
+    for d in range(1, MAX_D + 1):
+        for s in range((1 << d) + 1):
+            b = best_bounds(d, s)
+            assert (b.lower_witness.value(d, s), b.upper_source.value(d, s)) == (b.lower, b.upper)
 
 
 def test_denominator_cap_admits_exactly_its_own_size(monkeypatch):

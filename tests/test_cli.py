@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from cubestats import (
     VertexSet,
     __version__,
     approx,
+    best_bounds,
+    bounds,
     cli,
     constructions,
     distribution_fast,
@@ -235,8 +239,8 @@ PINNED_DIGESTS = {
         "e56aea5538a69962adae3a3a2d046cc504d40744f9afb11347aa4e0d75acfeb5",
     ),
     "bounds": (
-        "f96fd3b02cd200a15ba3f866d919d1a67353e63f88019cd7da0dee676d347401",
-        "c0a81f15637db903ff9b76268c4b5014e0ba668b73340fd7f47e2a32ba0c6037",
+        "a36ccb0772cdb150ae0d7139d39befd84d2c6993b5cf5beef92791748963dcdb",
+        "57c6649a100f32a8374779b7dc75ceac1cd33ab7970aee7f94b798eb69ef1eba",
     ),
     "omega": (
         "b6e1e26fb0f02865a86d2540d82f364a61d9b4c4bd27d81d57e1ee6641388e48",
@@ -274,6 +278,10 @@ PINNED_DIGESTS = {
         "51f0fbcda800444728255ff67c1fff99be62ba34bf571a060956cae4915b5244",
         "080df757d3ad4e7d1cdb9dcccdf72c8836df96759da2d2999721fc1f00f2b7b4",
     ),
+    "verify bounds": (
+        "2889f575cd26cfb74df59f32b7f09d36f70d8e0e1a4c967909eb09f9c1f17a1c",
+        "3cf5bd7fff94943638dbf45d881e6646a822927313339e788e492527f1044f1a",
+    ),
     "seeded bernoulli dist": (
         "ef564cb6c8cb42d06bb2e77ac4340fd22025e4de27aa83759dec2e37c7d178b7",
         "7a146524feb8aa143718401b42c3a85c2123a308ee88b28de88c57c934af25f3",
@@ -299,7 +307,7 @@ class TestPinnedReports:
         monkeypatch.chdir(tmp_path)
         assert run(capsys, "bounds", "3", "2", "--out", "report.json")[:2] == (0, "")
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-        assert digest == "9253fec2ed9429dc11871a214826dfc4cd5a20b6eb9c2514d6fc2f78aef69b16"
+        assert digest == "2e9c5321466f629a1e05ac8eaaf8dafe2505fd32e5a50de124b37c04381edba8"
 
 
 class TestDist:
@@ -417,6 +425,29 @@ class TestDist:
 
 
 class TestCommands:
+    def test_bounds_prints_its_witnesses_as_data(self, capsys):
+        rc, out, _ = run(capsys, "bounds", "5", "18")
+        cell = json.loads(out)["bounds"]
+        assert rc == 0
+        assert cell["lower_witness"] == {
+            "family": "complement",
+            "of": {"family": "syndrome", "rows": 4},
+        }
+        assert cell["upper_source"] == {"family": "turan", "n": 7, "parts": 55}
+        rc, out, _ = run(capsys, "bounds", "3", "1", "--format", "csv")
+        rows = dict(csv.reader(io.StringIO(out)))
+        assert rows["bounds.lower_witness.T.0"] == "0"
+        assert rows["bounds.upper_source.family"] == "reference"
+
+    def test_a_layered_witness_with_n_is_a_construct_spec(self, capsys):
+        # the weights divisible by 4 meet 1/2 of the 3-subcubes in one vertex as n grows
+        witness = json.loads(run(capsys, "bounds", "3", "1")[1])["bounds"]["lower_witness"]
+        assert witness.pop("family") == "layered"
+        spec = json.dumps({"kind": "layered", "n": 20, **witness})
+        rc, out, _ = run(capsys, "dist", "--construct", spec, "-d", "3", "-s", "1")
+        value = Fraction(json.loads(out)["lambda"]["value"])
+        assert rc == 0 and abs(value - Fraction(1, 2)) < Fraction(1, 256)
+
     def test_exhaustive_value(self, capsys):
         rc, out, _ = run(capsys, "exhaustive", "4", "2", "1")
         report = json.loads(out)
@@ -713,7 +744,7 @@ def _as_lists(node):
 class TestVerifySuites:
     @pytest.mark.parametrize(
         "suite",
-        ["prop31", "third-layer", "oracle-equivalence", "approx", "clique-certs"],
+        ["prop31", "third-layer", "oracle-equivalence", "approx", "clique-certs", "bounds"],
     )
     def test_fast_suites_pass(self, capsys, suite):
         rc, out, _ = run(capsys, "verify", suite)
@@ -740,7 +771,7 @@ class TestVerifySuites:
         assert len(failed) == 1 and failed[0].startswith("control: ")
 
     @pytest.mark.parametrize(
-        "suite", ["prop31", "thm32", "approx", "third-layer", "oracle-equivalence"]
+        "suite", ["prop31", "thm32", "approx", "third-layer", "oracle-equivalence", "bounds"]
     )
     def test_suite_reports_its_negative_control(self, capsys, suite):
         # oracle-equivalence has one control for the mirror, two for the layered
@@ -819,6 +850,51 @@ class TestVerifySuites:
         rc, out, _ = run(capsys, "verify", suite)
         assert rc == 1
         assert json.loads(out)["pass"] is False
+
+    def test_bounds_fails_only_its_syndrome_checks_when_the_syndrome_value_moves(
+        self, capsys, monkeypatch
+    ):
+        value, text = bounds._FAMILIES["syndrome"]
+        moved = (lambda d, s, rows: value(d, s, rows) + Fraction(1, 1 << 20), text)
+        monkeypatch.setitem(bounds._FAMILIES, "syndrome", moved)
+        rc, out, _ = run(capsys, "verify", "bounds")
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert rc == 1
+        assert failed == ["syndrome lower bounds d<=10 recomputed"]
+
+    def test_bounds_fails_only_its_control_when_every_recompute_agrees(
+        self, capsys, monkeypatch
+    ):
+        def agree(witness, d, s):  # the printed lower, under the family's name
+            while witness.family == "complement":
+                witness = dict(witness.params)["of"]
+            return witness.family, best_bounds(d, s).lower
+
+        monkeypatch.setattr(cli, "_recompute", agree)
+        rc, out, _ = run(capsys, "verify", "bounds")
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert rc == 1
+        assert len(failed) == 1 and failed[0].startswith("control: ")
+
+    def test_bounds_fails_when_a_lower_bound_passes_its_upper_end(self, capsys, monkeypatch):
+        def shrunk(d, s):  # the upper end of (5, 3) just below its lower end
+            b = best_bounds(d, s)
+            if (d, s) != (5, 3):
+                return b
+            return SimpleNamespace(**{**vars(b), "upper": b.lower - Fraction(1, 1 << 20)})
+
+        monkeypatch.setattr(cli, "best_bounds", shrunk)
+        rc, out, _ = run(capsys, "verify", "bounds")
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert rc == 1 and failed == ["recomputed lower <= upper d<=10"]
+
+    def test_bounds_fails_when_a_lower_bound_passes_the_maximum_at_small_n(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "exhaustive_lambda", lambda n, d, s: (Fraction(0), None))
+        rc, out, _ = run(capsys, "verify", "bounds")
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert rc == 1 and failed == ["lower <= exhaustive_lambda(n, d, s) n<=4"]
 
     def test_oracle_equivalence_draws_its_sets_from_the_seed(self, capsys, monkeypatch):
         seen = []  # the (set, d) pairs that reach the slow oracle
@@ -1264,6 +1340,20 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert __version__ in proc.stdout
 
+    def test_verify_bounds_passes_in_under_a_cpu_second(self, src_env):
+        # CPU time of the fresh process, start-up and imports included
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubestats.cli", "verify", "bounds"],
+            capture_output=True,
+            text=True,
+            env=src_env,
+            timeout=60,
+        )
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert proc.returncode == 0 and json.loads(proc.stdout)["pass"] is True
+        assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+
     def test_unknown_suite_exits_two(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "cubestats.cli", "verify", "mystery"],
@@ -1368,6 +1458,26 @@ SPECS = st.sampled_from(sorted(SPEC_MEMBERS)).flatmap(
 )
 
 
+@st.composite
+def deeply_nested(draw, objects):
+    """The JSON text of a drawn object with one member, its own or a new
+    one, replaced by a value nested 900 to 2,000 levels deep: about where
+    json.loads starts to raise RecursionError, and past it."""
+    obj = draw(objects)
+    name = draw(st.sampled_from(sorted(obj) + ["N"]))
+    depth = draw(st.integers(900, 2000))
+    opening, closing = draw(st.sampled_from([("[", "]"), ('{"a": ', "}")]))
+    deep = opening * depth + json.dumps(draw(ANY_JSON)) + closing * depth
+    return json.dumps({**obj, name: "@DEEP@"}).replace('"@DEEP@"', deep)
+
+
+def mostly_flat(objects):
+    """JSON texts of drawn objects, one in five with a deeply nested member."""
+    return st.integers(0, 4).flatmap(
+        lambda roll: objects.map(json.dumps) if roll else deeply_nested(objects)
+    )
+
+
 def run_fuzzed(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -1380,28 +1490,29 @@ def run_fuzzed(argv):
 
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
-    @given(SPECS, INT, st.one_of(st.none(), INT))
-    def test_construction_specs(self, spec, d, s):
-        text = json.dumps(spec)
+    @given(mostly_flat(SPECS), INT, st.one_of(st.none(), INT))
+    def test_construction_specs(self, text, d, s):
         run_fuzzed(["construct", text])
         argv = ["dist", "--construct", text, "-d", str(d)]
         run_fuzzed(argv if s is None else argv + ["-s", str(s)])
 
     @settings(max_examples=100, deadline=None)
     @given(
-        json_object(
-            n=INT,
-            vertices=st.one_of(
-                st.lists(st.integers(0, 7), unique=True).map(sorted), INTS
-            ),
+        mostly_flat(
+            json_object(
+                n=INT,
+                vertices=st.one_of(
+                    st.lists(st.integers(0, 7), unique=True).map(sorted), INTS
+                ),
+            )
         ),
         INT,
     )
-    def test_set_files(self, obj, d):
+    def test_set_files(self, text, d):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "set.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh)
+                fh.write(text)
             run_fuzzed(["dist", "--set-file", path, "-d", str(d)])
 
     @pytest.mark.parametrize("depth", [1000, 10**5])

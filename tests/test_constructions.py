@@ -553,10 +553,10 @@ class TestBestBounds:
     def test_pinned_intervals(self):
         b = best_bounds(2, 1)
         assert (b.lower, b.upper) == (Fraction(2, 3), Fraction(17143, 25000))
-        assert b.upper_source == "reference-constant"
+        assert b.upper_source.text(2) == "reference-constant"
         b = best_bounds(3, 2)
         assert (b.lower, b.upper) == (Fraction(8, 9), Fraction(1))
-        assert b.upper_source == "closed-form"
+        assert b.upper_source.text(3) == "closed-form"
 
     def test_trivial_cells_collapse(self):
         b = best_bounds(1, 1)

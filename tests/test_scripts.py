@@ -42,6 +42,18 @@ def test_script_runs(script, args, header, src_env):
     assert proc.stdout.splitlines()[0].split() == header
 
 
+def test_bounds_table_prints_the_pinned_table(src_env):
+    # byte for byte, so that a drift in a witness's derived text shows here
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bounds_table.py"), "--max-d", "10", "--csv"],
+        capture_output=True,
+        timeout=60,
+        env=src_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "data" / "bounds_table.csv").read_bytes()
+
+
 def test_mutants_kills_one_seeded_mutant(src_env):
     # the target's one site, a + b, becomes a - b, which its check fails;
     # the check needs no pytest plugin, and loading hypothesis's takes 1 s

@@ -22,6 +22,7 @@ from cubestats import (
     LayeredSpec,
     SubcubeDistribution,
     VertexSet,
+    Witness,
     bernoulli_set,
     distribution,
     distribution_fast,
@@ -548,6 +549,10 @@ class TestClosedForms:
         assert weights == layered and weights.total == subcube_count(n, d)
 
 
+# a witness and an upper source for LambdaBounds built by hand
+X, CLOSED = Witness.make("syndrome", rows=2), Witness.make("codim-two")
+
+
 class TestContainers:
     def test_distribution_json_roundtrip(self):
         dist = distribution_fast(VertexSet.from_vertices(3, [0, 5]), 2)
@@ -579,13 +584,13 @@ class TestContainers:
 
     def test_bounds_ordering_enforced(self):
         with pytest.raises(DomainError):
-            LambdaBounds(2, 1, Fraction(3, 4), Fraction(2, 3), "x", "closed-form")
-        b = LambdaBounds(2, 1, Fraction(2, 3), Fraction(3, 4), "x", "closed-form")
+            LambdaBounds(2, 1, Fraction(3, 4), Fraction(2, 3), X, CLOSED)
+        b = LambdaBounds(2, 1, Fraction(2, 3), Fraction(3, 4), X, CLOSED)
         assert b.to_json()["lower"] == "2/3"
         # the interval may reach both ends of [0, 1]
-        assert LambdaBounds(2, 1, Fraction(0), Fraction(1), "x", "closed-form").lower == 0
+        assert LambdaBounds(2, 1, Fraction(0), Fraction(1), X, CLOSED).lower == 0
 
     def test_bounds_above_one_rejected(self):
         # a limit of fractions lies in [0, 1], so an upper end past 1 is no enclosure
         with pytest.raises(DomainError):
-            LambdaBounds(2, 1, Fraction(1, 2), Fraction(3, 2), "x", "closed-form")
+            LambdaBounds(2, 1, Fraction(1, 2), Fraction(3, 2), X, CLOSED)
