@@ -56,15 +56,16 @@ TIMEOUT = 300.0
 ALLOWED = {
     "src/cubestats/residues.py:_binsum_row: d + 1 => d + 2": "the extra term is C(d, d + 1) = 0",
     "src/cubestats/errors.py:show: x < 0 => x <= 0": "x has over 1024 bits there, so it is never 0",
-    "src/cubestats/cube.py:VertexSet.from_vertices: 1 << n => 2 << n": (
+    "src/cubestats/cube.py:VertexSet._from_ints: 1 << n => 2 << n": (
         "the flags past 2^n stay zero, so the packed mask is the same; only the buffer doubles"
     ),
-    "src/cubestats/cube.py:VertexSet.from_vertices: flags[index] = 1 => flags[index] = 2": (
+    "src/cubestats/cube.py:VertexSet._from_ints: flags[index] = 1 => flags[index] = 2": (
         "from_flags packs every nonzero flag as a 1 bit"
     ),
     "src/cubestats/cube.py:VertexSet.from_vertices: set(map(type, vertices)) <= {int} =>"
     " set(map(type, vertices)) < {int}": (
-        "the one-vertex-at-a-time scan builds the same set; only the numpy pass is skipped"
+        "a list of plain ints then takes the one-vertex-at-a-time scan too, which passes it;"
+        " the numpy pass builds the same set"
     ),
     "src/cubestats/cube.py:VertexSet.from_weights: n + 1 => n + 2": (
         "the extra one-bit pattern only lengthens each level by one; P(n, 0) is the same"
@@ -96,6 +97,13 @@ ALLOWED = {
     " distribution_fast(VertexSet(3, 1), 1) => distribution_fast(VertexSet(3, 1), 2)": (
         "{0} meets the 2-faces of Q_3 in (3, 3, 0, 0, 0), no palindrome either, so the"
         " control passes alike"
+    ),
+    "src/cubestats/cli.py:_suite_oracle_equivalence: {1} => {2}": (
+        "weights 2 mod 4 meet the 3-subcubes of Q_16 in other counts than weights 0 mod 4"
+        " too, so the control fails alike"
+    ),
+    "src/cubestats/cli.py:_suite_thm32: (0, 1, 2, 3) => (0, 1, 2, 4)": (
+        "{0, 1, 2, 4} is no parity class of Z_8 either, so the planted case is refused alike"
     ),
     "src/cubestats/constructions.py:layered_set: n + 1 => n + 2": (
         "no vertex of Q_n has weight n + 1, so the extra table entry is never read"

@@ -2,7 +2,9 @@
 ``best_bounds`` encloses it with: the constructions' lower bounds, the
 Turán upper bounds and the stored reference constants.  Each bound comes
 from a ``Witness``, a family and its parameters, whose value the family
-alone computes.  No numpy here.
+alone computes.  The syndrome value, which ``c_d`` and ``c_star`` return
+too, is one Möbius sum, cached per (d, rows).  Each closed form refuses a
+d past its cap before any work.  No numpy here.
 """
 
 import itertools
@@ -87,12 +89,31 @@ class LambdaBounds:
         }
 
 
-@lru_cache(maxsize=None, typed=True)
+# Past these, each closed form would run for more than about a second
+# (2-core Xeon, Python 3.11), so each is refused before any work.
+SYNDROME_MAX_D = 400  # d of the syndrome value; its sum at rows = d takes 0.7-1.1 s at 400
+FULL_RANK_MAX_D = 1000  # d of c_dk; its product at k = 1 takes 1.2 s at 1000
+ENUMERATED_ENTRIES = 18  # entries (d - k)·d of the matrices c_star_enumerated runs through
+BERNOULLI_MAX_D = 18  # d of expected_single_fraction; 0.34 s at 18, 1.1 s at 19
+
+
+@lru_cache(maxsize=None)
+def _syndrome(d: int, rows: int) -> Fraction:
+    """The chance that d uniform nonzero columns span F_2^rows, 1 at rows = 0: the
+    Möbius sum over its subspaces (Rota, 1964), the value of the syndrome family."""
+    if d > SYNDROME_MAX_D:
+        raise CapabilityError(f"the syndrome value is capped at d <= {SYNDROME_MAX_D}")
+    total, gauss = 0, 1  # gauss = [rows choose j]_2
+    for j in range(rows + 1):
+        total += (-1) ** (rows - j) * 2 ** math.comb(rows - j, 2) * gauss * ((1 << j) - 1) ** d
+        gauss = gauss * ((1 << (rows - j)) - 1) // ((1 << (j + 1)) - 1)
+    return Fraction(total, ((1 << rows) - 1) ** d) if rows else Fraction(1)
+
+
 def c_d(d: int) -> Fraction:
-    """Probability that d uniform nonzero columns of F_2^d span it."""
+    """Probability that d uniform nonzero columns span F_2^d; the syndrome value at rows = d."""
     d = check_int("d", d, 1)
-    terms = (1 - Fraction((1 << i) - 1, (1 << d) - 1) for i in range(1, d))
-    return math.prod(terms, start=Fraction(1))
+    return _syndrome(d, d)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -100,26 +121,17 @@ def c_dk(d: int, k: int) -> Fraction:
     """Probability that a (d-k) x d uniform binary matrix has full row rank."""
     d = check_int("d", d)
     k = check_int("k", k, 1, d)
+    if d > FULL_RANK_MAX_D:
+        raise CapabilityError(f"c_dk is capped at d <= {FULL_RANK_MAX_D}")
     return math.prod((1 - Fraction(1 << i, 1 << d) for i in range(d - k)), start=Fraction(1))
 
 
-@lru_cache(maxsize=None, typed=True)
 def c_star(d: int, k: int) -> Fraction:
-    """Full-row-rank probability for (d-k) x d with uniform NONZERO columns.
-
-    Rank-evolution recurrence: a fresh nonzero column raises rank r with
-    probability (2^(d-k) - 2^r)/(2^(d-k) - 1).
-    """
+    """The syndrome value at d - k rows: the full-row-rank probability of a
+    (d-k) x d matrix with uniform NONZERO columns."""
     d = check_int("d", d)
     k = check_int("k", k, 1, d)
-    m = d - k
-    if m == 0:
-        return Fraction(1)
-    up = [Fraction((1 << m) - (1 << r), (1 << m) - 1) for r in range(m + 1)]  # 0 at r = m
-    dp = [Fraction(1)] + [Fraction(0)] * m  # dp[r]: the chance of rank r so far
-    for _ in range(d):
-        dp = [dp[r] * (1 - up[r]) + (dp[r - 1] * up[r - 1] if r else 0) for r in range(m + 1)]
-    return dp[m]
+    return _syndrome(d, d - k)
 
 
 def c_star_enumerated(d: int, k: int) -> Fraction:
@@ -127,6 +139,8 @@ def c_star_enumerated(d: int, k: int) -> Fraction:
     d = check_int("d", d)
     k = check_int("k", k, 1, d)
     m = d - k
+    if m * d > ENUMERATED_ENTRIES:
+        raise CapabilityError(f"c_star_enumerated is capped at (d-k)·d <= {ENUMERATED_ENTRIES}")
     if m == 0:
         return Fraction(1)
     # the rank of the m x d matrix is that of its transpose, whose rows are cols
@@ -140,6 +154,8 @@ def expected_single_fraction(d: int) -> Fraction:
     """(1 - 2^-d)^(2^d - 1): expected fraction of d-subcubes meeting a
     Bernoulli(2^-d) set in exactly one vertex."""
     d = check_int("d", d, 1)
+    if d > BERNOULLI_MAX_D:
+        raise CapabilityError(f"expected_single_fraction is capped at d <= {BERNOULLI_MAX_D}")
     return Fraction((1 << d) - 1, 1 << d) ** ((1 << d) - 1)
 
 
@@ -155,7 +171,7 @@ _CLOSED_FORM = "closed-form"  # the text of both computed upper sources
 _FAMILIES = {
     # the sets {x : Hx in C} of a rows x d matrix H with nonzero columns
     "syndrome": (
-        lambda d, s, rows: c_d(d) if rows == d else c_star(d, d - rows),
+        lambda d, s, rows: _syndrome(d, rows),
         lambda d, rows: "syndrome (%s, nonzero columns)"
         % ("square matrix" if rows == d else f"{rows} rows"),
     ),

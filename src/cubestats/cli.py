@@ -335,12 +335,14 @@ def _recompute(witness: Witness, d: int, s: int) -> tuple[str, Fraction]:
     match witness.family:
         case "complement":
             return _recompute(p["of"], d, (1 << d) - s)
-        case "syndrome":  # Möbius inversion over the subspaces of F_2^m (Rota, 1964)
-            m, total, gauss = p["rows"], 0, 1  # gauss = [m choose j]_2
-            for j in range(m + 1):
-                total += (-1) ** (m - j) * 2 ** comb(m - j, 2) * gauss * ((1 << j) - 1) ** d
-                gauss = gauss * ((1 << (m - j)) - 1) // ((1 << (j + 1)) - 1)
-            value = Fraction(total, ((1 << m) - 1) ** d)
+        case "syndrome":  # the chain of ranks of d uniform nonzero columns of F_2^m
+            m, ways = p["rows"], [1] + [0] * p["rows"]  # ways[r]: column tuples of rank r
+            for _ in range(d):  # 2^r - 1 columns keep rank r, 2^m - 2^r raise it
+                ways = [0] + [
+                    ways[r] * ((1 << r) - 1) + ways[r - 1] * ((1 << m) - (1 << r - 1))
+                    for r in range(1, m + 1)
+                ]
+            value = Fraction(ways[m], ((1 << m) - 1) ** d)
         case "layered":  # the residue sums of row d, by math.comb
             k, T = p["k"], p["T"]
             row = [sum(comb(d, i) for i in range(d + 1) if (i + a) % k in T) for a in range(k)]

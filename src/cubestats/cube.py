@@ -105,15 +105,19 @@ class VertexSet:
     def from_vertices(cls, n: int, vertices: Iterable[int], *, ascending=False) -> VertexSet:
         """The set of the listed vertices, in any order and with repeats unless ``ascending``."""
         n, vertices = check_mask_dimension(n), list(vertices)
+        if not set(map(type, vertices)) <= {int}:  # numpy integers pass the scan
+            _scan_vertices(n, vertices)
+        return cls._from_ints(n, vertices, ascending)
+
+    @classmethod
+    def _from_ints(cls, n: int, vertices: list, ascending: bool) -> VertexSet:
+        """from_vertices for a checked n and a list of integers, whose types
+        it does not walk: one numpy pass, or a scan naming the first bad vertex."""
         index = None
-        if set(map(type, vertices)) <= {int}:
-            with contextlib.suppress(OverflowError):  # a vertex past int64
-                index = np.fromiter(vertices, np.int64, len(vertices))
+        with contextlib.suppress(OverflowError):  # a vertex past int64
+            index = np.fromiter(vertices, np.int64, len(vertices))
         if index is None or not (index.view(np.uint64) < 1 << n).all():  # -1 wraps high
-            for v in vertices:
-                if not is_int(v) or not 0 <= v < (1 << n):
-                    raise DomainError(f"vertex {show(v)} is not an integer vertex of Q_{n}")
-            index = np.array(vertices, np.int64)  # numpy integers, each a vertex
+            _scan_vertices(n, vertices)
         if ascending and (np.diff(index) <= 0).any():
             raise DomainError("'vertices' must be strictly ascending")
         flags = np.zeros(1 << n, dtype=np.uint8)
@@ -150,8 +154,15 @@ class VertexSet:
     @classmethod
     def from_json(cls, obj: dict) -> VertexSet:
         """The set of a JSON vertex set; its vertices must be strictly ascending."""
-        n, vertices = fields(obj, "vertex set", n="int", vertices="ints")
-        return cls.from_vertices(n, vertices, ascending=True)
+        n, vertices = fields(obj, "vertex set", n="int", vertices="ints")  # walks their types
+        return cls._from_ints(check_mask_dimension(n), vertices, ascending=True)
+
+
+def _scan_vertices(n: int, vertices: list) -> None:
+    """Raise DomainError naming the first listed vertex that is no integer vertex of Q_n."""
+    for v in vertices:
+        if not is_int(v) or not 0 <= v < (1 << n):
+            raise DomainError(f"vertex {show(v)} is not an integer vertex of Q_{n}")
 
 
 @dataclass(frozen=True)

@@ -862,6 +862,13 @@ class TestVerifySuites:
         assert rc == 1
         assert failed == ["syndrome lower bounds d<=10 recomputed"]
 
+    def test_the_syndrome_value_is_its_rank_chain_at_every_rows(self):
+        # the family's Möbius sum against the suite's second route, exactly
+        for d in range(1, 57):
+            for rows in range(1, d + 1):
+                witness = bounds.Witness.make("syndrome", rows=rows)
+                assert witness.value(d, 1) == cli._recompute(witness, d, 1)[1], (d, rows)
+
     def test_bounds_fails_only_its_control_when_every_recompute_agrees(
         self, capsys, monkeypatch
     ):
@@ -1340,19 +1347,31 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert __version__ in proc.stdout
 
-    def test_verify_bounds_passes_in_under_a_cpu_second(self, src_env):
-        # CPU time of the fresh process, start-up and imports included
+    @staticmethod
+    def fresh_cpu(src_env, *argv):
+        """The finished fresh process of ``cubestats argv`` and its CPU seconds,
+        start-up and imports included."""
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         proc = subprocess.run(
-            [sys.executable, "-m", "cubestats.cli", "verify", "bounds"],
+            [sys.executable, "-m", "cubestats.cli", *argv],
             capture_output=True,
             text=True,
             env=src_env,
             timeout=60,
         )
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return proc, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+
+    def test_verify_bounds_passes_in_under_a_cpu_second(self, src_env):
+        proc, cpu = self.fresh_cpu(src_env, "verify", "bounds")
         assert proc.returncode == 0 and json.loads(proc.stdout)["pass"] is True
-        assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+        assert cpu < 1
+
+    def test_bounds_at_the_largest_reported_d_runs_in_under_a_cpu_second(self, src_env):
+        # d = 120 is the last the denominator cap admits at s = 2
+        proc, cpu = self.fresh_cpu(src_env, "bounds", "120", "2")
+        assert proc.returncode == 0 and json.loads(proc.stdout)["bounds"]["d"] == 120
+        assert cpu < 1
 
     def test_unknown_suite_exits_two(self, src_env):
         proc = subprocess.run(

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubestats import (
+    CapabilityError,
     CertificateError,
     CliqueCertificate,
     DomainError,
@@ -152,6 +154,46 @@ class TestRankConstants:
     def test_expected_single_fraction(self):
         assert expected_single_fraction(3) == Fraction(7, 8) ** 7
         assert expected_single_fraction(3) == Fraction(823543, 2097152)
+
+    def test_syndrome_cap_admits_d_400_and_no_more(self):
+        # c_d falls to the product of 1 - 2^-i over i >= 1
+        assert abs(float(c_d(400)) - 0.28878809508660242) < 1e-15
+        # d columns of F_2^2 fail to span it when all are one nonzero column
+        assert c_star(400, 398) == 1 - Fraction(3, 3**400)
+        with pytest.raises(CapabilityError, match="capped at d <= 400"):
+            c_d(401)
+        with pytest.raises(CapabilityError, match="capped at d <= 400"):
+            c_star(401, 399)
+
+    def test_other_caps_admit_their_last_value_and_no_more(self):
+        assert c_dk(1000, 999) == 1 - Fraction(1, 1 << 1000)
+        with pytest.raises(CapabilityError, match="capped at d <= 1000"):
+            c_dk(1001, 1000)
+        # 2 x 9 and 1 x 18 matrices have the 18 entries the cap admits
+        assert c_star_enumerated(9, 7) == c_star(9, 7) == 1 - Fraction(1, 3**8)
+        assert c_star_enumerated(18, 17) == 1
+        for d, k in ((19, 18), (5, 1)):
+            with pytest.raises(CapabilityError, match=r"capped at \(d-k\)·d <= 18"):
+                c_star_enumerated(d, k)
+        assert abs(float(expected_single_fraction(18)) - math.exp(-1)) < 1e-5
+        with pytest.raises(CapabilityError, match="capped at d <= 18"):
+            expected_single_fraction(19)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: c_d(2**70),
+            lambda: c_star(2**70, 1),
+            lambda: c_star(2**70, 2**70 - 3),
+            lambda: c_dk(2**70, 1),
+            lambda: c_star_enumerated(2**70, 1),
+            lambda: c_star_enumerated(2**70, 2**70 - 1),
+            lambda: expected_single_fraction(2**70),
+        ],
+    )
+    def test_huge_d_is_refused_before_any_work(self, call):
+        with pytest.raises(CapabilityError):
+            call()
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
