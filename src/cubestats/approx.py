@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import CapabilityError, DomainError, check_int
-from .residues import MAX_MODULUS, residue_table
+from .residues import MAX_MODULUS, _binsum_row, residue_table
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def _prefix_sums(q: int, d: int) -> list[int]:
     there on P[i] = (q - i) 2^d, falling to P[q - 1] = 2^d.  Residues mod
     d + 1 give the same head as residues mod q > d + 1, one binomial each.
     """
-    head = residue_table(min(q, d + 1), d).values  # past ROW_CAP this raises first
+    head = _binsum_row(min(q, d + 1), d)  # past ROW_CAP this raises first
     full = 1 << d
     return list(accumulate((q * v - full for v in head), initial=0))
 

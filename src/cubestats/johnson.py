@@ -15,11 +15,12 @@ work on that half alone.
 ``_int_words`` packs subsets into rows of little-endian uint64 words, and
 ``pair_counts``, the one pairwise-popcount kernel, counts the elements
 each pair of rows shares: exactly, in an unsigned dtype that holds 64 per
-word.  The adjacency build and ``verify_clique`` read those counts.
+word.  The adjacency build and both clique checks read those counts.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -100,8 +101,7 @@ def pair_counts(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
 def _row_ints(bits: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as the int with bit j set iff column j is."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    raw, step = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[i * step : (i + 1) * step], "little") for i in range(len(packed))]
+    return list(map(int.from_bytes, packed, itertools.repeat("little")))
 
 
 def johnson_adjacent(u: int, v: int, s: int) -> bool:
@@ -115,7 +115,12 @@ def verify_clique(cert: CliqueCertificate) -> bool:
         return False
     if any(m < 0 or m >> (4 * s) or m.bit_count() != 2 * s for m in mem):
         return False
-    for lo, counts in pair_counts(_int_words(mem)):
+    return _words_meet_in(_int_words(mem), s)
+
+
+def _words_meet_in(words: np.ndarray, s: int) -> bool:
+    """Whether each row of ``words`` meets itself in 2s bits and every other row in s."""
+    for lo, counts in pair_counts(words):
         rows = np.arange(len(counts))
         # a member meets itself in 2s elements and every other one in s
         wrong = counts != s
@@ -181,14 +186,20 @@ def hadamard_to_clique(H: HadamardMatrix, *more: HadamardMatrix) -> CliqueCertif
     grid = np.hstack([b.entries[:k] for b in blocks])
     grid *= grid[:, :1]  # negate rows to make column 0 all +1
     grid *= grid[:1]  # then columns to make row 0 all +1
-    cert = CliqueCertificate(width // 4, tuple(_row_ints(grid[1:] == -1)))
-    if not verify_clique(cert):
+    # the -1 supports, packed once and padded to ``_int_words``' rows: 4s
+    # columns hold every bit, so the counts alone check the members
+    packed = np.packbits(grid[1:] == -1, axis=1, bitorder="little")
+    words = np.zeros((k - 1, -(-width // 64) * 8), np.uint8)
+    words[:, : packed.shape[1]] = packed
+    if not _words_meet_in(words.view("<u8"), width // 4):
         raise CertificateError("Hadamard rows did not produce a valid clique")
-    return cert
+    members = map(int.from_bytes, packed, itertools.repeat("little"))
+    return CliqueCertificate(width // 4, tuple(members))
 
 
-def _first_of_last_class(cand: int, adj: list[int]) -> int:
-    """The first pick of the last class of a greedy colouring of cand, lowest index first."""
+def _first_of_last_class(cand: int, apart: list[int]) -> int:
+    """The first pick of the last class of a greedy colouring of cand, lowest index first;
+    apart[i] has bit j set iff the lower-half vertices i and j are not adjacent."""
     rest = cand
     while rest:
         first = (rest & -rest).bit_length() - 1
@@ -196,7 +207,7 @@ def _first_of_last_class(cand: int, adj: list[int]) -> int:
         while avail:
             # no self loops: low stays in avail until the xor takes it out
             low = avail & -avail
-            avail &= ~adj[low.bit_length() - 1]
+            avail &= apart[low.bit_length() - 1]
             avail ^= low
             rest ^= low
     return first
@@ -223,8 +234,9 @@ def max_clique(graph: JohnsonGraph) -> tuple[CliqueCertificate, bool]:
     last = len(graph.vertices) - 1
     clique: list[int] = []
     cand = (1 << len(adj)) - 1
+    apart = [cand ^ row for row in adj]  # non-negative, unlike ~row: a cheap &
     while cand:
-        i = _first_of_last_class(cand, adj)
+        i = _first_of_last_class(cand, apart)
         clique.append(graph.vertices[last - i])
         cand &= adj[i]
     cert = CliqueCertificate(graph.s, tuple(clique))

@@ -29,8 +29,12 @@ import numpy as np
 
 from .cube import VertexSet, binomial, check_mask_dimension, check_subcube_dimension
 from .cube import enumerate_subcubes, subcube_count
-from .errors import DomainError, check_int, fields
+from .errors import CapabilityError, DomainError, check_int, fields
 from .residues import thm32_q
+
+# The largest n of layered_distribution, which steps C(n - d, w) along w in
+# O(n^2) time: 0.03 s at n = 10^4, 0.1 s at 2·10^4 and over 2 s at 10^5
+LAYERED_MAX_N = 10**4
 
 
 @dataclass(frozen=True)
@@ -357,9 +361,11 @@ def layered_distribution(n: int, d: int, spec: LayeredSpec) -> SubcubeDistributi
     A subcube whose base has Hamming weight w meets the layered set in
     thm32_q(w mod k, k, d, T) = sum(C(d, i) for i with (w+i) mod k in T)
     vertices, and there are C(n,d)*C(n-d,w) such subcubes.  Exact for any
-    n; no mask is built.
+    n up to ``LAYERED_MAX_N``; no mask is built.
     """
     check_subcube_dimension(n, d)
+    if n > LAYERED_MAX_N:
+        raise CapabilityError(f"layered distributions are capped at n <= {LAYERED_MAX_N}")
     k, T = spec.k, spec.T
     counts = [0] * ((1 << d) + 1)
     # the count depends on w only through w mod k

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -134,6 +135,8 @@ class TestVertexSet:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             VertexSet.from_vertices(2, [4])
+        with pytest.raises(DomainError, match="bits beyond"):  # bit 4 is no vertex of Q_2
+            VertexSet(2, 1 << 4)
         with pytest.raises(CapabilityError):
             VertexSet(MASK_CAP + 1, 0)
         with pytest.raises(CapabilityError):  # raised before allocating 2^60 flags
@@ -270,6 +273,19 @@ class TestEnumeration:
             subcube_count(3, 4)
         with pytest.raises(DomainError):
             list(enumerate_subcubes(2, -1))
+
+    def test_subcube_cap_admits_its_edge_and_no_more(self):
+        top = 10**5  # C(n, n/2) 2^(n/2) takes 0.2 s there
+        assert subcube_count(top, 1) == top << (top - 1)
+        assert next(enumerate_subcubes(top, 1)) == Subcube(top, 1, 0)
+        # 2^70 once reached math.comb and a shift count: OverflowError, or a
+        # generator that checked nothing until its first item
+        for n, d in ((top + 1, 1), (2**70, 1), (2**70, 2**69)):
+            start = time.process_time()
+            for call in (subcube_count, enumerate_subcubes):
+                with pytest.raises(CapabilityError, match="subcube cap"):
+                    call(n, d)  # at the call: no item is asked for
+            assert time.process_time() - start < 0.1, (n, d)
 
     def test_order_is_free_then_base_ascending(self):
         for n in range(7):

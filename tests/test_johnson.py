@@ -333,6 +333,44 @@ class TestHadamard:
         assert verify_clique(CliqueCertificate(128, members))
         assert not verify_clique(CliqueCertificate(128, members[:-1] + (members[0] ^ 3,)))
 
+    def test_packed_members_equal_the_int_route(self):
+        # every order built up to 400, and the block pairs omega places side by side
+        cases = [(H,) for o in range(4, 401, 4) if (H := hadamard_matrix(o)) is not None]
+        for s in range(1, cubestats.johnson.OMEGA_CAP + 1):
+            if hadamard_matrix(4 * s) is None:
+                a = next(a for a in range(s // 2, 0, -1) if hadamard_matrix(4 * a)
+                         and hadamard_matrix(4 * (s - a)))
+                cases.append((hadamard_matrix(4 * a), hadamard_matrix(4 * (s - a))))
+        assert len(cases) == 61 + 39  # one per s of omega: 61 orders 4s, 39 pairs
+        for blocks in cases:
+            assert hadamard_to_clique(*blocks) == int_route(*blocks), [b.order for b in blocks]
+
+    @pytest.mark.parametrize("orders", [(12,), (96,), (400,), (4, 8), (8, 12), (12, 16)])
+    @pytest.mark.parametrize("flips", [1, 2])
+    def test_the_clique_check_refuses_a_grid_swapped_in_after_validation(self, orders, flips):
+        # the grid is validated, then replaced: only the check on the packed
+        # rows stands between it and a certificate.  One flip changes the
+        # size of a member; two opposite flips keep it and change overlaps
+        blocks = [HadamardMatrix(o, hadamard_matrix(o).entries) for o in orders]
+        H, r = blocks[-1], min(orders) // 2
+        grid = H.entries.copy()
+        row = grid[r] * grid[r, 0] * grid[0]  # as normalised in the clique
+        cols = [int(np.flatnonzero(row == 1)[1]), int(np.flatnonzero(row == -1)[0])][:flips]
+        grid[r, cols] *= -1
+        object.__setattr__(H, "entries", grid)
+        with pytest.raises(CertificateError):
+            hadamard_to_clique(*blocks)
+
+    @pytest.mark.parametrize("s", [1, 10**20])
+    @pytest.mark.parametrize("member", [1 << 10**6, 2**70 + 3], ids=["2^(10^6)", "2^70+3"])
+    def test_huge_members_are_refused_before_any_packing(self, monkeypatch, s, member):
+        packed = []
+        monkeypatch.setattr(cubestats.johnson, "_int_words", packed.append)
+        start = time.process_time()
+        assert not verify_clique(CliqueCertificate(s, (0b0011, member)))
+        assert time.process_time() - start < 0.1
+        assert not packed
+
     @pytest.mark.parametrize("order", HADAMARD_ORDERS)
     def test_every_order_refuses_one_flipped_entry(self, order):
         grid = hadamard_matrix(order).entries.copy()
@@ -380,6 +418,17 @@ class TestHadamard:
         assert hadamard_matrix(2) is not None
 
 
+def int_route(*blocks: HadamardMatrix) -> CliqueCertificate:
+    """The clique of the blocks' normalised rows, one member int per -1 support, verified."""
+    k = min(b.order for b in blocks)
+    grid = np.hstack([b.entries[:k] for b in blocks]).astype(np.int64)
+    grid = grid * grid[:, :1] * grid[:1] * grid[0, 0]
+    members = tuple(int("".join("1" if x < 0 else "0" for x in row[::-1]), 2) for row in grid[1:])
+    cert = CliqueCertificate(grid.shape[1] // 4, members)
+    assert verify_clique(cert)
+    return cert
+
+
 def last_colored(cand: int, adj: list[int]) -> int:
     """The vertex a greedy colouring of cand, lowest index first, colours last."""
     rest = cand
@@ -404,13 +453,14 @@ class TestMaxClique:
         v = np.array(g.vertices)
         full = cubestats.johnson._row_ints(np.bitwise_count(v[:, None] & v[None, :]) == s)
         adj = g.adjacency_bitsets()
+        apart = [((1 << half) - 1) ^ row for row in adj]  # the rows' complements in the half
         rng = np.random.default_rng(s)
         for density in (0.02, 0.1, 0.3, 0.6, 1.0):
             for _ in range(8):
                 lower = np.flatnonzero(rng.random(half) < density).tolist() or [0]
                 S = sum(1 << i for i in lower)
                 closed = S | sum(1 << (V - 1 - i) for i in lower)
-                first = cubestats.johnson._first_of_last_class(S, adj)
+                first = cubestats.johnson._first_of_last_class(S, apart)
                 assert last_colored(closed, full) == V - 1 - first, (density, lower)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubestats import (
+    CapabilityError,
     DomainError,
     LambdaBounds,
     LayeredSpec,
@@ -492,6 +493,16 @@ class TestLayered:
         assert dist.total == subcube_count(120, 3)
         # even-weight selector balances every 3-subcube: half in, half out
         assert dist.counts[4] == dist.total
+
+    def test_layered_cap_admits_its_edge_and_no_more(self):
+        spec, top = LayeredSpec(2, frozenset({0})), 10**4
+        dist = layered_distribution(top, 3, spec)
+        assert dist.counts[4] == dist.total == subcube_count(top, 3)
+        for n in (top + 1, 2**70):
+            start = time.process_time()
+            with pytest.raises(CapabilityError, match="capped at n <= 10000"):
+                layered_distribution(n, 3, spec)
+            assert time.process_time() - start < 0.1, n
 
     def test_full_and_empty_selectors(self):
         every = layered_distribution(6, 2, LayeredSpec(1, frozenset({0})))
